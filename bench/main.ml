@@ -1352,7 +1352,7 @@ let micro () =
            (let window =
               List.init 4 (fun i ->
                   let n = Graph.get g ((i * 5) + 2) in
-                  (n, P.fastest_plan env.D.ctx n.Graph.op))
+                  Elk.Alloc.frontier env.D.ctx n (P.fastest_plan env.D.ctx n.Graph.op))
             in
             fun () -> Elk.Alloc.allocate env.D.ctx ~capacity ~exec_op:node ~window));
       Test.make ~name:"pipeline:stage-partition"

@@ -35,10 +35,7 @@ let overlaps a b =
   && b.a_base < a.a_base +. a.a_size
 
 (* Bump-pack a window combination: every participant is live at once
-   during the execute step, so addresses are consecutive.  The packed
-   extent is the exact float sum the greedy descent historically
-   compared against the capacity (same operands, same association
-   order), now expressed through the interval layer. *)
+   during the execute step, so addresses are consecutive. *)
 let pack sized =
   let _, placed =
     List.fold_left
@@ -47,9 +44,6 @@ let pack sized =
       (0., []) sized
   in
   List.rev placed
-
-let extent placed =
-  List.fold_left (fun e a -> Float.max e (a.a_base +. a.a_size)) 0. placed
 
 let well_packed placed =
   let rec go = function
@@ -130,6 +124,25 @@ let layout_of_schedule (s : Schedule.t) =
   List.rev_map (fun (_, _, a) -> a) !placed
   |> List.sort (fun a b -> compare (a.a_op, a.a_kind) (b.a_op, b.a_kind))
 
+(* A window operator's preload-state frontier, resolved once for the
+   operator's fixed plan: its options in ascending preload space, with
+   the (space, overhead) pairs the greedy descent steps along. *)
+type frontier = {
+  f_op : int;
+  options : P.preload_opt array;
+  spaces : float array;
+  overheads : float array;
+}
+
+let frontier ctx (node : Elk_model.Graph.node) plan =
+  let options = Array.of_list (P.preload_options ctx node.Elk_model.Graph.op plan) in
+  {
+    f_op = node.Elk_model.Graph.id;
+    options;
+    spaces = Array.map (fun o -> o.P.preload_space) options;
+    overheads = Array.map P.preload_overhead options;
+  }
+
 (* One participant in the greedy descent: a frontier of (space, time)
    choices, currently sitting at [idx] (starting at the largest-space /
    fastest end) and able to step down to [idx - 1]. *)
@@ -139,102 +152,85 @@ type participant = {
   mutable idx : int;
 }
 
-let of_points pts =
-  let spaces = Array.of_list (List.map (fun p -> p.Pareto.x) pts) in
-  let times = Array.of_list (List.map (fun p -> p.Pareto.y) pts) in
-  { spaces; times; idx = Array.length spaces - 1 }
+let participant spaces times = { spaces; times; idx = Array.length spaces - 1 }
 
-let current_space p = p.spaces.(p.idx)
+let[@inline] step_delta p =
+  let freed = p.spaces.(p.idx) -. p.spaces.(p.idx - 1) in
+  let slower = Float.max 1e-12 (p.times.(p.idx - 1) -. p.times.(p.idx)) in
+  freed /. slower
 
-let step_delta p =
-  if p.idx = 0 then None
-  else
-    let freed = p.spaces.(p.idx) -. p.spaces.(p.idx - 1) in
-    let slower = Float.max 1e-12 (p.times.(p.idx - 1) -. p.times.(p.idx)) in
-    Some (freed /. slower)
+(* Why a search failed, formatted only when someone reads it. *)
+type infeasible = No_plan | Overflow of { demand : float; preloads : int }
 
-let allocate_or_error ctx ~capacity ~exec_op ~window =
-  let open Elk_model in
-  let op_label =
-    Printf.sprintf "op %d (%s)" exec_op.Graph.id
-      exec_op.Graph.op.Elk_tensor.Opspec.name
-  in
-  let exec_frontier = P.exec_frontier ctx exec_op.Graph.op in
-  if exec_frontier = [] then
-    Error
-      (Printf.sprintf
-         "allocation infeasible for %s: no execute-state plan fits %.0f \
-          B/core SRAM"
-         op_label capacity)
+let search ctx ~capacity ~(exec_op : Elk_model.Graph.node) ~window =
+  let exec_frontier = P.exec_frontier ctx exec_op.Elk_model.Graph.op in
+  if exec_frontier = [] then Error No_plan
   else begin
-    let exec_part = of_points exec_frontier in
-    let window_opts =
-      List.map
-        (fun ((node : Graph.node), plan) ->
-          let opts = P.preload_options ctx node.Graph.op plan in
-          let pts =
-            List.map
-              (fun o ->
-                { Pareto.x = o.P.preload_space; y = P.preload_overhead o; payload = o })
-              opts
-          in
-          (node.Graph.id, Array.of_list (List.map (fun p -> p.Pareto.payload) pts), of_points pts))
-        window
+    (* The execute state first, then every overlapping preload: the
+       bump-pack order of the combination's address intervals. *)
+    let parts =
+      Array.make (1 + List.length window)
+        (participant
+           (Array.of_list (List.map (fun p -> p.Pareto.x) exec_frontier))
+           (Array.of_list (List.map (fun p -> p.Pareto.y) exec_frontier)))
     in
-    let participants = exec_part :: List.map (fun (_, _, p) -> p) window_opts in
-    (* The combination's footprint, expressed as packed address
-       intervals: the execute state followed by every overlapping
-       preload.  [extent] of the bump packing is the exact same float
-       sum the previous ad-hoc accumulation produced, and [well_packed]
-       asserts the intervals the schedule would hand the race analysis
-       are disjoint by construction. *)
-    let pack_current () =
-      pack
-        ((exec_op.Graph.id, Residency.Exec, current_space exec_part)
-        :: List.map
-             (fun (id, _, p) -> (id, Residency.Preload, current_space p))
-             window_opts)
+    List.iteri
+      (fun k (f : frontier) -> parts.(k + 1) <- participant f.spaces f.overheads)
+      window;
+    (* The combination's per-core footprint: the extent of its bump
+       packing, summed left to right in packing order — the same float
+       operations [pack] performs, without building the layout. *)
+    let total () =
+      let t = ref 0. in
+      for k = 0 to Array.length parts - 1 do
+        let p = parts.(k) in
+        t := !t +. p.spaces.(p.idx)
+      done;
+      !t
     in
-    let total () = extent (pack_current ()) in
     let rec descend () =
       if total () <= capacity then true
       else begin
-        let best =
-          List.fold_left
-            (fun acc p ->
-              match step_delta p with
-              | None -> acc
-              | Some d -> (
-                  match acc with Some (bd, _) when bd >= d -> acc | _ -> Some (d, p)))
-            None participants
-        in
-        match best with
-        | None -> false
-        | Some (_, p) ->
-            p.idx <- p.idx - 1;
-            descend ()
+        (* Step the most cost-effective participant — the most bytes
+           freed per added second, the first one on ties — one point
+           down its frontier. *)
+        let best = ref (-1) and best_d = ref 0. in
+        for k = 0 to Array.length parts - 1 do
+          let p = parts.(k) in
+          if p.idx > 0 then begin
+            let d = step_delta p in
+            if !best < 0 || not (!best_d >= d) then begin
+              best := k;
+              best_d := d
+            end
+          end
+        done;
+        if !best < 0 then false
+        else begin
+          let p = parts.(!best) in
+          p.idx <- p.idx - 1;
+          descend ()
+        end
       end
     in
     if not (descend ()) then
       (* Every participant is at its smallest Pareto point, so [total ()]
          is the irreducible demand of this window combination. *)
-      Error
-        (Printf.sprintf
-           "allocation infeasible for %s: minimal demand %.0f B/core \
-            (execute state + %d overlapping preloads) exceeds %.0f B/core \
-            SRAM by %.0f B"
-           op_label (total ())
-           (List.length window_opts)
-           capacity
-           (total () -. capacity))
+      Error (Overflow { demand = total (); preloads = List.length window })
     else begin
-      let exec_plan =
-        (List.nth exec_frontier exec_part.idx).Pareto.payload
-      in
+      let exec_plan = (List.nth exec_frontier parts.(0).idx).Pareto.payload in
       let chosen_window =
-        List.map (fun (id, opts, part) -> (id, opts.(part.idx))) window_opts
+        List.mapi (fun k (f : frontier) -> (f.f_op, f.options.(parts.(k + 1).idx))) window
       in
-      assert (well_packed (pack_current ()));
+      (* The intervals the schedule would hand the race analysis are
+         disjoint by construction. *)
+      assert (
+        well_packed
+          (pack
+             ((exec_op.Elk_model.Graph.id, Residency.Exec, exec_plan.P.exec_space)
+             :: List.map
+                  (fun (id, o) -> (id, Residency.Preload, o.P.preload_space))
+                  chosen_window)));
       let chip = P.ctx_chip ctx in
       let link_bw = chip.Arch.intercore_link.Arch.bandwidth in
       let cores = float_of_int chip.Arch.cores in
@@ -268,15 +264,37 @@ let allocate_or_error ctx ~capacity ~exec_op ~window =
     end
   end
 
+let explain ~capacity (exec_op : Elk_model.Graph.node) reason =
+  let op_label =
+    Printf.sprintf "op %d (%s)" exec_op.Elk_model.Graph.id
+      exec_op.Elk_model.Graph.op.Elk_tensor.Opspec.name
+  in
+  match reason with
+  | No_plan ->
+      Printf.sprintf
+        "allocation infeasible for %s: no execute-state plan fits %.0f \
+         B/core SRAM"
+        op_label capacity
+  | Overflow { demand; preloads } ->
+      Printf.sprintf
+        "allocation infeasible for %s: minimal demand %.0f B/core \
+         (execute state + %d overlapping preloads) exceeds %.0f B/core \
+         SRAM by %.0f B"
+        op_label demand preloads capacity (demand -. capacity)
+
+let allocate_or_error ctx ~capacity ~exec_op ~window =
+  Result.map_error (explain ~capacity exec_op) (search ctx ~capacity ~exec_op ~window)
+
 let allocate ctx ~capacity ~exec_op ~window =
-  match allocate_or_error ctx ~capacity ~exec_op ~window with
+  match search ctx ~capacity ~exec_op ~window with
   | Ok r -> Some r
-  | Error msg ->
+  | Error reason ->
       (* Infeasibility is routine during the window search (the caller
          retries with fewer preloads), so this is debug-level — but the
-         message now names the capacity, the demanded bytes, and the
+         message names the capacity, the demanded bytes, and the
          offending operator instead of a bare [None]. *)
-      Elk_obs.Logger.debug ~src:"alloc" msg;
+      if Elk_obs.Logger.enabled Elk_obs.Logger.Debug then
+        Elk_obs.Logger.debug ~src:"alloc" (explain ~capacity exec_op reason);
       None
 
 let min_preload_space ctx (node : Elk_model.Graph.node) =

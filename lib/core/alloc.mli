@@ -31,12 +31,13 @@ type result = {
 (** {1 Address intervals}
 
     The allocator's capacity reasoning, made explicit: each buffer is a
-    half-open per-core SRAM byte interval.  {!allocate_or_error} packs
-    every candidate combination through this layer (the packed extent is
-    the capacity check), and {!layout_of_schedule} assigns a concrete
-    deterministic address map to a whole schedule — the address component
-    the race analysis ({!Elk_verify}) joins with {!Residency} lifetimes
-    and the happens-before DAG. *)
+    half-open per-core SRAM byte interval.  {!allocate_or_error}'s
+    capacity check is the extent of the combination's bump packing (the
+    chosen one is asserted disjoint through this layer), and
+    {!layout_of_schedule} assigns a concrete deterministic address map
+    to a whole schedule — the address component the race analysis
+    ({!Elk_verify}) joins with {!Residency} lifetimes and the
+    happens-before DAG. *)
 
 type allocation = {
   a_op : int;  (** operator id owning the buffer. *)
@@ -58,11 +59,24 @@ val layout_of_schedule : Schedule.t -> allocation list
     intersect never share addresses; zero-byte footprints are omitted.
     Result sorted by (operator, kind). *)
 
+type frontier
+(** A window operator's preload-state options for one fixed execute-state
+    plan, resolved once ({!frontier}) and reused by every allocation whose
+    window holds the operator. *)
+
+val frontier :
+  Elk_partition.Partition.ctx ->
+  Elk_model.Graph.node ->
+  Elk_partition.Partition.plan ->
+  frontier
+(** [frontier ctx node plan] resolves [node]'s preload options under
+    [plan] ({!Elk_partition.Partition.preload_options}). *)
+
 val allocate :
   Elk_partition.Partition.ctx ->
   capacity:float ->
   exec_op:Elk_model.Graph.node ->
-  window:(Elk_model.Graph.node * Elk_partition.Partition.plan) list ->
+  window:frontier list ->
   result option
 (** [allocate ctx ~capacity ~exec_op ~window] returns [None] when even the
     smallest plans/options overflow [capacity] (the caller then tries a
@@ -75,7 +89,7 @@ val allocate_or_error :
   Elk_partition.Partition.ctx ->
   capacity:float ->
   exec_op:Elk_model.Graph.node ->
-  window:(Elk_model.Graph.node * Elk_partition.Partition.plan) list ->
+  window:frontier list ->
   (result, string) Stdlib.result
 (** Like {!allocate}, but an infeasible combination returns
     [Error msg] where [msg] names the offending operator, the SRAM

@@ -74,7 +74,23 @@ type suffix_memo = {
 let suffix_store : (string, suffix_memo) Compilecache.Lru.t =
   Compilecache.Lru.create ~cap:128 ()
 
-let () = Compilecache.on_reset (fun () -> Compilecache.Lru.clear suffix_store)
+(* Node digests of the last graph scheduled.  A compile schedules one
+   chip graph once per candidate preload order, and the digests depend on
+   the graph alone, so they are computed once per graph. *)
+let last_digests : (Graph.t * string array) option Atomic.t = Atomic.make None
+
+let node_digests graph =
+  match Atomic.get last_digests with
+  | Some (g, digests) when g == graph -> digests
+  | _ ->
+      let digests = Array.map Compilecache.node_digest (Graph.nodes graph) in
+      Atomic.set last_digests (Some (graph, digests));
+      digests
+
+let () =
+  Compilecache.on_reset (fun () ->
+      Compilecache.Lru.clear suffix_store;
+      Atomic.set last_digests None)
 
 let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
   Elk_obs.Metrics.incr "elk_scheduler_runs_total"
@@ -114,6 +130,13 @@ let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
     pos;
   let s_pre_pos h = if h >= n then infinity else spos.(h) in
   let node_of i = Graph.get graph i in
+  (* Each operator's preload-state frontier, resolved once its plan is
+     fixed: every later allocation window holding it reuses it. *)
+  let fronts : Alloc.frontier option array = Array.make n None in
+  let fix_plan id plan =
+    plans.(id) <- Some plan;
+    fronts.(id) <- Some (Alloc.frontier ctx (node_of id) plan)
+  in
   (* As-late-as-possible preload length of a scheduled operator; used by
      the preload-channel passes below.  Operators not yet given a preload
      option by an allocation window fall back to their min-overhead one,
@@ -129,10 +152,7 @@ let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
   in
   let popt_writes : (int * P.preload_opt) list array = Array.make n [] in
   let caching = Compilecache.enabled () in
-  let digests =
-    if caching then Array.init n (fun id -> Compilecache.node_digest (node_of id))
-    else [||]
-  in
+  let digests = if caching then node_digests graph else [||] in
   let memo_key =
     if caching then
       Some
@@ -161,7 +181,7 @@ let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
             for id = d + 1 to n - 1 do
               s_exe.(id) <- m.m_s_exe.(id);
               horizon.(id) <- m.m_horizon.(id);
-              plans.(id) <- Some m.m_plans.(id)
+              fix_plan id m.m_plans.(id)
             done;
             for i = n - 1 downto d + 1 do
               popt_writes.(i) <- m.m_popt_writes.(i);
@@ -201,10 +221,9 @@ let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
         let w = order.(k) in
         if w > i then
           acc :=
-            ( node_of w,
-              match plans.(w) with
-              | Some pl -> pl
-              | None -> raise (Infeasible "window op scheduled out of order") )
+            (match fronts.(w) with
+            | Some f -> f
+            | None -> raise (Infeasible "window op scheduled out of order"))
             :: !acc
       done;
       !acc
@@ -278,11 +297,11 @@ let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
             let dist_est = P.preload_overhead (min_overhead_opt ctx node.Graph.op plan) in
             let span = plan.P.exec_time +. dist_est in
             let bound = Float.min next_s_exe (s_pre_pos h_low) in
-            plans.(i) <- Some plan;
+            fix_plan i plan;
             horizon.(i) <- h_low;
             s_exe.(i) <- bound -. span)
     | Some (start, h_star, alloc, _) ->
-        plans.(i) <- Some alloc.Alloc.exec_plan;
+        fix_plan i alloc.Alloc.exec_plan;
         horizon.(i) <- h_star;
         s_exe.(i) <- start;
         popt_writes.(i) <- alloc.Alloc.window;

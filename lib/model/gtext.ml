@@ -183,10 +183,13 @@ let parse_op kind attrs =
       let* shape_s = req attrs "shape" in
       let* shape = parse_shape shape_s in
       let arity = match int_attr attrs "arity" with Ok a -> a | Error _ -> 1 in
-      let fpp =
+      let* fpp =
         match find attrs "fpp" with
-        | Some v -> ( try float_of_string v with _ -> 2.)
-        | None -> 2.
+        | None -> Ok 2.
+        | Some v -> (
+            match float_of_string_opt v with
+            | Some f -> Ok f
+            | None -> Error (Printf.sprintf "bad float %S for fpp" v))
       in
       Ok (Opspec.elementwise ~dtype ~arity ~flops_per_point:fpp ~name ~kind ~shape ())
   | other -> Error (Printf.sprintf "unknown operator form %S" other)

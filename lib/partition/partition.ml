@@ -29,14 +29,64 @@ let preload_overhead o = o.dist_time +. Float.max 0. (o.preload_len -. o.hbm_flo
 
 type memo_entry = { plans : plan list; frontier : plan Pareto.point list }
 
+(* Structural memo keys.  Partitioning reads an operator's kind,
+   iteration extents, each tensor's indexing dims and source, its
+   per-point FLOPs and its dtype — the fields {!plan_signature} digests —
+   and never its name or its tensors' names.  The memo tables hash and
+   compare exactly those fields, so a lookup hashes a few words instead
+   of building a string and digesting it.  [flops_per_point] compares by
+   its bits: [0.] and [-0.] key apart, as their "%h" renderings do.
+   Preload options also key on the plan's factor vector; enumeration
+   keys carry an empty one. *)
+module Key = struct
+  type t = { op : Opspec.t; factors : int array }
+
+  let int_array_equal (a : int array) b =
+    let n = Array.length a in
+    let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
+    n = Array.length b && go 0
+
+  let same_tensor (a : Opspec.tensor) (b : Opspec.tensor) =
+    a.Opspec.source = b.Opspec.source && List.equal Int.equal a.Opspec.dims b.Opspec.dims
+
+  let equal k l =
+    let a = k.op and b = l.op in
+    int_array_equal k.factors l.factors
+    && String.equal a.Opspec.kind b.Opspec.kind
+    && int_array_equal a.Opspec.iter b.Opspec.iter
+    && same_tensor a.Opspec.output b.Opspec.output
+    && List.equal same_tensor a.Opspec.inputs b.Opspec.inputs
+    && Int64.bits_of_float a.Opspec.flops_per_point
+       = Int64.bits_of_float b.Opspec.flops_per_point
+    && a.Opspec.dtype = b.Opspec.dtype
+
+  let mix h v = (h * 31) + v
+
+  let mix_tensor h (t : Opspec.tensor) =
+    List.fold_left mix (mix h (Hashtbl.hash t.Opspec.source)) t.Opspec.dims
+
+  (* [Hashtbl.hash] of the accumulated words spreads them over the low
+     bits the table indexes by. *)
+  let hash { op; factors } =
+    let bits = Int64.bits_of_float op.Opspec.flops_per_point in
+    let h = Array.fold_left mix (Hashtbl.hash op.Opspec.kind) op.Opspec.iter in
+    let h = List.fold_left mix_tensor (mix_tensor h op.Opspec.output) op.Opspec.inputs in
+    let h = mix h (Int64.to_int bits lxor Int64.to_int (Int64.shift_right_logical bits 32)) in
+    let h = mix h (Hashtbl.hash op.Opspec.dtype) in
+    Hashtbl.hash (Array.fold_left mix h factors)
+end
+
+module Memo = Hashtbl.Make (Key)
+
 type ctx = {
   chip : Arch.chip;
   cost : Elk_cost.Costmodel.t;
   max_plans : int;
   fp : string;  (* digest of (chip, cost model, max_plans). *)
-  lock : Mutex.t;  (* guards [memo] and [popt_memo]; see [memo_find]. *)
-  memo : (string, memo_entry) Hashtbl.t;
-  popt_memo : (string, preload_opt list) Hashtbl.t;
+  lock : Mutex.t;  (* guards the three tables; see [memo_find]. *)
+  memo : memo_entry Memo.t;
+  popt_memo : preload_opt list Memo.t;
+  ops : Opspec.t Memo.t;  (* the stored copy of each operator keyed so far. *)
 }
 
 (* Cross-compile memo sharing: contexts built from behaviorally identical
@@ -44,9 +94,10 @@ type ctx = {
    a serving loop that rebuilds a context per recompile — or a bench that
    builds a fresh env per run — still reuses every enumeration and
    preload frontier already computed.  Sharing is sound because memo
-   values are pure functions of (key, fingerprint) and keys are canonical
-   digests.  Disable with [ELK_COMPILE_CACHE=0] or {!set_memo_sharing}
-   (fresh private tables per context, the pre-cache behavior). *)
+   values are pure functions of (key, fingerprint) and keys hold every
+   field the values depend on.  Disable with [ELK_COMPILE_CACHE=0] or
+   {!set_memo_sharing} (fresh private tables per context, the pre-cache
+   behavior). *)
 let sharing =
   ref (match Sys.getenv_opt "ELK_COMPILE_CACHE" with Some "0" -> false | _ -> true)
 
@@ -55,8 +106,9 @@ let memo_sharing () = !sharing
 
 type shared_store = {
   s_lock : Mutex.t;
-  s_memo : (string, memo_entry) Hashtbl.t;
-  s_popt : (string, preload_opt list) Hashtbl.t;
+  s_memo : memo_entry Memo.t;
+  s_popt : preload_opt list Memo.t;
+  s_ops : Opspec.t Memo.t;
   mutable s_stamp : int;
 }
 
@@ -72,8 +124,9 @@ let reset_shared_memos () =
   Hashtbl.iter
     (fun _ s ->
       Mutex.lock s.s_lock;
-      Hashtbl.reset s.s_memo;
-      Hashtbl.reset s.s_popt;
+      Memo.reset s.s_memo;
+      Memo.reset s.s_popt;
+      Memo.reset s.s_ops;
       Mutex.unlock s.s_lock)
     registry;
   Hashtbl.reset registry;
@@ -95,8 +148,8 @@ let make_ctx ?(max_plans_per_op = 512) cost =
          ^ "|" ^ string_of_int max_plans_per_op))
   in
   let fresh () =
-    { s_lock = Mutex.create (); s_memo = Hashtbl.create 64;
-      s_popt = Hashtbl.create 256; s_stamp = 0 }
+    { s_lock = Mutex.create (); s_memo = Memo.create 64;
+      s_popt = Memo.create 256; s_ops = Memo.create 64; s_stamp = 0 }
   in
   let store =
     if not (memo_sharing ()) then fresh ()
@@ -140,15 +193,31 @@ let make_ctx ?(max_plans_per_op = 512) cost =
     lock = store.s_lock;
     memo = store.s_memo;
     popt_memo = store.s_popt;
+    ops = store.s_ops;
   }
 
 let fingerprint ctx = ctx.fp
 
 let memo_sizes ctx =
   Mutex.lock ctx.lock;
-  let sizes = (Hashtbl.length ctx.memo, Hashtbl.length ctx.popt_memo) in
+  let sizes = (Memo.length ctx.memo, Memo.length ctx.popt_memo) in
   Mutex.unlock ctx.lock;
   sizes
+
+(* A stored key owns its arrays — the caller's may be mutated after the
+   lookup — and every key of one operator shares one stored copy of it.
+   Called under [ctx.lock]. *)
+let persist ctx { Key.op; factors } =
+  let op_key = { Key.op; factors = [||] } in
+  let op =
+    match Memo.find_opt ctx.ops op_key with
+    | Some stored -> stored
+    | None ->
+        let stored = { op with Opspec.iter = Array.copy op.Opspec.iter } in
+        Memo.add ctx.ops { Key.op = stored; factors = [||] } stored;
+        stored
+  in
+  { Key.op; factors = Array.copy factors }
 
 (* Memo tables are shared across the scheduler domains of the parallel
    order search, so every access is serialized under [ctx.lock].  The
@@ -159,7 +228,7 @@ let memo_sizes ctx =
    insert wins and the duplicate — structurally identical — is dropped. *)
 let memo_find ctx tbl key compute =
   Mutex.lock ctx.lock;
-  match Hashtbl.find_opt tbl key with
+  match Memo.find_opt tbl key with
   | Some v ->
       Mutex.unlock ctx.lock;
       v
@@ -168,10 +237,10 @@ let memo_find ctx tbl key compute =
       let v = compute () in
       Mutex.lock ctx.lock;
       let v =
-        match Hashtbl.find_opt tbl key with
+        match Memo.find_opt tbl key with
         | Some winner -> winner
         | None ->
-            Hashtbl.add tbl key v;
+            Memo.add tbl (persist ctx key) v;
             v
       in
       Mutex.unlock ctx.lock;
@@ -180,12 +249,11 @@ let memo_find ctx tbl key compute =
 let ctx_chip ctx = ctx.chip
 let ctx_cost ctx = ctx.cost
 
-(* Collision-safe memo key: a digest over a length-prefixed canonical
-   encoding of every field partitioning depends on.  Length prefixes make
-   separator injection impossible (the old "|"/";"-joined concatenation
-   could in principle conflate crafted shapes), and [flops_per_point] is
-   included because it changes execution-time estimates even when the
-   shape is identical. *)
+(* A digest over a length-prefixed canonical encoding of the fields the
+   memo keys compare ({!Key}): the operator component of
+   {!Compilecache.node_digest}.  Length prefixes make separator injection
+   impossible, and [flops_per_point] is included because it changes
+   execution-time estimates even when the shape is identical. *)
 let plan_signature (op : Opspec.t) =
   let b = Buffer.create 128 in
   let str s =
@@ -504,8 +572,7 @@ let compute_preload_options ctx (op : Opspec.t) plan =
 
 
 let rec lookup ctx op =
-  let key = plan_signature op in
-  memo_find ctx ctx.memo key (fun () ->
+  memo_find ctx ctx.memo { Key.op; factors = [||] } (fun () ->
       let plans = compute_plans ctx op in
       let frontier =
         Pareto.frontier
@@ -524,11 +591,8 @@ let rec lookup ctx op =
       { plans; frontier })
 
 and preload_options ctx op plan =
-  let key =
-    plan_signature op ^ "#"
-    ^ String.concat "," (Array.to_list plan.factors |> List.map string_of_int)
-  in
-  memo_find ctx ctx.popt_memo key (fun () -> compute_preload_options ctx op plan)
+  memo_find ctx ctx.popt_memo { Key.op; factors = plan.factors } (fun () ->
+      compute_preload_options ctx op plan)
 
 let enumerate ctx op = (lookup ctx op).plans
 let exec_frontier ctx op = (lookup ctx op).frontier

@@ -20,8 +20,9 @@
       bytes injected into the interconnect by controllers (scaled by
       broadcast replication).
 
-    Plan enumeration is memoized per operator signature, so the identical
-    layers of an LLM cost one enumeration. *)
+    Plan enumeration is memoized per operator structure (every field of
+    {!plan_signature}, names excluded), so the identical layers of an LLM
+    cost one enumeration. *)
 
 type ctx
 (** Enumeration context: chip, trained cost model, memo tables. *)
@@ -143,10 +144,13 @@ val inject_rate : Elk_arch.Arch.chip -> float
     [preload_len], exposed for bandwidth-feasibility lints. *)
 
 val plan_signature : Elk_tensor.Opspec.t -> string
-(** Memoization key: a collision-safe digest of kind, iteration extents,
-    input sharing structure, per-point FLOPs and dtype — every field
-    partitioning depends on, length-prefixed so distinct operators cannot
-    collide by separator injection.  Operators from identical layers
-    share a signature. *)
+(** The operator component of [Compilecache.node_digest]: a
+    collision-safe hex digest of kind, iteration extents, input sharing
+    structure, per-point FLOPs and dtype — every field partitioning
+    depends on, length-prefixed so distinct operators cannot collide by
+    separator injection.  Operators from identical layers share a
+    signature.  The memo tables do not use it: they hash and compare the
+    same fields structurally, so two operators share a memo entry exactly
+    when their signatures are equal. *)
 
 val pp_plan : Format.formatter -> plan -> unit

@@ -32,6 +32,8 @@ let validate t =
   if ndims = 0 then Error (t.name ^ ": empty iteration space")
   else if Array.exists (fun e -> e < 1) t.iter then
     Error (t.name ^ ": nonpositive extent")
+  else if not (Float.is_finite t.flops_per_point) then
+    Error (t.name ^ ": non-finite flops_per_point")
   else if t.flops_per_point < 0. then Error (t.name ^ ": negative flops_per_point")
   else first_error (t.output :: t.inputs)
 

@@ -42,9 +42,10 @@ type t = {
 }
 
 val validate : t -> (unit, string) result
-(** Check structural invariants: positive extents, tensor dims sorted,
-    within range and duplicate-free, output dims non-empty unless the
-    iteration space is a full reduction. *)
+(** Check structural invariants: positive extents, a finite non-negative
+    [flops_per_point], tensor dims sorted, within range and
+    duplicate-free, output dims non-empty unless the iteration space is a
+    full reduction. *)
 
 val points : t -> float
 (** Product of iteration extents. *)

@@ -30,7 +30,9 @@ let test_alloc_empty_window () =
 let test_alloc_fits_capacity () =
   let node = Graph.get (graph ()) 2 in
   let window =
-    List.map (fun (n : Graph.node) -> (n, P.fastest_plan (ctx ()) n.Graph.op)) (some_nodes 4)
+    List.map
+      (fun (n : Graph.node) -> Elk.Alloc.frontier (ctx ()) n (P.fastest_plan (ctx ()) n.Graph.op))
+      (some_nodes 4)
   in
   match Elk.Alloc.allocate (ctx ()) ~capacity:(capacity ()) ~exec_op:node ~window with
   | Some r ->
@@ -49,7 +51,9 @@ let test_alloc_shrinks_under_pressure () =
   let node = Graph.get (graph ()) 2 in
   let c = ctx () in
   let window =
-    List.map (fun (n : Graph.node) -> (n, P.fastest_plan c n.Graph.op)) (some_nodes 8)
+    List.map
+      (fun (n : Graph.node) -> Elk.Alloc.frontier c n (P.fastest_plan c n.Graph.op))
+      (some_nodes 8)
   in
   match
     ( Elk.Alloc.allocate c ~capacity:(capacity ()) ~exec_op:node ~window:[],

@@ -61,7 +61,13 @@ let test_errors_informative () =
   expect_error "graph g\nop matmul name=x m=zap n=1 k=1" "bad integer";
   expect_error "graph g\nop matmul name=x m=1 n=1 k=1 deps=7" "invalid";
   expect_error "nonsense line" "unrecognized";
-  expect_error "" "no graph"
+  expect_error "" "no graph";
+  (* A non-finite or unparsable per-point FLOP count would poison every
+     FLOP-derived number (Ideal roofline, energy). *)
+  let eltwise fpp = "graph g\nop eltwise name=e kind=add shape=8x64 fpp=" ^ fpp in
+  expect_error (eltwise "nan") "non-finite flops_per_point";
+  expect_error (eltwise "inf") "non-finite flops_per_point";
+  expect_error (eltwise "zap") "bad float \"zap\" for fpp"
 
 let test_comments_and_blanks () =
   let text = "# header\n\ngraph g\n# middle\nop softmax name=s rows=2 cols=2\n\n" in

@@ -231,6 +231,61 @@ let test_signature_digests_full_spec () =
         ((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')))
     (Partition.plan_signature a)
 
+(* The memo tables key on exactly the fields [plan_signature] digests:
+   renaming never adds an entry, every other field does, and a stored key
+   is immune to the caller mutating its arrays afterwards. *)
+let test_memo_keys_structural () =
+  let was = Partition.memo_sharing () in
+  Partition.set_memo_sharing false;
+  Fun.protect
+    ~finally:(fun () -> Partition.set_memo_sharing was)
+    (fun () ->
+      let c = Partition.make_ctx (Partition.ctx_cost (ctx ())) in
+      let entries () = fst (Partition.memo_sizes c) in
+      let adds what expected op =
+        let before = entries () in
+        ignore (Partition.enumerate c op);
+        Alcotest.(check int) what (before + expected) (entries ());
+        ignore (Partition.enumerate c op);
+        Alcotest.(check int) (what ^ ": repeat lookup") (before + expected) (entries ())
+      in
+      let base =
+        Opspec.elementwise ~flops_per_point:1. ~name:"e" ~kind:"silu" ~shape:[ 256; 64 ] ()
+      in
+      let map_inputs f op = { op with Opspec.inputs = List.map f op.Opspec.inputs } in
+      adds "first operator" 1 base;
+      adds "name ignored" 0 { base with Opspec.name = "renamed" };
+      adds "tensor names ignored" 0
+        (map_inputs (fun t -> { t with Opspec.t_name = "other" })
+           { base with Opspec.output = { base.Opspec.output with Opspec.t_name = "y" } });
+      adds "kind" 1 { base with Opspec.kind = "gelu" };
+      adds "extent" 1 { base with Opspec.iter = [| 256; 32 |] };
+      adds "tensor dims" 1 (map_inputs (fun t -> { t with Opspec.dims = [ 0 ] }) base);
+      adds "tensor source" 1 (map_inputs (fun t -> { t with Opspec.source = Opspec.Weights }) base);
+      adds "dtype" 1 { base with Opspec.dtype = Dtype.Fp32 };
+      adds "flops_per_point" 1 { base with Opspec.flops_per_point = 4. };
+      adds "zero flops" 1 { base with Opspec.flops_per_point = 0. };
+      adds "negative-zero flops" 1 { base with Opspec.flops_per_point = -0. };
+      (* Mutating a looked-up operator's extents must not move its entry. *)
+      let mutated = { base with Opspec.iter = [| 128; 64 |] } in
+      adds "new extents" 1 mutated;
+      mutated.Opspec.iter.(0) <- 64;
+      adds "stored extents are a copy" 0 { base with Opspec.iter = [| 128; 64 |] };
+      (* Preload options key on the operator and the plan's factors. *)
+      let options () = snd (Partition.memo_sizes c) in
+      let plan_of factors = Result.get_ok (Partition.plan_with_factors c base factors) in
+      let popts what expected op plan =
+        let before = options () in
+        ignore (Partition.preload_options c op plan);
+        Alcotest.(check int) what (before + expected) (options ())
+      in
+      let factors = [| 1; 1 |] in
+      popts "popt: new factors" 1 base (plan_of factors);
+      popts "popt: name ignored" 0 { base with Opspec.name = "renamed" } (plan_of [| 1; 1 |]);
+      factors.(0) <- 2;
+      popts "popt: stored factors are a copy" 0 base (plan_of [| 1; 1 |]);
+      popts "popt: other factors" 1 base (plan_of [| 2; 1 |]))
+
 let test_fingerprint_separates_topologies () =
   Alcotest.(check bool) "a2a and mesh contexts fingerprint apart" true
     (Partition.fingerprint (ctx ()) <> Partition.fingerprint (mctx ()))
@@ -301,6 +356,7 @@ let suite =
     ("partition: len above floor", `Quick, test_preload_len_at_least_floor);
     ("partition: reachable floor", `Quick, test_overhead_zero_somewhere);
     ("partition: signature digests full spec", `Quick, test_signature_digests_full_spec);
+    ("partition: memo keys structural", `Quick, test_memo_keys_structural);
     ("partition: fingerprint separates topologies", `Quick,
      test_fingerprint_separates_topologies);
     ("partition: shared memo across contexts", `Quick, test_shared_memo_across_contexts);

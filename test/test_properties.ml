@@ -16,7 +16,8 @@ let qcheck_alloc_fits_any_capacity =
       let c = ctx () in
       let node = Graph.get g (nseed mod Graph.length g) in
       let window =
-        [ (Graph.get g ((nseed + 7) mod Graph.length g), P.fastest_plan c (Graph.get g ((nseed + 7) mod Graph.length g)).Graph.op) ]
+        let w = Graph.get g ((nseed + 7) mod Graph.length g) in
+        [ Elk.Alloc.frontier c w (P.fastest_plan c w.Graph.op) ]
       in
       match
         Elk.Alloc.allocate c ~capacity:(cap_frac *. capacity ()) ~exec_op:node ~window

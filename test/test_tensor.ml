@@ -144,7 +144,9 @@ let test_validate_rejects_bad_dims () =
     }
 
 let test_validate_rejects_negative_flops () =
-  err { (Opspec.softmax ~name:"s" ~rows:2 ~cols:2 ()) with Opspec.flops_per_point = -1. }
+  List.iter
+    (fun f -> err { (Opspec.softmax ~name:"s" ~rows:2 ~cols:2 ()) with Opspec.flops_per_point = f })
+    [ -1.; Float.nan; infinity; neg_infinity ]
 
 let qcheck_matmul_accounting =
   Tu.qtest ~count:80 "opspec: matmul accounting scales correctly"
