@@ -52,6 +52,23 @@ let evaluate_all ~key env graph =
       Hashtbl.add eval_memo key e;
       e
 
+(* The headline run the snapshot experiments plan: Elk-Full on the
+   scaled Llama2-13B decode at batch 32. *)
+let with_headline f =
+  let env = Lazy.force default_env in
+  let g = decode llama13b ~batch:32 in
+  match B.plan ~elk_options:bench_elk_options env.D.ctx ~pod:env.D.pod g B.Elk_full with
+  | None -> ()
+  | Some s -> f env g s
+
+(* Every committed snapshot goes through here: BENCH_<name>.json in the
+   working directory, announced on stdout with an optional [note]. *)
+let write_snapshot ?(note = "") name json =
+  let file = Printf.sprintf "BENCH_%s.json" name in
+  let oc = open_out file in
+  output_string oc json;
+  close_out oc;
+  Printf.printf "wrote %s%s\n\n" file note
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: model complexity factors                                  *)
@@ -794,11 +811,7 @@ let serve () =
       ~seed result
   in
   Elk_serve.Slo.print report;
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc (Elk_serve.Slo.to_json report);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_serve.json\n\n"
+  write_snapshot "serve" (Elk_serve.Slo.to_json report ^ "\n")
 
 (* ------------------------------------------------------------------ *)
 (* Simulator validation (paper 5: emulator-vs-simulator agreement)    *)
@@ -881,11 +894,7 @@ let full () =
    are rounded to 4 significant digits: enough to catch real timing
    changes, coarse enough to survive benign float-noise differences. *)
 let attrib () =
-  let env = Lazy.force default_env in
-  let g = decode llama13b ~batch:32 in
-  match B.plan ~elk_options:bench_elk_options env.D.ctx ~pod:env.D.pod g B.Elk_full with
-  | None -> ()
-  | Some s ->
+  with_headline (fun env g s ->
       let r = Elk_sim.Sim.run env.D.ctx s in
       (match Elk_sim.Perfcore.check r.Elk_sim.Sim.perf ~total:r.Elk_sim.Sim.total with
       | Ok () -> ()
@@ -916,10 +925,7 @@ let attrib () =
           (num (rep.A.hbm_mean /. 1e9))
           (num (rep.A.noc_mean /. 1e9))
       in
-      let oc = open_out "BENCH_attrib.json" in
-      output_string oc json;
-      close_out oc;
-      Printf.printf "wrote BENCH_attrib.json\n\n"
+      write_snapshot "attrib" json)
 
 (* ------------------------------------------------------------------ *)
 (* Compile-time baseline (BENCH_compile.json)                         *)
@@ -1085,226 +1091,145 @@ let compile_bench () =
       (String.concat ",\n" (List.rev !speedups))
       (String.concat ",\n" (List.rev !ladder))
   in
-  let oc = open_out "BENCH_compile.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_compile.json\n\n"
+  write_snapshot "compile" json
 
 (* ------------------------------------------------------------------ *)
-(* Critical-path snapshot (BENCH_critpath.json)                       *)
+(* Recorder snapshots (BENCH_critpath/mem/noc.json)                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Extract the causal critical path of the headline run and snapshot it
-   in the [elk critpath --json-out] shape (plus an [overhead] record),
-   so CI can [elk trace diff] a fresh snapshot against the committed
-   copy.  Segments pre-aggregate by (name, kind, resource) — the same
-   key Tracediff folds on — and values round to 4 significant digits,
-   like BENCH_attrib.json.  The overhead record re-checks the zero-cost
-   contract: recording the event DAG must not perturb the timeline, and
-   its wall-clock cost over the plain run is recorded so a regression in
-   the recording path shows up here. *)
+(* Snapshot one simulator recorder's report on the headline run.  This
+   re-checks the zero-cost contract for the recording path it gates:
+   [record] must not perturb the simulated timeline, and its wall-clock
+   cost over the plain run is measured (mean of 5 runs each) so a
+   regression in the recording path shows up in the snapshot's
+   [overhead] record.  [analyzed] is the run the report reads (default:
+   the [record] run).  [report] prints the report and returns the
+   snapshot, given the overhead record's fields. *)
+let recorded_snapshot name ~record ?(analyzed = record) report =
+  with_headline (fun env g s ->
+      let plain () = Elk_sim.Sim.run env.D.ctx s in
+      let time f =
+        let reps = 5 in
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to reps do
+          ignore (f ())
+        done;
+        (Unix.gettimeofday () -. t0) /. float_of_int reps
+      in
+      ignore (plain ());
+      let t_off = time plain in
+      let t_on = time (fun () -> record env.D.ctx s) in
+      let r = analyzed env.D.ctx s in
+      let r_off = plain () in
+      if r.Elk_sim.Sim.total <> r_off.Elk_sim.Sim.total then
+        Printf.printf "RECORDING PERTURBED THE TIMELINE: %.9g vs %.9g\n"
+          r.Elk_sim.Sim.total r_off.Elk_sim.Sim.total;
+      let ratio = t_on /. Float.max 1e-12 t_off in
+      let num v = Printf.sprintf "%.4g" v in
+      let overhead =
+        Printf.sprintf "\"sim_disabled_s\":%s,\"sim_enabled_s\":%s,\"ratio\":%s"
+          (num t_off) (num t_on) (num ratio)
+      in
+      write_snapshot name
+        ~note:(Printf.sprintf " (recording overhead %.2fx)" ratio)
+        (report env g s r ~overhead))
+
+(* The [elk mem]/[elk noc] snapshot shape: the CLI's JSON with the
+   design and the overhead record spliced after the opening brace, so
+   the Tracediff core keeps its shape. *)
+let splice_overhead ~overhead body =
+  Printf.sprintf "{\"design\":%S,\"overhead\":{%s},%s\n" (B.name B.Elk_full) overhead
+    (String.sub body 1 (String.length body - 1))
+
+(* The causal critical path in the [elk critpath --json-out] shape (plus
+   the overhead record and the event count), so CI can [elk trace diff]
+   a fresh snapshot against the committed copy.  Segments pre-aggregate
+   by (name, kind, resource) — the same key Tracediff folds on — and
+   values round to 4 significant digits, like BENCH_attrib.json. *)
 let critpath_bench () =
-  let env = Lazy.force default_env in
-  let g = decode llama13b ~batch:32 in
-  match B.plan ~elk_options:bench_elk_options env.D.ctx ~pod:env.D.pod g B.Elk_full with
-  | None -> ()
-  | Some s ->
+  recorded_snapshot "critpath" ~record:(fun ctx s -> Elk_sim.Sim.run ~events:true ctx s)
+    (fun _ g s r ~overhead ->
       let module Cp = Elk_sim.Critpath in
-      let time reps f =
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to reps do
-          ignore (f ())
-        done;
-        (Unix.gettimeofday () -. t0) /. float_of_int reps
+      let ev = Option.get r.Elk_sim.Sim.events in
+      (match Cp.check ev ~total:r.Elk_sim.Sim.total with
+      | Ok () -> ()
+      | Error m -> Printf.printf "CRITPATH LEAK: %s\n" m);
+      let sum = Cp.extract ev in
+      Cp.print ~top:5 ~top_segments:8 s.Elk.Schedule.graph sum;
+      let num v = Printf.sprintf "%.4g" v in
+      let tbl = Hashtbl.create 64 and order = ref [] in
+      List.iter
+        (fun seg ->
+          let name =
+            if seg.Cp.s_op < 0 then "-"
+            else
+              (Graph.get s.Elk.Schedule.graph seg.Cp.s_op).Graph.op
+                .Elk_tensor.Opspec.name
+          in
+          let key =
+            (name, Cp.kind_name seg.Cp.s_kind, Cp.resource_name seg.Cp.s_res)
+          in
+          match Hashtbl.find_opt tbl key with
+          | Some cur -> Hashtbl.replace tbl key (cur +. seg.Cp.s_dur)
+          | None ->
+              Hashtbl.add tbl key seg.Cp.s_dur;
+              order := key :: !order)
+        sum.Cp.segments;
+      let seg_rows =
+        List.rev_map
+          (fun ((name, kind, res) as key) ->
+            Printf.sprintf "{\"name\":%S,\"kind\":%S,\"resource\":%S,\"dur\":%s}"
+              name kind res
+              (num (Hashtbl.find tbl key)))
+          !order
       in
-      let reps = 5 in
-      ignore (Elk_sim.Sim.run ~events:false env.D.ctx s);
-      let t_off = time reps (fun () -> Elk_sim.Sim.run ~events:false env.D.ctx s) in
-      let t_on = time reps (fun () -> Elk_sim.Sim.run ~events:true env.D.ctx s) in
-      let r = Elk_sim.Sim.run ~events:true env.D.ctx s in
-      let r_off = Elk_sim.Sim.run ~events:false env.D.ctx s in
-      if r.Elk_sim.Sim.total <> r_off.Elk_sim.Sim.total then
-        Printf.printf "RECORDING PERTURBED THE TIMELINE: %.9g vs %.9g\n"
-          r.Elk_sim.Sim.total r_off.Elk_sim.Sim.total;
-      (match r.Elk_sim.Sim.events with
-      | None -> ()
-      | Some ev ->
-          (match Cp.check ev ~total:r.Elk_sim.Sim.total with
-          | Ok () -> ()
-          | Error m -> Printf.printf "CRITPATH LEAK: %s\n" m);
-          let sum = Cp.extract ev in
-          Cp.print ~top:5 ~top_segments:8 s.Elk.Schedule.graph sum;
-          let num v = Printf.sprintf "%.4g" v in
-          let tbl = Hashtbl.create 64 and order = ref [] in
-          List.iter
-            (fun seg ->
-              let name =
-                if seg.Cp.s_op < 0 then "-"
-                else
-                  (Graph.get s.Elk.Schedule.graph seg.Cp.s_op).Graph.op
-                    .Elk_tensor.Opspec.name
-              in
-              let key =
-                (name, Cp.kind_name seg.Cp.s_kind, Cp.resource_name seg.Cp.s_res)
-              in
-              match Hashtbl.find_opt tbl key with
-              | Some cur -> Hashtbl.replace tbl key (cur +. seg.Cp.s_dur)
-              | None ->
-                  Hashtbl.add tbl key seg.Cp.s_dur;
-                  order := key :: !order)
-            sum.Cp.segments;
-          let seg_rows =
-            List.rev_map
-              (fun ((name, kind, res) as key) ->
-                Printf.sprintf "{\"name\":%S,\"kind\":%S,\"resource\":%S,\"dur\":%s}"
-                  name kind res
-                  (num (Hashtbl.find tbl key)))
-              !order
-          in
-          let res_obj =
-            "{"
-            ^ String.concat ","
-                (List.map
-                   (fun (res, v) ->
-                     Printf.sprintf "\"%s\":%s" (Cp.resource_name res) (num v))
-                   sum.Cp.resource_seconds)
-            ^ "}"
-          in
-          let json =
-            Printf.sprintf
-              "{\"model\":%S,\"design\":%S,\"total\":%s,\"dominant\":%S,\n\
-               \"resource_seconds\":%s,\n\
-               \"overhead\":{\"sim_disabled_s\":%s,\"sim_enabled_s\":%s,\
-               \"ratio\":%s,\"events\":%d},\n\"segments\":[\n%s\n]}\n"
-              (Graph.name g) (B.name B.Elk_full) (num sum.Cp.total)
-              (Cp.resource_name (Cp.dominant sum))
-              res_obj (num t_off) (num t_on)
-              (num (t_on /. Float.max 1e-12 t_off))
-              (Array.length ev)
-              (String.concat ",\n" seg_rows)
-          in
-          let oc = open_out "BENCH_critpath.json" in
-          output_string oc json;
-          close_out oc;
-          Printf.printf "wrote BENCH_critpath.json (recording overhead %.2fx)\n\n"
-            (t_on /. Float.max 1e-12 t_off))
+      let res_obj =
+        "{"
+        ^ String.concat ","
+            (List.map
+               (fun (res, v) ->
+                 Printf.sprintf "\"%s\":%s" (Cp.resource_name res) (num v))
+               sum.Cp.resource_seconds)
+        ^ "}"
+      in
+      Printf.sprintf
+        "{\"model\":%S,\"design\":%S,\"total\":%s,\"dominant\":%S,\n\
+         \"resource_seconds\":%s,\n\
+         \"overhead\":{%s,\"events\":%d},\n\"segments\":[\n%s\n]}\n"
+        (Graph.name g) (B.name B.Elk_full) (num sum.Cp.total)
+        (Cp.resource_name (Cp.dominant sum))
+        res_obj overhead (Array.length ev)
+        (String.concat ",\n" seg_rows))
 
-(* ------------------------------------------------------------------ *)
-(* Memory-observability snapshot (BENCH_mem.json)                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Snapshot the headline run's SRAM residency report in the
-   [elk mem --json-out] shape so CI can [elk trace diff] a fresh copy
-   against the committed one.  Like the critpath bench, this re-checks
-   the zero-cost contract for the recording path it gates: residency
-   recording must not perturb the simulated timeline, and its wall-clock
-   overhead over the plain run is measured so a regression in the
-   recording path shows up in the snapshot's [overhead] ratio. *)
+(* The headline run's SRAM residency report, in the [elk mem --json-out]
+   shape. *)
 let mem_bench () =
-  let env = Lazy.force default_env in
-  let g = decode llama13b ~batch:32 in
-  match B.plan ~elk_options:bench_elk_options env.D.ctx ~pod:env.D.pod g B.Elk_full with
-  | None -> ()
-  | Some s ->
-      let time reps f =
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to reps do
-          ignore (f ())
-        done;
-        (Unix.gettimeofday () -. t0) /. float_of_int reps
-      in
-      let reps = 5 in
-      ignore (Elk_sim.Sim.run ~mem:false env.D.ctx s);
-      let t_off = time reps (fun () -> Elk_sim.Sim.run ~mem:false env.D.ctx s) in
-      let t_on = time reps (fun () -> Elk_sim.Sim.run ~mem:true env.D.ctx s) in
-      let r = Elk_sim.Sim.run ~mem:true env.D.ctx s in
-      let r_off = Elk_sim.Sim.run ~mem:false env.D.ctx s in
-      if r.Elk_sim.Sim.total <> r_off.Elk_sim.Sim.total then
-        Printf.printf "RECORDING PERTURBED THE TIMELINE: %.9g vs %.9g\n"
-          r.Elk_sim.Sim.total r_off.Elk_sim.Sim.total;
+  recorded_snapshot "mem" ~record:(fun ctx s -> Elk_sim.Sim.run ~mem:true ctx s)
+    (fun env _ s r ~overhead ->
       let module Mp = Elk_analyze.Memprof in
       let rep = Mp.analyze env.D.ctx s r in
       (match Mp.check rep with
       | Ok () -> ()
       | Error m -> Printf.printf "MEMORY INVARIANT VIOLATED: %s\n" m);
       Mp.print ~top:5 rep;
-      let num v = Printf.sprintf "%.4g" v in
-      (* The elk-mem snapshot plus the overhead record, spliced after the
-         opening brace so the Tracediff core keeps its shape. *)
-      let body = Mp.to_json ~top:8 rep in
-      let body = String.sub body 1 (String.length body - 1) in
-      let json =
-        Printf.sprintf
-          "{\"design\":%S,\"overhead\":{\"sim_disabled_s\":%s,\"sim_enabled_s\":%s,\"ratio\":%s},%s\n"
-          (B.name B.Elk_full) (num t_off) (num t_on)
-          (num (t_on /. Float.max 1e-12 t_off))
-          body
-      in
-      let oc = open_out "BENCH_mem.json" in
-      output_string oc json;
-      close_out oc;
-      Printf.printf "wrote BENCH_mem.json (recording overhead %.2fx)\n\n"
-        (t_on /. Float.max 1e-12 t_off)
+      splice_overhead ~overhead (Mp.to_json ~top:8 rep))
 
-(* ------------------------------------------------------------------ *)
-(* Interconnect-observability snapshot (BENCH_noc.json)               *)
-(* ------------------------------------------------------------------ *)
-
-(* Snapshot the headline run's interconnect congestion report in the
-   [elk noc --json-out] shape so CI can [elk trace diff] a fresh copy
-   against the committed one.  Like the critpath and mem benches, this
-   re-checks the zero-cost contract for the recording path it gates:
-   per-link recording must not perturb the simulated timeline, and its
-   wall-clock overhead over the plain run is measured so a regression
-   in the recording path shows up in the snapshot's [overhead] ratio. *)
+(* The headline run's interconnect congestion report, in the
+   [elk noc --json-out] shape. *)
 let noc_bench () =
-  let env = Lazy.force default_env in
-  let g = decode llama13b ~batch:32 in
-  match B.plan ~elk_options:bench_elk_options env.D.ctx ~pod:env.D.pod g B.Elk_full with
-  | None -> ()
-  | Some s ->
-      let time reps f =
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to reps do
-          ignore (f ())
-        done;
-        (Unix.gettimeofday () -. t0) /. float_of_int reps
-      in
-      let reps = 5 in
-      ignore (Elk_sim.Sim.run ~noc:false env.D.ctx s);
-      let t_off = time reps (fun () -> Elk_sim.Sim.run ~noc:false env.D.ctx s) in
-      let t_on = time reps (fun () -> Elk_sim.Sim.run ~noc:true env.D.ctx s) in
-      (* The analyzed run also records events so check can reconcile the
-         trace against Critpath's interconnect segments; the overhead
-         ratio above isolates the per-link recording path alone. *)
-      let r = Elk_sim.Sim.run ~events:true ~noc:true env.D.ctx s in
-      let r_off = Elk_sim.Sim.run ~noc:false env.D.ctx s in
-      if r.Elk_sim.Sim.total <> r_off.Elk_sim.Sim.total then
-        Printf.printf "RECORDING PERTURBED THE TIMELINE: %.9g vs %.9g\n"
-          r.Elk_sim.Sim.total r_off.Elk_sim.Sim.total;
+  recorded_snapshot "noc" ~record:(fun ctx s -> Elk_sim.Sim.run ~noc:true ctx s)
+    (* The analyzed run also records events so check can reconcile the
+       trace against Critpath's interconnect segments; the overhead
+       ratio isolates the per-link recording path alone. *)
+    ~analyzed:(fun ctx s -> Elk_sim.Sim.run ~events:true ~noc:true ctx s)
+    (fun _ _ s r ~overhead ->
       let module Np = Elk_analyze.Nocprof in
       let rep = Np.analyze s r in
       (match Np.check rep with
       | Ok () -> ()
       | Error m -> Printf.printf "INTERCONNECT INVARIANT VIOLATED: %s\n" m);
       Np.print ~top:5 rep;
-      let num v = Printf.sprintf "%.4g" v in
-      (* The elk-noc snapshot plus the overhead record, spliced after the
-         opening brace so the Tracediff core keeps its shape. *)
-      let body = Np.to_json ~top:8 rep in
-      let body = String.sub body 1 (String.length body - 1) in
-      let json =
-        Printf.sprintf
-          "{\"design\":%S,\"overhead\":{\"sim_disabled_s\":%s,\"sim_enabled_s\":%s,\"ratio\":%s},%s\n"
-          (B.name B.Elk_full) (num t_off) (num t_on)
-          (num (t_on /. Float.max 1e-12 t_off))
-          body
-      in
-      let oc = open_out "BENCH_noc.json" in
-      output_string oc json;
-      close_out oc;
-      Printf.printf "wrote BENCH_noc.json (recording overhead %.2fx)\n\n"
-        (t_on /. Float.max 1e-12 t_off)
+      splice_overhead ~overhead (Np.to_json ~top:8 rep))
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one per table/figure                    *)

@@ -12,6 +12,7 @@
 open Cmdliner
 module B = Elk_baselines.Baselines
 module D = Elk_dse.Dse
+module Sim = Elk_sim.Sim
 
 let model_conv =
   let parse s =
@@ -60,18 +61,42 @@ let design_t =
 let prefill_t =
   Arg.(value & flag & info [ "prefill" ] ~doc:"Use the prefill phase instead of decode.")
 
-let build_graph cfg ~scale ~layer_factor ~batch ~ctx ~prefill =
-  let cfg =
-    if scale <= 1 then cfg else Elk_model.Zoo.scale cfg ~factor:scale ~layer_factor
-  in
-  let ctx = if ctx > 0 then ctx else max 32 (2048 / max 1 scale) in
-  let phase =
-    if prefill then Elk_model.Zoo.Prefill { batch; seq = ctx }
-    else Elk_model.Zoo.Decode { batch; ctx }
-  in
-  Elk_model.Zoo.build cfg phase
+let scale_cfg cfg ~scale ~layer_factor =
+  if scale <= 1 then cfg else Elk_model.Zoo.scale cfg ~factor:scale ~layer_factor
 
-let make_env ~chips ~cores ~topology = D.env ~chips ~cores ~topology ()
+(* -m --scale --layer-factor -b --ctx --prefill: the operator graph.
+   Like [env_t], it yields a thunk, so a command builds the graph after
+   enabling collection and only when it needs one. *)
+let graph_t =
+  let make cfg scale layer_factor batch ctx prefill () =
+    let ctx = if ctx > 0 then ctx else max 32 (2048 / max 1 scale) in
+    let phase =
+      if prefill then Elk_model.Zoo.Prefill { batch; seq = ctx }
+      else Elk_model.Zoo.Decode { batch; ctx }
+    in
+    Elk_model.Zoo.build (scale_cfg cfg ~scale ~layer_factor) phase
+  in
+  Term.(const make $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t)
+
+(* --chips --cores --topology: the pod and its partition context. *)
+let env_t =
+  Term.(
+    const (fun chips cores topology () -> D.env ~chips ~cores ~topology ())
+    $ chips_t $ cores_t $ topo_t)
+
+(* The target of every compiling subcommand: a graph on a pod. *)
+type target = { graph : unit -> Elk_model.Graph.t; env : unit -> D.env }
+
+let target_t = Term.(const (fun graph env -> { graph; env }) $ graph_t $ env_t)
+
+(* Plan [design] for the pod, or exit [code]: the Ideal roofline has no
+   schedule to [verb]. *)
+let plan_or_exit ?(code = 1) ~verb env g design =
+  match B.plan env.D.ctx ~pod:env.D.pod g design with
+  | Some s -> s
+  | None ->
+      Format.eprintf "elk_cli: the Ideal roofline has no schedule to %s@." verb;
+      exit code
 
 let jobs_t =
   Arg.(
@@ -122,32 +147,28 @@ let trace_out_t =
 let obs_setup ~metrics_out ~trace_out =
   if metrics_out <> None || trace_out <> None then Elk_obs.Control.enable ()
 
-(* A bad export path should fail with a clean message, not cmdliner's
-   uncaught-exception banner. *)
-let failing_write ~what f =
-  try f () with Sys_error msg ->
-    Format.eprintf "elk_cli: cannot write %s: %s@." what msg;
-    exit 1
+(* Write [data] to [path] and say so on stdout.  A bad path fails with a
+   clean message, not cmdliner's uncaught-exception banner. *)
+let emit ~what ?(said = what) path data =
+  (try
+     let oc = open_out path in
+     output_string oc data;
+     close_out oc
+   with Sys_error msg ->
+     Format.eprintf "elk_cli: cannot write %s: %s@." what msg;
+     exit 1);
+  Format.printf "wrote %s to %s@." said path
 
-let write_metrics = function
-  | None -> ()
-  | Some path ->
-      let data =
-        if Filename.check_suffix path ".json" then Elk_obs.Metrics.to_json ()
-        else Elk_obs.Metrics.to_prometheus ()
-      in
-      failing_write ~what:"metrics" (fun () ->
-          let oc = open_out path in
-          output_string oc data;
-          close_out oc);
-      Format.printf "wrote metrics to %s@." path
+let write_metrics =
+  Option.iter (fun path ->
+      emit ~what:"metrics" path
+        (if Filename.check_suffix path ".json" then Elk_obs.Metrics.to_json ()
+         else Elk_obs.Metrics.to_prometheus ()))
 
 (* Merge simulator events (tracks 1-2) with compiler spans (track 3) and
    any extra producer output (e.g. analyzer counter tracks). *)
-let write_trace ?sim ?(extra = []) trace_out =
-  match trace_out with
-  | None -> ()
-  | Some path ->
+let write_trace ?sim ?(extra = []) =
+  Option.iter (fun path ->
       let sim_events =
         match sim with
         | Some (graph, r) ->
@@ -155,12 +176,13 @@ let write_trace ?sim ?(extra = []) trace_out =
         | None -> []
       in
       let events = sim_events @ extra @ Elk_obs.Span.chrome_events () in
-      failing_write ~what:"trace" (fun () -> Elk_obs.Chrome.write ~path events);
-      Format.printf "wrote trace (%d events) to %s@." (List.length events) path
+      emit ~what:"trace"
+        ~said:(Printf.sprintf "trace (%d events)" (List.length events))
+        path (Elk_obs.Chrome.wrap events))
 
 let info_cmd =
-  let run cfg scale layer_factor batch ctx prefill =
-    let g = build_graph cfg ~scale ~layer_factor ~batch ~ctx ~prefill in
+  let run graph =
+    let g = graph () in
     Format.printf "%a@." Elk_model.Graph.pp_summary g;
     Format.printf "HBM-heavy operators: %d (threshold %a)@."
       (List.length (Elk_model.Graph.hbm_heavy_ids g))
@@ -168,22 +190,21 @@ let info_cmd =
       (Elk_model.Graph.mean_hbm_bytes g)
   in
   Cmd.v (Cmd.info "info" ~doc:"Show a model's operator-graph summary.")
-    Term.(const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t)
+    Term.(const run $ graph_t)
 
 let compile_cmd =
-  let run cfg scale layer_factor batch ctx prefill chips cores topology jobs no_cache
-      trace codegen_dir save_plan metrics_out trace_out =
+  let run target jobs no_cache trace codegen_dir save_plan metrics_out trace_out =
     obs_setup ~metrics_out ~trace_out;
     set_jobs jobs;
     set_cache no_cache;
-    let g = build_graph cfg ~scale ~layer_factor ~batch ~ctx ~prefill in
-    let env = make_env ~chips ~cores ~topology in
+    let g = target.graph () in
+    let env = target.env () in
     let c = Elk.Compile.compile env.D.ctx ~pod:env.D.pod g in
     Format.printf "%a@." Elk.Compile.pp_summary c;
     (match trace with
     | None -> ()
     | Some path ->
-        let r = Elk_sim.Sim.run env.D.ctx c.Elk.Compile.schedule in
+        let r = Sim.run env.D.ctx c.Elk.Compile.schedule in
         Elk_sim.Trace.write_chrome_json ~path c.Elk.Compile.chip_graph r;
         Format.printf "wrote Chrome trace (%d events) to %s@."
           (Elk_sim.Trace.event_count r) path);
@@ -206,7 +227,7 @@ let compile_cmd =
     (match trace_out with
     | None -> ()
     | Some _ ->
-        let r = Elk_sim.Sim.run env.D.ctx c.Elk.Compile.schedule in
+        let r = Sim.run env.D.ctx c.Elk.Compile.schedule in
         write_trace ~sim:(c.Elk.Compile.chip_graph, r) trace_out);
     write_metrics metrics_out
   in
@@ -224,18 +245,16 @@ let compile_cmd =
   in
   Cmd.v (Cmd.info "compile" ~doc:"Compile a model with Elk and print the plan summary.")
     Term.(
-      const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t
-      $ chips_t $ cores_t $ topo_t $ jobs_t $ no_cache_t $ trace_t $ codegen_t
-      $ save_plan_t $ metrics_out_t $ trace_out_t)
+      const run $ target_t $ jobs_t $ no_cache_t $ trace_t $ codegen_t $ save_plan_t
+      $ metrics_out_t $ trace_out_t)
 
 let compare_cmd =
-  let run cfg scale layer_factor batch ctx prefill chips cores topology jobs no_cache
-      metrics_out trace_out =
+  let run target jobs no_cache metrics_out trace_out =
     obs_setup ~metrics_out ~trace_out;
     set_jobs jobs;
     set_cache no_cache;
-    let g = build_graph cfg ~scale ~layer_factor ~batch ~ctx ~prefill in
-    let env = make_env ~chips ~cores ~topology in
+    let g = target.graph () in
+    let env = target.env () in
     let t =
       Elk_util.Table.create
         ~title:(Printf.sprintf "designs on %s (simulated)" (Elk_model.Graph.name g))
@@ -257,14 +276,12 @@ let compare_cmd =
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Evaluate all designs on one model with the simulator.")
-    Term.(
-      const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t
-      $ chips_t $ cores_t $ topo_t $ jobs_t $ no_cache_t $ metrics_out_t $ trace_out_t)
+    Term.(const run $ target_t $ jobs_t $ no_cache_t $ metrics_out_t $ trace_out_t)
 
 let program_cmd =
-  let run cfg scale layer_factor batch ctx prefill chips cores topology design limit =
-    let g = build_graph cfg ~scale ~layer_factor ~batch ~ctx ~prefill in
-    let env = make_env ~chips ~cores ~topology in
+  let run target design limit =
+    let g = target.graph () in
+    let env = target.env () in
     match B.plan env.D.ctx ~pod:env.D.pod g design with
     | None -> print_endline "Ideal is a roofline; it has no device program."
     | Some s ->
@@ -285,303 +302,258 @@ let program_cmd =
   in
   Cmd.v
     (Cmd.info "program" ~doc:"Print the generated preload_async/execute device program.")
-    Term.(
-      const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t
-      $ chips_t $ cores_t $ topo_t $ design_t $ limit_t)
+    Term.(const run $ target_t $ design_t $ limit_t)
 
 let report_cmd =
-  let run cfg scale layer_factor batch ctx prefill chips cores topology jobs metrics_out
-      trace_out =
+  let run target jobs metrics_out trace_out =
     obs_setup ~metrics_out ~trace_out;
     set_jobs jobs;
-    let g = build_graph cfg ~scale ~layer_factor ~batch ~ctx ~prefill in
-    let env = make_env ~chips ~cores ~topology in
+    let g = target.graph () in
+    let env = target.env () in
     let c = Elk.Compile.compile env.D.ctx ~pod:env.D.pod g in
-    let r = Elk_sim.Sim.run env.D.ctx c.Elk.Compile.schedule in
+    let r = Sim.run env.D.ctx c.Elk.Compile.schedule in
     Elk_dse.Report.print env c r;
     write_trace ~sim:(c.Elk.Compile.chip_graph, r) trace_out;
     write_metrics metrics_out
   in
   Cmd.v
     (Cmd.info "report" ~doc:"Compile, simulate and print a Markdown diagnostics report.")
-    Term.(
-      const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t
-      $ chips_t $ cores_t $ topo_t $ jobs_t $ metrics_out_t $ trace_out_t)
+    Term.(const run $ target_t $ jobs_t $ metrics_out_t $ trace_out_t)
 
-let analyze_cmd =
-  let run cfg scale layer_factor batch ctx prefill chips cores topology design top
-      json_out metrics_out trace_out =
-    obs_setup ~metrics_out ~trace_out;
-    let g = build_graph cfg ~scale ~layer_factor ~batch ~ctx ~prefill in
-    let env = make_env ~chips ~cores ~topology in
-    match B.plan env.D.ctx ~pod:env.D.pod g design with
-    | None ->
-        Format.eprintf "elk_cli: the Ideal roofline has no schedule to analyze@.";
-        exit 1
-    | Some s ->
-        let r = Elk_sim.Sim.run env.D.ctx s in
-        (match Elk_sim.Perfcore.check r.Elk_sim.Sim.perf ~total:r.Elk_sim.Sim.total with
-        | Ok () -> ()
-        | Error m -> Format.eprintf "elk_cli: attribution leak: %s@." m);
-        let rep = Elk_analyze.Analyze.analyze ~top s.Elk.Schedule.graph r in
-        Elk_analyze.Analyze.print rep;
-        (match json_out with
-        | None -> ()
-        | Some path ->
-            failing_write ~what:"analysis" (fun () ->
-                let oc = open_out path in
-                output_string oc (Elk_analyze.Analyze.to_json rep);
-                close_out oc);
-            Format.printf "wrote analysis to %s@." path);
-        write_trace
-          ~sim:(s.Elk.Schedule.graph, r)
-          ~extra:(Elk_analyze.Analyze.chrome_counter_events ~top r)
-          trace_out;
-        write_metrics metrics_out
-  in
-  let top_t =
-    Arg.(value & opt int 8 & info [ "top" ] ~doc:"Cores/tracks to show in detail.")
-  in
-  let json_out_t =
-    Arg.(value & opt (some string) None
-         & info [ "json-out" ] ~doc:"Write the full bottleneck report as JSON to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "analyze"
-       ~doc:
-         "Simulate a design and print a bottleneck report: per-core \
-          attribution, dominant resource per operator, load imbalance, and \
-          what-if headroom.")
-    Term.(
-      const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t
-      $ chips_t $ cores_t $ topo_t $ design_t $ top_t $ json_out_t $ metrics_out_t
-      $ trace_out_t)
+(* ---- the views of one simulated run: analyze, critpath, mem, noc ---- *)
 
-let critpath_cmd =
-  let run cfg scale layer_factor batch ctx prefill chips cores topology design top
-      top_segments json_out metrics_out trace_out =
+(* What a view's display flags set.  Views without --window or
+   --top-segments ignore those fields. *)
+type knobs = { top : int; window : float option; top_segments : int }
+
+(* One row of the view table: everything in which the views differ.  The
+   report type ['r] is the row's own. *)
+type 'r row = {
+  name : string;
+  doc : string;
+  verb : string;  (* "the Ideal roofline has no schedule to <verb>" *)
+  events : bool;  (* the simulator recorders the row reads *)
+  mem : bool;
+  noc : bool;
+  top : int * string;  (* --top default and help *)
+  window : string option;  (* --window help, for views with a time series *)
+  top_segments : (int * string) option;
+  json : string * string;  (* what --json-out writes, and its help *)
+  analyze : knobs -> Elk_partition.Partition.ctx -> Elk.Schedule.t -> Sim.result -> 'r;
+  check : Sim.result -> 'r -> (unit, string) result;
+  print : knobs -> 'r -> unit;
+  to_json : knobs -> 'r -> string;
+  gauges : 'r -> unit;
+  counters : knobs -> Sim.result -> 'r -> string list;  (* extra trace tracks *)
+}
+
+type view = View : 'r row -> view
+
+let prefix p = Result.map_error (fun m -> p ^ m)
+
+let views =
+  let module An = Elk_analyze.Analyze in
+  let module Cp = Elk_sim.Critpath in
+  let module Mp = Elk_analyze.Memprof in
+  let module Np = Elk_analyze.Nocprof in
+  let set = Elk_obs.Metrics.set in
+  [
+    View
+      {
+        name = "analyze";
+        doc =
+          "Simulate a design and print a bottleneck report: per-core \
+           attribution, dominant resource per operator, load imbalance, and \
+           what-if headroom.";
+        verb = "analyze";
+        events = false;
+        mem = false;
+        noc = false;
+        top = (8, "Cores/tracks to show in detail.");
+        window = None;
+        top_segments = None;
+        json = ("analysis", "Write the full bottleneck report as JSON to $(docv).");
+        analyze = (fun k _ s r -> An.analyze ~top:k.top s.Elk.Schedule.graph r);
+        check =
+          (fun r _ ->
+            prefix "attribution leak: "
+              (Elk_sim.Perfcore.check r.Sim.perf ~total:r.Sim.total));
+        print = (fun _ rep -> An.print rep);
+        to_json = (fun _ rep -> An.to_json rep);
+        gauges = ignore;
+        counters = (fun k r _ -> An.chrome_counter_events ~top:k.top r);
+      };
+    View
+      {
+        name = "critpath";
+        doc =
+          "Simulate a design with causal event tracing and print the critical \
+           path: classified segments, per-operator slack, and a top-k blame \
+           report.  With --trace-out, the causal chain is drawn as Perfetto \
+           flow arrows over the device timeline.";
+        verb = "trace";
+        events = true;
+        mem = false;
+        noc = false;
+        top = (10, "Operators in the blame report.");
+        window = None;
+        top_segments = Some (12, "Critical segments to show in detail.");
+        json =
+          ( "critical path",
+            "Write the critical-path snapshot as JSON to $(docv) — the format \
+             $(b,elk trace diff) consumes." );
+        analyze =
+          (fun _ _ s r ->
+            (s.Elk.Schedule.graph, Cp.extract (Option.get r.Sim.events)));
+        check =
+          (fun r (graph, sum) ->
+            Result.bind
+              (prefix "causal-DAG violation: "
+                 (Cp.check (Option.get r.Sim.events) ~total:r.Sim.total))
+              (fun () ->
+                prefix "critpath/attribution cross-check: "
+                  (An.headroom_check (An.analyze graph r) sum)));
+        print =
+          (fun k (graph, sum) ->
+            Cp.print ~top:k.top ~top_segments:k.top_segments graph sum);
+        to_json = (fun _ (graph, sum) -> Cp.to_json graph sum);
+        gauges = ignore;
+        counters = (fun _ _ (_, sum) -> Elk_sim.Trace.flow_events sum);
+      };
+    View
+      {
+        name = "mem";
+        doc =
+          "Simulate a design with SRAM-residency recording and print the \
+           memory report: per-core occupancy timeline, high-water marks vs \
+           usable SRAM, wasted residency, the static buffer-lifetime ledger \
+           and the HBM traffic ledger.  With --trace-out, occupancy gauges \
+           are exported as Perfetto counter tracks beside the device \
+           timeline.";
+        verb = "profile";
+        events = false;
+        mem = true;
+        noc = false;
+        top = (10, "Buffers/operators to show in detail.");
+        window = Some "Occupancy time-series window width (default: makespan/48).";
+        top_segments = None;
+        json =
+          ( "memory report",
+            "Write the memory report as JSON to $(docv) — the top-level \
+             total/segments follow the format $(b,elk trace diff) consumes." );
+        analyze = (fun k ctx s r -> Mp.analyze ?window:k.window ctx s r);
+        check = (fun _ rep -> prefix "memory invariant violated: " (Mp.check rep));
+        print =
+          (fun k rep ->
+            let over = Mp.overcommit_bytes rep in
+            if over > 0. then
+              Format.eprintf
+                "warning[mem.overcommit] peak occupancy %.0f B/core (%.0f B \
+                 over per-core SRAM); contention is charged downstream@."
+                rep.Mp.dyn_high_water over;
+            Mp.print ~top:k.top rep);
+        to_json = (fun k rep -> Mp.to_json ~top:k.top rep);
+        gauges =
+          (fun rep ->
+            set "elk_mem_dyn_high_water_bytes"
+              ~help:"Peak per-core SRAM occupancy (dynamic)" rep.Mp.dyn_high_water;
+            set "elk_mem_static_high_water_bytes"
+              ~help:"Peak per-core SRAM demand (static ledger)"
+              rep.Mp.static_high_water;
+            set "elk_mem_wasted_byte_seconds"
+              ~help:"Pre-use + exchange-tail wasted residency"
+              (rep.Mp.pre_waste +. rep.Mp.post_waste));
+        counters = (fun _ _ rep -> Mp.chrome_counter_events rep);
+      };
+    View
+      {
+        name = "noc";
+        doc =
+          "Simulate a design with per-link interconnect recording and print \
+           the congestion report: hottest links with traffic-class breakdown, \
+           route-length histogram, a mesh heatmap on 2D topologies, and the \
+           dynamic-vs-static cross-check against the schedule's \
+           communication.  With --trace-out, per-link utilization gauges are \
+           exported as Perfetto counter tracks beside the device timeline.";
+        verb = "profile";
+        (* Events too: the check reconciles queueing waits with
+           Critpath's interconnect segments. *)
+        events = true;
+        mem = false;
+        noc = true;
+        top = (10, "Hottest links to show in detail.");
+        window = Some "Utilization time-series window width (default: makespan/48).";
+        top_segments = None;
+        json =
+          ( "interconnect report",
+            "Write the interconnect report as JSON to $(docv) — the top-level \
+             total/segments follow the format $(b,elk trace diff) consumes." );
+        analyze = (fun k _ s r -> Np.analyze ?window:k.window s r);
+        check =
+          (fun _ rep -> prefix "interconnect invariant violated: " (Np.check rep));
+        print = (fun k rep -> Np.print ~top:k.top rep);
+        to_json = (fun k rep -> Np.to_json ~top:k.top rep);
+        gauges =
+          (fun rep ->
+            Option.iter
+              (fun (_, busy) ->
+                set "elk_noc_busiest_link_busy_seconds"
+                  ~help:"Reservation time on the hottest interconnect link" busy)
+              rep.Np.busiest_dyn;
+            set "elk_noc_transfer_bytes"
+              ~help:"Bytes moved over the interconnect, once per transfer"
+              (rep.Np.pre_bytes +. rep.Np.dist_bytes +. rep.Np.ex_bytes);
+            set "elk_noc_mean_hops" ~help:"Byte-weighted mean route length"
+              rep.Np.mean_hops);
+        counters = (fun _ _ rep -> Np.chrome_counter_events rep);
+      };
+  ]
+
+(* Every view runs the same way: plan, simulate with the row's
+   recorders, analyze, check (a violation exits 1), print, then the JSON
+   snapshot, the gauges, the trace with the row's extra tracks, and the
+   metrics. *)
+let view_cmd (View v) =
+  let run target design knobs json_out metrics_out trace_out =
     obs_setup ~metrics_out ~trace_out;
-    let g = build_graph cfg ~scale ~layer_factor ~batch ~ctx ~prefill in
-    let env = make_env ~chips ~cores ~topology in
-    match B.plan env.D.ctx ~pod:env.D.pod g design with
-    | None ->
-        Format.eprintf "elk_cli: the Ideal roofline has no schedule to trace@.";
-        exit 1
-    | Some s -> (
-        let r = Elk_sim.Sim.run ~events:true env.D.ctx s in
-        match r.Elk_sim.Sim.events with
-        | None ->
-            Format.eprintf "elk_cli: simulator recorded no events@.";
-            exit 1
-        | Some events ->
-            (match Elk_sim.Critpath.check events ~total:r.Elk_sim.Sim.total with
-            | Ok () -> ()
-            | Error m -> Format.eprintf "elk_cli: causal-DAG violation: %s@." m);
-            let sum = Elk_sim.Critpath.extract events in
-            let graph = s.Elk.Schedule.graph in
-            (match
-               Elk_analyze.Analyze.headroom_check
-                 (Elk_analyze.Analyze.analyze graph r)
-                 sum
-             with
-            | Ok () -> ()
-            | Error m ->
-                Format.eprintf "elk_cli: critpath/attribution cross-check: %s@." m);
-            Elk_sim.Critpath.print ~top ~top_segments graph sum;
-            (match json_out with
-            | None -> ()
-            | Some path ->
-                failing_write ~what:"critical path" (fun () ->
-                    let oc = open_out path in
-                    output_string oc (Elk_sim.Critpath.to_json graph sum);
-                    close_out oc);
-                Format.printf "wrote critical path to %s@." path);
-            write_trace ~sim:(graph, r)
-              ~extra:(Elk_sim.Trace.flow_events sum)
-              trace_out;
-            write_metrics metrics_out)
+    let g = target.graph () in
+    let env = target.env () in
+    let s = plan_or_exit ~verb:v.verb env g design in
+    let r = Sim.run ~events:v.events ~mem:v.mem ~noc:v.noc env.D.ctx s in
+    let rep = v.analyze knobs env.D.ctx s r in
+    (match v.check r rep with
+    | Ok () -> ()
+    | Error m ->
+        Format.eprintf "elk_cli: %s@." m;
+        exit 1);
+    v.print knobs rep;
+    Option.iter (fun path -> emit ~what:(fst v.json) path (v.to_json knobs rep)) json_out;
+    v.gauges rep;
+    write_trace ~sim:(s.Elk.Schedule.graph, r) ~extra:(v.counters knobs r rep) trace_out;
+    write_metrics metrics_out
   in
-  let top_t =
-    Arg.(value & opt int 10 & info [ "top" ] ~doc:"Operators in the blame report.")
+  let top_t = Arg.(value & opt int (fst v.top) & info [ "top" ] ~doc:(snd v.top)) in
+  let window_t =
+    match v.window with
+    | None -> Term.const None
+    | Some doc ->
+        Arg.(value & opt (some float) None & info [ "window" ] ~docv:"SECONDS" ~doc)
   in
   let top_segments_t =
-    Arg.(value & opt int 12
-         & info [ "top-segments" ] ~doc:"Critical segments to show in detail.")
+    match v.top_segments with
+    | None -> Term.const 0
+    | Some (n, doc) -> Arg.(value & opt int n & info [ "top-segments" ] ~doc)
+  in
+  let knobs_t =
+    Term.(
+      const (fun top window top_segments -> { top; window; top_segments })
+      $ top_t $ window_t $ top_segments_t)
   in
   let json_out_t =
-    Arg.(value & opt (some string) None
-         & info [ "json-out" ]
-             ~doc:
-               "Write the critical-path snapshot as JSON to $(docv) — the \
-                format $(b,elk trace diff) consumes.")
+    Arg.(value & opt (some string) None & info [ "json-out" ] ~doc:(snd v.json))
   in
-  Cmd.v
-    (Cmd.info "critpath"
-       ~doc:
-         "Simulate a design with causal event tracing and print the critical \
-          path: classified segments, per-operator slack, and a top-k blame \
-          report.  With --trace-out, the causal chain is drawn as Perfetto \
-          flow arrows over the device timeline.")
-    Term.(
-      const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t
-      $ chips_t $ cores_t $ topo_t $ design_t $ top_t $ top_segments_t $ json_out_t
-      $ metrics_out_t $ trace_out_t)
-
-let mem_cmd =
-  let run cfg scale layer_factor batch ctx prefill chips cores topology design top
-      window json_out metrics_out trace_out =
-    obs_setup ~metrics_out ~trace_out;
-    let g = build_graph cfg ~scale ~layer_factor ~batch ~ctx ~prefill in
-    let env = make_env ~chips ~cores ~topology in
-    match B.plan env.D.ctx ~pod:env.D.pod g design with
-    | None ->
-        Format.eprintf "elk_cli: the Ideal roofline has no schedule to profile@.";
-        exit 1
-    | Some s ->
-        let r = Elk_sim.Sim.run ~mem:true env.D.ctx s in
-        let rep = Elk_analyze.Memprof.analyze ?window env.D.ctx s r in
-        (match Elk_analyze.Memprof.check rep with
-        | Ok () -> ()
-        | Error m ->
-            Format.eprintf "elk_cli: memory invariant violated: %s@." m;
-            exit 1);
-        let over = Elk_analyze.Memprof.overcommit_bytes rep in
-        if over > 0. then
-          Format.eprintf
-            "warning[mem.overcommit] peak occupancy %.0f B/core (%.0f B over \
-             per-core SRAM); contention is charged downstream@."
-            rep.Elk_analyze.Memprof.dyn_high_water over;
-        Elk_analyze.Memprof.print ~top rep;
-        (match json_out with
-        | None -> ()
-        | Some path ->
-            failing_write ~what:"memory report" (fun () ->
-                let oc = open_out path in
-                output_string oc (Elk_analyze.Memprof.to_json ~top rep);
-                close_out oc);
-            Format.printf "wrote memory report to %s@." path);
-        Elk_obs.Metrics.set "elk_mem_dyn_high_water_bytes"
-          ~help:"Peak per-core SRAM occupancy (dynamic)"
-          rep.Elk_analyze.Memprof.dyn_high_water;
-        Elk_obs.Metrics.set "elk_mem_static_high_water_bytes"
-          ~help:"Peak per-core SRAM demand (static ledger)"
-          rep.Elk_analyze.Memprof.static_high_water;
-        Elk_obs.Metrics.set "elk_mem_wasted_byte_seconds"
-          ~help:"Pre-use + exchange-tail wasted residency"
-          (rep.Elk_analyze.Memprof.pre_waste
-          +. rep.Elk_analyze.Memprof.post_waste);
-        write_trace
-          ~sim:(s.Elk.Schedule.graph, r)
-          ~extra:(Elk_analyze.Memprof.chrome_counter_events rep)
-          trace_out;
-        write_metrics metrics_out
-  in
-  let top_t =
-    Arg.(value & opt int 10
-         & info [ "top" ] ~doc:"Buffers/operators to show in detail.")
-  in
-  let window_t =
-    Arg.(value & opt (some float) None
-         & info [ "window" ] ~docv:"SECONDS"
-             ~doc:"Occupancy time-series window width (default: makespan/48).")
-  in
-  let json_out_t =
-    Arg.(value & opt (some string) None
-         & info [ "json-out" ]
-             ~doc:
-               "Write the memory report as JSON to $(docv) — the top-level \
-                total/segments follow the format $(b,elk trace diff) consumes.")
-  in
-  Cmd.v
-    (Cmd.info "mem"
-       ~doc:
-         "Simulate a design with SRAM-residency recording and print the \
-          memory report: per-core occupancy timeline, high-water marks vs \
-          usable SRAM, wasted residency, the static buffer-lifetime ledger \
-          and the HBM traffic ledger.  With --trace-out, occupancy gauges \
-          are exported as Perfetto counter tracks beside the device \
-          timeline.")
-    Term.(
-      const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t
-      $ chips_t $ cores_t $ topo_t $ design_t $ top_t $ window_t $ json_out_t
-      $ metrics_out_t $ trace_out_t)
-
-let noc_cmd =
-  let run cfg scale layer_factor batch ctx prefill chips cores topology design top
-      window json_out metrics_out trace_out =
-    obs_setup ~metrics_out ~trace_out;
-    let g = build_graph cfg ~scale ~layer_factor ~batch ~ctx ~prefill in
-    let env = make_env ~chips ~cores ~topology in
-    match B.plan env.D.ctx ~pod:env.D.pod g design with
-    | None ->
-        Format.eprintf "elk_cli: the Ideal roofline has no schedule to profile@.";
-        exit 1
-    | Some s ->
-        let r = Elk_sim.Sim.run ~events:true ~noc:true env.D.ctx s in
-        let rep = Elk_analyze.Nocprof.analyze ?window s r in
-        (match Elk_analyze.Nocprof.check rep with
-        | Ok () -> ()
-        | Error m ->
-            Format.eprintf "elk_cli: interconnect invariant violated: %s@." m;
-            exit 1);
-        Elk_analyze.Nocprof.print ~top rep;
-        (match json_out with
-        | None -> ()
-        | Some path ->
-            failing_write ~what:"interconnect report" (fun () ->
-                let oc = open_out path in
-                output_string oc (Elk_analyze.Nocprof.to_json ~top rep);
-                close_out oc);
-            Format.printf "wrote interconnect report to %s@." path);
-        (match rep.Elk_analyze.Nocprof.busiest_dyn with
-        | None -> ()
-        | Some (_, busy) ->
-            Elk_obs.Metrics.set "elk_noc_busiest_link_busy_seconds"
-              ~help:"Reservation time on the hottest interconnect link" busy);
-        Elk_obs.Metrics.set "elk_noc_transfer_bytes"
-          ~help:"Bytes moved over the interconnect, once per transfer"
-          (rep.Elk_analyze.Nocprof.pre_bytes
-          +. rep.Elk_analyze.Nocprof.dist_bytes
-          +. rep.Elk_analyze.Nocprof.ex_bytes);
-        Elk_obs.Metrics.set "elk_noc_mean_hops"
-          ~help:"Byte-weighted mean route length"
-          rep.Elk_analyze.Nocprof.mean_hops;
-        write_trace
-          ~sim:(s.Elk.Schedule.graph, r)
-          ~extra:(Elk_analyze.Nocprof.chrome_counter_events rep)
-          trace_out;
-        write_metrics metrics_out
-  in
-  let top_t =
-    Arg.(value & opt int 10
-         & info [ "top" ] ~doc:"Hottest links to show in detail.")
-  in
-  let window_t =
-    Arg.(value & opt (some float) None
-         & info [ "window" ] ~docv:"SECONDS"
-             ~doc:"Utilization time-series window width (default: makespan/48).")
-  in
-  let json_out_t =
-    Arg.(value & opt (some string) None
-         & info [ "json-out" ]
-             ~doc:
-               "Write the interconnect report as JSON to $(docv) — the \
-                top-level total/segments follow the format $(b,elk trace \
-                diff) consumes.")
-  in
-  Cmd.v
-    (Cmd.info "noc"
-       ~doc:
-         "Simulate a design with per-link interconnect recording and print \
-          the congestion report: hottest links with traffic-class breakdown, \
-          route-length histogram, a mesh heatmap on 2D topologies, and the \
-          dynamic-vs-static cross-check against the schedule's \
-          communication.  With --trace-out, per-link utilization gauges are \
-          exported as Perfetto counter tracks beside the device timeline.")
-    Term.(
-      const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t
-      $ chips_t $ cores_t $ topo_t $ design_t $ top_t $ window_t $ json_out_t
-      $ metrics_out_t $ trace_out_t)
+  Cmd.v (Cmd.info v.name ~doc:v.doc)
+    Term.(const run $ target_t $ design_t $ knobs_t $ json_out_t $ metrics_out_t $ trace_out_t)
 
 let trace_cmd =
   let diff_cmd =
@@ -603,14 +575,11 @@ let trace_cmd =
           exit 2
       | Ok d ->
           Elk_analyze.Tracediff.print ~top d;
-          (match json_out with
-          | None -> ()
-          | Some path ->
-              failing_write ~what:"trace diff" (fun () ->
-                  let oc = open_out path in
-                  output_string oc (Elk_analyze.Tracediff.to_json ~threshold d);
-                  close_out oc);
-              Format.printf "wrote diff to %s@." path);
+          Option.iter
+            (fun path ->
+              emit ~what:"trace diff" ~said:"diff" path
+                (Elk_analyze.Tracediff.to_json ~threshold d))
+            json_out;
           if Elk_analyze.Tracediff.regressed ~threshold d then begin
             List.iter
               (fun e ->
@@ -662,12 +631,11 @@ let trace_cmd =
     [ diff_cmd ]
 
 let profile_cmd =
-  let run cfg scale layer_factor batch ctx prefill chips cores topology jobs per_core
-      metrics_out trace_out =
+  let run target jobs per_core metrics_out trace_out =
     Elk_obs.Control.enable ();
     set_jobs jobs;
-    let g = build_graph cfg ~scale ~layer_factor ~batch ~ctx ~prefill in
-    let env = make_env ~chips ~cores ~topology in
+    let g = target.graph () in
+    let env = target.env () in
     let c = Elk.Compile.compile env.D.ctx ~pod:env.D.pod g in
     let totals = Elk_obs.Span.totals () in
     let overall =
@@ -703,7 +671,7 @@ let profile_cmd =
       (Elk_obs.Metrics.counters ());
     Elk_util.Table.print ct;
     if per_core then begin
-      let r = Elk_sim.Sim.run env.D.ctx c.Elk.Compile.schedule in
+      let r = Sim.run env.D.ctx c.Elk.Compile.schedule in
       Elk_analyze.Analyze.print
         (Elk_analyze.Analyze.analyze c.Elk.Compile.chip_graph r)
     end;
@@ -723,14 +691,16 @@ let profile_cmd =
        ~doc:
          "Compile a model with span collection on and print a per-phase \
           compile-time table.")
-    Term.(
-      const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t
-      $ chips_t $ cores_t $ topo_t $ jobs_t $ per_core_t $ metrics_out_t $ trace_out_t)
+    Term.(const run $ target_t $ jobs_t $ per_core_t $ metrics_out_t $ trace_out_t)
+
+(* ---- verify and lint: static checks over one plan ---- *)
+
+module V = Elk_verify.Verify
+module R = Elk_verify.Rules
 
 (* The rule-registry table behind `verify --rules help` and
    `lint --rules help`. *)
 let print_rules () =
-  let module R = Elk_verify.Rules in
   let t =
     Elk_util.Table.create ~title:"verifier rules"
       ~columns:[ "rule"; "severity"; "mode"; "summary" ]
@@ -747,82 +717,69 @@ let print_rules () =
     R.all;
   Elk_util.Table.print t
 
-let verify_cmd =
-  let module V = Elk_verify.Verify in
-  let module R = Elk_verify.Rules in
-  let run cfg scale layer_factor batch ctx prefill chips cores topology jobs design
-      plan_file strict rules error_spec json_out metrics_out trace_out =
+(* The body [verify] and [lint] share: parse --rules/--error (exit 2 on
+   a bad spec), plan with the compile-time verifier uninstalled or load
+   --plan (exit 2), run the rules, print the report and its JSON, then
+   exit 1 on errors or, under --strict, 3 on warnings.  [select] turns
+   the parsed --rules into the rule selection, [layout] says whether a
+   plan file's recorded layout feeds the rules, and [extra_t] adds
+   lint's outputs: it runs after the JSON, and false means exit 4. *)
+let plan_check_cmd name ~doc ~what ~plan_doc ~select ~layout extra_t =
+  let run target jobs design plan_file strict rules error_spec extra json_out
+      metrics_out trace_out =
     obs_setup ~metrics_out ~trace_out;
     set_jobs jobs;
     if rules = Some "help" then print_rules ()
     else begin
-      let sel =
-        match rules with
-        | None -> R.default_selection
-        | Some spec -> (
-            match R.selection_of_string spec with
-            | Ok sel -> sel
-            | Error msg ->
-                Format.eprintf "elk_cli: %s@." msg;
-                exit 2)
+      let parsed = function
+        | Ok v -> v
+        | Error msg ->
+            Format.eprintf "elk_cli: %s@." msg;
+            exit 2
       in
+      let sel = select (Option.map (fun s -> parsed (R.selection_of_string s)) rules) in
       let promote =
         match error_spec with
         | None -> R.no_promotion
-        | Some spec -> (
-            match R.promotion_of_string spec with
-            | Ok p -> p
-            | Error msg ->
-                Format.eprintf "elk_cli: %s@." msg;
-                exit 2)
+        | Some spec -> parsed (R.promotion_of_string spec)
       in
-      let env = make_env ~chips ~cores ~topology in
-      let sched =
+      let env = target.env () in
+      let sched, recorded =
         match plan_file with
         | Some path -> (
-            match Elk.Planio.load env.D.ctx ~path with
-            | Ok s -> s
+            match Elk.Planio.load_ext env.D.ctx ~path with
+            | Ok loaded -> loaded
             | Error msg ->
                 Format.eprintf "elk_cli: cannot load plan %s: %s@." path msg;
                 exit 2)
-        | None -> (
-            let g = build_graph cfg ~scale ~layer_factor ~batch ~ctx ~prefill in
+        | None ->
+            let g = target.graph () in
             (* Plan with the compile-time verifier uninstalled: a flagged
                plan must be reported by this command, not thrown by the
                compiler before we can show the diagnostics. *)
             let saved = Elk.Compile.verifier () in
             Elk.Compile.set_verifier None;
-            Fun.protect
-              ~finally:(fun () -> Elk.Compile.set_verifier saved)
-              (fun () ->
-                match B.plan env.D.ctx ~pod:env.D.pod g design with
-                | Some s -> s
-                | None ->
-                    Format.eprintf
-                      "elk_cli: the Ideal roofline has no schedule to verify@.";
-                    exit 2))
+            ( Fun.protect
+                ~finally:(fun () -> Elk.Compile.set_verifier saved)
+                (fun () -> plan_or_exit ~code:2 ~verb:name env g design),
+              None )
       in
+      let layout = if layout then recorded else None in
       let program = Elk.Program.of_schedule sched in
-      let r = V.run ~rules:sel ~promote ~program env.D.ctx sched in
+      let r = V.run ~rules:sel ~promote ?layout ~program env.D.ctx sched in
       Format.printf "%a" V.pp_report r;
-      (match json_out with
-      | None -> ()
-      | Some path ->
-          failing_write ~what:"verification report" (fun () ->
-              let oc = open_out path in
-              output_string oc (V.report_to_json r);
-              close_out oc);
-          Format.printf "wrote report to %s@." path);
+      Option.iter
+        (fun path -> emit ~what ~said:"report" path (V.report_to_json r))
+        json_out;
+      let extra_ok = extra env sched r in
       write_trace trace_out;
       write_metrics metrics_out;
+      if not extra_ok then exit 4;
       if V.errors r > 0 then exit 1;
       if strict && V.warnings r > 0 then exit 3
     end
   in
-  let plan_t =
-    Arg.(value & opt (some string) None
-         & info [ "plan" ] ~doc:"Verify a serialized plan file instead of compiling.")
-  in
+  let plan_t = Arg.(value & opt (some string) None & info [ "plan" ] ~doc:plan_doc) in
   let strict_t =
     Arg.(value & flag
          & info [ "strict" ] ~doc:"Exit nonzero (3) on warnings, not only errors (1).")
@@ -846,19 +803,22 @@ let verify_cmd =
     Arg.(value & opt (some string) None
          & info [ "json-out" ] ~doc:"Write the full diagnostic report as JSON to $(docv).")
   in
-  Cmd.v
-    (Cmd.info "verify"
-       ~doc:
-         "Statically verify a compiled plan: memory safety, dependency and \
-          order soundness, numeric hygiene, and bandwidth feasibility.")
+  Cmd.v (Cmd.info name ~doc)
     Term.(
-      const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t
-      $ chips_t $ cores_t $ topo_t $ jobs_t $ design_t $ plan_t $ strict_t $ rules_t
-      $ error_t $ json_out_t $ metrics_out_t $ trace_out_t)
+      const run $ target_t $ jobs_t $ design_t $ plan_t $ strict_t $ rules_t $ error_t
+      $ extra_t $ json_out_t $ metrics_out_t $ trace_out_t)
+
+let verify_cmd =
+  plan_check_cmd "verify" ~what:"verification report"
+    ~doc:
+      "Statically verify a compiled plan: memory safety, dependency and \
+       order soundness, numeric hygiene, and bandwidth feasibility."
+    ~plan_doc:"Verify a serialized plan file instead of compiling."
+    ~select:(Option.value ~default:R.default_selection)
+    ~layout:false
+    (Term.const (fun _ _ _ -> true))
 
 let lint_cmd =
-  let module V = Elk_verify.Verify in
-  let module R = Elk_verify.Rules in
   let module Dg = Elk_verify.Diag in
   let module C = Elk_sim.Critpath in
   (* Cross-validate every race diagnostic against the simulator's causal
@@ -877,8 +837,8 @@ let lint_cmd =
       true
     end
     else begin
-      let res = Elk_sim.Sim.run ~events:true env.D.ctx sched in
-      match res.Elk_sim.Sim.events with
+      let res = Sim.run ~events:true env.D.ctx sched in
+      match res.Sim.events with
       | None ->
           Format.eprintf "elk_cli: simulator recorded no events@.";
           false
@@ -938,110 +898,6 @@ let lint_cmd =
           !ok
     end
   in
-  let run cfg scale layer_factor batch ctx prefill chips cores topology jobs design
-      plan_file strict rules error_spec crosscheck json_out sarif_out metrics_out
-      trace_out =
-    obs_setup ~metrics_out ~trace_out;
-    set_jobs jobs;
-    if rules = Some "help" then print_rules ()
-    else begin
-    let sel =
-      match rules with
-      | None -> R.lint_selection
-      | Some spec -> (
-          (* An explicit spec keeps lint semantics: its implicit
-             "everything" covers the opt-in families too. *)
-          match R.selection_of_string spec with
-          | Ok sel -> R.with_opt_in sel
-          | Error msg ->
-              Format.eprintf "elk_cli: %s@." msg;
-              exit 2)
-    in
-    let promote =
-      match error_spec with
-      | None -> R.no_promotion
-      | Some spec -> (
-          match R.promotion_of_string spec with
-          | Ok p -> p
-          | Error msg ->
-              Format.eprintf "elk_cli: %s@." msg;
-              exit 2)
-    in
-    let env = make_env ~chips ~cores ~topology in
-    let sched, layout =
-      match plan_file with
-      | Some path -> (
-          match Elk.Planio.load_ext env.D.ctx ~path with
-          | Ok (s, layout) -> (s, layout)
-          | Error msg ->
-              Format.eprintf "elk_cli: cannot load plan %s: %s@." path msg;
-              exit 2)
-      | None -> (
-          let g = build_graph cfg ~scale ~layer_factor ~batch ~ctx ~prefill in
-          let saved = Elk.Compile.verifier () in
-          Elk.Compile.set_verifier None;
-          Fun.protect
-            ~finally:(fun () -> Elk.Compile.set_verifier saved)
-            (fun () ->
-              match B.plan env.D.ctx ~pod:env.D.pod g design with
-              | Some s -> (s, None)
-              | None ->
-                  Format.eprintf "elk_cli: the Ideal roofline has no schedule to lint@.";
-                  exit 2))
-    in
-    let program = Elk.Program.of_schedule sched in
-    let r = V.run ~rules:sel ~promote ?layout ~program env.D.ctx sched in
-    Format.printf "%a" V.pp_report r;
-    (match json_out with
-    | None -> ()
-    | Some path ->
-        failing_write ~what:"lint report" (fun () ->
-            let oc = open_out path in
-            output_string oc (V.report_to_json r);
-            close_out oc);
-        Format.printf "wrote report to %s@." path);
-    (match sarif_out with
-    | None -> ()
-    | Some path ->
-        failing_write ~what:"SARIF report" (fun () ->
-            let oc = open_out path in
-            output_string oc (Elk_verify.Sarif.of_report r);
-            close_out oc);
-        Format.printf "wrote SARIF to %s@." path);
-    let cross_ok = if crosscheck then crosscheck_races env sched r else true in
-    write_trace trace_out;
-    write_metrics metrics_out;
-    if not cross_ok then exit 4;
-    if V.errors r > 0 then exit 1;
-    if strict && V.warnings r > 0 then exit 3
-    end
-  in
-  let plan_t =
-    Arg.(value & opt (some string) None
-         & info [ "plan" ]
-             ~doc:
-               "Lint a serialized plan file instead of compiling; a recorded \
-                layout section supplies the addresses for the race analysis.")
-  in
-  let strict_t =
-    Arg.(value & flag
-         & info [ "strict" ] ~doc:"Exit nonzero (3) on warnings, not only errors (1).")
-  in
-  let rules_t =
-    Arg.(value & opt (some string) None
-         & info [ "rules" ]
-             ~doc:
-               "Comma-separated rule ids or family prefixes (mem, dep, num, bw, \
-                race, deadlock); prefix a token with - to suppress it.  \
-                $(b,help) lists every rule.")
-  in
-  let error_t =
-    Arg.(value & opt (some string) None
-         & info [ "error" ]
-             ~doc:
-               "Promote the named rules or families to error severity, so their \
-                diagnostics fail the command (exit 1).")
-  in
   let crosscheck_t =
     Arg.(value & flag
          & info [ "crosscheck" ]
@@ -1050,39 +906,42 @@ let lint_cmd =
                 confirm every race diagnostic is unordered in the causal event \
                 DAG too (exit 4 on disagreement).")
   in
-  let json_out_t =
-    Arg.(value & opt (some string) None
-         & info [ "json-out" ] ~doc:"Write the full diagnostic report as JSON to $(docv).")
-  in
   let sarif_t =
     Arg.(value & opt (some string) None
          & info [ "sarif" ] ~doc:"Write the report as SARIF 2.1.0 to $(docv).")
   in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Whole-plan soundness lint: every verify rule plus the opt-in \
-          happens-before race analysis and the interconnect \
-          channel-dependency deadlock analysis.")
-    Term.(
-      const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t
-      $ chips_t $ cores_t $ topo_t $ jobs_t $ design_t $ plan_t $ strict_t $ rules_t
-      $ error_t $ crosscheck_t $ json_out_t $ sarif_t $ metrics_out_t $ trace_out_t)
+  let extra crosscheck sarif_out env sched r =
+    Option.iter
+      (fun path ->
+        emit ~what:"SARIF report" ~said:"SARIF" path (Elk_verify.Sarif.of_report r))
+      sarif_out;
+    (not crosscheck) || crosscheck_races env sched r
+  in
+  plan_check_cmd "lint" ~what:"lint report"
+    ~doc:
+      "Whole-plan soundness lint: every verify rule plus the opt-in \
+       happens-before race analysis and the interconnect \
+       channel-dependency deadlock analysis."
+    ~plan_doc:
+      "Lint a serialized plan file instead of compiling; a recorded layout \
+       section supplies the addresses for the race analysis."
+    (* An explicit spec keeps lint semantics: its implicit "everything"
+       covers the opt-in families too. *)
+    ~select:(function None -> R.lint_selection | Some sel -> R.with_opt_in sel)
+    ~layout:true
+    Term.(const extra $ crosscheck_t $ sarif_t)
 
 let serve_cmd =
   let module W = Elk_serve.Workload in
   let module F = Elk_serve.Frontend in
-  let run cfg scale layer_factor chips cores topology jobs no_cache design workload
-      rate requests seed prompt output max_batch plan_cache_cap slo_ttft slo_itl
-      window mem noc json_out metrics_out trace_out =
+  let run cfg scale layer_factor env jobs no_cache design workload rate requests
+      seed prompt output max_batch plan_cache_cap slo_ttft slo_itl window mem noc
+      json_out metrics_out trace_out =
     set_jobs jobs;
     set_cache no_cache;
     obs_setup ~metrics_out ~trace_out;
-    let cfg =
-      if scale <= 1 then cfg
-      else Elk_model.Zoo.scale cfg ~factor:scale ~layer_factor
-    in
-    let env = make_env ~chips ~cores ~topology in
+    let cfg = scale_cfg cfg ~scale ~layer_factor in
+    let env = env () in
     let outcome =
       try
         let spec =
@@ -1108,15 +967,10 @@ let serve_cmd =
         exit 1
     | Ok (result, report) ->
         Elk_serve.Slo.print report;
-        (match json_out with
-        | None -> ()
-        | Some path ->
-            failing_write ~what:"SLO report" (fun () ->
-                let oc = open_out path in
-                output_string oc (Elk_serve.Slo.to_json report);
-                output_string oc "\n";
-                close_out oc);
-            Format.printf "wrote SLO report to %s@." path);
+        Option.iter
+          (fun path ->
+            emit ~what:"SLO report" path (Elk_serve.Slo.to_json report ^ "\n"))
+          json_out;
         let counters =
           List.concat_map
             (fun name ->
@@ -1219,8 +1073,8 @@ let serve_cmd =
           and report serving SLOs: TTFT/ITL percentiles, throughput, goodput, \
           queue depth over time.")
     Term.(
-      const run $ model_t $ scale_t $ layer_factor_t $ chips_t $ cores_t
-      $ topo_t $ jobs_t $ no_cache_t $ design_t $ workload_t $ rate_t
+      const run $ model_t $ scale_t $ layer_factor_t $ env_t $ jobs_t
+      $ no_cache_t $ design_t $ workload_t $ rate_t
       $ requests_t $ seed_t $ prompt_t $ output_t $ max_batch_t
       $ plan_cache_cap_t $ slo_ttft_t $ slo_itl_t $ window_t $ mem_t $ noc_t
       $ json_out_t $ metrics_out_t $ trace_out_t)
@@ -1230,9 +1084,6 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "elk_cli" ~doc)
-          [
-            info_cmd; compile_cmd; compare_cmd; program_cmd; report_cmd; analyze_cmd;
-            critpath_cmd; mem_cmd; noc_cmd; trace_cmd; profile_cmd; verify_cmd;
-            lint_cmd;
-            serve_cmd;
-          ]))
+          ([ info_cmd; compile_cmd; compare_cmd; program_cmd; report_cmd ]
+          @ List.map view_cmd views
+          @ [ trace_cmd; profile_cmd; verify_cmd; lint_cmd; serve_cmd ])))

@@ -66,7 +66,7 @@ let analyze ?window ctx (s : Elk.Schedule.t) (r : Elk_sim.Sim.result) =
     | None ->
         invalid_arg
           "Memprof.analyze: simulator run has no memory record (run with \
-           ~mem:true or ELK_SIM_MEM=1)"
+           ~mem:true)"
   in
   let chip = P.ctx_chip ctx in
   let capacity = A.usable_sram_per_core chip in

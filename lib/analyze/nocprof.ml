@@ -128,7 +128,7 @@ let analyze ?window ?(top_series = 5) (s : Elk.Schedule.t)
     | None ->
         invalid_arg
           "Nocprof.analyze: simulator run has no interconnect record (run \
-           with ~noc:true or ELK_SIM_NOC=1)"
+           with ~noc:true)"
   in
   let noc = Nt.noc trace in
   let chip = N.chip noc in

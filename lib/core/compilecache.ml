@@ -6,8 +6,9 @@ module Metrics = Elk_obs.Metrics
 (* ------------------------------------------------------------------ *)
 (* Enablement.                                                         *)
 
-let enabled_flag =
-  ref (match Sys.getenv_opt "ELK_COMPILE_CACHE" with Some "0" -> false | _ -> true)
+(* [ELK_COMPILE_CACHE] is read once, by Partition, whose memo sharing
+   this flag switches together with the caches below. *)
+let enabled_flag = ref (P.memo_sharing ())
 
 let enabled () = !enabled_flag
 

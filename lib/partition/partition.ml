@@ -97,7 +97,8 @@ type ctx = {
    values are pure functions of (key, fingerprint) and keys hold every
    field the values depend on.  Disable with [ELK_COMPILE_CACHE=0] or
    {!set_memo_sharing} (fresh private tables per context, the pre-cache
-   behavior). *)
+   behavior).  This is the one place the environment switch is read:
+   Compilecache's own flag starts from {!memo_sharing}. *)
 let sharing =
   ref (match Sys.getenv_opt "ELK_COMPILE_CACHE" with Some "0" -> false | _ -> true)
 

@@ -7,7 +7,7 @@
     and wasted-residency integrals are all derived on demand, so
     recording is a handful of float stores per operator; like
     {!Critpath} event recording it is pure bookkeeping, never read back
-    into any timing computation (the cram suite checks simulated output
+    into any timing computation (the test suite checks simulated output
     is byte-identical with recording on and off).
 
     Core layout mirrors the device model: preload buffers land on every

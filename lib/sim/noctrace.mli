@@ -1,6 +1,6 @@
 (** Dynamic per-link interconnect recording for the simulator.
 
-    When enabled ([Sim.run ~noc:true] or [ELK_SIM_NOC=1]), every link
+    When enabled ([Sim.run ~noc:true]), every link
     reservation the two fluid fabrics make is mirrored here as a
     booking — (traffic class, operator, link, bytes, busy interval) —
     and every transfer as a route record — (class, operator, src, dst,
@@ -8,7 +8,7 @@
     breakdowns, busy intervals, hop histograms and utilization
     timelines are all derived on demand, so recording is a list cons
     per booking; like {!Critpath} and {!Memtrace} recording it is pure
-    bookkeeping, never read back into any timing computation (the cram
+    bookkeeping, never read back into any timing computation (the test
     suite checks simulated output is byte-identical with recording on
     and off). *)
 

@@ -169,26 +169,9 @@ let core_skew ~skew core op_id =
 (* Causal event recording (Critpath).  Pure bookkeeping appended beside
    the flow model: recording never reads back into any timing
    computation, so timelines are identical whether it is on or off (the
-   cram suite checks this byte-for-byte).  Off by default; [ELK_SIM_EVENTS]
-   forces it on for a whole process. *)
-let default_events =
-  match Sys.getenv_opt "ELK_SIM_EVENTS" with
-  | Some ("1" | "true" | "on" | "yes") -> true
-  | _ -> false
-
-(* SRAM-residency recording (Memtrace) follows the same contract:
-   off by default, zero work when off, never read back into timing. *)
-let default_mem =
-  match Sys.getenv_opt "ELK_SIM_MEM" with
-  | Some ("1" | "true" | "on" | "yes") -> true
-  | _ -> false
-
-(* Per-link interconnect recording (Noctrace): same contract again. *)
-let default_noc =
-  match Sys.getenv_opt "ELK_SIM_NOC" with
-  | Some ("1" | "true" | "on" | "yes") -> true
-  | _ -> false
-
+   test suite checks this byte-for-byte).  SRAM-residency (Memtrace) and
+   per-link (Noctrace) recording follow the same contract; all three are
+   off unless the caller asks for them. *)
 type recorder = {
   mutable log : Critpath.event list;  (* reverse emission order *)
   mutable n_events : int;
@@ -697,8 +680,8 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
     noc = nrec;
   }
 
-let run ?(skew = 0.02) ?(events = default_events) ?(mem = default_mem)
-    ?(noc = default_noc) ctx (s : Elk.Schedule.t) =
+let run ?(skew = 0.02) ?(events = false) ?(mem = false) ?(noc = false) ctx
+    (s : Elk.Schedule.t) =
   Elk_obs.Span.with_span "sim-run"
     ~attrs:[ ("ops", string_of_int (Elk.Schedule.num_ops s)) ]
     (fun () -> run_impl ~skew ~record:events ~record_mem:mem ~record_noc:noc ctx s)

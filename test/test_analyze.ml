@@ -149,6 +149,19 @@ let test_slack_headroom () =
             && attrib_h >= 0.))
         (A.slack_headroom rep sum)
 
+(* Every recorder is pure bookkeeping: forcing all three on must leave
+   the simulated timeline, and so the whole report, byte-identical. *)
+let test_recording_is_inert () =
+  List.iter
+    (fun (topo, ctx, sched) ->
+      let ctx = Lazy.force ctx and s = Lazy.force sched in
+      let json r = A.to_json (A.analyze s.Elk.Schedule.graph r) in
+      Alcotest.(check string)
+        (topo ^ ": report unchanged by recording")
+        (json (Sim.run ctx s))
+        (json (Sim.run ~events:true ~mem:true ~noc:true ctx s)))
+    [ ("a2a", Tu.default_ctx, Tu.tiny_schedule); ("mesh", Tu.mesh_ctx, Tu.mesh_schedule) ]
+
 let suite =
   [
     ("classify: synthetic dominant buckets", `Quick, test_classify_synthetic);
@@ -157,4 +170,5 @@ let suite =
     ("json/table/counter exports", `Quick, test_exports);
     ("degenerate single-op model stays finite", `Quick, test_degenerate_single_op);
     ("slack-aware headroom cross-check", `Quick, test_slack_headroom);
+    ("recorders leave the report byte-identical", `Quick, test_recording_is_inert);
   ]

@@ -133,7 +133,7 @@ let test_analyze_requires_record () =
   Alcotest.check_raises "needs record"
     (Invalid_argument
        "Memprof.analyze: simulator run has no memory record (run with \
-        ~mem:true or ELK_SIM_MEM=1)")
+        ~mem:true)")
     (fun () -> ignore (Mp.analyze (ctx ()) (sched ()) r))
 
 (* Allocation failures carry a diagnosis: the offending operator, the

@@ -163,7 +163,7 @@ let test_analyze_requires_record () =
   Alcotest.check_raises "needs record"
     (Invalid_argument
        "Nocprof.analyze: simulator run has no interconnect record (run with \
-        ~noc:true or ELK_SIM_NOC=1)")
+        ~noc:true)")
     (fun () -> ignore (Np.analyze (sched ()) r))
 
 let suite =
