@@ -1102,10 +1102,9 @@ let compile_bench () =
    [record] must not perturb the simulated timeline, and its wall-clock
    cost over the plain run is measured (mean of 5 runs each) so a
    regression in the recording path shows up in the snapshot's
-   [overhead] record.  [analyzed] is the run the report reads (default:
-   the [record] run).  [report] prints the report and returns the
-   snapshot, given the overhead record's fields. *)
-let recorded_snapshot name ~record ?(analyzed = record) report =
+   [overhead] record.  [report] prints the report of a [record] run and
+   returns the snapshot, given the overhead record's fields. *)
+let recorded_snapshot name ~record report =
   with_headline (fun env g s ->
       let plain () = Elk_sim.Sim.run env.D.ctx s in
       let time f =
@@ -1119,7 +1118,7 @@ let recorded_snapshot name ~record ?(analyzed = record) report =
       ignore (plain ());
       let t_off = time plain in
       let t_on = time (fun () -> record env.D.ctx s) in
-      let r = analyzed env.D.ctx s in
+      let r = record env.D.ctx s in
       let r_off = plain () in
       if r.Elk_sim.Sim.total <> r_off.Elk_sim.Sim.total then
         Printf.printf "RECORDING PERTURBED THE TIMELINE: %.9g vs %.9g\n"
@@ -1218,10 +1217,6 @@ let mem_bench () =
    [elk noc --json-out] shape. *)
 let noc_bench () =
   recorded_snapshot "noc" ~record:(fun ctx s -> Elk_sim.Sim.run ~noc:true ctx s)
-    (* The analyzed run also records events so check can reconcile the
-       trace against Critpath's interconnect segments; the overhead
-       ratio isolates the per-link recording path alone. *)
-    ~analyzed:(fun ctx s -> Elk_sim.Sim.run ~events:true ~noc:true ctx s)
     (fun _ _ s r ~overhead ->
       let module Np = Elk_analyze.Nocprof in
       let rep = Np.analyze s r in

@@ -476,9 +476,7 @@ let views =
            communication.  With --trace-out, per-link utilization gauges are \
            exported as Perfetto counter tracks beside the device timeline.";
         verb = "profile";
-        (* Events too: the check reconciles queueing waits with
-           Critpath's interconnect segments. *)
-        events = true;
+        events = false;
         mem = false;
         noc = true;
         top = (10, "Hottest links to show in detail.");

@@ -9,11 +9,10 @@
    mirror of the schedule's communication: the same preload fan-out,
    distribution ring and exchange ring the simulator executes, booked
    with Load.add.  [check] gates the two against each other link by
-   link (and busiest against Load.busiest), reconciles recorded
-   queueing waits with Perfcore's per-op port attribution, and — when
-   causal events were also recorded — with the port_wait Critpath
-   carries on its Distribute/Exchange segments.  A violation means one
-   of the layers drifted.
+   link (and busiest against Load.busiest), and reconciles recorded
+   queueing waits with Perfcore's per-op port attribution and with the
+   simulator's per-op distribute/exchange port waits.  A violation
+   means one of the layers drifted.
 
    The JSON snapshot carries a Tracediff-comparable core (total =
    makespan, hottest links as interconnect segments in busy-seconds),
@@ -65,7 +64,7 @@ type report = {
   series : Ts.t;
   series_names : string list;
   port_attrib : (float * float) array;  (* per op: recomputed vs Perfcore a_port *)
-  events : Elk_sim.Critpath.event array option;
+  per_op : Elk_sim.Sim.op_trace array;
 }
 
 (* ---- static mirror ---------------------------------------------------- *)
@@ -119,6 +118,16 @@ let union_intervals ivs =
         | _ -> go ((a, b) :: acc) rest)
   in
   go [] (List.sort (fun (a, _) (b, _) -> Float.compare a b) ivs)
+
+(* The trace's queueing waits of one op's distribution and exchange
+   phases, each capped at its phase's length as the simulator caps it. *)
+let trace_port_waits trace ~op (o : Elk_sim.Sim.op_trace) =
+  ( Float.min
+      (o.Elk_sim.Sim.dist_end -. o.Elk_sim.Sim.exe_start)
+      (Nt.max_wait trace ~op ~cls:Nt.Distribute),
+    Float.min
+      (o.Elk_sim.Sim.exe_end -. o.Elk_sim.Sim.compute_end)
+      (Nt.max_wait trace ~op ~cls:Nt.Exchange) )
 
 let analyze ?window ?(top_series = 5) (s : Elk.Schedule.t)
     (r : Elk_sim.Sim.result) =
@@ -193,15 +202,8 @@ let analyze ?window ?(top_series = 5) (s : Elk.Schedule.t)
   let per_op = r.Elk_sim.Sim.per_op in
   let port_attrib =
     Array.mapi
-      (fun op (o : Elk_sim.Sim.op_trace) ->
-        let dist_len = o.Elk_sim.Sim.dist_end -. o.Elk_sim.Sim.exe_start in
-        let ex_len = o.Elk_sim.Sim.exe_end -. o.Elk_sim.Sim.compute_end in
-        let port_d =
-          Float.min dist_len (Nt.max_wait trace ~op ~cls:Nt.Distribute)
-        in
-        let port_e =
-          Float.min ex_len (Nt.max_wait trace ~op ~cls:Nt.Exchange)
-        in
+      (fun op o ->
+        let port_d, port_e = trace_port_waits trace ~op o in
         ( port_d +. port_e,
           r.Elk_sim.Sim.perf.Elk_sim.Perfcore.per_op.(op)
             .Elk_sim.Perfcore.a_port ))
@@ -281,7 +283,7 @@ let analyze ?window ?(top_series = 5) (s : Elk.Schedule.t)
     series;
     series_names;
     port_attrib;
-    events = r.Elk_sim.Sim.events;
+    per_op;
   }
 
 (* ---- cross-checks ----------------------------------------------------- *)
@@ -294,10 +296,9 @@ let rel_err a b =
    model): the dynamic per-link volumes agree with the static Load
    mirror (and the busiest links coincide), recorded class totals match
    the schedule's, recomputed queueing waits match Perfcore's per-op
-   port attribution, per-class busy intervals never overlap on a link,
-   and the utilization series tile without gaps.  When causal events
-   were recorded too, the Distribute/Exchange port_wait Critpath
-   carries must equal the trace's. *)
+   port attribution and the simulator's per-op distribute/exchange
+   port waits, per-class busy intervals never overlap on a link, and
+   the utilization series tile without gaps. *)
 let check rep =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let link_drift =
@@ -335,18 +336,35 @@ let check rep =
               err "%s class bytes %.6g drift from the schedule's %.6g" cls got
                 want
           | None ->
-              let bad_port = ref None in
-              Array.iteri
-                (fun op (got, want) ->
-                  if !bad_port = None && rel_err got want > drift_eps then
-                    bad_port := Some (op, got, want))
-                rep.port_attrib;
-              (match !bad_port with
-              | Some (op, got, want) ->
-                  err
-                    "op %d: port wait recomputed from the trace (%.6g s) \
-                     drifts from Perfcore's attribution (%.6g s)"
-                    op got want
+              let port_drift =
+                Array.find_mapi
+                  (fun op (o : Elk_sim.Sim.op_trace) ->
+                    let got, want = rep.port_attrib.(op) in
+                    let port_d, port_e = trace_port_waits rep.trace ~op o in
+                    let phase cls sim trace =
+                      if rel_err sim trace > drift_eps then
+                        Some
+                          (Printf.sprintf
+                             "op %d: the simulator's %s port wait %.6g s \
+                              disagrees with the trace's max queueing wait \
+                              %.6g s"
+                             op cls sim trace)
+                      else None
+                    in
+                    if rel_err got want > drift_eps then
+                      Some
+                        (Printf.sprintf
+                           "op %d: port wait recomputed from the trace (%.6g \
+                            s) drifts from Perfcore's attribution (%.6g s)"
+                           op got want)
+                    else
+                      match phase "distribute" o.Elk_sim.Sim.dist_wait port_d with
+                      | Some m -> Some m
+                      | None -> phase "exchange" o.Elk_sim.Sim.ex_wait port_e)
+                  rep.per_op
+              in
+              (match port_drift with
+              | Some m -> Error m
               | None ->
                   let overlap =
                     List.find_map
@@ -376,63 +394,19 @@ let check rep =
                          fabric's serialization was not recorded faithfully"
                         name cls
                   | None ->
-                      let ev_drift =
-                        match rep.events with
-                        | None -> None
-                        | Some events ->
-                            Array.fold_left
-                              (fun acc (e : Elk_sim.Critpath.event) ->
-                                if acc <> None then acc
-                                else
-                                  let against cls =
-                                    let len =
-                                      e.Elk_sim.Critpath.t_end
-                                      -. e.Elk_sim.Critpath.t_start
-                                    in
-                                    let want =
-                                      Float.min len
-                                        (Nt.max_wait rep.trace
-                                           ~op:e.Elk_sim.Critpath.op ~cls)
-                                    in
-                                    if
-                                      rel_err e.Elk_sim.Critpath.port_wait want
-                                      > drift_eps
-                                    then
-                                      Some
-                                        ( e.Elk_sim.Critpath.op,
-                                          e.Elk_sim.Critpath.port_wait,
-                                          want )
-                                    else None
-                                  in
-                                  match e.Elk_sim.Critpath.kind with
-                                  | Elk_sim.Critpath.Distribute ->
-                                      against Nt.Distribute
-                                  | Elk_sim.Critpath.Exchange ->
-                                      against Nt.Exchange
-                                  | _ -> None)
-                              None events
+                      let bad =
+                        List.find_map
+                          (fun name ->
+                            match
+                              Ts.check_tiling rep.series ~horizon:rep.total name
+                            with
+                            | Ok () -> None
+                            | Error m -> Some m)
+                          rep.series_names
                       in
-                      (match ev_drift with
-                      | Some (op, got, want) ->
-                          err
-                            "op %d: Critpath port_wait %.6g s disagrees with \
-                             the trace's max queueing wait %.6g s"
-                            op got want
-                      | None ->
-                          let bad =
-                            List.find_map
-                              (fun name ->
-                                match
-                                  Ts.check_tiling rep.series ~horizon:rep.total
-                                    name
-                                with
-                                | Ok () -> None
-                                | Error m -> Some m)
-                              rep.series_names
-                          in
-                          (match bad with
-                          | Some m -> Error m
-                          | None -> Ok ()))))))
+                      (match bad with
+                      | Some m -> Error m
+                      | None -> Ok ())))))
 
 (* ---- tables ----------------------------------------------------------- *)
 

@@ -10,10 +10,9 @@
     heatmap.  The {e static} view is a {!Elk_noc.Noc.Load} mirror of
     the schedule's communication phases, booked exactly the way the
     simulator executes them.  {!check} gates the two against each
-    other link by link, against {!Elk_sim.Perfcore}'s per-op port
-    attribution, and — when causal events were recorded — against the
-    [port_wait] {!Elk_sim.Critpath} carries on its interconnect
-    segments. *)
+    other link by link, and the trace's queueing waits against
+    {!Elk_sim.Perfcore}'s per-op port attribution and the simulator's
+    per-op distribute/exchange port waits. *)
 
 type link_row = {
   l_link : Elk_noc.Noc.link;
@@ -52,7 +51,7 @@ type report = {
   port_attrib : (float * float) array;
       (** per op: (port wait recomputed from the trace, Perfcore's
           [a_port]). *)
-  events : Elk_sim.Critpath.event array option;
+  per_op : Elk_sim.Sim.op_trace array;  (** the run's per-op phase times. *)
 }
 
 val static_load : Elk_noc.Noc.t -> Elk.Schedule.t -> Elk_noc.Noc.Load.loads
@@ -76,11 +75,10 @@ val check : report -> (unit, string) result
 (** The invariants [elk noc] enforces on every run: dynamic per-link
     volumes agree with the static mirror (and the busiest links
     coincide), recorded class totals match the schedule's, recomputed
-    queueing waits match Perfcore's per-op port attribution, per-class
-    busy intervals never overlap on a link, the series tile
-    [[0, total]] without gaps, and — when events were recorded — the
-    [port_wait] on Critpath's Distribute/Exchange segments equals the
-    trace's. *)
+    queueing waits match Perfcore's per-op port attribution and, per
+    phase, the simulator's [dist_wait]/[ex_wait], per-class busy
+    intervals never overlap on a link, and the series tile
+    [[0, total]] without gaps. *)
 
 val tables : ?top:int -> report -> Elk_util.Table.t list
 (** Summary, top-[top] hottest links with class breakdown, and the

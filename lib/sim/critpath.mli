@@ -4,11 +4,13 @@
     [max] over the completion times of the events that gate it: a preload
     waits for every earlier execute and for the previous preload, an
     execute waits for the previous execute and for its own preload, and
-    the three execution phases chain back to back.  When event recording
-    is on ({!Sim.run} [~events:true]), the event loop emits one {!event}
-    per simulated activity and records its {e causal parent} — the event
-    whose completion actually enabled it (the argmax of the gate) — plus
-    the full dependency list, forming a DAG over the run.
+    the three execution phases chain back to back.  When events are
+    asked for ({!Sim.run} [~events:true]), the simulator replays the
+    device program over its per-operator phase times after the event
+    loop and emits one {!event} per simulated activity with its
+    {e causal parent} — the event whose completion actually enabled it
+    (the argmax of the gate) — plus the full dependency list, forming a
+    DAG over the run.
 
     This module consumes that DAG:
 

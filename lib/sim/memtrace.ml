@@ -1,14 +1,13 @@
-(* Dynamic SRAM-residency recording for the simulator event loop.
+(* Dynamic SRAM-residency record of one simulator run.
 
-   The loop fills one [op_mem] per operator with the four timestamps
-   that bound its buffers' residency — preload reserve (issue gate),
-   preload delivery, first use (execute start) and release (execute
-   end) — plus the byte sizes the schedule fixed.  Everything else
-   (per-core occupancy change points, high-water marks, chip
-   aggregates, wasted residency) is derived on demand from those
-   records, so recording itself is a handful of float stores per
-   operator and, like Critpath event recording, is pure bookkeeping:
-   nothing here is ever read back into a timing computation.
+   The simulator builds one [op_mem] per operator after its event loop,
+   from the operator's phase times — preload reserve (issue gate),
+   preload delivery, first use (execute start), last tile-compute use
+   and release (execute end) — and the byte sizes the schedule fixed.
+   Everything else (per-core occupancy change points, high-water marks,
+   chip aggregates, wasted residency) is derived on demand from those
+   records, and nothing here is ever read back into a timing
+   computation.
 
    Core layout mirrors the device model: preload buffers land on every
    core (the controllers broadcast each core's preload-space bytes);
@@ -18,52 +17,22 @@
    core's change points. *)
 
 type op_mem = {
-  mutable m_reserve : float;  (* preload issue gate *)
-  mutable m_deliver : float;  (* preload delivery completes *)
-  mutable m_first_use : float;  (* execute start *)
-  mutable m_release : float;  (* execute end *)
-  mutable m_tail_start : float;  (* compute end: last tile-compute use *)
-  mutable m_preload_bytes : float;  (* per-core, on every core *)
-  mutable m_exec_bytes : float;  (* per-core, on cores 0..m_exec_cores-1 *)
-  mutable m_exec_cores : int;
+  m_reserve : float;  (* preload issue gate *)
+  m_deliver : float;  (* preload delivery completes *)
+  m_first_use : float;  (* execute start *)
+  m_release : float;  (* execute end *)
+  m_tail_start : float;  (* compute end: last tile-compute use *)
+  m_preload_bytes : float;  (* per-core, on every core *)
+  m_exec_bytes : float;  (* per-core, on cores 0..m_exec_cores-1 *)
+  m_exec_cores : int;
 }
 
 type t = { cores : int; ops : op_mem array }
 
-let create ~cores ~ops =
-  {
-    cores;
-    ops =
-      Array.init ops (fun _ ->
-          {
-            m_reserve = 0.;
-            m_deliver = 0.;
-            m_first_use = 0.;
-            m_release = 0.;
-            m_tail_start = 0.;
-            m_preload_bytes = 0.;
-            m_exec_bytes = 0.;
-            m_exec_cores = 0;
-          });
-  }
-
+let make ~cores ops = { cores; ops }
 let cores t = t.cores
 let num_ops t = Array.length t.ops
 let op_mem t op = t.ops.(op)
-
-let record_preload t ~op ~reserve ~deliver ~bytes =
-  let m = t.ops.(op) in
-  m.m_reserve <- reserve;
-  m.m_deliver <- deliver;
-  m.m_preload_bytes <- bytes
-
-let record_execute t ~op ~first_use ~tail_start ~release ~bytes ~cores =
-  let m = t.ops.(op) in
-  m.m_first_use <- first_use;
-  m.m_tail_start <- tail_start;
-  m.m_release <- release;
-  m.m_exec_bytes <- bytes;
-  m.m_exec_cores <- cores
 
 (* ---- derived samples -------------------------------------------------- *)
 

@@ -1,49 +1,38 @@
-(** Dynamic SRAM-residency recording for the simulator event loop.
+(** Dynamic SRAM-residency record of one simulator run
+    ([Sim.run ~mem:true]).
 
-    One record per operator captures the four timestamps bounding its
+    One record per operator captures the timestamps bounding its
     buffers' residency — preload reserve (issue gate), delivery, first
-    use (execute start) and release (execute end) — plus the byte sizes
-    the schedule fixed.  Per-core occupancy timelines, high-water marks
-    and wasted-residency integrals are all derived on demand, so
-    recording is a handful of float stores per operator; like
-    {!Critpath} event recording it is pure bookkeeping, never read back
-    into any timing computation (the test suite checks simulated output
-    is byte-identical with recording on and off).
+    use (execute start), last tile-compute use and release (execute
+    end) — plus the byte sizes the schedule fixed.  The simulator builds
+    it after its event loop from the per-operator phase times, so it is
+    never read back into any timing computation.  Per-core occupancy
+    timelines, high-water marks and wasted-residency integrals are all
+    derived on demand.
 
     Core layout mirrors the device model: preload buffers land on every
     core, execute footprints occupy cores [0 .. cores_used-1] — so core
     0's occupancy is the pointwise per-core maximum. *)
 
 type op_mem = {
-  mutable m_reserve : float;  (** preload issue gate. *)
-  mutable m_deliver : float;  (** preload delivery completes. *)
-  mutable m_first_use : float;  (** execute start. *)
-  mutable m_release : float;  (** execute end (after exchange). *)
-  mutable m_tail_start : float;  (** compute end: last tile-compute use. *)
-  mutable m_preload_bytes : float;  (** per-core, on every core. *)
-  mutable m_exec_bytes : float;  (** per-core, on the cores used. *)
-  mutable m_exec_cores : int;
+  m_reserve : float;  (** preload issue gate. *)
+  m_deliver : float;  (** preload delivery completes. *)
+  m_first_use : float;  (** execute start. *)
+  m_release : float;  (** execute end (after exchange). *)
+  m_tail_start : float;  (** compute end: last tile-compute use. *)
+  m_preload_bytes : float;  (** per-core, on every core. *)
+  m_exec_bytes : float;  (** per-core, on the cores used. *)
+  m_exec_cores : int;
 }
 
 type t
 
-val create : cores:int -> ops:int -> t
+val make : cores:int -> op_mem array -> t
+(** The record of a [cores]-core chip, one [op_mem] per operator id. *)
+
 val cores : t -> int
 val num_ops : t -> int
 val op_mem : t -> int -> op_mem
-
-val record_preload :
-  t -> op:int -> reserve:float -> deliver:float -> bytes:float -> unit
-
-val record_execute :
-  t ->
-  op:int ->
-  first_use:float ->
-  tail_start:float ->
-  release:float ->
-  bytes:float ->
-  cores:int ->
-  unit
 
 type change =
   | Reserve  (** preload bytes reserved at the issue gate. *)

@@ -8,10 +8,12 @@
    op, src, dst, bytes, hops, queueing wait, envelope).  Everything else
    (per-link volumes and busy time, class breakdowns, hop histograms,
    utilization timelines) is derived on demand from those records, so
-   recording itself is a list cons per booking and, like Critpath and
-   Memtrace recording, is pure bookkeeping: nothing here is ever read
-   back into a timing computation (the cram suite checks simulated
-   output is byte-identical with recording on and off). *)
+   recording itself is a list cons per booking.  It is the one record
+   the event loop keeps as it runs (Critpath events and the Memtrace
+   record are derived from per-op phase times afterwards), and it is
+   pure bookkeeping: nothing here is ever read back into a timing
+   computation (the test suite checks simulated output is
+   byte-identical with recording on and off). *)
 
 module N = Elk_noc.Noc
 

@@ -7,10 +7,12 @@
     bytes, hops, queueing wait, envelope).  Per-link volumes, class
     breakdowns, busy intervals, hop histograms and utilization
     timelines are all derived on demand, so recording is a list cons
-    per booking; like {!Critpath} and {!Memtrace} recording it is pure
-    bookkeeping, never read back into any timing computation (the test
-    suite checks simulated output is byte-identical with recording on
-    and off). *)
+    per booking.  It is the one record the event loop keeps as it runs,
+    because the reservation times exist nowhere else ({!Critpath} events
+    and the {!Memtrace} record are derived from the per-operator phase
+    times after the loop).  It is pure bookkeeping, never read back into
+    any timing computation (the test suite checks simulated output is
+    byte-identical with recording on and off). *)
 
 (** The communication phase a booking belongs to.  [Preload] is the
     preload fabric's fluid share; [Distribute] and [Exchange] run in

@@ -4,11 +4,15 @@ module N = Elk_noc.Noc
 
 type op_trace = {
   pre_start : float;
+  hbm_end : float;
   pre_end : float;
+  pre_wait : float;
   exe_start : float;
   dist_end : float;
+  dist_wait : float;
   compute_end : float;
   exe_end : float;
+  ex_wait : float;
   device_bytes : float;
   inject_bytes : float;
   dist_bytes : float;
@@ -166,36 +170,98 @@ let core_skew ~skew core op_id =
   let h = Hashtbl.hash (core, op_id, "skew") land 0xFFFF in
   1. -. skew +. (2. *. skew *. (float_of_int h /. 65535.))
 
-(* Causal event recording (Critpath).  Pure bookkeeping appended beside
-   the flow model: recording never reads back into any timing
-   computation, so timelines are identical whether it is on or off (the
-   test suite checks this byte-for-byte).  SRAM-residency (Memtrace) and
-   per-link (Noctrace) recording follow the same contract; all three are
-   off unless the caller asks for them. *)
-type recorder = {
-  mutable log : Critpath.event list;  (* reverse emission order *)
-  mutable n_events : int;
-  mutable last_exec : int;  (* last execute-chain event id, -1 if none *)
-  mutable last_pre : int;  (* last preload-chain event id, -1 if none *)
-  pre_done : int array;  (* per-op id of the preload's final event *)
-}
-
-let emit rc ~op ~kind ~t_start ~t_end ~parent ~deps ~port_wait =
-  let id = rc.n_events in
-  rc.n_events <- id + 1;
-  rc.log <-
-    {
-      Critpath.id; op; kind; t_start; t_end;
-      parent = (if parent < 0 then None else Some parent);
-      deps = List.sort_uniq compare (List.filter (fun d -> d >= 0) deps);
-      port_wait;
-    }
-    :: rc.log;
-  id
-
 (* The causal parent of a gate [max a b]: the argument that bound it.
    Ties go to [on_b] (callers pass the data-dependency side there). *)
 let binding ~a ~on_a ~b ~on_b = if on_b < 0 || (a > b && on_a >= 0) then on_a else on_b
+
+(* The causal event DAG (Critpath), replayed from the per-op phase times
+   after the event loop: program order fixes every gate, so the replay
+   knows what the loop knew when each event started.  Ids are dense in
+   emission order; -1 stands for "no event yet". *)
+let causal_events (program : Elk.Program.t) (per_op : op_trace array) =
+  let log = ref [] and n_events = ref 0 in
+  let emit ~op ~kind ~t_start ~t_end ~parent ~deps ~port_wait =
+    let id = !n_events in
+    incr n_events;
+    log :=
+      {
+        Critpath.id; op; kind; t_start; t_end;
+        parent = (if parent < 0 then None else Some parent);
+        deps = List.sort_uniq compare (List.filter (fun d -> d >= 0) deps);
+        port_wait;
+      }
+      :: !log;
+    id
+  in
+  let last_exec = ref (-1) and last_pre = ref (-1) in
+  let pre_done = Array.make (Array.length per_op) (-1) in
+  let exec_ready = ref 0. and preload_free = ref 0. in
+  Array.iter
+    (function
+      | Elk.Program.Preload_async op ->
+          let o = per_op.(op) in
+          (* Ties go to the preload chain: rule 2 is the tighter
+             sequencing constraint at equal times. *)
+          let parent =
+            binding ~a:!exec_ready ~on_a:!last_exec ~b:!preload_free ~on_b:!last_pre
+          in
+          let deps = [ !last_exec; !last_pre ] in
+          let last =
+            if o.device_bytes <= 0. then
+              emit ~op ~kind:Critpath.Preload_issue ~t_start:o.pre_start
+                ~t_end:o.pre_start ~parent ~deps ~port_wait:0.
+            else
+              let read =
+                emit ~op ~kind:Critpath.Hbm_read ~t_start:o.pre_start ~t_end:o.hbm_end
+                  ~parent ~deps ~port_wait:0.
+              in
+              emit ~op ~kind:Critpath.Preload_deliver ~t_start:o.hbm_end
+                ~t_end:(Float.max o.hbm_end o.pre_end) ~parent:read ~deps:[ read ]
+                ~port_wait:o.pre_wait
+          in
+          pre_done.(op) <- last;
+          last_pre := last;
+          preload_free := o.pre_end
+      | Elk.Program.Execute op ->
+          let o = per_op.(op) in
+          (* Ties go to the preload side: at equal times the data
+             dependency (§4.5 rule 3) is the enabling completion. *)
+          let parent =
+            binding ~a:!exec_ready ~on_a:!last_exec ~b:o.pre_end ~on_b:pre_done.(op)
+          in
+          let dist =
+            emit ~op ~kind:Critpath.Distribute ~t_start:o.exe_start ~t_end:o.dist_end
+              ~parent ~deps:[ !last_exec; pre_done.(op) ] ~port_wait:o.dist_wait
+          in
+          let comp =
+            emit ~op ~kind:Critpath.Tile_compute ~t_start:o.dist_end
+              ~t_end:o.compute_end ~parent:dist ~deps:[ dist ] ~port_wait:0.
+          in
+          last_exec :=
+            emit ~op ~kind:Critpath.Exchange ~t_start:o.compute_end ~t_end:o.exe_end
+              ~parent:comp ~deps:[ comp ] ~port_wait:o.ex_wait;
+          exec_ready := o.exe_end)
+    program.Elk.Program.instrs;
+  Array.of_list (List.rev !log)
+
+(* The SRAM-residency record (Memtrace): each op's phase times with the
+   buffer sizes the schedule fixed. *)
+let residency ~cores (s : Elk.Schedule.t) per_op =
+  Memtrace.make ~cores
+    (Array.mapi
+       (fun o t ->
+         let e = s.Elk.Schedule.entries.(o) in
+         {
+           Memtrace.m_reserve = t.pre_start;
+           m_deliver = t.pre_end;
+           m_first_use = t.exe_start;
+           m_release = t.exe_end;
+           m_tail_start = t.compute_end;
+           m_preload_bytes = e.Elk.Schedule.popt.P.preload_space;
+           m_exec_bytes = e.Elk.Schedule.plan.P.exec_space;
+           m_exec_cores = e.Elk.Schedule.plan.P.cores_used;
+         })
+       per_op)
 
 let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
   (match Elk.Schedule.validate s with
@@ -220,10 +286,12 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
   let pre_start = Array.make n 0. and pre_end = Array.make n 0. in
   let exe_start = Array.make n 0. and exe_end = Array.make n 0. in
   let dist_end_arr = Array.make n 0. and compute_end_arr = Array.make n 0. in
+  (* Where each operator's HBM read ends, for splitting the execute's
+     preload stall between the HBM floor and delivery, and the per-phase
+     queueing waits: delivery stall, distribute and exchange port waits. *)
+  let hbm_end = Array.make n 0. and pre_wait = Array.make n 0. in
+  let dist_wait_arr = Array.make n 0. and ex_wait_arr = Array.make n 0. in
   let perf = Perfcore.create ~cores:chip.Arch.cores ~ops:n in
-  (* HBM device time of each operator's preload, for splitting the
-     execute's preload stall between the HBM floor and delivery. *)
-  let pre_hbm = Array.make n 0. in
   let exec_ready = ref 0. in
   let preload_free = ref 0. in
   let stall_interconnect = ref 0. in
@@ -234,16 +302,6 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
      model — recorded into the metrics registry only when enabled. *)
   let pending = ref 0 and max_pending = ref 0 in
   let hbm_busy = ref 0. and preload_wait = ref 0. in
-  let rc =
-    if record then
-      Some { log = []; n_events = 0; last_exec = -1; last_pre = -1;
-             pre_done = Array.make n (-1) }
-    else None
-  in
-  let mrec =
-    if record_mem then Some (Memtrace.create ~cores:chip.Arch.cores ~ops:n)
-    else None
-  in
   let nrec = if record_noc then Some (Noctrace.create noc) else None in
   (* Tag for [transfer]'s recording hook: (recorder, class, op). *)
   let ntag cls op =
@@ -261,35 +319,11 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
           (* Rule (1): every execute issued earlier blocks this preload;
              rule (2): preloads are sequential. *)
           let gate = Float.max !exec_ready !preload_free in
-          (* Causal parent of the gate, resolved before any state below
-             mutates: ties go to the preload chain (rule 2 is the tighter
-             sequencing constraint at equal times). *)
-          let pre_parent =
-            match rc with
-            | Some rc ->
-                binding ~a:!exec_ready ~on_a:rc.last_exec ~b:!preload_free
-                  ~on_b:rc.last_pre
-            | None -> -1
-          in
           if popt.P.hbm_device_bytes <= 0. then begin
             pre_start.(op) <- gate;
+            hbm_end.(op) <- gate;
             pre_end.(op) <- gate;
-            preload_free := gate;
-            Option.iter
-              (fun m ->
-                Memtrace.record_preload m ~op ~reserve:gate ~deliver:gate
-                  ~bytes:popt.P.preload_space)
-              mrec;
-            Option.iter
-              (fun rc ->
-                let id =
-                  emit rc ~op ~kind:Critpath.Preload_issue ~t_start:gate ~t_end:gate
-                    ~parent:pre_parent ~deps:[ rc.last_exec; rc.last_pre ]
-                    ~port_wait:0.
-                in
-                rc.pre_done.(op) <- id;
-                rc.last_pre <- id)
-              rc
+            preload_free := gate
           end
           else begin
             let hbm_done =
@@ -297,7 +331,7 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
                 ~bytes:popt.P.hbm_device_bytes
             in
             hbm_busy := !hbm_busy +. (hbm_done -. gate);
-            pre_hbm.(op) <- hbm_done -. gate;
+            hbm_end.(op) <- hbm_done;
             if hbm_done > gate then
               Elk_util.Series.add perf.Perfcore.hbm_series ~t_start:gate
                 ~t_end:hbm_done ~volume:popt.P.hbm_device_bytes;
@@ -340,6 +374,10 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
                       let s = Float.max start !inp in
                       inp := s +. inbound;
                       pre_fabric.link_volume <- pre_fabric.link_volume +. per_core;
+                      let delivered =
+                        s +. Float.max inbound ctrl_service
+                        +. chip.Arch.intercore_link.Arch.latency
+                      in
                       if per_core > 0. then
                         Option.iter
                           (fun nt ->
@@ -349,15 +387,9 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
                             Noctrace.record_transfer nt ~cls:Noctrace.Preload
                               ~op ~src:(N.Hbm h) ~dst:(N.Core c)
                               ~bytes:per_core ~hops:2 ~wait:(s -. gate)
-                              ~t_start:s
-                              ~t_end:
-                                (s +. Float.max inbound ctrl_service
-                                +. chip.Arch.intercore_link.Arch.latency))
+                              ~t_start:s ~t_end:delivered)
                           nrec;
-                      finish :=
-                        Float.max !finish
-                          (s +. Float.max inbound ctrl_service
-                          +. chip.Arch.intercore_link.Arch.latency)
+                      finish := Float.max !finish delivered
                     end
                   done;
                   ideal :=
@@ -382,30 +414,11 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
             stall_interconnect := !stall_interconnect +. d;
             pre_start.(op) <- gate;
             pre_end.(op) <- !finish;
+            pre_wait.(op) <- d;
             if popt.P.noc_inject_bytes > 0. && !finish > gate then
               Elk_util.Series.add perf.Perfcore.noc_series ~t_start:gate
                 ~t_end:!finish ~volume:popt.P.noc_inject_bytes;
-            preload_free := !finish;
-            Option.iter
-              (fun m ->
-                Memtrace.record_preload m ~op ~reserve:gate ~deliver:!finish
-                  ~bytes:popt.P.preload_space)
-              mrec;
-            Option.iter
-              (fun rc ->
-                let read =
-                  emit rc ~op ~kind:Critpath.Hbm_read ~t_start:gate ~t_end:hbm_done
-                    ~parent:pre_parent ~deps:[ rc.last_exec; rc.last_pre ]
-                    ~port_wait:0.
-                in
-                let deliver =
-                  emit rc ~op ~kind:Critpath.Preload_deliver ~t_start:hbm_done
-                    ~t_end:(Float.max hbm_done !finish) ~parent:read ~deps:[ read ]
-                    ~port_wait:d
-                in
-                rc.pre_done.(op) <- deliver;
-                rc.last_pre <- deliver)
-              rc
+            preload_free := !finish
           end
       | Elk.Program.Execute op ->
           let e = s.Elk.Schedule.entries.(op) in
@@ -488,7 +501,9 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
              time leaks when this loop changes. *)
           let gap = start -. prev_ready in
           let pre_len = pre_end.(op) -. pre_start.(op) in
-          let hbm_frac = if pre_len > 0. then pre_hbm.(op) /. pre_len else 0. in
+          let hbm_frac =
+            if pre_len > 0. then (hbm_end.(op) -. pre_start.(op)) /. pre_len else 0.
+          in
           let dist_len = !dist_end -. start in
           let compute_len = !compute_end -. !dist_end in
           let ex_len = !ex_end -. !compute_end in
@@ -544,34 +559,8 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
           dist_end_arr.(op) <- !dist_end;
           compute_end_arr.(op) <- !compute_end;
           exe_end.(op) <- !ex_end;
-          Option.iter
-            (fun m ->
-              Memtrace.record_execute m ~op ~first_use:start
-                ~tail_start:!compute_end ~release:!ex_end
-                ~bytes:plan.P.exec_space ~cores:ncores)
-            mrec;
-          Option.iter
-            (fun rc ->
-              (* Ties go to the preload side: at equal times the data
-                 dependency (§4.5 rule 3) is the enabling completion. *)
-              let parent =
-                binding ~a:prev_ready ~on_a:rc.last_exec ~b:pre_end.(op)
-                  ~on_b:rc.pre_done.(op)
-              in
-              let dist =
-                emit rc ~op ~kind:Critpath.Distribute ~t_start:start ~t_end:!dist_end
-                  ~parent ~deps:[ rc.last_exec; rc.pre_done.(op) ] ~port_wait:port_d
-              in
-              let comp =
-                emit rc ~op ~kind:Critpath.Tile_compute ~t_start:!dist_end
-                  ~t_end:!compute_end ~parent:dist ~deps:[ dist ] ~port_wait:0.
-              in
-              let ex =
-                emit rc ~op ~kind:Critpath.Exchange ~t_start:!compute_end
-                  ~t_end:!ex_end ~parent:comp ~deps:[ comp ] ~port_wait:port_e
-              in
-              rc.last_exec <- ex)
-            rc;
+          dist_wait_arr.(op) <- port_d;
+          ex_wait_arr.(op) <- port_e;
           exec_ready := !ex_end)
     program.Elk.Program.instrs;
   let total = exe_end.(n - 1) in
@@ -630,6 +619,30 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
   Elk_obs.Metrics.incr "elk_sim_hbm_requests_total"
     ~by:(float_of_int stats.Elk_hbm.Hbm.requests)
     ~help:"HBM device requests issued";
+  let per_op =
+    Array.init n (fun o ->
+        let e = s.Elk.Schedule.entries.(o) in
+        {
+          pre_start = pre_start.(o);
+          hbm_end = hbm_end.(o);
+          pre_end = pre_end.(o);
+          pre_wait = pre_wait.(o);
+          exe_start = exe_start.(o);
+          dist_end = dist_end_arr.(o);
+          dist_wait = dist_wait_arr.(o);
+          compute_end = compute_end_arr.(o);
+          exe_end = exe_end.(o);
+          ex_wait = ex_wait_arr.(o);
+          device_bytes = e.Elk.Schedule.popt.P.hbm_device_bytes;
+          inject_bytes = e.Elk.Schedule.popt.P.noc_inject_bytes;
+          dist_bytes =
+            e.Elk.Schedule.popt.P.dist_bytes_per_core
+            *. float_of_int e.Elk.Schedule.plan.P.cores_used;
+          exchange_bytes =
+            e.Elk.Schedule.plan.P.exchange_bytes_per_core
+            *. float_of_int e.Elk.Schedule.plan.P.cores_used;
+        })
+  in
   {
     total;
     bd =
@@ -654,29 +667,11 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
     inject_volume;
     hbm_device_volume;
     achieved_flops = (if total > 0. then flops /. total else 0.);
-    per_op =
-      Array.init n (fun o ->
-          let e = s.Elk.Schedule.entries.(o) in
-          {
-            pre_start = pre_start.(o);
-            pre_end = pre_end.(o);
-            exe_start = exe_start.(o);
-            dist_end = dist_end_arr.(o);
-            compute_end = compute_end_arr.(o);
-            exe_end = exe_end.(o);
-            device_bytes = e.Elk.Schedule.popt.P.hbm_device_bytes;
-            inject_bytes = e.Elk.Schedule.popt.P.noc_inject_bytes;
-            dist_bytes =
-              e.Elk.Schedule.popt.P.dist_bytes_per_core
-              *. float_of_int e.Elk.Schedule.plan.P.cores_used;
-            exchange_bytes =
-              e.Elk.Schedule.plan.P.exchange_bytes_per_core
-              *. float_of_int e.Elk.Schedule.plan.P.cores_used;
-          });
+    per_op;
     hbm_requests = stats.Elk_hbm.Hbm.requests;
     perf;
-    events = Option.map (fun rc -> Array.of_list (List.rev rc.log)) rc;
-    mem = mrec;
+    events = (if record then Some (causal_events program per_op) else None);
+    mem = (if record_mem then Some (residency ~cores:chip.Arch.cores s per_op) else None);
     noc = nrec;
   }
 

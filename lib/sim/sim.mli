@@ -24,11 +24,18 @@
 
 type op_trace = {
   pre_start : float;
+  hbm_end : float;  (** the HBM read completes ([pre_start] if no bytes). *)
   pre_end : float;
+  pre_wait : float;  (** delivery stall beyond the ideal fan-out. *)
   exe_start : float;
   dist_end : float;  (** end of the data-distribution phase. *)
+  dist_wait : float;
+      (** port wait of the distribution phase: the longest any core's
+          transfer queued, capped at the phase length.  [dist_wait +.
+          ex_wait] is the op's {!Perfcore} [a_port]. *)
   compute_end : float;
   exe_end : float;  (** after the exchange/reduction phase. *)
+  ex_wait : float;  (** port wait of the exchange phase, likewise. *)
   device_bytes : float;
   inject_bytes : float;
   dist_bytes : float;  (** total distribution bytes (all cores). *)
@@ -55,12 +62,12 @@ type result = {
           by the event loop.  [hbm_util]/[noc_util] are the time-averaged
           scalars derivable from the series. *)
   events : Critpath.event array option;
-      (** causal event DAG, recorded only when {!run} is called with
-          [~events:true]; [None] otherwise.
+      (** causal event DAG, derived from [per_op] only when {!run} is
+          called with [~events:true]; [None] otherwise.
           Feed to {!Critpath.extract} for the critical path. *)
   mem : Memtrace.t option;
-      (** SRAM-residency record, only when {!run} is called with
-          [~mem:true]; [None] otherwise.  Feed to
+      (** SRAM-residency record, derived from [per_op] only when {!run}
+          is called with [~mem:true]; [None] otherwise.  Feed to
           {!Elk_analyze.Memprof} for occupancy timelines and wasted
           residency. *)
   noc : Noctrace.t option;
@@ -80,12 +87,13 @@ val run :
   result
 (** Simulate one chip executing a schedule.  [skew] (default 0.02) is the
     relative deterministic per-core compute-time perturbation.  [events]
-    turns on causal event recording, [mem] SRAM-residency recording and
-    [noc] per-link interconnect recording (all three default to off, and
-    a field is filled only when its recorder was asked for).  Recording
-    is pure bookkeeping — recorded times are never read back, so the
-    simulated timeline is identical either way.  Raises
-    [Invalid_argument] if the schedule fails validation. *)
+    asks for the causal event DAG, [mem] for the SRAM-residency record
+    and [noc] for the per-link interconnect record (all three default to
+    off, and a field is filled only when it was asked for).  The event
+    loop records the link bookings itself; the DAG and the residency
+    record are built after it, from [per_op] and the schedule.  Nothing
+    recorded is read back, so the simulated timeline is identical either
+    way.  Raises [Invalid_argument] if the schedule fails validation. *)
 
 val compare_with_timeline :
   Elk_partition.Partition.ctx -> Elk.Schedule.t -> float

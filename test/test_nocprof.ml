@@ -1,6 +1,7 @@
 (* Interconnect observability: Noctrace recording and the Nocprof
    report that cross-checks it against the static Load mirror,
-   Perfcore's port attribution and Critpath's interconnect segments. *)
+   Perfcore's port attribution and the simulator's per-op port
+   waits. *)
 
 module Nt = Elk_sim.Noctrace
 module Np = Elk_analyze.Nocprof
@@ -11,12 +12,10 @@ let sched () = Lazy.force Tu.tiny_schedule
 let mctx () = Lazy.force Tu.mesh_ctx
 let msched () = Lazy.force Tu.mesh_schedule
 
-(* Events on too, so check exercises the Critpath reconciliation. *)
-let result = lazy (Elk_sim.Sim.run ~events:true ~noc:true (ctx ()) (sched ()))
+let result = lazy (Elk_sim.Sim.run ~noc:true (ctx ()) (sched ()))
 let report = lazy (Np.analyze (sched ()) (Lazy.force result))
 
-let mresult =
-  lazy (Elk_sim.Sim.run ~events:true ~noc:true (mctx ()) (msched ()))
+let mresult = lazy (Elk_sim.Sim.run ~noc:true (mctx ()) (msched ()))
 
 let mreport = lazy (Np.analyze (msched ()) (Lazy.force mresult))
 
@@ -50,6 +49,28 @@ let test_check_passes_mesh () =
   match Np.check (Lazy.force mreport) with
   | Ok () -> ()
   | Error m -> Alcotest.failf "mesh check failed: %s" m
+
+(* On the all-to-all and mesh chips the distribution and exchange rings
+   do not queue (no zoo plan shows a non-zero wait), so there the
+   port-wait reconciliation compares zeros.  The clustered GPU-style
+   chip (paper §7) routes them through one shared L2 fabric, where they
+   do queue: the check must hold with non-zero per-phase waits too. *)
+let test_check_passes_clustered () =
+  let ctx =
+    Elk_partition.Partition.make_ctx
+      (Elk_cost.Costmodel.train ~samples_per_kind:150
+         (Elk_arch.Arch.Presets.gpu_like_chip ()))
+  in
+  let s = Elk.Scheduler.run ctx (Lazy.force Tu.tiny_llama_chip_graph) in
+  let r = Elk_sim.Sim.run ~noc:true ctx s in
+  (match Np.check (Np.analyze s r) with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "clustered check failed: %s" m);
+  Alcotest.(check bool) "some per-phase port wait is non-zero" true
+    (Array.exists
+       (fun (o : Elk_sim.Sim.op_trace) ->
+         o.Elk_sim.Sim.dist_wait > 0. || o.Elk_sim.Sim.ex_wait > 0.)
+       r.Elk_sim.Sim.per_op)
 
 (* Dynamic per-link volumes equal the static mirror's, link by link. *)
 let test_static_mirror_exact () =
@@ -153,7 +174,7 @@ let test_heatmap () =
    the same schedule serialize to the same bytes. *)
 let test_json_deterministic () =
   let mk () =
-    let r = Elk_sim.Sim.run ~events:true ~noc:true (ctx ()) (sched ()) in
+    let r = Elk_sim.Sim.run ~noc:true (ctx ()) (sched ()) in
     Np.to_json ~top:6 (Np.analyze (sched ()) r)
   in
   Alcotest.(check string) "byte-identical" (mk ()) (mk ())
@@ -177,6 +198,8 @@ let suite =
       test_check_passes;
     Alcotest.test_case "nocprof check passes (mesh)" `Quick
       test_check_passes_mesh;
+    Alcotest.test_case "nocprof check passes with port waits (clustered)"
+      `Quick test_check_passes_clustered;
     Alcotest.test_case "static mirror matches dynamic volumes" `Quick
       test_static_mirror_exact;
     Alcotest.test_case "class totals match the schedule" `Quick

@@ -1,8 +1,12 @@
-(* Cross-cutting property tests over the allocator, scheduler, HBM model
-   and graph serialization, on randomized inputs. *)
+(* Cross-cutting property tests over the allocator, scheduler, HBM model,
+   graph serialization and the simulator's records, on randomized
+   inputs. *)
 
 open Elk_model
 module P = Elk_partition.Partition
+module Sim = Elk_sim.Sim
+module Cp = Elk_sim.Critpath
+module Mt = Elk_sim.Memtrace
 
 let ctx () = Lazy.force Tu.default_ctx
 let graph () = Lazy.force Tu.tiny_llama_chip_graph
@@ -127,6 +131,60 @@ let qcheck_sharding_flops_split =
       (* Norm replication and ceil rounding leave some slack. *)
       ratio > 0.7 && ratio < 1.3)
 
+(* Preload orders other than the identity reach the simulator's
+   records: the causal DAG's preload parents depend on which gate binds,
+   and reordering is what changes that.  On every trajectory the four
+   analyses' checks pass, every event but the root starts exactly when
+   its causal parent ends (the parent is the gate's binding argument),
+   each Distribute/Exchange event carries its op's per-phase port wait,
+   and the SRAM-residency record holds its op's phase times. *)
+let qcheck_recorders_on_random_orders =
+  Tu.qtest ~count:20 "sim: recorder contracts hold on random preload orders"
+    QCheck2.Gen.(triple bool (list_size (int_range 1 6) (int_bound 1000)) (int_range 1 8))
+    (fun (mesh, swaps, max_preload) ->
+      let ctx = Lazy.force (if mesh then Tu.mesh_ctx else Tu.default_ctx) in
+      let g = graph () in
+      let order = Array.init (Graph.length g) Fun.id in
+      List.iter
+        (fun k ->
+          let i = k mod (Array.length order - 1) in
+          let t = order.(i) in
+          order.(i) <- order.(i + 1);
+          order.(i + 1) <- t)
+        swaps;
+      let s = Elk.Scheduler.run ~order ~max_preload ctx g in
+      let r = Sim.run ~events:true ~mem:true ~noc:true ctx s in
+      let ok what = function
+        | Ok () -> true
+        | Error m -> QCheck2.Test.fail_reportf "%s: %s" what m
+      in
+      let events = Option.get r.Sim.events and mem = Option.get r.Sim.mem in
+      ok "Perfcore" (Elk_sim.Perfcore.check r.Sim.perf ~total:r.Sim.total)
+      && ok "Critpath" (Cp.check events ~total:r.Sim.total)
+      && ok "Memprof" (Elk_analyze.Memprof.check (Elk_analyze.Memprof.analyze ctx s r))
+      && ok "Nocprof" (Elk_analyze.Nocprof.check (Elk_analyze.Nocprof.analyze s r))
+      && Array.for_all
+           (fun (e : Cp.event) ->
+             let o = r.Sim.per_op.(e.Cp.op) in
+             (match e.Cp.parent with
+             | Some p -> events.(p).Cp.t_end = e.Cp.t_start
+             | None -> e.Cp.id = 0)
+             &&
+             match e.Cp.kind with
+             | Cp.Distribute -> e.Cp.port_wait = o.Sim.dist_wait
+             | Cp.Exchange -> e.Cp.port_wait = o.Sim.ex_wait
+             | _ -> true)
+           events
+      && Array.for_all2
+           (fun (m : Mt.op_mem) (o : Sim.op_trace) ->
+             m.Mt.m_reserve = o.Sim.pre_start
+             && m.Mt.m_deliver = o.Sim.pre_end
+             && m.Mt.m_first_use = o.Sim.exe_start
+             && m.Mt.m_tail_start = o.Sim.compute_end
+             && m.Mt.m_release = o.Sim.exe_end)
+           (Array.init (Mt.num_ops mem) (Mt.op_mem mem))
+           r.Sim.per_op)
+
 let suite =
   [
     qcheck_alloc_fits_any_capacity;
@@ -136,4 +194,5 @@ let suite =
     qcheck_gtext_random_roundtrip;
     qcheck_planio_random_schedules;
     qcheck_sharding_flops_split;
+    qcheck_recorders_on_random_orders;
   ]
