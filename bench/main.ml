@@ -4,7 +4,10 @@
    Usage:
      dune exec bench/main.exe                  # everything
      dune exec bench/main.exe -- fig17 table2  # a subset
-     dune exec bench/main.exe -- micro         # Bechamel micro-benchmarks only
+
+   A failed check exits 1, an unknown experiment name exits 2.  The
+   simulator snapshots are byte-deterministic, gated by
+   test/cram/snapshots.t; per-layer wall-clock cost is perfbench/'s.
 
    All experiments run at the scaled default configuration (DESIGN.md §5):
    4 chips x 64 cores, per-core rates identical to IPU MK2, models scaled
@@ -52,23 +55,31 @@ let evaluate_all ~key env graph =
       Hashtbl.add eval_memo key e;
       e
 
+(* A failed check ends the run with exit 1, before the failing
+   experiment writes its snapshot. *)
+let fail label msg =
+  Printf.eprintf "%s: %s\n%!" label msg;
+  exit 1
+
+let check label = function Ok () -> () | Error m -> fail label m
+
 (* The headline run the snapshot experiments plan: Elk-Full on the
    scaled Llama2-13B decode at batch 32. *)
 let with_headline f =
   let env = Lazy.force default_env in
   let g = decode llama13b ~batch:32 in
   match B.plan ~elk_options:bench_elk_options env.D.ctx ~pod:env.D.pod g B.Elk_full with
-  | None -> ()
+  | None -> fail "NO HEADLINE PLAN" "Elk-Full found no schedule"
   | Some s -> f env g s
 
 (* Every committed snapshot goes through here: BENCH_<name>.json in the
-   working directory, announced on stdout with an optional [note]. *)
-let write_snapshot ?(note = "") name json =
+   working directory, announced on stdout. *)
+let write_snapshot name json =
   let file = Printf.sprintf "BENCH_%s.json" name in
   let oc = open_out file in
   output_string oc json;
   close_out oc;
-  Printf.printf "wrote %s%s\n\n" file note
+  Printf.printf "wrote %s\n\n" file
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: model complexity factors                                  *)
@@ -792,9 +803,9 @@ let serve () =
   Table.print t;
   (* End-to-end workload: a seeded Poisson arrival stream through the
      batching front-end, snapshotted as BENCH_serve.json.  The snapshot
-     is Tracediff-comparable (latency percentiles as segments), so CI
-     gates serving-SLO regressions with `elk trace diff`.  Every value
-     is simulated -> byte-stable across machines and jobs counts. *)
+     is Tracediff-comparable (latency percentiles as segments), so
+     serving-SLO regressions show in `elk trace diff`.  Every value is
+     simulated -> byte-stable across machines and jobs counts. *)
   let seed = 7 in
   let spec =
     Option.get
@@ -889,16 +900,15 @@ let full () =
 (* ------------------------------------------------------------------ *)
 
 (* Emit the bottleneck report for the headline configuration and write a
-   compact JSON snapshot next to the repo's committed copy, so CI can
-   diff it and flag silent simulator-timing drift across PRs.  Values
+   compact JSON snapshot; test/cram/snapshots.t compares it with the
+   committed copy to flag silent simulator-timing drift.  Values
    are rounded to 4 significant digits: enough to catch real timing
    changes, coarse enough to survive benign float-noise differences. *)
 let attrib () =
   with_headline (fun env g s ->
       let r = Elk_sim.Sim.run env.D.ctx s in
-      (match Elk_sim.Perfcore.check r.Elk_sim.Sim.perf ~total:r.Elk_sim.Sim.total with
-      | Ok () -> ()
-      | Error m -> Printf.printf "ATTRIBUTION LEAK: %s\n" m);
+      check "ATTRIBUTION LEAK"
+        (Elk_sim.Perfcore.check r.Elk_sim.Sim.perf ~total:r.Elk_sim.Sim.total);
       let rep = Elk_analyze.Analyze.analyze ~top:4 s.Elk.Schedule.graph r in
       Elk_analyze.Analyze.print ~top_ops:5 rep;
       let module A = Elk_analyze.Analyze in
@@ -1097,63 +1107,43 @@ let compile_bench () =
 (* Recorder snapshots (BENCH_critpath/mem/noc.json)                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Snapshot one simulator recorder's report on the headline run.  This
-   re-checks the zero-cost contract for the recording path it gates:
-   [record] must not perturb the simulated timeline, and its wall-clock
-   cost over the plain run is measured (mean of 5 runs each) so a
-   regression in the recording path shows up in the snapshot's
-   [overhead] record.  [report] prints the report of a [record] run and
-   returns the snapshot, given the overhead record's fields. *)
+(* Snapshot one simulator recorder's report on the headline run, after
+   re-checking the zero-cost contract of the recording path: [record]
+   must leave the simulated timeline unchanged.  [report] checks and
+   prints the report of the [record] run and returns the snapshot.  What
+   recording costs in wall-clock time is perfbench's [sim.overhead.*]. *)
 let recorded_snapshot name ~record report =
   with_headline (fun env g s ->
-      let plain () = Elk_sim.Sim.run env.D.ctx s in
-      let time f =
-        let reps = 5 in
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to reps do
-          ignore (f ())
-        done;
-        (Unix.gettimeofday () -. t0) /. float_of_int reps
-      in
-      ignore (plain ());
-      let t_off = time plain in
-      let t_on = time (fun () -> record env.D.ctx s) in
       let r = record env.D.ctx s in
-      let r_off = plain () in
-      if r.Elk_sim.Sim.total <> r_off.Elk_sim.Sim.total then
-        Printf.printf "RECORDING PERTURBED THE TIMELINE: %.9g vs %.9g\n"
-          r.Elk_sim.Sim.total r_off.Elk_sim.Sim.total;
-      let ratio = t_on /. Float.max 1e-12 t_off in
-      let num v = Printf.sprintf "%.4g" v in
-      let overhead =
-        Printf.sprintf "\"sim_disabled_s\":%s,\"sim_enabled_s\":%s,\"ratio\":%s"
-          (num t_off) (num t_on) (num ratio)
-      in
-      write_snapshot name
-        ~note:(Printf.sprintf " (recording overhead %.2fx)" ratio)
-        (report env g s r ~overhead))
+      let plain = Elk_sim.Sim.run env.D.ctx s in
+      if r.Elk_sim.Sim.total <> plain.Elk_sim.Sim.total then
+        fail "RECORDING PERTURBED THE TIMELINE"
+          (Printf.sprintf "%.9g vs %.9g" r.Elk_sim.Sim.total plain.Elk_sim.Sim.total);
+      write_snapshot name (report env g s r))
 
 (* The [elk mem]/[elk noc] snapshot shape: the CLI's JSON with the
-   design and the overhead record spliced after the opening brace, so
-   the Tracediff core keeps its shape. *)
-let splice_overhead ~overhead body =
-  Printf.sprintf "{\"design\":%S,\"overhead\":{%s},%s\n" (B.name B.Elk_full) overhead
+   design spliced after the opening brace, so the Tracediff core keeps
+   its shape. *)
+let with_design body =
+  Printf.sprintf "{\"design\":%S,%s\n" (B.name B.Elk_full)
     (String.sub body 1 (String.length body - 1))
 
 (* The causal critical path in the [elk critpath --json-out] shape (plus
-   the overhead record and the event count), so CI can [elk trace diff]
+   the model and design), so test/cram/snapshots.t can [elk trace diff]
    a fresh snapshot against the committed copy.  Segments pre-aggregate
    by (name, kind, resource) — the same key Tracediff folds on — and
-   values round to 4 significant digits, like BENCH_attrib.json. *)
+   values round to 4 significant digits, like BENCH_attrib.json.  Both
+   checks [elk critpath] runs must pass. *)
 let critpath_bench () =
   recorded_snapshot "critpath" ~record:(fun ctx s -> Elk_sim.Sim.run ~events:true ctx s)
-    (fun _ g s r ~overhead ->
+    (fun _ g s r ->
       let module Cp = Elk_sim.Critpath in
+      let module A = Elk_analyze.Analyze in
       let ev = Option.get r.Elk_sim.Sim.events in
-      (match Cp.check ev ~total:r.Elk_sim.Sim.total with
-      | Ok () -> ()
-      | Error m -> Printf.printf "CRITPATH LEAK: %s\n" m);
+      check "CRITPATH LEAK" (Cp.check ev ~total:r.Elk_sim.Sim.total);
       let sum = Cp.extract ev in
+      check "CRITPATH/ATTRIBUTION CROSS-CHECK FAILED"
+        (A.headroom_check (A.analyze s.Elk.Schedule.graph r) sum);
       Cp.print ~top:5 ~top_segments:8 s.Elk.Schedule.graph sum;
       let num v = Printf.sprintf "%.4g" v in
       let tbl = Hashtbl.create 64 and order = ref [] in
@@ -1194,128 +1184,33 @@ let critpath_bench () =
       Printf.sprintf
         "{\"model\":%S,\"design\":%S,\"total\":%s,\"dominant\":%S,\n\
          \"resource_seconds\":%s,\n\
-         \"overhead\":{%s,\"events\":%d},\n\"segments\":[\n%s\n]}\n"
+         \"events\":%d,\n\"segments\":[\n%s\n]}\n"
         (Graph.name g) (B.name B.Elk_full) (num sum.Cp.total)
         (Cp.resource_name (Cp.dominant sum))
-        res_obj overhead (Array.length ev)
+        res_obj (Array.length ev)
         (String.concat ",\n" seg_rows))
 
 (* The headline run's SRAM residency report, in the [elk mem --json-out]
    shape. *)
 let mem_bench () =
   recorded_snapshot "mem" ~record:(fun ctx s -> Elk_sim.Sim.run ~mem:true ctx s)
-    (fun env _ s r ~overhead ->
+    (fun env _ s r ->
       let module Mp = Elk_analyze.Memprof in
       let rep = Mp.analyze env.D.ctx s r in
-      (match Mp.check rep with
-      | Ok () -> ()
-      | Error m -> Printf.printf "MEMORY INVARIANT VIOLATED: %s\n" m);
+      check "MEMORY INVARIANT VIOLATED" (Mp.check rep);
       Mp.print ~top:5 rep;
-      splice_overhead ~overhead (Mp.to_json ~top:8 rep))
+      with_design (Mp.to_json ~top:8 rep))
 
 (* The headline run's interconnect congestion report, in the
    [elk noc --json-out] shape. *)
 let noc_bench () =
   recorded_snapshot "noc" ~record:(fun ctx s -> Elk_sim.Sim.run ~noc:true ctx s)
-    (fun _ _ s r ~overhead ->
+    (fun _ _ s r ->
       let module Np = Elk_analyze.Nocprof in
       let rep = Np.analyze s r in
-      (match Np.check rep with
-      | Ok () -> ()
-      | Error m -> Printf.printf "INTERCONNECT INVARIANT VIOLATED: %s\n" m);
+      check "INTERCONNECT INVARIANT VIOLATED" (Np.check rep);
       Np.print ~top:5 rep;
-      splice_overhead ~overhead (Np.to_json ~top:8 rep))
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one per table/figure                    *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  let open Bechamel in
-  let env = Lazy.force default_env in
-  let g = Elk.Sharding.shard_graph ~chips:4 (decode llama13b ~batch:32) in
-  let node = Graph.get g 2 in
-  let capacity = Elk_arch.Arch.usable_sram_per_core env.D.pod.Elk_arch.Arch.chip in
-  let cost = P.ctx_cost env.D.ctx in
-  let sched = lazy (Elk.Scheduler.run env.D.ctx g) in
-  (* Fresh contexts here measure cold enumeration; shared memo tables
-     would hand them the warm results and time a hash lookup instead. *)
-  let was_sharing = P.memo_sharing () in
-  P.set_memo_sharing false;
-  let fresh_ctx () = P.make_ctx cost in
-  let tests =
-    [
-      Test.make ~name:"table2:plan-enumeration"
-        (Staged.stage (fun () -> P.enumerate (fresh_ctx ()) node.Graph.op));
-      Test.make ~name:"fig5:exec-frontier"
-        (Staged.stage (fun () -> P.exec_frontier (fresh_ctx ()) node.Graph.op));
-      Test.make ~name:"fig6-8:static-plan"
-        (Staged.stage (fun () ->
-             B.static_schedule env.D.ctx g ~preload_budget:(0.4 *. capacity)
-               ~use_max_popt:true));
-      Test.make ~name:"fig12:predict-exec"
-        (Staged.stage (fun () ->
-             Elk_cost.Costmodel.predict_exec cost ~kind:"matmul" ~iter:[| 32; 64; 64 |]));
-      Test.make ~name:"fig16:alloc-step"
-        (Staged.stage (fun () ->
-             Elk.Alloc.allocate env.D.ctx ~capacity ~exec_op:node ~window:[]));
-      Test.make ~name:"fig17:timeline-eval"
-        (Staged.stage (fun () -> Elk.Timeline.evaluate env.D.ctx (Lazy.force sched)));
-      Test.make ~name:"fig18:sim-run"
-        (Staged.stage (fun () -> Elk_sim.Sim.run env.D.ctx (Lazy.force sched)));
-      Test.make ~name:"fig19-24:hbm-read"
-        (Staged.stage
-           (let dev = Elk_hbm.Hbm.create Elk_hbm.Hbm.hbm3e_module in
-            fun () -> Elk_hbm.Hbm.read dev ~now:0. ~offset:0. ~bytes:1e6));
-      Test.make ~name:"ablation:alloc-window"
-        (Staged.stage
-           (let window =
-              List.init 4 (fun i ->
-                  let n = Graph.get g ((i * 5) + 2) in
-                  Elk.Alloc.frontier env.D.ctx n (P.fastest_plan env.D.ctx n.Graph.op))
-            in
-            fun () -> Elk.Alloc.allocate env.D.ctx ~capacity ~exec_op:node ~window));
-      Test.make ~name:"pipeline:stage-partition"
-        (Staged.stage (fun () -> Elk_pipeline.Pipeline.plan env.D.ctx g ~stages:4));
-      Test.make ~name:"gpu:clustered-route"
-        (Staged.stage
-           (let cnoc =
-              Elk_noc.Noc.create (Elk_arch.Arch.Presets.gpu_like_chip ())
-            in
-            fun () ->
-              Elk_noc.Noc.route cnoc ~src:(Elk_noc.Noc.Core 0) ~dst:(Elk_noc.Noc.Core 33)));
-      Test.make ~name:"compat:fusion-pass"
-        (Staged.stage (fun () -> Elk.Fusion.fuse (decode llama13b ~batch:32)));
-      Test.make ~name:"serve:plan-export"
-        (Staged.stage (fun () -> Elk.Planio.export (Lazy.force sched)));
-      Test.make ~name:"cache:graph-digest"
-        (Staged.stage (fun () -> Elk.Compilecache.graph_digest g));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.25) () in
-  let raw =
-    Benchmark.all cfg
-      [ Toolkit.Instance.monotonic_clock ]
-      (Test.make_grouped ~name:"elk" tests)
-  in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let t =
-    Table.create ~title:"Bechamel micro-benchmarks (per-call cost of each experiment's kernel)"
-      ~columns:[ "benchmark"; "time/run" ]
-  in
-  let rows = Hashtbl.fold (fun name v acc -> (name, v) :: acc) results [] in
-  List.iter
-    (fun (name, v) ->
-      match Analyze.OLS.estimates v with
-      | Some (est :: _) ->
-          Table.add_row t [ name; Format.asprintf "%a" Units.pp_time (est *. 1e-9) ]
-      | _ -> Table.add_row t [ name; "n/a" ])
-    (List.sort compare rows);
-  Table.print t;
-  P.set_memo_sharing was_sharing
+      with_design (Np.to_json ~top:8 rep))
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                             *)
@@ -1351,7 +1246,6 @@ let experiments =
     ("critpath", critpath_bench);
     ("mem", mem_bench);
     ("noc", noc_bench);
-    ("micro", micro);
   ]
 
 let () =
@@ -1360,14 +1254,16 @@ let () =
     | _ :: (_ :: _ as names) -> names
     | _ -> List.map fst experiments
   in
+  (* Reject a mistyped name before running anything. *)
+  (match List.find_opt (fun name -> not (List.mem_assoc name experiments)) requested with
+  | Some name ->
+      Printf.eprintf "unknown experiment %S; available: %s\n" name
+        (String.concat ", " (List.map fst experiments));
+      exit 2
+  | None -> ());
   List.iter
     (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f ->
-          let t0 = Unix.gettimeofday () in
-          f ();
-          Printf.printf "[%s done in %.1fs]\n\n%!" name (Unix.gettimeofday () -. t0)
-      | None ->
-          Printf.printf "unknown experiment %S; available: %s\n" name
-            (String.concat ", " (List.map fst experiments)))
+      let t0 = Unix.gettimeofday () in
+      (List.assoc name experiments) ();
+      Printf.printf "[%s done in %.1fs]\n\n%!" name (Unix.gettimeofday () -. t0))
     requested

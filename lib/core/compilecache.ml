@@ -6,15 +6,10 @@ module Metrics = Elk_obs.Metrics
 (* ------------------------------------------------------------------ *)
 (* Enablement.                                                         *)
 
-(* [ELK_COMPILE_CACHE] is read once, by Partition, whose memo sharing
-   this flag switches together with the caches below. *)
-let enabled_flag = ref (P.memo_sharing ())
-
-let enabled () = !enabled_flag
-
-let set_enabled v =
-  enabled_flag := v;
-  P.set_memo_sharing v
+(* One switch for every cache: Partition's memo sharing, which reads
+   [ELK_COMPILE_CACHE] once at startup, also gates the caches below. *)
+let enabled = P.memo_sharing
+let set_enabled = P.set_memo_sharing
 
 (* ------------------------------------------------------------------ *)
 (* Stats: plain process-global counters, always recorded (unlike

@@ -25,12 +25,15 @@
 
 val enabled : unit -> bool
 (** Whether the compile caches are active (default: yes, unless
-    [ELK_COMPILE_CACHE=0] was set at startup). *)
+    [ELK_COMPILE_CACHE=0] was set at startup).  This is
+    {!Elk_partition.Partition.memo_sharing}. *)
 
 val set_enabled : bool -> unit
-(** Toggle all compile caches, including
-    {!Elk_partition.Partition.set_memo_sharing}.  Existing entries are
-    kept (re-enabling resumes warm); call {!reset} for a cold start. *)
+(** Toggle all compile caches.  This is
+    {!Elk_partition.Partition.set_memo_sharing}, the one switch, so the
+    partition memos' cross-context sharing toggles with them.  Existing
+    entries are kept (re-enabling resumes warm); call {!reset} for a cold
+    start. *)
 
 (** {1 Counters} *)
 

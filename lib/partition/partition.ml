@@ -97,8 +97,9 @@ type ctx = {
    values are pure functions of (key, fingerprint) and keys hold every
    field the values depend on.  Disable with [ELK_COMPILE_CACHE=0] or
    {!set_memo_sharing} (fresh private tables per context, the pre-cache
-   behavior).  This is the one place the environment switch is read:
-   Compilecache's own flag starts from {!memo_sharing}. *)
+   behavior).  This is the one place the environment switch is read, and
+   the one switch: [Compilecache.enabled]/[set_enabled] are this pair, so
+   it gates the compiler's other caches too. *)
 let sharing =
   ref (match Sys.getenv_opt "ELK_COMPILE_CACHE" with Some "0" -> false | _ -> true)
 

@@ -45,7 +45,8 @@ val set_memo_sharing : bool -> unit
     [ELK_COMPILE_CACHE=0]).  When on, {!make_ctx} calls with equal
     fingerprints return contexts backed by the same memo tables, so
     enumeration work persists across compiles.  When off, every context
-    gets fresh private tables. *)
+    gets fresh private tables.  [Elk.Compilecache.set_enabled] is this
+    function: one switch for every compile cache. *)
 
 val memo_sharing : unit -> bool
 
