@@ -507,6 +507,19 @@ let views =
       };
   ]
 
+(* A time-series window width: a positive, finite number of seconds. *)
+let seconds_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some w when Float.is_finite w && w > 0. -> Ok w
+    | _ ->
+        Error
+          (`Msg
+            (Printf.sprintf
+               "invalid value '%s', expected a positive finite number of seconds" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 (* Every view runs the same way: plan, simulate with the row's
    recorders, analyze, check (a violation exits 1), print, then the JSON
    snapshot, the gauges, the trace with the row's extra tracks, and the
@@ -535,7 +548,7 @@ let view_cmd (View v) =
     match v.window with
     | None -> Term.const None
     | Some doc ->
-        Arg.(value & opt (some float) None & info [ "window" ] ~docv:"SECONDS" ~doc)
+        Arg.(value & opt (some seconds_conv) None & info [ "window" ] ~docv:"SECONDS" ~doc)
   in
   let top_segments_t =
     match v.top_segments with

@@ -5,7 +5,10 @@
    link reservation the two fluid fabrics made — into per-link rows
    (volume, class breakdown, busy time, utilization), Timeseries
    utilization gauges over simulated time, hop-count histograms and,
-   on 2D meshes, an ASCII heatmap.  The static view is a Noc.Load
+   on 2D meshes, an ASCII heatmap.  The record is indexed once per
+   report (by link and by op and class), each link's busy union is
+   computed once, and [check] reuses the index, so a report is linear
+   in the record apart from sorting.  The static view is a Noc.Load
    mirror of the schedule's communication: the same preload fan-out,
    distribution ring and exchange ring the simulator executes, booked
    with Load.add.  [check] gates the two against each other link by
@@ -61,6 +64,7 @@ type report = {
   hops : (int * int * float) list;  (* hop histogram *)
   mean_hops : float;  (* byte-weighted mean route length *)
   trace : Nt.t;
+  index : Nt.index;
   series : Ts.t;
   series_names : string list;
   port_attrib : (float * float) array;  (* per op: recomputed vs Perfcore a_port *)
@@ -108,26 +112,64 @@ let static_load noc (s : Elk.Schedule.t) =
 
 let series_of_link name = "noc_link_util:" ^ name
 
-(* Merge intervals into their union (inputs sorted by start). *)
-let union_intervals ivs =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | (a, b) :: rest -> (
-        match acc with
-        | (ca, cb) :: tl when a <= cb -> go ((ca, Float.max cb b) :: tl) rest
-        | _ -> go ((a, b) :: acc) rest)
+(* The union of one link's busy intervals across both class groups,
+   each list sorted by start: the groups are merged by start (preload
+   first on ties) and swept once. *)
+let union_intervals pre exch =
+  let add acc ((a, b) as iv) =
+    match acc with
+    | (ca, cb) :: tl when a <= cb -> (ca, Float.max cb b) :: tl
+    | _ -> iv :: acc
   in
-  go [] (List.sort (fun (a, _) (b, _) -> Float.compare a b) ivs)
+  let rec go acc pre exch =
+    match (pre, exch) with
+    | [], [] -> List.rev acc
+    | iv :: pre, [] -> go (add acc iv) pre []
+    | [], iv :: exch -> go (add acc iv) [] exch
+    | ((a, _) as p) :: pre', ((b, _) as e) :: exch' ->
+        if Float.compare a b <= 0 then go (add acc p) pre' exch
+        else go (add acc e) pre exch'
+  in
+  go [] pre exch
+
+(* Ascending bottom-up merge sort of a float array, comparing unboxed
+   floats ([Array.sort] boxes both operands of every comparison). *)
+let sort_floats a =
+  let n = Array.length a in
+  let src = ref a and dst = ref (Array.make n 0.) and width = ref 1 in
+  while !width < n do
+    let s = !src and d = !dst in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = min n (!lo + !width) and hi = min n (!lo + (2 * !width)) in
+      let i = ref !lo and j = ref mid in
+      for k = !lo to hi - 1 do
+        if !j >= hi || (!i < mid && s.(!i) <= s.(!j)) then begin
+          d.(k) <- s.(!i);
+          incr i
+        end
+        else begin
+          d.(k) <- s.(!j);
+          incr j
+        end
+      done;
+      lo := hi
+    done;
+    src := d;
+    dst := s;
+    width := 2 * !width
+  done;
+  if !src != a then Array.blit !src 0 a 0 n
 
 (* The trace's queueing waits of one op's distribution and exchange
    phases, each capped at its phase's length as the simulator caps it. *)
-let trace_port_waits trace ~op (o : Elk_sim.Sim.op_trace) =
+let trace_port_waits index ~op (o : Elk_sim.Sim.op_trace) =
   ( Float.min
       (o.Elk_sim.Sim.dist_end -. o.Elk_sim.Sim.exe_start)
-      (Nt.max_wait trace ~op ~cls:Nt.Distribute),
+      (Nt.max_wait index ~op ~cls:Nt.Distribute),
     Float.min
       (o.Elk_sim.Sim.exe_end -. o.Elk_sim.Sim.compute_end)
-      (Nt.max_wait trace ~op ~cls:Nt.Exchange) )
+      (Nt.max_wait index ~op ~cls:Nt.Exchange) )
 
 let analyze ?window ?(top_series = 5) (s : Elk.Schedule.t)
     (r : Elk_sim.Sim.result) =
@@ -150,6 +192,7 @@ let analyze ?window ?(top_series = 5) (s : Elk.Schedule.t)
         Printf.sprintf "clustered/%d" cluster_size
   in
   let load = static_load noc s in
+  let index = Nt.index trace in
   let stats = Nt.link_stats trace in
   let rows =
     List.map
@@ -203,7 +246,7 @@ let analyze ?window ?(top_series = 5) (s : Elk.Schedule.t)
   let port_attrib =
     Array.mapi
       (fun op o ->
-        let port_d, port_e = trace_port_waits trace ~op o in
+        let port_d, port_e = trace_port_waits index ~op o in
         ( port_d +. port_e,
           r.Elk_sim.Sim.perf.Elk_sim.Perfcore.per_op.(op)
             .Elk_sim.Perfcore.a_port ))
@@ -218,10 +261,13 @@ let analyze ?window ?(top_series = 5) (s : Elk.Schedule.t)
   in
   let series = Ts.create ~window () in
   let top_links = List.filteri (fun i _ -> i < top_series) hot in
-  let link_union row =
-    let pre, exch = Nt.busy_intervals trace ~link:row.l_link in
-    union_intervals (pre @ exch)
-  in
+  let unions = Array.make (N.num_links noc) [] in
+  List.iter
+    (fun row ->
+      let id = N.link_id noc row.l_link in
+      let pre, exch = Nt.busy_intervals index ~link:id in
+      unions.(id) <- union_intervals pre exch)
+    rows;
   List.iter
     (fun row ->
       let name = series_of_link row.l_name in
@@ -231,23 +277,36 @@ let analyze ?window ?(top_series = 5) (s : Elk.Schedule.t)
         (fun (a, b) ->
           Ts.set series name ~time:a 1.;
           Ts.set series name ~time:b 0.)
-        (link_union row))
+        unions.(N.link_id noc row.l_link))
     top_links;
-  let busy_events =
-    List.concat_map
-      (fun row -> List.concat_map (fun (a, b) -> [ (a, 1.); (b, -1.) ]) (link_union row))
-      rows
-    |> List.sort (fun (ta, da) (tb, db) -> compare (ta, da) (tb, db))
-  in
+  (* The busy-link count steps +1 at each union interval's start and -1
+     at its end; at equal times the -1 goes first. *)
+  let n_iv = Array.fold_left (fun n u -> n + List.length u) 0 unions in
+  let ups = Array.make n_iv 0. and downs = Array.make n_iv 0. in
+  let k = ref 0 in
+  Array.iter
+    (List.iter (fun (a, b) ->
+         ups.(!k) <- a;
+         downs.(!k) <- b;
+         incr k))
+    unions;
+  sort_floats ups;
+  sort_floats downs;
   Ts.set series "noc_busy_links" ~time:0. 0.
     ~help:"Links holding at least one reservation";
-  ignore
-    (List.fold_left
-       (fun level (t, d) ->
-         let level = level +. d in
-         Ts.set series "noc_busy_links" ~time:t level;
-         level)
-       0. busy_events);
+  let level = ref 0. and i = ref 0 and j = ref 0 in
+  while !i < n_iv || !j < n_iv do
+    if !j < n_iv && (!i >= n_iv || Float.compare downs.(!j) ups.(!i) <= 0) then begin
+      level := !level -. 1.;
+      Ts.set series "noc_busy_links" ~time:downs.(!j) !level;
+      incr j
+    end
+    else begin
+      level := !level +. 1.;
+      Ts.set series "noc_busy_links" ~time:ups.(!i) !level;
+      incr i
+    end
+  done;
   let series_names =
     List.map (fun row -> series_of_link row.l_name) top_links
     @ [ "noc_busy_links" ]
@@ -280,6 +339,7 @@ let analyze ?window ?(top_series = 5) (s : Elk.Schedule.t)
     hops;
     mean_hops;
     trace;
+    index;
     series;
     series_names;
     port_attrib;
@@ -340,7 +400,7 @@ let check rep =
                 Array.find_mapi
                   (fun op (o : Elk_sim.Sim.op_trace) ->
                     let got, want = rep.port_attrib.(op) in
-                    let port_d, port_e = trace_port_waits rep.trace ~op o in
+                    let port_d, port_e = trace_port_waits rep.index ~op o in
                     let phase cls sim trace =
                       if rel_err sim trace > drift_eps then
                         Some
@@ -380,7 +440,8 @@ let check rep =
                           go ivs
                         in
                         let pre, exch =
-                          Nt.busy_intervals rep.trace ~link:row.l_link
+                          Nt.busy_intervals rep.index
+                            ~link:(N.link_id rep.noc row.l_link)
                         in
                         match check_cls "preload" pre with
                         | Some x -> Some x

@@ -12,7 +12,9 @@
     simulator executes them.  {!check} gates the two against each
     other link by link, and the trace's queueing waits against
     {!Elk_sim.Perfcore}'s per-op port attribution and the simulator's
-    per-op distribute/exchange port waits. *)
+    per-op distribute/exchange port waits.  {!analyze} indexes the
+    record once ({!Elk_sim.Noctrace.index}) and {!check} reuses that
+    index. *)
 
 type link_row = {
   l_link : Elk_noc.Noc.link;
@@ -46,6 +48,7 @@ type report = {
   hops : (int * int * float) list;  (** (hops, transfers, bytes) rows. *)
   mean_hops : float;  (** byte-weighted mean route length. *)
   trace : Elk_sim.Noctrace.t;
+  index : Elk_sim.Noctrace.index;  (** [trace]'s index, built once by {!analyze}. *)
   series : Elk_obs.Timeseries.t;
   series_names : string list;
   port_attrib : (float * float) array;

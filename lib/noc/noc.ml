@@ -9,15 +9,42 @@ type link =
   | Hbm_edge of { ctrl : int; entry : int }
   | L2_fabric
 
-type t = { chip : Arch.chip; rows : int; cols : int }
+type path = {
+  src : node;
+  dst : node;
+  ids : int array;
+  latency : float;
+  bottleneck : float;
+}
 
-let create chip =
-  (match Arch.validate_chip chip with
-  | Ok () -> ()
-  | Error m -> invalid_arg ("Noc.create: " ^ m));
-  match chip.Arch.topology with
-  | Arch.All_to_all | Arch.Clustered _ -> { chip; rows = 1; cols = chip.Arch.cores }
-  | Arch.Mesh2d { rows; cols } -> { chip; rows; cols }
+module Int_tbl = Hashtbl.Make (Int)
+
+(* Links carry dense ids, assigned at construction in compare_link order
+   (structural order: the constant L2_fabric first, then constructors in
+   declaration order, then fields in order), so id order is the canonical
+   order.  The ids form blocks:
+     all-to-all, clustered: [l2_fabric] port_in(core 0..n-1)
+       port_out(core 0..n-1) port_out(hbm 0..h-1)
+     mesh: port_out(hbm 0..h-1), edges by (from, to), hbm edges by
+       (ctrl, entry)
+   and [link_id] finds an id from the block offsets.  [paths] holds the
+   routes this instance has been asked for, keyed by the (src, dst) node
+   pair: a sparse table filled on first use, never all node pairs. *)
+type t = {
+  chip : Arch.chip;
+  rows : int;
+  cols : int;
+  ports : int;  (* id of port_in(core 0); -1 on a mesh *)
+  ctrl_out : int;  (* id of port_out(hbm 0) *)
+  edge_base : int array;
+      (* mesh: ids edge_base.(c) to edge_base.(c + 1) - 1 are core c's
+         outgoing edges *)
+  entry_base : int array;
+      (* mesh: ids entry_base.(h) to entry_base.(h + 1) - 1 are
+         controller h's entry edges *)
+  links : link array;  (* by id *)
+  paths : path Int_tbl.t;
+}
 
 let chip t = t.chip
 let cores t = t.chip.Arch.cores
@@ -62,6 +89,123 @@ let entry_core_for t h dst =
   let _, dst_col = coord t dst in
   core_at t row (max lo (min hi dst_col))
 
+(* A mesh core's neighbours in ascending core order: up, left, right,
+   down. *)
+let neighbours t c =
+  let r, col = coord t c in
+  List.filter_map
+    (fun (ok, n) -> if ok then Some n else None)
+    [ (r > 0, c - t.cols); (col > 0, c - 1); (col < t.cols - 1, c + 1);
+      (r < t.rows - 1, c + t.cols) ]
+
+let create chip =
+  (match Arch.validate_chip chip with
+  | Ok () -> ()
+  | Error m -> invalid_arg ("Noc.create: " ^ m));
+  let n = chip.Arch.cores and nc = chip.Arch.hbm_controllers in
+  let rev = ref [] and next = ref 0 in
+  let add l =
+    rev := l :: !rev;
+    incr next
+  in
+  let ctrl_ports () =
+    let first = !next in
+    for h = 0 to nc - 1 do
+      add (Port_out (Hbm h))
+    done;
+    first
+  in
+  let t =
+    { chip; rows = 1; cols = n; ports = -1; ctrl_out = 0; edge_base = [||];
+      entry_base = [||]; links = [||]; paths = Int_tbl.create 64 }
+  in
+  let t =
+    match chip.Arch.topology with
+    | Arch.All_to_all | Arch.Clustered _ ->
+        if cluster_of t 0 <> None then add L2_fabric;
+        let ports = !next in
+        for c = 0 to n - 1 do
+          add (Port_in (Core c))
+        done;
+        for c = 0 to n - 1 do
+          add (Port_out (Core c))
+        done;
+        { t with ports; ctrl_out = ctrl_ports () }
+    | Arch.Mesh2d { rows; cols } ->
+        let t = { t with rows; cols; ctrl_out = ctrl_ports () } in
+        let edge_base = Array.make (n + 1) 0 in
+        for c = 0 to n - 1 do
+          edge_base.(c) <- !next;
+          List.iter (fun d -> add (Edge { from_core = c; to_core = d })) (neighbours t c)
+        done;
+        edge_base.(n) <- !next;
+        let entry_base = Array.make (nc + 1) 0 in
+        for h = 0 to nc - 1 do
+          entry_base.(h) <- !next;
+          let row, lo, hi = ctrl_strip t h in
+          for col = lo to hi do
+            add (Hbm_edge { ctrl = h; entry = core_at t row col })
+          done
+        done;
+        entry_base.(nc) <- !next;
+        { t with edge_base; entry_base }
+  in
+  { t with links = Array.of_list (List.rev !rev) }
+
+let num_links t = Array.length t.links
+
+let link_of_id t id =
+  if id < 0 || id >= num_links t then invalid_arg "Noc.link_of_id: no such link id";
+  t.links.(id)
+
+(* The id of [l], or -1 when [l] is not a link of this chip. *)
+let find_id t l =
+  let core c = c >= 0 && c < cores t in
+  let ctrl h = h >= 0 && h < t.chip.Arch.hbm_controllers in
+  (* A mesh link lies in a short block of ids: scan it. *)
+  let rec scan id last =
+    if id > last then -1 else if t.links.(id) = l then id else scan (id + 1) last
+  in
+  match l with
+  | L2_fabric when cluster_of t 0 <> None -> 0
+  | Port_in (Core c) when t.ports >= 0 && core c -> t.ports + c
+  | Port_out (Core c) when t.ports >= 0 && core c -> t.ports + cores t + c
+  | Port_out (Hbm h) when ctrl h -> t.ctrl_out + h
+  | Edge { from_core = c; _ } when is_mesh t && core c ->
+      scan t.edge_base.(c) (t.edge_base.(c + 1) - 1)
+  | Hbm_edge { ctrl = h; _ } when is_mesh t && ctrl h ->
+      scan t.entry_base.(h) (t.entry_base.(h + 1) - 1)
+  | _ -> -1
+
+let link_name (l : link) =
+  match l with
+  | Port_in (Core c) -> Printf.sprintf "port_in(core %d)" c
+  | Port_in (Hbm h) -> Printf.sprintf "port_in(hbm %d)" h
+  | Port_out (Core c) -> Printf.sprintf "port_out(core %d)" c
+  | Port_out (Hbm h) -> Printf.sprintf "port_out(hbm %d)" h
+  | Edge { from_core; to_core } -> Printf.sprintf "edge(%d->%d)" from_core to_core
+  | Hbm_edge { ctrl; entry } -> Printf.sprintf "hbm_edge(%d->%d)" ctrl entry
+  | L2_fabric -> "l2_fabric"
+
+let link_id t l =
+  let id = find_id t l in
+  if id < 0 then invalid_arg ("Noc.link_id: " ^ link_name l ^ " is not a link of this chip");
+  id
+
+let link_bandwidth t = function
+  | Port_in (Core _) | Port_out (Core _) -> t.chip.Arch.intercore_link.Arch.bandwidth
+  | Port_in (Hbm _) | Port_out (Hbm _) -> per_ctrl_bw t
+  | Edge _ -> t.chip.Arch.intercore_link.Arch.bandwidth
+  | Hbm_edge _ ->
+      (* The controller's pipe into its boundary strip runs at the
+         controller's rate; the mesh-internal hops behind the entry are
+         where the delivery contends. *)
+      per_ctrl_bw t
+  | L2_fabric -> (
+      match t.chip.Arch.topology with
+      | Arch.Clustered { l2_bandwidth; _ } -> l2_bandwidth
+      | _ -> invalid_arg "Noc.link_bandwidth: L2 on a non-clustered chip")
+
 let mesh_route t src dst =
   (* Dimension-order: walk columns first, then rows. *)
   let r0, c0 = coord t src and r1, c1 = coord t dst in
@@ -79,9 +223,7 @@ let mesh_route t src dst =
   done;
   List.rev !edges
 
-let route t ~src ~dst =
-  check_node t src "route";
-  check_node t dst "route";
+let compute_route t ~src ~dst =
   if src = dst then []
   else
     match (src, dst) with
@@ -103,34 +245,40 @@ let route t ~src ~dst =
           [ Port_out (Hbm h); L2_fabric; Port_in (Core d) ]
         else [ Port_out (Hbm h); Port_in (Core d) ]
 
-let hops t ~src ~dst = List.length (route t ~src ~dst)
+let node_index t = function Core c -> c | Hbm h -> cores t + h
 
-let link_bandwidth t = function
-  | Port_in (Core _) | Port_out (Core _) -> t.chip.Arch.intercore_link.Arch.bandwidth
-  | Port_in (Hbm _) | Port_out (Hbm _) -> per_ctrl_bw t
-  | Edge _ -> t.chip.Arch.intercore_link.Arch.bandwidth
-  | Hbm_edge _ ->
-      (* The controller's pipe into its boundary strip runs at the
-         controller's rate; the mesh-internal hops behind the entry are
-         where the delivery contends. *)
-      per_ctrl_bw t
-  | L2_fabric -> (
-      match t.chip.Arch.topology with
-      | Arch.Clustered { l2_bandwidth; _ } -> l2_bandwidth
-      | _ -> invalid_arg "Noc.link_bandwidth: L2 on a non-clustered chip")
+let path t ~src ~dst =
+  check_node t src "route";
+  check_node t dst "route";
+  let key =
+    (node_index t src * (cores t + t.chip.Arch.hbm_controllers)) + node_index t dst
+  in
+  match Int_tbl.find t.paths key with
+  | p -> p
+  | exception Not_found ->
+      let route = compute_route t ~src ~dst in
+      let p =
+        {
+          src;
+          dst;
+          ids = Array.of_list (List.map (link_id t) route);
+          latency =
+            float_of_int (max 1 (List.length route)) *. t.chip.Arch.intercore_link.Arch.latency;
+          bottleneck =
+            List.fold_left (fun bw l -> Float.min bw (link_bandwidth t l)) infinity route;
+        }
+      in
+      Int_tbl.add t.paths key p;
+      p
 
-let route_latency t ~src ~dst =
-  float_of_int (max 1 (hops t ~src ~dst)) *. t.chip.Arch.intercore_link.Arch.latency
+let route t ~src ~dst = Array.fold_right (fun id r -> t.links.(id) :: r) (path t ~src ~dst).ids []
+let hops t ~src ~dst = Array.length (path t ~src ~dst).ids
 
-let transfer_time t ~src ~dst ~bytes =
-  if bytes < 0. then invalid_arg "Noc.transfer_time: negative size";
-  if src = dst then 0.
-  else
-    let r = route t ~src ~dst in
-    let bottleneck =
-      List.fold_left (fun bw l -> Float.min bw (link_bandwidth t l)) infinity r
-    in
-    route_latency t ~src ~dst +. (bytes /. bottleneck)
+let path_time p ~bytes =
+  if bytes < 0. then invalid_arg "Noc.path_time: negative size";
+  if Array.length p.ids = 0 then 0. else p.latency +. (bytes /. p.bottleneck)
+
+let transfer_time t ~src ~dst ~bytes = path_time (path t ~src ~dst) ~bytes
 
 let hbm_ctrl_for_core t c =
   check_node t (Core c) "hbm_ctrl_for_core";
@@ -138,62 +286,38 @@ let hbm_ctrl_for_core t c =
 
 (* Structural compare is a total order on this variant (constructor
    declaration order, then field order) — deterministic, independent of
-   hash-table layout, and stable across runs and worker counts. *)
+   hash-table layout, and stable across runs and worker counts.  Link
+   ids follow it. *)
 let compare_link (a : link) (b : link) = Stdlib.compare a b
 
-let link_name (l : link) =
-  match l with
-  | Port_in (Core c) -> Printf.sprintf "port_in(core %d)" c
-  | Port_in (Hbm h) -> Printf.sprintf "port_in(hbm %d)" h
-  | Port_out (Core c) -> Printf.sprintf "port_out(core %d)" c
-  | Port_out (Hbm h) -> Printf.sprintf "port_out(hbm %d)" h
-  | Edge { from_core; to_core } -> Printf.sprintf "edge(%d->%d)" from_core to_core
-  | Hbm_edge { ctrl; entry } -> Printf.sprintf "hbm_edge(%d->%d)" ctrl entry
-  | L2_fabric -> "l2_fabric"
-
 module Load = struct
-  type loads = {
-    noc : t;
-    volumes : (link, float ref) Hashtbl.t;
-    mutable total : float;
-    mutable worst_latency : float;
-  }
+  type loads = { noc : t; volume : float array; touched : bool array }
 
-  let create noc = { noc; volumes = Hashtbl.create 64; total = 0.; worst_latency = 0. }
+  let create noc =
+    let n = num_links noc in
+    { noc; volume = Array.make n 0.; touched = Array.make n false }
 
   let add l ~src ~dst ~bytes =
     if bytes < 0. then invalid_arg "Noc.Load.add: negative size";
-    let r = route l.noc ~src ~dst in
-    List.iter
-      (fun link ->
-        match Hashtbl.find_opt l.volumes link with
-        | Some v -> v := !v +. bytes
-        | None -> Hashtbl.add l.volumes link (ref bytes))
-      r;
-    l.total <- l.total +. bytes;
-    if r <> [] then
-      l.worst_latency <- Float.max l.worst_latency (route_latency l.noc ~src ~dst)
+    Array.iter
+      (fun id ->
+        l.volume.(id) <- l.volume.(id) +. bytes;
+        l.touched.(id) <- true)
+      (path l.noc ~src ~dst).ids
 
   let volume_on l link =
-    match Hashtbl.find_opt l.volumes link with Some v -> !v | None -> 0.
+    let id = find_id l.noc link in
+    if id < 0 then 0. else l.volume.(id)
 
-  (* Canonical iteration over per-link volumes: sorted by {!compare_link}
-     so every consumer (busiest link, profiles, reports) sees links in
-     one deterministic order, whatever the hash-table layout. *)
+  (* Canonical iteration over per-link volumes: id order is compare_link
+     order, so every consumer (busiest link, profiles, reports) sees links
+     in one deterministic order. *)
   let fold l f init =
-    Hashtbl.fold (fun link v acc -> (link, !v) :: acc) l.volumes []
-    |> List.sort (fun (a, _) (b, _) -> compare_link a b)
-    |> List.fold_left (fun acc (link, vol) -> f acc link vol) init
-
-  let total_volume l = l.total
-
-  let makespan l =
-    let worst =
-      fold l
-        (fun acc link vol -> Float.max acc (vol /. link_bandwidth l.noc link))
-        0.
-    in
-    if worst = 0. then 0. else worst +. l.worst_latency
+    let acc = ref init in
+    Array.iteri
+      (fun id touched -> if touched then acc := f !acc l.noc.links.(id) l.volume.(id))
+      l.touched;
+    !acc
 
   let busiest l =
     fold l
@@ -203,35 +327,4 @@ module Load = struct
         | Some (_, best) when best >= time -> acc
         | _ -> Some (link, time))
       None
-
-  let mean_utilization l ~horizon =
-    if horizon <= 0. then 0.
-    else
-      let n = cores l.noc in
-      let sum = ref 0. in
-      for c = 0 to n - 1 do
-        let vol =
-          if is_mesh l.noc then
-            (* On a mesh the port view does not exist; approximate each
-               core's port load by the traffic on its outgoing edges. *)
-            List.fold_left ( +. ) 0.
-              (List.filter_map
-                 (fun link ->
-                   match link with
-                   | Edge { from_core; _ } when from_core = c -> Some (volume_on l link)
-                   | _ -> None)
-                 (Hashtbl.fold (fun k _ acc -> k :: acc) l.volumes []))
-          else volume_on l (Port_in (Core c)) +. volume_on l (Port_out (Core c))
-        in
-        let bw = l.noc.chip.Arch.intercore_link.Arch.bandwidth in
-        let denominator = if is_mesh l.noc then bw *. 4. else bw *. 2. in
-        sum := !sum +. Float.min 1. (vol /. denominator /. horizon)
-      done;
-      !sum /. float_of_int n
 end
-
-let broadcast_time t ~src ~dsts ~bytes_per_dst =
-  check_node t src "broadcast_time";
-  let loads = Load.create t in
-  List.iter (fun d -> Load.add loads ~src ~dst:(Core d) ~bytes:bytes_per_dst) dsts;
-  Load.makespan loads

@@ -7,9 +7,16 @@
     under dimension-order (XY) routing and HBM controllers sit on the mesh
     edges.  This module gives both a common vocabulary: nodes, routes as
     link lists, per-link bandwidth, and a {!Load} accumulator that turns a
-    set of transfers into per-link volumes and a makespan estimate — the
-    quantity Elk's cost model uses for interconnect contention ("divide
-    total traffic by link bandwidth", §4.3). *)
+    set of transfers into per-link volumes — the quantity Elk's cost model
+    uses for interconnect contention ("divide total traffic by link
+    bandwidth", §4.3).
+
+    Every link of a chip has a dense id, in the canonical
+    {!compare_link} order, and each {!t} keeps a route table from
+    (src, dst) to a {!path} — link ids, latency and bottleneck
+    bandwidth — filled the first time a pair is asked for, so a
+    simulator reads one table entry per transfer and keeps per-link
+    state in arrays indexed by id. *)
 
 type node = Core of int | Hbm of int
 (** Interconnect endpoints: cores and HBM controllers of one chip. *)
@@ -29,11 +36,12 @@ type link =
           all inter-cluster and HBM traffic. *)
 
 type t
-(** Routing tables and capacities for one chip. *)
+(** Links, routing table and capacities for one chip. *)
 
 val create : Elk_arch.Arch.chip -> t
-(** Build the interconnect for a chip.  Raises [Invalid_argument] if the
-    chip fails {!Elk_arch.Arch.validate_chip}. *)
+(** Build the interconnect for a chip: O(links), no route is computed
+    until asked for.  Raises [Invalid_argument] if the chip fails
+    {!Elk_arch.Arch.validate_chip}. *)
 
 val chip : t -> Elk_arch.Arch.chip
 val cores : t -> int
@@ -42,10 +50,43 @@ val is_mesh : t -> bool
 val validate_node : t -> node -> bool
 (** Node exists on this chip. *)
 
+(** {2 Link ids} *)
+
+val num_links : t -> int
+(** Links a route can traverse on this chip: core ports and controller
+    output ports (plus the L2 on a clustered chip) on the all-to-all
+    fabric; controller output ports, directed edges and controller entry
+    edges on a mesh. *)
+
+val link_id : t -> link -> int
+(** The link's dense id in [0 .. num_links - 1].  Ids follow the
+    canonical order: [compare (link_id t a) (link_id t b) = compare_link a
+    b].  Raises [Invalid_argument] for a link this chip does not have. *)
+
+val link_of_id : t -> int -> link
+(** Inverse of {!link_id}.  Raises [Invalid_argument] out of range. *)
+
+(** {2 Routes} *)
+
+type path = private {
+  src : node;
+  dst : node;
+  ids : int array;  (** link ids traversed, in order; empty iff [src = dst]. *)
+  latency : float;  (** per-hop latency times hops (one hop at least). *)
+  bottleneck : float;
+      (** raw bandwidth of the slowest link on the route; [infinity] when
+          empty. *)
+}
+(** One entry of the route table. *)
+
+val path : t -> src:node -> dst:node -> path
+(** The table entry for [src] to [dst], computed on first use.  Raises
+    [Invalid_argument] on unknown nodes or on a core→HBM-controller route
+    (controllers only send). *)
+
 val route : t -> src:node -> dst:node -> link list
-(** Links traversed from [src] to [dst], in order.  The empty list when
-    [src = dst].  Raises [Invalid_argument] on unknown nodes or on a
-    core→HBM-controller route (controllers only send). *)
+(** Links traversed from [src] to [dst], in order (the {!path}'s ids).
+    The empty list when [src = dst].  Raises like {!path}. *)
 
 val hops : t -> src:node -> dst:node -> int
 (** Length of {!route}. *)
@@ -55,12 +96,13 @@ val link_bandwidth : t -> link -> float
     rate; HBM controller ports and entry edges at the per-controller HBM
     rate. *)
 
-val route_latency : t -> src:node -> dst:node -> float
-(** Sum of per-hop latencies along the route. *)
+val path_time : path -> bytes:float -> float
+(** Uncontended time to move [bytes] along a path: route latency plus
+    bytes over the bottleneck link bandwidth; 0 when [src = dst].
+    Raises [Invalid_argument] on a negative size. *)
 
 val transfer_time : t -> src:node -> dst:node -> bytes:float -> float
-(** Uncontended time to move [bytes]: route latency plus bytes over the
-    bottleneck link bandwidth. *)
+(** {!path_time} of the [src] to [dst] path. *)
 
 val hbm_ctrl_for_core : t -> int -> node
 (** The controller that serves a core's preload requests (cores are
@@ -68,13 +110,15 @@ val hbm_ctrl_for_core : t -> int -> node
 
 val compare_link : link -> link -> int
 (** A total order on links — the canonical ordering used by
-    {!Load.fold}, deterministic across runs and worker counts. *)
+    {!Load.fold}, deterministic across runs and worker counts.  Link ids
+    follow it. *)
 
 val link_name : link -> string
 (** Stable human-readable name, e.g. ["port_in(core 3)"],
     ["edge(3->4)"], ["hbm_edge(0->12)"]. *)
 
-(** Accumulate a set of transfers into per-link volumes. *)
+(** Accumulate a set of transfers into per-link volumes, a float array
+    by link id. *)
 module Load : sig
   type loads
 
@@ -85,30 +129,13 @@ module Load : sig
   val volume_on : loads -> link -> float
 
   val fold : loads -> ('a -> link -> float -> 'a) -> 'a -> 'a
-  (** [fold l f init] folds [f] over every (link, volume) pair in the
-      canonical {!compare_link} order — deterministic whatever the
-      insertion order, so consumers never re-enumerate links by hand.
-      {!busiest} and {!makespan} are folds over this. *)
-
-  val total_volume : loads -> float
-  (** Sum over transfers of [bytes] (counted once per transfer, not per
-      hop). *)
-
-  val makespan : loads -> float
-  (** Lower bound on completion time with perfect scheduling: the maximum
-      over links of [volume / bandwidth], plus the worst route latency
-      seen. *)
+  (** [fold l f init] folds [f] over every (link, volume) pair of the
+      links some {!add} routed over, in id order — the canonical
+      {!compare_link} order, whatever the insertion order.  {!busiest}
+      is a fold over this. *)
 
   val busiest : loads -> (link * float) option
   (** Most loaded link by transfer time [volume / bandwidth]; ties
       resolve to the link earliest in the canonical {!compare_link}
       order. *)
-
-  val mean_utilization : loads -> horizon:float -> float
-  (** Average over {e core} ports of [volume / bandwidth / horizon] —
-    the "interconnect bandwidth utilization" metric of Fig 18(c). *)
 end
-
-val broadcast_time : t -> src:node -> dsts:int list -> bytes_per_dst:float -> float
-(** Time for [src] to deliver [bytes_per_dst] to every destination core:
-    the {!Load.makespan} of the per-destination transfers. *)

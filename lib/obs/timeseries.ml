@@ -88,6 +88,19 @@ type point = {
   p99 : float;
 }
 
+(* A series' events in time order, same-time events in recording order
+   (storage is newest first).  Recorders mostly emit in time order, so
+   the stable sort runs only when the recording order is not already
+   chronological. *)
+let chronological s =
+  let events = List.rev s.s_events in
+  let rec in_order = function
+    | (a, _) :: ((b, _) :: _ as rest) -> Float.compare a b <= 0 && in_order rest
+    | _ -> true
+  in
+  if in_order events then events
+  else List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) events
+
 (* Half-open windows [i*w, (i+1)*w): a sample landing exactly on an edge
    belongs to the window the edge *opens*. *)
 let index t time = int_of_float (Float.floor (time /. t.width))
@@ -131,13 +144,7 @@ let points t ?horizon name =
       let total = total_windows t ?horizon s in
       let n = min t.capacity total in
       let first = total - n in
-      let events =
-        (* newest-first storage, stable sort on time keeps same-time
-           events in recording order *)
-        List.stable_sort
-          (fun (a, _) (b, _) -> Float.compare a b)
-          (List.rev s.s_events)
-      in
+      let events = chronological s in
       let buckets = Array.make n [] in
       let counts = Array.make n 0 in
       (* carried state across windows; events older than the ring still
@@ -293,11 +300,7 @@ let chrome_counter_events t ?horizon ?(pid = 9) name =
   | Some s -> (
       match s.s_kind with
       | Gauge ->
-          let events =
-            List.stable_sort
-              (fun (a, _) (b, _) -> Float.compare a b)
-              (List.rev s.s_events)
-          in
+          let events = chronological s in
           List.map
             (fun (time, v) -> Chrome.counter_event ~pid ~name ~ts:time ~value:v ())
             events

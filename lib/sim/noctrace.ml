@@ -1,19 +1,11 @@
-(* Dynamic per-link interconnect recording for the simulator event loop.
-
-   The flow model books every transfer onto the links of its route (the
-   two fluid fabrics serialize bookings per link within each traffic
-   class).  When recording is on, each booking is mirrored here twice:
-   once per link touched — (class, op, link, bytes, busy interval), the
-   exact reservation the fabric made — and once per transfer — (class,
-   op, src, dst, bytes, hops, queueing wait, envelope).  Everything else
-   (per-link volumes and busy time, class breakdowns, hop histograms,
-   utilization timelines) is derived on demand from those records, so
-   recording itself is a list cons per booking.  It is the one record
-   the event loop keeps as it runs (Critpath events and the Memtrace
-   record are derived from per-op phase times afterwards), and it is
-   pure bookkeeping: nothing here is ever read back into a timing
-   computation (the test suite checks simulated output is
-   byte-identical with recording on and off). *)
+(* Dynamic per-link interconnect recording for the simulator event loop
+   (see the interface for the contract).  A transfer booked along a
+   route-table path is a single row: its reservations, one per link of
+   the path, all start with it and hold each link for bytes over the
+   class's effective bandwidth there, so they are derived when read,
+   with the fabric's own float expression.  Reservations made outside a
+   path (the all-to-all preload fan-out) are rows of their own.  Nothing
+   here is ever read back into a timing computation. *)
 
 module N = Elk_noc.Noc
 
@@ -27,6 +19,9 @@ let cls_name = function
   | Distribute -> "distribute"
   | Exchange -> "exchange"
 
+let cls_index = function Preload -> 0 | Distribute -> 1 | Exchange -> 2
+let cls_of_index = [| Preload; Distribute; Exchange |]
+
 type booking = {
   b_cls : cls;
   b_op : int;
@@ -36,49 +31,156 @@ type booking = {
   b_end : float;  (* when the link frees (bytes / effective bandwidth) *)
 }
 
-type transfer = {
-  t_cls : cls;
-  t_op : int;
-  t_src : N.node;
-  t_dst : N.node;
-  t_bytes : float;
-  t_hops : int;  (* links traversed = List.length route *)
-  t_wait : float;  (* queueing delay: booked start - requested start *)
-  t_start : float;  (* when the bytes begin moving *)
-  t_end : float;  (* completion (latency + bottleneck service) *)
+(* Rows of [ni] int and [nf] float fields, row-major in fixed-size
+   chunks of two unboxed arrays.  A full store adds a chunk and never
+   copies one: a recorded run allocates little more than its rows, which
+   keeps the major heap, and so the GC's work, small. *)
+let chunk_rows = 512
+
+type store = {
+  ni : int;
+  nf : int;
+  mutable len : int;
+  mutable ints : int array array;  (* chunks *)
+  mutable floats : float array array;
 }
 
+let store ~ni ~nf = { ni; nf; len = 0; ints = [||]; floats = [||] }
+
+(* Append a row; returns its index. *)
+let push s =
+  if s.len = chunk_rows * Array.length s.ints then begin
+    s.ints <- Array.append s.ints [| Array.make (chunk_rows * s.ni) 0 |];
+    s.floats <- Array.append s.floats [| Array.make (chunk_rows * s.nf) 0. |]
+  end;
+  s.len <- s.len + 1;
+  s.len - 1
+
+let set_int s row k v = s.ints.(row / chunk_rows).((s.ni * (row mod chunk_rows)) + k) <- v
+let set_float s row k v = s.floats.(row / chunk_rows).((s.nf * (row mod chunk_rows)) + k) <- v
+let int_at s row k = s.ints.(row / chunk_rows).((s.ni * (row mod chunk_rows)) + k)
+let float_at s row k = s.floats.(row / chunk_rows).((s.nf * (row mod chunk_rows)) + k)
+
+(* Explicit bookings: ints (cls, op, link id), floats (bytes, start,
+   end).  Transfers: ints (cls, op, src, dst, hops, explicit bookings
+   recorded before it, eff slot), floats (bytes, wait, start, end); nodes
+   are coded Core c -> c, Hbm h -> -1 - h.  A path transfer (eff slot >= 0)
+   also stands for its bookings: one per link of its route-table path,
+   in path order, just before it in recording order, each from its start
+   to start + bytes / effs.(slot).(link).  The explicit-bookings count
+   fixes where those fall among explicit bookings; an explicit transfer
+   has slot -1. *)
 type t = {
   noc : N.t;
-  mutable bookings : booking list;  (* reverse emission order *)
-  mutable transfers : transfer list;  (* reverse emission order *)
+  bk : store;
+  tr : store;
+  mutable effs : float array array;  (* the bandwidth arrays of path transfers *)
   mutable n_bookings : int;
-  mutable n_transfers : int;
 }
 
-let create noc = { noc; bookings = []; transfers = []; n_bookings = 0; n_transfers = 0 }
+let create noc =
+  { noc; bk = store ~ni:3 ~nf:3; tr = store ~ni:7 ~nf:4; effs = [||]; n_bookings = 0 }
+
 let noc t = t.noc
 let num_bookings t = t.n_bookings
-let num_transfers t = t.n_transfers
+let num_transfers t = t.tr.len
+
+let node_code = function N.Core c -> c | N.Hbm h -> -1 - h
+let node_of_code c = if c >= 0 then N.Core c else N.Hbm (-1 - c)
 
 let record_booking t ~cls ~op ~link ~bytes ~t_start ~t_end =
-  t.bookings <-
-    { b_cls = cls; b_op = op; b_link = link; b_bytes = bytes;
-      b_start = t_start; b_end = t_end }
-    :: t.bookings;
+  if link < 0 || link >= N.num_links t.noc then
+    invalid_arg "Noctrace.record_booking: no such link id";
+  let s = t.bk in
+  let r = push s in
+  set_int s r 0 (cls_index cls);
+  set_int s r 1 op;
+  set_int s r 2 link;
+  set_float s r 0 bytes;
+  set_float s r 1 t_start;
+  set_float s r 2 t_end;
   t.n_bookings <- t.n_bookings + 1
 
+let push_transfer t ~cls ~op ~src ~dst ~bytes ~hops ~wait ~t_start ~t_end ~slot =
+  let s = t.tr in
+  let r = push s in
+  set_int s r 0 (cls_index cls);
+  set_int s r 1 op;
+  set_int s r 2 (node_code src);
+  set_int s r 3 (node_code dst);
+  set_int s r 4 hops;
+  set_int s r 5 t.bk.len;
+  set_int s r 6 slot;
+  set_float s r 0 bytes;
+  set_float s r 1 wait;
+  set_float s r 2 t_start;
+  set_float s r 3 t_end
+
 let record_transfer t ~cls ~op ~src ~dst ~bytes ~hops ~wait ~t_start ~t_end =
-  t.transfers <-
-    { t_cls = cls; t_op = op; t_src = src; t_dst = dst; t_bytes = bytes;
-      t_hops = hops; t_wait = wait; t_start = t_start; t_end = t_end }
-    :: t.transfers;
-  t.n_transfers <- t.n_transfers + 1
+  if hops < 0 then invalid_arg "Noctrace.record_transfer: negative hops";
+  push_transfer t ~cls ~op ~src ~dst ~bytes ~hops ~wait ~t_start ~t_end ~slot:(-1)
+
+(* The slot of a bandwidth array, registered on first use. *)
+let rec eff_slot t eff i =
+  if i = Array.length t.effs then begin
+    t.effs <- Array.append t.effs [| eff |];
+    i
+  end
+  else if t.effs.(i) == eff then i
+  else eff_slot t eff (i + 1)
+
+let record_path t ~cls ~op (p : N.path) ~eff ~bytes ~wait ~t_start ~t_end =
+  if Array.length eff <> N.num_links t.noc then
+    invalid_arg "Noctrace.record_path: eff is not indexed by this chip's link ids";
+  let hops = Array.length p.N.ids in
+  push_transfer t ~cls ~op ~src:p.N.src ~dst:p.N.dst ~bytes ~hops ~wait ~t_start ~t_end
+    ~slot:(eff_slot t eff 0);
+  t.n_bookings <- t.n_bookings + hops
 
 (* ---- derived views ---------------------------------------------------- *)
 
-let bookings t = Array.of_list (List.rev t.bookings)
-let transfers t = Array.of_list (List.rev t.transfers)
+let bk_cls t i = int_at t.bk i 0
+let tr_cls t i = int_at t.tr i 0
+let tr_op t i = int_at t.tr i 1
+let tr_hops t i = int_at t.tr i 4
+let tr_bytes t i = float_at t.tr i 0
+let tr_wait t i = float_at t.tr i 1
+let tr_start t i = float_at t.tr i 2
+
+(* [f cls op link bytes start end] over every booking, in recording
+   order. *)
+let iter_bookings t f =
+  let next = ref 0 in
+  let explicit upto =
+    while !next < upto do
+      let i = !next in
+      f (bk_cls t i) (int_at t.bk i 1) (int_at t.bk i 2) (float_at t.bk i 0)
+        (float_at t.bk i 1) (float_at t.bk i 2);
+      incr next
+    done
+  in
+  for i = 0 to t.tr.len - 1 do
+    explicit (int_at t.tr i 5);
+    let slot = int_at t.tr i 6 in
+    if slot >= 0 then begin
+      let eff = t.effs.(slot) and cls = tr_cls t i and op = tr_op t i in
+      let bytes = tr_bytes t i and start = tr_start t i in
+      let p =
+        N.path t.noc ~src:(node_of_code (int_at t.tr i 2)) ~dst:(node_of_code (int_at t.tr i 3))
+      in
+      Array.iter (fun link -> f cls op link bytes start (start +. (bytes /. eff.(link)))) p.N.ids
+    end
+  done;
+  explicit t.bk.len
+
+let bookings t =
+  let acc = ref [] in
+  iter_bookings t (fun cls op link bytes start end_ ->
+      acc :=
+        { b_cls = cls_of_index.(cls); b_op = op; b_link = N.link_of_id t.noc link;
+          b_bytes = bytes; b_start = start; b_end = end_ }
+        :: !acc);
+  Array.of_list (List.rev !acc)
 
 (* Per-link aggregate, derived on demand. *)
 type link_stat = {
@@ -92,86 +194,146 @@ type link_stat = {
   ls_bookings : int;
 }
 
-(* All touched links in canonical order, with volumes and busy time.
-   Bookings within one class never overlap on a link (the fabric's
-   free-time serialization), so summed reservation time is exact per
-   class; across the two classes the link is a shared fluid and the sum
-   can exceed the horizon only if the recording drifted from the model
-   (Nocprof.check enforces the bound per class). *)
+(* All touched links in canonical (id) order, with volumes and busy time,
+   summed in emission order.  Bookings within one class never overlap on
+   a link (the fabric's free-time serialization), so summed reservation
+   time is exact per class; across the two classes the link is a shared
+   fluid and the sum can exceed the horizon only if the recording drifted
+   from the model (Nocprof.check enforces the bound per class). *)
 let link_stats t =
-  let tbl : (N.link, link_stat ref) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun b ->
-      let st =
-        match Hashtbl.find_opt tbl b.b_link with
-        | Some st -> st
-        | None ->
-            let st =
-              ref
-                { ls_link = b.b_link;
-                  ls_bandwidth = N.link_bandwidth t.noc b.b_link;
-                  ls_volume = 0.; ls_preload = 0.; ls_distribute = 0.;
-                  ls_exchange = 0.; ls_busy = 0.; ls_bookings = 0 }
-            in
-            Hashtbl.add tbl b.b_link st;
-            st
-      in
-      let s = !st in
-      st :=
-        { s with
-          ls_volume = s.ls_volume +. b.b_bytes;
-          ls_preload =
-            (s.ls_preload +. if b.b_cls = Preload then b.b_bytes else 0.);
-          ls_distribute =
-            (s.ls_distribute +. if b.b_cls = Distribute then b.b_bytes else 0.);
-          ls_exchange =
-            (s.ls_exchange +. if b.b_cls = Exchange then b.b_bytes else 0.);
-          ls_busy = s.ls_busy +. Float.max 0. (b.b_end -. b.b_start);
-          ls_bookings = s.ls_bookings + 1;
-        })
-    (List.rev t.bookings);
-  Hashtbl.fold (fun _ st acc -> !st :: acc) tbl []
-  |> List.sort (fun a b -> N.compare_link a.ls_link b.ls_link)
+  let n = N.num_links t.noc in
+  let volume = Array.make n 0. and by_cls = Array.make (3 * n) 0. in
+  let busy = Array.make n 0. and count = Array.make n 0 in
+  iter_bookings t (fun cls _ l bytes start end_ ->
+      let k = (3 * l) + cls in
+      volume.(l) <- volume.(l) +. bytes;
+      by_cls.(k) <- by_cls.(k) +. bytes;
+      busy.(l) <- busy.(l) +. Float.max 0. (end_ -. start);
+      count.(l) <- count.(l) + 1);
+  let rows = ref [] in
+  for l = n - 1 downto 0 do
+    if count.(l) > 0 then begin
+      let link = N.link_of_id t.noc l in
+      rows :=
+        { ls_link = link; ls_bandwidth = N.link_bandwidth t.noc link;
+          ls_volume = volume.(l); ls_preload = by_cls.(3 * l);
+          ls_distribute = by_cls.((3 * l) + 1); ls_exchange = by_cls.((3 * l) + 2);
+          ls_busy = busy.(l); ls_bookings = count.(l) }
+        :: !rows
+    end
+  done;
+  !rows
 
-(* Busy intervals of one link, chronological, one list per class. *)
-let busy_intervals t ~link =
-  let pre = ref [] and exch = ref [] in
-  List.iter
-    (fun b ->
-      if b.b_link = link then
-        let iv = (b.b_start, b.b_end) in
-        match b.b_cls with
-        | Preload -> pre := iv :: !pre
-        | Distribute | Exchange -> exch := iv :: !exch)
-    t.bookings;
-  let by_start l = List.sort (fun (a, _) (b, _) -> Float.compare a b) l in
-  (by_start !pre, by_start !exch)
-
+(* Transfer sums run newest first: the committed snapshots hold the
+   floats that order gives. *)
 let class_bytes t ~cls =
-  List.fold_left
-    (fun a tr -> if tr.t_cls = cls then a +. tr.t_bytes else a)
-    0. t.transfers
+  let c = cls_index cls and sum = ref 0. in
+  for i = t.tr.len - 1 downto 0 do
+    if tr_cls t i = c then sum := !sum +. tr_bytes t i
+  done;
+  !sum
 
 let total_transfer_bytes t =
-  List.fold_left (fun a tr -> a +. tr.t_bytes) 0. t.transfers
+  let sum = ref 0. in
+  for i = t.tr.len - 1 downto 0 do
+    sum := !sum +. tr_bytes t i
+  done;
+  !sum
 
 (* Hop-count histogram: [(hops, transfers, bytes)] sorted by hops. *)
 let hop_histogram t =
-  let tbl : (int, (int * float) ref) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun tr ->
-      match Hashtbl.find_opt tbl tr.t_hops with
-      | Some r ->
-          let n, b = !r in
-          r := (n + 1, b +. tr.t_bytes)
-      | None -> Hashtbl.add tbl tr.t_hops (ref (1, tr.t_bytes)))
-    t.transfers;
-  Hashtbl.fold (fun h r acc -> (h, fst !r, snd !r) :: acc) tbl []
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+  let top = ref 0 in
+  for i = 0 to t.tr.len - 1 do
+    top := max !top (tr_hops t i)
+  done;
+  let count = Array.make (!top + 1) 0 and bytes = Array.make (!top + 1) 0. in
+  for i = t.tr.len - 1 downto 0 do
+    let h = tr_hops t i in
+    count.(h) <- count.(h) + 1;
+    bytes.(h) <- bytes.(h) +. tr_bytes t i
+  done;
+  let rows = ref [] in
+  for h = !top downto 0 do
+    if count.(h) > 0 then rows := (h, count.(h), bytes.(h)) :: !rows
+  done;
+  !rows
+
+(* ---- the per-report index --------------------------------------------- *)
+
+(* Booking intervals grouped by (link, class group) — group 0 the
+   preload class, group 1 distribute and exchange — each group ordered by
+   start, ties in recording order; and the largest queueing wait per
+   (op, class). *)
+type index = {
+  noc_of : N.t;
+  first : int array;  (* by 2 * link + group: first position; one past the end last *)
+  starts : float array;  (* by position *)
+  ends : float array;
+  waits : float array;  (* by 3 * op + class *)
+}
+
+let index t =
+  let groups = 2 * N.num_links t.noc in
+  let group cls link = (2 * link) + if cls = 0 then 0 else 1 in
+  (* Counting sort by group: stable, so each group is in recording order. *)
+  let first = Array.make (groups + 1) 0 in
+  iter_bookings t (fun cls _ link _ _ _ ->
+      let g = group cls link in
+      first.(g + 1) <- first.(g + 1) + 1);
+  for g = 1 to groups do
+    first.(g) <- first.(g) + first.(g - 1)
+  done;
+  let fill = Array.sub first 0 groups in
+  let starts = Array.make t.n_bookings 0. and ends = Array.make t.n_bookings 0. in
+  iter_bookings t (fun cls _ link _ start end_ ->
+      let g = group cls link in
+      starts.(fill.(g)) <- start;
+      ends.(fill.(g)) <- end_;
+      fill.(g) <- fill.(g) + 1);
+  (* A fabric books each link's class in start order, so a group needs
+     sorting only when the record was written some other way. *)
+  for g = 0 to groups - 1 do
+    let lo = first.(g) and hi = first.(g + 1) in
+    let sorted = ref true in
+    for k = lo + 1 to hi - 1 do
+      if starts.(k) < starts.(k - 1) then sorted := false
+    done;
+    if not !sorted then begin
+      let run = Array.init (hi - lo) (fun k -> (starts.(lo + k), ends.(lo + k))) in
+      Array.stable_sort (fun (a, _) (b, _) -> Float.compare a b) run;
+      Array.iteri
+        (fun k (a, b) ->
+          starts.(lo + k) <- a;
+          ends.(lo + k) <- b)
+        run
+    end
+  done;
+  let ops = ref 0 in
+  for i = 0 to t.tr.len - 1 do
+    ops := max !ops (tr_op t i + 1)
+  done;
+  let waits = Array.make (3 * !ops) 0. in
+  for i = 0 to t.tr.len - 1 do
+    let k = (3 * tr_op t i) + tr_cls t i in
+    waits.(k) <- Float.max waits.(k) (tr_wait t i)
+  done;
+  { noc_of = t.noc; first; starts; ends; waits }
+
+(* Busy intervals of one link, chronological, one list per class group. *)
+let busy_intervals ix ~link =
+  if link < 0 || link >= N.num_links ix.noc_of then
+    invalid_arg "Noctrace.busy_intervals: no such link id";
+  let group g =
+    let acc = ref [] in
+    for k = ix.first.(g + 1) - 1 downto ix.first.(g) do
+      acc := (ix.starts.(k), ix.ends.(k)) :: !acc
+    done;
+    !acc
+  in
+  (group (2 * link), group ((2 * link) + 1))
 
 (* Max queueing wait per (op, class) — the quantity Critpath caps into
    an event's [port_wait]. *)
-let max_wait t ~op ~cls =
-  List.fold_left
-    (fun a tr -> if tr.t_op = op && tr.t_cls = cls then Float.max a tr.t_wait else a)
-    0. t.transfers
+let max_wait ix ~op ~cls =
+  let k = (3 * op) + cls_index cls in
+  if op < 0 || k >= Array.length ix.waits then 0. else ix.waits.(k)

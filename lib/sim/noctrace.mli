@@ -1,18 +1,22 @@
 (** Dynamic per-link interconnect recording for the simulator.
 
-    When enabled ([Sim.run ~noc:true]), every link
-    reservation the two fluid fabrics make is mirrored here as a
-    booking — (traffic class, operator, link, bytes, busy interval) —
-    and every transfer as a route record — (class, operator, src, dst,
-    bytes, hops, queueing wait, envelope).  Per-link volumes, class
-    breakdowns, busy intervals, hop histograms and utilization
-    timelines are all derived on demand, so recording is a list cons
-    per booking.  It is the one record the event loop keeps as it runs,
-    because the reservation times exist nowhere else ({!Critpath} events
-    and the {!Memtrace} record are derived from the per-operator phase
-    times after the loop).  It is pure bookkeeping, never read back into
-    any timing computation (the test suite checks simulated output is
-    byte-identical with recording on and off). *)
+    When enabled ([Sim.run ~noc:true]), every link reservation the two
+    fluid fabrics make is recorded as a booking — (traffic class,
+    operator, link, bytes, busy interval) — and every transfer as a route
+    record — (class, operator, src, dst, bytes, hops, queueing wait,
+    envelope).  Records are rows of chunked unboxed arrays carrying the
+    dense {!Elk_noc.Noc.link_id}; a transfer booked along a route-table
+    path ({!record_path}) is one row, its bookings derived when read, so
+    recording allocates only when a chunk fills.  Per-link volumes,
+    class breakdowns, hop histograms and utilization timelines are
+    derived on demand, and the per-link busy intervals and per-op waits
+    a report queries come from one {!index} pass.  It is the one record
+    the event loop keeps as it runs, because the reservation times exist
+    nowhere else ({!Critpath} events and the {!Memtrace} record are
+    derived from the per-operator phase times after the loop).  It is
+    pure bookkeeping, never read back into any timing computation (the
+    test suite checks simulated output is byte-identical with recording
+    on and off). *)
 
 (** The communication phase a booking belongs to.  [Preload] is the
     preload fabric's fluid share; [Distribute] and [Exchange] run in
@@ -30,18 +34,6 @@ type booking = {
   b_end : float;  (** link frees: bytes over the class's fluid share. *)
 }
 
-type transfer = {
-  t_cls : cls;
-  t_op : int;
-  t_src : Elk_noc.Noc.node;
-  t_dst : Elk_noc.Noc.node;
-  t_bytes : float;
-  t_hops : int;  (** links traversed = route length. *)
-  t_wait : float;  (** queueing delay: booked start - requested start. *)
-  t_start : float;
-  t_end : float;  (** completion: latency + bottleneck service. *)
-}
-
 type t
 
 val create : Elk_noc.Noc.t -> t
@@ -53,11 +45,13 @@ val record_booking :
   t ->
   cls:cls ->
   op:int ->
-  link:Elk_noc.Noc.link ->
+  link:int ->
   bytes:float ->
   t_start:float ->
   t_end:float ->
   unit
+(** Record one link reservation; [link] is the {!Elk_noc.Noc.link_id}.
+    Raises [Invalid_argument] for an id the chip does not have. *)
 
 val record_transfer :
   t ->
@@ -71,11 +65,29 @@ val record_transfer :
   t_start:float ->
   t_end:float ->
   unit
+(** Record one transfer's route envelope.  Raises [Invalid_argument] on
+    negative [hops]. *)
+
+val record_path :
+  t ->
+  cls:cls ->
+  op:int ->
+  Elk_noc.Noc.path ->
+  eff:float array ->
+  bytes:float ->
+  wait:float ->
+  t_start:float ->
+  t_end:float ->
+  unit
+(** Record a transfer along a route-table path of this chip, and its
+    bookings: one per link of the path, in order and just before the
+    transfer, each from [t_start] to [t_start +. bytes /. eff.(id)]
+    ([eff] is the traffic class's effective bandwidth by link id).
+    [hops] is the path's length.  The bookings are derived from [eff]
+    when read, so it must not change afterwards.  Raises
+    [Invalid_argument] if [eff] is not one entry per link id. *)
 
 val bookings : t -> booking array
-(** Emission order (simulation order). *)
-
-val transfers : t -> transfer array
 (** Emission order (simulation order). *)
 
 (** Per-link aggregate over all bookings. *)
@@ -94,12 +106,6 @@ val link_stats : t -> link_stat list
 (** Every touched link in the canonical {!Elk_noc.Noc.compare_link}
     order. *)
 
-val busy_intervals :
-  t -> link:Elk_noc.Noc.link -> (float * float) list * (float * float) list
-(** One link's busy intervals, chronological: (preload class,
-    distribute+exchange class).  Within a class, intervals never
-    overlap — the fabric serializes bookings per link. *)
-
 val class_bytes : t -> cls:cls -> float
 (** Transfer bytes of one class, counted once per transfer. *)
 
@@ -108,6 +114,26 @@ val total_transfer_bytes : t -> float
 val hop_histogram : t -> (int * int * float) list
 (** [(hops, transfers, bytes)] rows sorted by hop count. *)
 
-val max_wait : t -> op:int -> cls:cls -> float
-(** Largest queueing wait among one operator's transfers of one class —
-    the quantity {!Critpath} caps into an event's [port_wait]. *)
+(** {2 The per-report index} *)
+
+type index
+(** The record sorted once for a report: bookings grouped by link and
+    class, and the largest queueing wait per (operator, class).  Build it
+    after the recording is complete; later records are not in it. *)
+
+val index : t -> index
+(** One pass over the bookings and one over the transfers (plus a sort
+    of any link's class whose bookings were not recorded in start
+    order). *)
+
+val busy_intervals : index -> link:int -> (float * float) list * (float * float) list
+(** One link's busy intervals, by {!Elk_noc.Noc.link_id}, chronological
+    (ties in recording order): (preload class, distribute+exchange
+    class).  Within a class, intervals never overlap — the fabric
+    serializes bookings per link.  Raises [Invalid_argument] for an id
+    the chip does not have. *)
+
+val max_wait : index -> op:int -> cls:cls -> float
+(** Largest queueing wait among one operator's transfers of one class
+    (0 when there are none) — the quantity {!Critpath} caps into an
+    event's [port_wait]. *)

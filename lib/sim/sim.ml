@@ -49,8 +49,8 @@ type result = {
    pipelines, a single receiver port serializes. *)
 type fabric = {
   noc : N.t;
-  share : float;  (** fraction of core-link capacity for this class. *)
-  free : (N.link, float ref) Hashtbl.t;
+  eff : float array;  (** effective bandwidth of this class, by link id. *)
+  free : float array;  (** when each link frees for this class, by link id. *)
   mutable link_volume : float;
       (** bytes x links traversed on core-side links (hop-weighted), for
           the per-link interconnect-utilization metric of Fig 18c/21. *)
@@ -98,56 +98,47 @@ let preload_share chip (s : Elk.Schedule.t) =
       Float.max 0.05
         (Float.min (Float.min max_preload_share (r_pre /. link_bw)) (2. *. demand))
 
-let fabric_of ~share noc = { noc; share; free = Hashtbl.create 1024; link_volume = 0. }
+(* Controller ports carry only preload traffic: they run at full rate and
+   stay out of the core-side volume. *)
+let is_ctrl_port = function N.Port_out (N.Hbm _) -> true | _ -> false
 
-let link_free f l =
-  match Hashtbl.find_opt f.free l with
-  | Some r -> r
-  | None ->
-      let r = ref 0. in
-      Hashtbl.add f.free l r;
-      r
+let fabric_of ~share noc =
+  let n = N.num_links noc in
+  let eff =
+    Array.init n (fun id ->
+        let l = N.link_of_id noc id in
+        let bw = N.link_bandwidth noc l in
+        if is_ctrl_port l then bw else bw *. share)
+  in
+  { noc; eff; free = Array.make n 0.; link_volume = 0. }
 
-let effective_bw f l =
-  let bw = N.link_bandwidth f.noc l in
-  match l with
-  | N.Port_out (N.Hbm _) -> bw (* controller ports carry only preload traffic *)
-  | _ -> bw *. f.share
-
-(* Returns (completion_time, queuing_delay).  [tr] mirrors the exact
-   per-link reservations (and the transfer envelope) into a Noctrace
-   record — pure bookkeeping, never read back into timing. *)
-let transfer ?tr f ~src ~dst ~bytes ~not_before =
-  if src = dst || bytes <= 0. then (not_before, 0.)
+(* Books [bytes] along a route table entry, returning (completion_time,
+   queuing_delay).  With [nt], the exact per-link reservations (and the
+   transfer envelope) are mirrored into a Noctrace record — pure
+   bookkeeping, never read back into timing. *)
+let transfer ?nt f (p : N.path) ~cls ~op ~bytes ~not_before =
+  let ids = p.N.ids in
+  if Array.length ids = 0 || bytes <= 0. then (not_before, 0.)
   else begin
-    let route = N.route f.noc ~src ~dst in
-    let start =
-      List.fold_left (fun t l -> Float.max t !(link_free f l)) not_before route
-    in
-    let bottleneck =
-      List.fold_left (fun bw l -> Float.min bw (effective_bw f l)) infinity route
-    in
-    List.iter
-      (fun l ->
-        (match l with
-        | N.Port_out (N.Hbm _) -> ()
-        | _ -> f.link_volume <- f.link_volume +. bytes);
-        let r = link_free f l in
-        r := start +. (bytes /. effective_bw f l))
-      route;
-    let latency = N.route_latency f.noc ~src ~dst in
-    let finish = start +. latency +. (bytes /. bottleneck) in
-    (match tr with
+    let start = ref not_before and bottleneck = ref infinity in
+    for k = 0 to Array.length ids - 1 do
+      let l = ids.(k) in
+      start := Float.max !start f.free.(l);
+      bottleneck := Float.min !bottleneck f.eff.(l)
+    done;
+    let start = !start in
+    for k = 0 to Array.length ids - 1 do
+      let l = ids.(k) in
+      if not (is_ctrl_port (N.link_of_id f.noc l)) then
+        f.link_volume <- f.link_volume +. bytes;
+      f.free.(l) <- start +. (bytes /. f.eff.(l))
+    done;
+    let finish = start +. p.N.latency +. (bytes /. !bottleneck) in
+    (match nt with
     | None -> ()
-    | Some (nt, cls, op) ->
-        List.iter
-          (fun l ->
-            Noctrace.record_booking nt ~cls ~op ~link:l ~bytes ~t_start:start
-              ~t_end:(start +. (bytes /. effective_bw f l)))
-          route;
-        Noctrace.record_transfer nt ~cls ~op ~src ~dst ~bytes
-          ~hops:(List.length route) ~wait:(start -. not_before) ~t_start:start
-          ~t_end:finish);
+    | Some nt ->
+        Noctrace.record_path nt ~cls ~op p ~eff:f.eff ~bytes ~wait:(start -. not_before)
+          ~t_start:start ~t_end:finish);
     (finish, start -. not_before)
   end
 
@@ -302,11 +293,16 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
      model — recorded into the metrics registry only when enabled. *)
   let pending = ref 0 and max_pending = ref 0 in
   let hbm_busy = ref 0. and preload_wait = ref 0. in
-  let nrec = if record_noc then Some (Noctrace.create noc) else None in
-  (* Tag for [transfer]'s recording hook: (recorder, class, op). *)
-  let ntag cls op =
-    match nrec with Some nt -> Some (nt, cls, op) | None -> None
+  (* The all-to-all preload fan-out books ports directly. *)
+  let port_in, ctrl_out =
+    match chip.Arch.topology with
+    | Arch.All_to_all ->
+        ( Array.init chip.Arch.cores (fun c -> N.link_id noc (N.Port_in (N.Core c))),
+          Array.init chip.Arch.hbm_controllers (fun h ->
+              N.link_id noc (N.Port_out (N.Hbm h))) )
+    | Arch.Mesh2d _ | Arch.Clustered _ -> ([||], [||])
   in
+  let nrec = if record_noc then Some (Noctrace.create noc) else None in
   let cores_of plan = plan.P.cores_used in
   Array.iter
     (fun instr ->
@@ -349,46 +345,38 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
             (match chip.Arch.topology with
             | Arch.All_to_all ->
                 let nctrl = chip.Arch.hbm_controllers in
+                (* Every core's inbound port runs at the same rate. *)
+                let inbound = per_core /. pre_fabric.eff.(port_in.(0)) in
                 for h = 0 to nctrl - 1 do
                   let ctrl_cores = (chip.Arch.cores + nctrl - 1 - h) / nctrl in
                   let ctrl_volume = per_core *. float_of_int ctrl_cores in
-                  let out = link_free pre_fabric (N.Port_out (N.Hbm h)) in
-                  let start = Float.max gate !out in
-                  let ctrl_service =
-                    ctrl_volume /. effective_bw pre_fabric (N.Port_out (N.Hbm h))
-                  in
-                  let inbound =
-                    per_core /. effective_bw pre_fabric (N.Port_in (N.Core h))
-                  in
-                  out := start +. ctrl_service;
-                  if per_core > 0. then
-                    Option.iter
-                      (fun nt ->
-                        Noctrace.record_booking nt ~cls:Noctrace.Preload ~op
-                          ~link:(N.Port_out (N.Hbm h)) ~bytes:ctrl_volume
-                          ~t_start:start ~t_end:(start +. ctrl_service))
-                      nrec;
+                  let out = ctrl_out.(h) in
+                  let start = Float.max gate pre_fabric.free.(out) in
+                  let ctrl_service = ctrl_volume /. pre_fabric.eff.(out) in
+                  pre_fabric.free.(out) <- start +. ctrl_service;
+                  (match nrec with
+                  | Some nt when per_core > 0. ->
+                      Noctrace.record_booking nt ~cls:Noctrace.Preload ~op ~link:out
+                        ~bytes:ctrl_volume ~t_start:start ~t_end:(start +. ctrl_service)
+                  | _ -> ());
                   for c = 0 to chip.Arch.cores - 1 do
                     if c mod nctrl = h then begin
-                      let inp = link_free pre_fabric (N.Port_in (N.Core c)) in
-                      let s = Float.max start !inp in
-                      inp := s +. inbound;
+                      let inp = port_in.(c) in
+                      let s = Float.max start pre_fabric.free.(inp) in
+                      pre_fabric.free.(inp) <- s +. inbound;
                       pre_fabric.link_volume <- pre_fabric.link_volume +. per_core;
                       let delivered =
                         s +. Float.max inbound ctrl_service
                         +. chip.Arch.intercore_link.Arch.latency
                       in
-                      if per_core > 0. then
-                        Option.iter
-                          (fun nt ->
-                            Noctrace.record_booking nt ~cls:Noctrace.Preload
-                              ~op ~link:(N.Port_in (N.Core c)) ~bytes:per_core
-                              ~t_start:s ~t_end:(s +. inbound);
-                            Noctrace.record_transfer nt ~cls:Noctrace.Preload
-                              ~op ~src:(N.Hbm h) ~dst:(N.Core c)
-                              ~bytes:per_core ~hops:2 ~wait:(s -. gate)
-                              ~t_start:s ~t_end:delivered)
-                          nrec;
+                      (match nrec with
+                      | Some nt when per_core > 0. ->
+                          Noctrace.record_booking nt ~cls:Noctrace.Preload ~op ~link:inp
+                            ~bytes:per_core ~t_start:s ~t_end:(s +. inbound);
+                          Noctrace.record_transfer nt ~cls:Noctrace.Preload ~op
+                            ~src:(N.Hbm h) ~dst:(N.Core c) ~bytes:per_core ~hops:2
+                            ~wait:(s -. gate) ~t_start:s ~t_end:delivered
+                      | _ -> ());
                       finish := Float.max !finish delivered
                     end
                   done;
@@ -397,16 +385,15 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
                 done
             | Arch.Mesh2d _ | Arch.Clustered _ ->
                 for c = 0 to chip.Arch.cores - 1 do
-                  let src = N.hbm_ctrl_for_core noc c in
+                  let p = N.path noc ~src:(N.hbm_ctrl_for_core noc c) ~dst:(N.Core c) in
                   let done_c, _wait =
-                    transfer ?tr:(ntag Noctrace.Preload op) pre_fabric ~src
-                      ~dst:(N.Core c) ~bytes:per_core ~not_before:gate
+                    transfer ?nt:nrec pre_fabric p ~cls:Noctrace.Preload ~op
+                      ~bytes:per_core ~not_before:gate
                   in
                   ideal :=
                     Float.max !ideal
                       (gate
-                      +. (N.transfer_time noc ~src ~dst:(N.Core c) ~bytes:per_core
-                         /. Float.max 1e-9 pre_share));
+                      +. (N.path_time p ~bytes:per_core /. Float.max 1e-9 pre_share));
                   finish := Float.max !finish done_c
                 done);
             let d = Float.max 0. (!finish -. Float.max !ideal hbm_done) in
@@ -444,10 +431,10 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
           in
           if dist_per_core > 0. then
             for c = 0 to ncores - 1 do
-              let src = N.Core ((c + 1) mod ncores) in
+              let p = N.path noc ~src:(N.Core ((c + 1) mod ncores)) ~dst:(N.Core c) in
               let done_c, wait_c =
-                transfer ?tr:(ntag Noctrace.Distribute op) fg_fabric ~src
-                  ~dst:(N.Core c) ~bytes:dist_per_core ~not_before:start
+                transfer ?nt:nrec fg_fabric p ~cls:Noctrace.Distribute ~op
+                  ~bytes:dist_per_core ~not_before:start
               in
               dist_done.(c) <- done_c;
               dist_wait.(c) <- wait_c;
@@ -481,10 +468,10 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
           in
           if ex_per_core > 0. then
             for c = 0 to ncores - 1 do
-              let src = N.Core ((c + ncores - 1) mod ncores) in
+              let p = N.path noc ~src:(N.Core ((c + ncores - 1) mod ncores)) ~dst:(N.Core c) in
               let done_c, wait_c =
-                transfer ?tr:(ntag Noctrace.Exchange op) fg_fabric ~src
-                  ~dst:(N.Core c) ~bytes:ex_per_core ~not_before:!compute_end
+                transfer ?nt:nrec fg_fabric p ~cls:Noctrace.Exchange ~op
+                  ~bytes:ex_per_core ~not_before:!compute_end
               in
               ex_done.(c) <- done_c;
               ex_wait.(c) <- wait_c;

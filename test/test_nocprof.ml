@@ -144,9 +144,12 @@ let test_link_stats_consistent () =
    class. *)
 let test_busy_intervals_sane () =
   let t = Option.get (Lazy.force result).Elk_sim.Sim.noc in
+  let ix = Nt.index t in
   List.iter
     (fun s ->
-      let pre, ex = Nt.busy_intervals t ~link:s.Nt.ls_link in
+      let pre, ex =
+        Nt.busy_intervals ix ~link:(N.link_id (Nt.noc t) s.Nt.ls_link)
+      in
       let check_ivs name ivs =
         let rec go = function
           | (s1, e1) :: (((s2, _) :: _) as rest) ->
@@ -187,6 +190,101 @@ let test_analyze_requires_record () =
         ~noc:true)")
     (fun () -> ignore (Np.analyze (sched ()) r))
 
+(* A path transfer stands for its bookings: one per path link, in path
+   order, placed among explicit bookings where it was recorded. *)
+let test_path_bookings_in_order () =
+  let noc = N.create (Elk_arch.Arch.Presets.scaled_chip ~topology_kind:`Mesh ()) in
+  let nt = Nt.create noc in
+  let eff = Array.init (N.num_links noc) (fun id -> float_of_int (id + 1)) in
+  let p = N.path noc ~src:(N.Hbm 0) ~dst:(N.Core 27) in
+  let first = N.link_id noc (N.Edge { from_core = 1; to_core = 2 }) in
+  let last = N.link_id noc (N.Edge { from_core = 2; to_core = 3 }) in
+  Nt.record_booking nt ~cls:Nt.Exchange ~op:0 ~link:first ~bytes:1. ~t_start:0. ~t_end:1.;
+  Nt.record_path nt ~cls:Nt.Preload ~op:1 p ~eff ~bytes:64. ~wait:0. ~t_start:2. ~t_end:9.;
+  Nt.record_booking nt ~cls:Nt.Exchange ~op:2 ~link:last ~bytes:1. ~t_start:3. ~t_end:4.;
+  let hops = Array.length p.N.ids in
+  Alcotest.(check int) "bookings" (hops + 2) (Nt.num_bookings nt);
+  let b = Nt.bookings nt in
+  Alcotest.(check int) "view length" (hops + 2) (Array.length b);
+  Alcotest.(check bool) "explicit first" true (b.(0).Nt.b_link = N.link_of_id noc first);
+  Array.iteri
+    (fun k id ->
+      let bk = b.(k + 1) in
+      Alcotest.(check bool) "path link" true (bk.Nt.b_link = N.link_of_id noc id);
+      Alcotest.(check int) "op" 1 bk.Nt.b_op;
+      Tu.check_float "start" 2. bk.Nt.b_start;
+      Tu.check_float "end" (2. +. (64. /. eff.(id))) bk.Nt.b_end)
+    p.N.ids;
+  Alcotest.(check bool) "explicit last" true
+    (b.(hops + 1).Nt.b_link = N.link_of_id noc last);
+  Alcotest.(check bool) "one transfer of the path's length" true
+    (Nt.hop_histogram nt = [ (hops, 1, 64.) ])
+
+(* ---- check rejects a doctored record ------------------------------ *)
+
+(* Record one more booking or transfer into a fresh all-to-all run
+   through the public recorder, then analyze: [check] must fail and name
+   [what] it was doctored at. *)
+let rejects ~doctor =
+  let r = Elk_sim.Sim.run ~noc:true (ctx ()) (sched ()) in
+  let nt = Option.get r.Elk_sim.Sim.noc in
+  let what = doctor nt r in
+  match Np.check (Np.analyze (sched ()) r) with
+  | Ok () -> Alcotest.failf "check accepted a record doctored at %s" what
+  | Error m ->
+      let contains n h =
+        let ln = String.length n and lh = String.length h in
+        let rec go i = i + ln <= lh && (String.sub h i ln = n || go (i + 1)) in
+        go 0
+      in
+      if not (contains what m) then Alcotest.failf "error %S does not name %s" m what
+
+(* The real booking that holds its link longest: check's overlap
+   tolerance is 1e-6 s on sub-second makespans. *)
+let long_booking nt =
+  Array.fold_left
+    (fun best b ->
+      if b.Nt.b_end -. b.Nt.b_start > best.Nt.b_end -. best.Nt.b_start then b else best)
+    (Nt.bookings nt).(0) (Nt.bookings nt)
+
+let test_rejects_overlap () =
+  rejects ~doctor:(fun nt _ ->
+      let b = long_booking nt in
+      let mid = (b.Nt.b_start +. b.Nt.b_end) /. 2. in
+      Nt.record_booking nt ~cls:b.Nt.b_cls ~op:b.Nt.b_op
+        ~link:(N.link_id (Nt.noc nt) b.Nt.b_link) ~bytes:0. ~t_start:mid
+        ~t_end:mid;
+      N.link_name b.Nt.b_link)
+
+let test_rejects_excess_wait () =
+  rejects ~doctor:(fun nt r ->
+      let per_op = r.Elk_sim.Sim.per_op in
+      let phase (o : Elk_sim.Sim.op_trace) =
+        if o.Elk_sim.Sim.dist_end > o.Elk_sim.Sim.exe_start then
+          Some (Nt.Distribute, o.Elk_sim.Sim.dist_end -. o.Elk_sim.Sim.exe_start)
+        else if o.Elk_sim.Sim.exe_end > o.Elk_sim.Sim.compute_end then
+          Some (Nt.Exchange, o.Elk_sim.Sim.exe_end -. o.Elk_sim.Sim.compute_end)
+        else None
+      in
+      match Array.find_mapi (fun op o -> Option.map (fun p -> (op, p)) (phase o)) per_op with
+      | None -> Alcotest.fail "no op with a distribute or exchange phase"
+      | Some (op, (cls, len)) ->
+          let o = per_op.(op) in
+          let wait = Float.max o.Elk_sim.Sim.dist_wait o.Elk_sim.Sim.ex_wait +. (len /. 2.) in
+          Nt.record_transfer nt ~cls ~op ~src:(N.Core 1) ~dst:(N.Core 0) ~bytes:0.
+            ~hops:2 ~wait ~t_start:o.Elk_sim.Sim.exe_start
+            ~t_end:o.Elk_sim.Sim.exe_end;
+          Printf.sprintf "op %d:" op)
+
+let test_rejects_extra_bytes () =
+  rejects ~doctor:(fun nt r ->
+      let b = long_booking nt in
+      let total = r.Elk_sim.Sim.total in
+      Nt.record_booking nt ~cls:b.Nt.b_cls ~op:b.Nt.b_op
+        ~link:(N.link_id (Nt.noc nt) b.Nt.b_link) ~bytes:1024. ~t_start:total
+        ~t_end:total;
+      N.link_name b.Nt.b_link)
+
 let suite =
   [
     Alcotest.test_case "noc recording off by default" `Quick test_off_by_default;
@@ -217,4 +315,12 @@ let suite =
       test_json_deterministic;
     Alcotest.test_case "analyze requires an interconnect record" `Quick
       test_analyze_requires_record;
+    Alcotest.test_case "path transfers expand to their bookings in order" `Quick
+      test_path_bookings_in_order;
+    Alcotest.test_case "check rejects an overlapping zero-byte booking" `Quick
+      test_rejects_overlap;
+    Alcotest.test_case "check rejects a wait beyond the simulator's" `Quick
+      test_rejects_excess_wait;
+    Alcotest.test_case "check rejects extra booked bytes" `Quick
+      test_rejects_extra_bytes;
   ]
