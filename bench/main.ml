@@ -1056,10 +1056,9 @@ let compile_bench () =
           buckets
       in
       (* Cold pass: empty cache.  Later buckets still reuse the earlier
-         buckets' partition memos and clean scheduler suffixes — exactly
-         what a serving session sees as contexts grow. *)
+         buckets' partition memos — exactly what a serving session sees
+         as contexts grow. *)
       let cold = pass () in
-      let resumes = (Elk.Compilecache.stats ()).Elk.Compilecache.sched_resumes in
       (* Warm pass: every bucket is a whole-plan hit. *)
       let warm = pass () in
       List.iter2
@@ -1081,10 +1080,9 @@ let compile_bench () =
           ladder :=
             Printf.sprintf
               "{\"model\":%S,\"topology\":%S,\"ctx\":%d,\"cold_s\":%.4f,\
-               \"warm_s\":%.6f,\"speedup\":%.1f,\"sched_resumes\":%d,\
-               \"plan_identical\":%b}"
+               \"warm_s\":%.6f,\"speedup\":%.1f,\"plan_identical\":%b}"
               llama13b.Zoo.cfg_name tname ctx co.Elk.Compile.compile_seconds
-              wa.Elk.Compile.compile_seconds speedup resumes identical
+              wa.Elk.Compile.compile_seconds speedup identical
             :: !ladder)
         cold warm)
     [ ("a2a", `All_to_all); ("mesh", `Mesh) ];

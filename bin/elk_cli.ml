@@ -115,8 +115,8 @@ let no_cache_t =
     value & flag
     & info [ "no-compile-cache" ]
         ~doc:
-          "Disable the cross-compile incremental cache (whole-plan, \
-           candidate-order, scheduler-suffix and partition memos).  \
+          "Disable the cross-compile incremental cache (the whole-plan \
+           store and shared partition memos).  \
            Equivalent to setting $(b,ELK_COMPILE_CACHE=0) in the \
            environment; compiled plans are byte-identical either way.")
 

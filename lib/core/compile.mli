@@ -83,8 +83,8 @@ val compile :
     graph content): a warm compile of identical inputs returns the
     previously computed plan — byte-identical by construction — in
     [O(digest)] time, and an on-disk store ([ELK_COMPILE_CACHE_DIR])
-    extends this across processes.  Cache misses additionally benefit
-    from the {!Reorder} memo and the {!Scheduler} suffix-resume memo.
+    extends this across processes.  Cache misses reuse the partition
+    memos of earlier compiles under the same context fingerprint.
     Disable with [--no-compile-cache], [ELK_COMPILE_CACHE=0], or
     {!Compilecache.set_enabled}[ false] to recover the exact uncached
     pipeline. *)

@@ -21,16 +21,12 @@ type stats = {
   plan_misses : int;
   plan_evictions : int;
   disk_hits : int;
-  sched_resumes : int;
-  reorder_hits : int;
 }
 
 let c_plan_hits = Atomic.make 0
 let c_plan_misses = Atomic.make 0
 let c_plan_evictions = Atomic.make 0
 let c_disk_hits = Atomic.make 0
-let c_sched_resumes = Atomic.make 0
-let c_reorder_hits = Atomic.make 0
 
 let stats () =
   {
@@ -38,8 +34,6 @@ let stats () =
     plan_misses = Atomic.get c_plan_misses;
     plan_evictions = Atomic.get c_plan_evictions;
     disk_hits = Atomic.get c_disk_hits;
-    sched_resumes = Atomic.get c_sched_resumes;
-    reorder_hits = Atomic.get c_reorder_hits;
   }
 
 let bump counter metric help =
@@ -56,23 +50,16 @@ let note_disk_hit () =
   bump c_disk_hits "elk_compile_cache_disk_hits_total"
     "Whole-plan compile cache hits served from the on-disk store"
 
-let note_sched_resume () =
-  bump c_sched_resumes "elk_compile_cache_sched_resumes_total"
-    "Backward inductions resumed from a memoized clean suffix"
-
-let note_reorder_hit () =
-  bump c_reorder_hits "elk_compile_cache_reorder_hits_total"
-    "Candidate-order sets served from the reorder memo"
-
 (* ------------------------------------------------------------------ *)
-(* Mutex-guarded LRU used by every in-memory store.  Eviction scans for
-   the minimum stamp — O(n), fine at the cap sizes used here (<= 1k). *)
+(* Mutex-guarded LRU behind the in-memory whole-plan store.  Eviction
+   scans for the minimum stamp — O(n), fine at the cap sizes used here
+   (<= 1k). *)
 
 module Lru = struct
   type ('k, 'v) t = {
     lock : Mutex.t;
     tbl : ('k, 'v * int ref) Hashtbl.t;
-    mutable cap : int;
+    cap : int;
     mutable tick : int;
   }
 
@@ -117,13 +104,6 @@ module Lru = struct
 
   let length t = locked t (fun () -> Hashtbl.length t.tbl)
   let clear t = locked t (fun () -> Hashtbl.reset t.tbl)
-
-  let set_cap t cap =
-    locked t (fun () ->
-        t.cap <- max 1 cap;
-        while Hashtbl.length t.tbl > t.cap do
-          evict_one t
-        done)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -140,21 +120,23 @@ let add_int b v =
   Buffer.add_string b (string_of_int v);
   Buffer.add_char b ';'
 
-let node_digest (n : Elk_model.Graph.node) =
-  let b = Buffer.create 96 in
-  add_int b n.Elk_model.Graph.id;
-  add_str b (P.plan_signature n.Elk_model.Graph.op);
-  add_str b n.Elk_model.Graph.op.Elk_tensor.Opspec.name;
-  (match n.Elk_model.Graph.layer with
-  | None -> Buffer.add_char b 'n'
-  | Some l ->
-      Buffer.add_char b 'l';
-      add_int b l);
-  add_str b n.Elk_model.Graph.role;
-  List.iter (add_int b) n.Elk_model.Graph.deps;
-  Digest.string (Buffer.contents b)
-
 let graph_digest g =
+  (* 16-byte digest of one node: id, operator signature and name, layer,
+     role and dependency ids. *)
+  let node_digest (n : Elk_model.Graph.node) =
+    let b = Buffer.create 96 in
+    add_int b n.Elk_model.Graph.id;
+    add_str b (P.plan_signature n.Elk_model.Graph.op);
+    add_str b n.Elk_model.Graph.op.Elk_tensor.Opspec.name;
+    (match n.Elk_model.Graph.layer with
+    | None -> Buffer.add_char b 'n'
+    | Some l ->
+        Buffer.add_char b 'l';
+        add_int b l);
+    add_str b n.Elk_model.Graph.role;
+    List.iter (add_int b) n.Elk_model.Graph.deps;
+    Digest.string (Buffer.contents b)
+  in
   let b = Buffer.create 1024 in
   add_str b (Elk_model.Graph.name g);
   let nodes = Elk_model.Graph.nodes g in
@@ -169,12 +151,15 @@ let digest_strings parts =
 
 (* ------------------------------------------------------------------ *)
 (* On-disk store: one file per whole-plan key under
-   ELK_COMPILE_CACHE_DIR.  Entries are Marshal blobs prefixed by a
-   format version and an echo of the key; any mismatch or exception
-   reads as a miss.  Writes go through a temp file + rename so a
-   concurrent reader never sees a torn entry.                          *)
+   ELK_COMPILE_CACHE_DIR.  An entry is three header lines (format
+   version, an echo of the key, the hex digest of the payload) and then
+   the Marshal payload.  The payload is unmarshalled only once its
+   digest matches, so a corrupted entry never becomes a silently
+   different value; any mismatch or exception reads as a miss.  Writes
+   go through a temp file + rename so a concurrent reader never sees a
+   torn entry.                                                         *)
 
-let disk_version = "elk-compile-cache-1"
+let disk_version = "elk-compile-cache-2"
 
 let disk_dir () =
   match Sys.getenv_opt "ELK_COMPILE_CACHE_DIR" with
@@ -187,16 +172,17 @@ let disk_find ~key =
   match disk_dir () with
   | None -> None
   | Some dir -> (
-      let path = disk_path dir key in
       try
-        let ic = open_in_bin path in
+        let ic = open_in_bin (disk_path dir key) in
         Fun.protect
           ~finally:(fun () -> close_in_noerr ic)
           (fun () ->
-            let ver : string = Marshal.from_channel ic in
-            let k : string = Marshal.from_channel ic in
-            if ver <> disk_version || k <> key then None
-            else Some (Marshal.from_channel ic))
+            if input_line ic <> disk_version || input_line ic <> key then None
+            else
+              let sum = input_line ic in
+              let payload = In_channel.input_all ic in
+              if Digest.to_hex (Digest.string payload) <> sum then None
+              else Some (Marshal.from_string payload 0))
       with _ -> None)
 
 let disk_store ~key v =
@@ -207,13 +193,14 @@ let disk_store ~key v =
         if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
         let path = disk_path dir key in
         let tmp = path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
+        let payload = Marshal.to_string v [] in
         let oc = open_out_bin tmp in
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
           (fun () ->
-            Marshal.to_channel oc disk_version [];
-            Marshal.to_channel oc key [];
-            Marshal.to_channel oc v []);
+            Printf.fprintf oc "%s\n%s\n%s\n" disk_version key
+              (Digest.to_hex (Digest.string payload));
+            output_string oc payload);
         Sys.rename tmp path
       with _ -> ())
 
@@ -231,6 +218,4 @@ let reset () =
   Atomic.set c_plan_hits 0;
   Atomic.set c_plan_misses 0;
   Atomic.set c_plan_evictions 0;
-  Atomic.set c_disk_hits 0;
-  Atomic.set c_sched_resumes 0;
-  Atomic.set c_reorder_hits 0
+  Atomic.set c_disk_hits 0

@@ -2,20 +2,15 @@
 
     Steady-state serving recompiles the same model family over and over
     as context buckets drift; almost all of that work is identical from
-    one compile to the next.  This module is the shared machinery behind
-    the caches that exploit it:
-
-    - the {e whole-plan} cache in {!Compile.compile} (memory LRU plus an
-      optional on-disk store), keyed by a digest of the input graph, the
-      compile options, the pod, and the {!Elk_partition.Partition}
-      context fingerprint — a warm hit returns the previously compiled
-      plan, byte-identical by construction;
-    - the {e candidate-order} memo in {!Reorder.candidate_orders};
-    - the {e suffix-resume} memo in {!Scheduler.run}, which lets the
-      backward induction skip re-deriving decisions for trailing
-      operators whose shapes and dependencies are unchanged;
-    - cross-context memo sharing inside {!Elk_partition.Partition}
-      itself (enumeration and preload frontiers).
+    one compile to the next.  This module is the machinery behind the
+    {e whole-plan} cache in {!Compile.compile}: a memory LRU plus an
+    optional on-disk store, keyed by a digest of the input graph, the
+    compile options, the pod, and the {!Elk_partition.Partition} context
+    fingerprint.  A warm hit returns the previously compiled plan,
+    byte-identical by construction.  Beside it, the same switch turns on
+    cross-context memo sharing inside {!Elk_partition.Partition}
+    (enumeration and preload frontiers).  The scheduler and the
+    preload-order search keep no state between compiles.
 
     Every key digests complete canonical encodings (length-prefixed
     strings, bit-exact floats), so hits cannot conflate distinct inputs.
@@ -42,8 +37,6 @@ type stats = {
   plan_misses : int;  (** whole-plan cache misses (full compiles). *)
   plan_evictions : int;  (** LRU evictions across in-memory stores. *)
   disk_hits : int;  (** subset of [plan_hits] served from disk. *)
-  sched_resumes : int;  (** backward inductions resumed from a suffix memo. *)
-  reorder_hits : int;  (** candidate-order memo hits. *)
 }
 
 val stats : unit -> stats
@@ -55,15 +48,13 @@ val stats : unit -> stats
 val note_plan_hit : unit -> unit
 val note_plan_miss : unit -> unit
 val note_disk_hit : unit -> unit
-val note_sched_resume : unit -> unit
-val note_reorder_hit : unit -> unit
 
 (** {1 In-memory LRU}
 
-    The store type shared by the whole-plan, reorder, and scheduler
-    memos.  All operations are serialized by a per-store mutex; [find]
-    refreshes recency; [put] evicts the least-recently-used entry once
-    at capacity (counted in [plan_evictions]). *)
+    The store type of the in-memory whole-plan cache.  All operations
+    are serialized by a per-store mutex; [find] refreshes recency; [put]
+    evicts the least-recently-used entry once at capacity (counted in
+    [plan_evictions]). *)
 module Lru : sig
   type ('k, 'v) t
 
@@ -72,21 +63,15 @@ module Lru : sig
   val put : ('k, 'v) t -> 'k -> 'v -> unit
   val length : ('k, 'v) t -> int
   val clear : ('k, 'v) t -> unit
-
-  val set_cap : ('k, 'v) t -> int -> unit
-  (** Shrink/grow capacity, evicting immediately if over the new cap. *)
 end
 
 (** {1 Canonical digests} *)
 
-val node_digest : Elk_model.Graph.node -> string
-(** 16-byte digest of one node: id, full operator signature
-    ({!Elk_partition.Partition.plan_signature}), operator name, layer,
-    role, and dependency ids.  The unit of dirtiness tracking for the
-    scheduler's suffix resume. *)
-
 val graph_digest : Elk_model.Graph.t -> string
-(** Hex digest of a whole graph (name plus every {!node_digest}). *)
+(** Hex digest of a whole graph: its name plus, for every node, a digest
+    of the id, full operator signature
+    ({!Elk_partition.Partition.plan_signature}), operator name, layer,
+    role, and dependency ids. *)
 
 val digest_strings : string list -> string
 (** Hex digest of a length-prefixed concatenation — the generic key
@@ -95,11 +80,14 @@ val digest_strings : string list -> string
 (** {1 On-disk store}
 
     Active only when [ELK_COMPILE_CACHE_DIR] is set.  One file per
-    whole-plan key; entries carry a format version and a key echo, and
-    any mismatch, short read, or exception degrades to a miss.  Writes
-    are atomic (temp file + rename).  Values round-trip through
-    [Marshal]; callers must store only plain data and re-derive anything
-    cheap (timelines, programs) after a hit. *)
+    whole-plan key; entries carry a format version, a key echo and a
+    digest of the payload.  {!disk_find} unmarshals a payload only after
+    its digest matches, and any mismatch, short read, or exception
+    degrades to a miss, so a corrupted entry is recompiled rather than
+    read back as a different plan.  Writes are atomic (temp file +
+    rename).  Values round-trip through [Marshal]; callers must store
+    only plain data and re-derive anything cheap (timelines, programs)
+    after a hit. *)
 
 val disk_dir : unit -> string option
 val disk_find : key:string -> 'a option

@@ -65,17 +65,7 @@ let template_layer_heavy graph =
   | None -> []
   | Some (l, _) -> List.sort compare (Hashtbl.find by_layer l)
 
-(* Candidate-order memo: the order set is a pure function of the graph
-   content, the partition context (capacity and min-preload-space
-   estimates) and the two bounds, so identical layers recompiled across
-   serving steps reuse one enumeration.  Arrays are copied out on hit —
-   callers may not alias cached state. *)
-let memo : (string, int array list) Compilecache.Lru.t =
-  Compilecache.Lru.create ~cap:256 ()
-
-let () = Compilecache.on_reset (fun () -> Compilecache.Lru.clear memo)
-
-let candidate_orders_uncached ~max_orders ~max_edit_distance ctx graph =
+let candidate_orders ?(max_orders = 64) ?(max_edit_distance = 6) ctx graph =
   let n = Graph.length graph in
   let identity = Array.init n (fun i -> i) in
   let template = template_layer_heavy graph in
@@ -140,24 +130,3 @@ let candidate_orders_uncached ~max_orders ~max_edit_distance ctx graph =
     in
     identity :: permuted
   end
-
-let candidate_orders ?(max_orders = 64) ?(max_edit_distance = 6) ctx graph =
-  if Compilecache.enabled () then
-    let key =
-      Compilecache.digest_strings
-        [
-          Elk_partition.Partition.fingerprint ctx;
-          string_of_int max_orders;
-          string_of_int max_edit_distance;
-          Compilecache.graph_digest graph;
-        ]
-    in
-    match Compilecache.Lru.find memo key with
-    | Some orders ->
-        Compilecache.note_reorder_hit ();
-        List.map Array.copy orders
-    | None ->
-        let orders = candidate_orders_uncached ~max_orders ~max_edit_distance ctx graph in
-        Compilecache.Lru.put memo key (List.map Array.copy orders);
-        orders
-  else candidate_orders_uncached ~max_orders ~max_edit_distance ctx graph

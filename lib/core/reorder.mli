@@ -45,8 +45,5 @@ val candidate_orders :
     orders where each layer's heavy operators are permuted (same
     permutation in every layer) according to capacity-valid, edit-bounded
     per-layer orders.  [max_edit_distance] defaults to 6, [max_orders]
-    (total returned) to 64.
-
-    While {!Compilecache.enabled}, results are memoized across compiles
-    by a digest of (context fingerprint, bounds, full graph content);
-    hits return fresh array copies. *)
+    (total returned) to 64.  Every call enumerates afresh and returns new
+    arrays. *)

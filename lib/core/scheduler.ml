@@ -48,50 +48,6 @@ let best_opt_within ctx op plan ~space =
    where span(i) comes from the cost-aware allocator run over the
    operators resident on chip at that horizon. *)
 
-(* Suffix-resume memo (incremental recompilation).  The loop state after
-   completing steps n-1 .. i+1 is a pure function of the context, the
-   full preload order, [max_preload], and the nodes with id > i: every
-   read in those steps targets ids > i (residency windows filter on
-   [w > i], the preload-channel pass touches ids >= i+1), and every popt
-   write at step j targets window members with id > j.  So when a graph
-   recompiles with only a prefix of operators changed (e.g. a serving
-   context bucket grows and only attention shapes move), the induction
-   can restore the memoized suffix state and re-enter at the last dirty
-   operator.  A record holds per-id node digests (the dirtiness test)
-   plus the arrays needed to splice back in; records are written only by
-   completed runs, and their contents are cutoff-independent, so a
-   resumed run reproduces the cold run's schedule — and its [Pruned]
-   outcome — exactly (s_exe is nondecreasing in id, so one check at the
-   splice point covers every skipped step's cutoff test). *)
-type suffix_memo = {
-  m_digests : string array;  (* node digest by id, the dirtiness test. *)
-  m_s_exe : float array;
-  m_horizon : int array;
-  m_plans : P.plan array;
-  m_popt_writes : (int * P.preload_opt) list array;  (* per induction step. *)
-}
-
-let suffix_store : (string, suffix_memo) Compilecache.Lru.t =
-  Compilecache.Lru.create ~cap:128 ()
-
-(* Node digests of the last graph scheduled.  A compile schedules one
-   chip graph once per candidate preload order, and the digests depend on
-   the graph alone, so they are computed once per graph. *)
-let last_digests : (Graph.t * string array) option Atomic.t = Atomic.make None
-
-let node_digests graph =
-  match Atomic.get last_digests with
-  | Some (g, digests) when g == graph -> digests
-  | _ ->
-      let digests = Array.map Compilecache.node_digest (Graph.nodes graph) in
-      Atomic.set last_digests (Some (graph, digests));
-      digests
-
-let () =
-  Compilecache.on_reset (fun () ->
-      Compilecache.Lru.clear suffix_store;
-      Atomic.set last_digests None)
-
 let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
   Elk_obs.Metrics.incr "elk_scheduler_runs_total"
     ~help:"Scheduler invocations (one per candidate preload order)";
@@ -150,65 +106,7 @@ let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
     in
     Schedule.preload_time ctx (node_of id).Graph.op o
   in
-  let popt_writes : (int * P.preload_opt) list array = Array.make n [] in
-  let caching = Compilecache.enabled () in
-  let digests = if caching then node_digests graph else [||] in
-  let memo_key =
-    if caching then
-      Some
-        (Compilecache.digest_strings
-           [
-             P.fingerprint ctx;
-             string_of_int max_preload;
-             Graph.name graph;
-             String.concat "," (Array.to_list (Array.map string_of_int order));
-           ])
-    else None
-  in
-  (* Resume point: the last step whose suffix state could not be
-     restored.  [n - 1] means a full (cold) induction. *)
-  let start_step = ref (n - 1) in
-  (match memo_key with
-  | Some key when n > 1 -> (
-      match Compilecache.Lru.find suffix_store key with
-      | Some m when Array.length m.m_digests = n ->
-          let d = ref 0 in
-          for id = 0 to n - 1 do
-            if not (String.equal m.m_digests.(id) digests.(id)) then d := id
-          done;
-          let d = !d in
-          if d < n - 1 then begin
-            for id = d + 1 to n - 1 do
-              s_exe.(id) <- m.m_s_exe.(id);
-              horizon.(id) <- m.m_horizon.(id);
-              fix_plan id m.m_plans.(id)
-            done;
-            for i = n - 1 downto d + 1 do
-              popt_writes.(i) <- m.m_popt_writes.(i);
-              List.iter (fun (w, o) -> popts.(w) <- Some o) m.m_popt_writes.(i)
-            done;
-            (* One splice-point cutoff test stands in for every skipped
-               step's (see the memo note above). *)
-            if 0. -. s_exe.(d + 1) > cutoff then begin
-              Elk_obs.Metrics.incr "elk_scheduler_early_exits_total"
-                ~help:"Scheduler runs abandoned mid-induction by the search cutoff";
-              raise Pruned
-            end;
-            (* Replay step d+1's preload-channel pass: it wrote a superset
-               of every earlier pass's positions ([h_floor] only shrinks as
-               the induction advances), so this alone reproduces the spos
-               state step d observed in the cold run. *)
-            for k = n - 1 downto h_floor.(d) do
-              let w = order.(k) in
-              if w >= d + 1 then
-                spos.(k) <- Float.min s_exe.(w) (s_pre_pos (k + 1)) -. len_of w
-            done;
-            start_step := d;
-            Compilecache.note_sched_resume ()
-          end
-      | _ -> ())
-  | _ -> ());
-  for i = !start_step downto 0 do
+  for i = n - 1 downto 0 do
     let node = node_of i in
     let h_low = if i = n - 1 then n else h_floor.(min (n - 1) (i + 1)) in
     let h_high = if i = n - 1 then n else min n (h_low + max_preload) in
@@ -304,7 +202,6 @@ let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
         fix_plan i alloc.Alloc.exec_plan;
         horizon.(i) <- h_star;
         s_exe.(i) <- start;
-        popt_writes.(i) <- alloc.Alloc.window;
         List.iter (fun (w, o) -> popts.(w) <- Some o) alloc.Alloc.window);
     (* Branch-and-bound early exit (§4.4 search): the backward induction
        pins op [n-1]'s window bound at 0, and every earlier start can only
@@ -328,21 +225,6 @@ let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
       if w >= i then spos.(k) <- Float.min s_exe.(w) (s_pre_pos (k + 1)) -. len_of w
     done
   done;
-  (* Only completed inductions record a memo: a pruned or infeasible run
-     holds partial state.  The record merges the restored suffix with the
-     freshly computed prefix. *)
-  (match memo_key with
-  | Some key ->
-      Compilecache.Lru.put suffix_store key
-        {
-          m_digests = digests;
-          m_s_exe = Array.copy s_exe;
-          m_horizon = Array.copy horizon;
-          m_plans =
-            Array.map (function Some pl -> pl | None -> assert false) plans;
-          m_popt_writes = Array.copy popt_writes;
-        }
-  | None -> ());
   (* Op 0 is never inside any window; give it the biggest option that fits
      beside its own execution space. *)
   (match popts.(0) with

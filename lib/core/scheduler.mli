@@ -39,7 +39,7 @@ val run :
   Schedule.t
 (** [run ctx graph] schedules every operator and returns a complete
     {!Schedule.t} (validated).  [order] defaults to the execution order;
-    [max_preload] caps the enumerated preload numbers (default 64);
+    [max_preload] caps the enumerated preload numbers (default 32);
     [cutoff] (default [infinity]) makes the induction raise {!Pruned} as
     soon as the schedule under construction provably cannot finish within
     it.
@@ -54,13 +54,8 @@ val run :
     and charged as contention downstream; [Elk_verify] reports them as
     [mem.overcommit] warnings.
 
-    While {!Compilecache.enabled}, completed inductions record a
-    suffix-resume memo keyed by (context fingerprint, graph name, order,
-    [max_preload]): a later run whose trailing operators are unchanged
-    (same per-node digests) restores their decisions and re-enters the
-    induction at the last dirty operator, skipping the allocator sweeps
-    of the clean suffix.  Resumed runs return schedules — and [Pruned]
-    outcomes — identical to a cold induction. *)
+    Each call is a full backward induction: no state is kept between
+    calls, so the schedule depends only on the arguments. *)
 
 val preload_numbers : Schedule.t -> int array
 (** Per-operator preload numbers ([windows] shifted to operator ids):

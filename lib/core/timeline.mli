@@ -41,6 +41,16 @@ type result = {
   per_op : op_times array;
 }
 
+val union_measure : (float * float) list -> float
+(** Length covered by a list of [(start, stop)] intervals.  Overlapping
+    and touching intervals count once; empty ones ([stop <= start]) count
+    nothing.  The Fig 18(a) breakdown measures preload and execute time
+    with it, here and in {!Elk_sim.Sim}. *)
+
+val intersection_measure : (float * float) list -> (float * float) list -> float
+(** Length covered by both lists: the {!union_measure} of every pairwise
+    overlap.  Either list may overlap itself. *)
+
 val evaluate : Elk_partition.Partition.ctx -> Schedule.t -> result
 (** Raises [Invalid_argument] if the schedule fails {!Schedule.validate}. *)
 

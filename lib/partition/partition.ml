@@ -253,9 +253,10 @@ let ctx_cost ctx = ctx.cost
 
 (* A digest over a length-prefixed canonical encoding of the fields the
    memo keys compare ({!Key}): the operator component of
-   {!Compilecache.node_digest}.  Length prefixes make separator injection
-   impossible, and [flops_per_point] is included because it changes
-   execution-time estimates even when the shape is identical. *)
+   [Compilecache.graph_digest]'s per-node digest.  Length prefixes make
+   separator injection impossible, and [flops_per_point] is included
+   because it changes execution-time estimates even when the shape is
+   identical. *)
 let plan_signature (op : Opspec.t) =
   let b = Buffer.create 128 in
   let str s =

@@ -145,9 +145,9 @@ val inject_rate : Elk_arch.Arch.chip -> float
     [preload_len], exposed for bandwidth-feasibility lints. *)
 
 val plan_signature : Elk_tensor.Opspec.t -> string
-(** The operator component of [Compilecache.node_digest]: a
-    collision-safe hex digest of kind, iteration extents, input sharing
-    structure, per-point FLOPs and dtype — every field partitioning
+(** The operator component of [Compilecache.graph_digest]'s per-node
+    digest: a collision-safe hex digest of kind, iteration extents, input
+    sharing structure, per-point FLOPs and dtype — every field partitioning
     depends on, length-prefixed so distinct operators cannot collide by
     separator injection.  Operators from identical layers share a
     signature.  The memo tables do not use it: they hash and compare the

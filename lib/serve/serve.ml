@@ -59,6 +59,24 @@ let serve ?(design = B.Elk_full) ?(recompile_every = 64) ?(prefill = false) ?elk
             end)
           (Elk_sim.Noctrace.link_stats nt)
   in
+  (* One phase's simulated latency: plan its graph, simulate the plan,
+     and add the inter-chip all-reduces. *)
+  let latency_of phase =
+    let graph = Elk_model.Zoo.build cfg phase in
+    match B.plan ?elk_options env.D.ctx ~pod:env.D.pod graph design with
+    | Some s ->
+        note_plan s;
+        let r = Elk_sim.Sim.run ~noc env.D.ctx s in
+        note_noc r;
+        r.Elk_sim.Sim.total
+        +. Elk.Sharding.allreduce_time env.D.pod (Elk.Sharding.shard_graph ~chips graph)
+    | None ->
+        invalid_arg
+          (Printf.sprintf "Serve.serve: design produced no %s plan"
+             (match phase with
+             | Elk_model.Zoo.Decode _ -> "decode"
+             | Elk_model.Zoo.Prefill _ -> "prefill"))
+  in
   let plan_for ctx_len =
     match Hashtbl.find_opt plans ctx_len with
     | Some entry -> (entry, false)
@@ -73,20 +91,7 @@ let serve ?(design = B.Elk_full) ?(recompile_every = 64) ?(prefill = false) ?elk
             ~attrs:[ ("plan_ctx", string_of_int ctx_len) ]
             (fun () ->
               let t0 = Unix.gettimeofday () in
-              let graph =
-                Elk_model.Zoo.build cfg (Elk_model.Zoo.Decode { batch; ctx = ctx_len })
-              in
-              let latency =
-                match B.plan ?elk_options env.D.ctx ~pod:env.D.pod graph design with
-                | Some s ->
-                    note_plan s;
-                    let r = Elk_sim.Sim.run ~noc env.D.ctx s in
-                    note_noc r;
-                    r.Elk_sim.Sim.total
-                    +. Elk.Sharding.allreduce_time env.D.pod
-                         (Elk.Sharding.shard_graph ~chips graph)
-                | None -> invalid_arg "Serve.serve: design produced no plan"
-              in
+              let latency = latency_of (Elk_model.Zoo.Decode { batch; ctx = ctx_len }) in
               (latency, Unix.gettimeofday () -. t0))
         in
         Hashtbl.add plans ctx_len entry;
@@ -100,18 +105,7 @@ let serve ?(design = B.Elk_full) ?(recompile_every = 64) ?(prefill = false) ?elk
         ~attrs:[ ("seq", string_of_int prompt_ctx) ]
       @@ fun () ->
       let t0 = Unix.gettimeofday () in
-      let graph = Elk_model.Zoo.build cfg (Elk_model.Zoo.Prefill { batch; seq = prompt_ctx }) in
-      let latency =
-        match B.plan ?elk_options env.D.ctx ~pod:env.D.pod graph design with
-        | Some s ->
-            note_plan s;
-            let r = Elk_sim.Sim.run ~noc env.D.ctx s in
-            note_noc r;
-            r.Elk_sim.Sim.total
-            +. Elk.Sharding.allreduce_time env.D.pod
-                 (Elk.Sharding.shard_graph ~chips graph)
-        | None -> invalid_arg "Serve.serve: design produced no prefill plan"
-      in
+      let latency = latency_of (Elk_model.Zoo.Prefill { batch; seq = prompt_ctx }) in
       extra_compile := Unix.gettimeofday () -. t0;
       latency
     end

@@ -571,27 +571,11 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
    M.observe "elk_sim_preload_queue_depth" (float_of_int !max_pending)
      ~help:"Peak issued-but-unexecuted preload queue depth per run");
   (* Breakdown: union measures of preload and execute interval sets. *)
-  let union intervals =
-    let sorted = List.sort compare (List.filter (fun (a, b) -> b > a) intervals) in
-    let rec go acc cur = function
-      | [] -> ( match cur with None -> acc | Some (a, b) -> acc +. (b -. a))
-      | (a, b) :: rest -> (
-          match cur with
-          | None -> go acc (Some (a, b)) rest
-          | Some (ca, cb) ->
-              if a <= cb then go acc (Some (ca, Float.max cb b)) rest
-              else go (acc +. (cb -. ca)) (Some (a, b)) rest)
-    in
-    go 0. None sorted
-  in
   let pre_iv = List.init n (fun o -> (pre_start.(o), pre_end.(o))) in
   let exe_iv = List.init n (fun o -> (exe_start.(o), exe_end.(o))) in
-  let clip (a, b) (c, d) =
-    let lo = Float.max a c and hi = Float.min b d in
-    if hi > lo then Some (lo, hi) else None
-  in
-  let both = union (List.concat_map (fun x -> List.filter_map (clip x) exe_iv) pre_iv) in
-  let pre_m = union pre_iv and exe_m = union exe_iv in
+  let both = Elk.Timeline.intersection_measure pre_iv exe_iv in
+  let pre_m = Elk.Timeline.union_measure pre_iv
+  and exe_m = Elk.Timeline.union_measure exe_iv in
   let sum f = Array.fold_left (fun a e -> a +. f e) 0. s.Elk.Schedule.entries in
   let hbm_device_volume = sum (fun e -> e.Elk.Schedule.popt.P.hbm_device_bytes) in
   let inject_volume = sum (fun e -> e.Elk.Schedule.popt.P.noc_inject_bytes) in

@@ -247,6 +247,24 @@ let test_timeline_volumes_match_graph () =
     (Graph.total_hbm_bytes s.Elk.Schedule.graph)
     tl.Elk.Timeline.hbm_device_volume
 
+(* The interval measures behind the Fig 18(a) breakdown, here and in
+   the simulator. *)
+let test_interval_measures () =
+  let u = Elk.Timeline.union_measure and x = Elk.Timeline.intersection_measure in
+  let eq name want got = Alcotest.(check (float 0.)) name want got in
+  eq "no intervals" 0. (u []);
+  eq "empty intervals" 0. (u [ (1., 1.); (3., 2.) ]);
+  eq "touching count once" 3. (u [ (0., 1.); (1., 3.) ]);
+  eq "nested" 4. (u [ (0., 4.); (1., 2.) ]);
+  eq "disjoint" 3. (u [ (5., 6.); (0., 2.) ]);
+  eq "against no intervals" 0. (x [ (0., 4.) ] []);
+  eq "against an empty interval" 0. (x [ (0., 4.) ] [ (2., 2.) ]);
+  eq "touching share nothing" 0. (x [ (0., 1.) ] [ (1., 2.) ]);
+  eq "nested" 1. (x [ (0., 4.) ] [ (1., 2.) ]);
+  eq "disjoint" 0. (x [ (0., 1.) ] [ (2., 3.) ]);
+  eq "overlaps within a list count once" 2.
+    (x [ (0., 3.); (1., 4.) ] [ (2., 5.); (2., 3.) ])
+
 (* ------------------------------------------------------------------ *)
 (* Reorder                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -430,6 +448,7 @@ let suite =
     ("timeline: breakdown", `Quick, test_timeline_breakdown_sums);
     ("timeline: utilizations", `Quick, test_timeline_utilizations_sane);
     ("timeline: hbm volume conserved", `Quick, test_timeline_volumes_match_graph);
+    ("timeline: interval measures", `Quick, test_interval_measures);
     ("reorder: kendall tau", `Quick, test_kendall_tau);
     ("reorder: suffix orders free", `Quick, test_valid_suffix_orders_unconstrained);
     ("reorder: capacity prunes", `Quick, test_valid_suffix_orders_capacity_prunes);
