@@ -946,7 +946,7 @@ let serve_cmd =
   let module W = Elk_serve.Workload in
   let module F = Elk_serve.Frontend in
   let run cfg scale layer_factor env jobs no_cache design workload rate requests
-      seed prompt output max_batch plan_cache_cap slo_ttft slo_itl window mem noc
+      seed prompt output max_batch slo_ttft slo_itl window mem noc
       json_out metrics_out trace_out =
     set_jobs jobs;
     set_cache no_cache;
@@ -963,9 +963,7 @@ let serve_cmd =
           | None -> invalid_arg (Printf.sprintf "unknown workload %S" workload)
         in
         let reqs = W.generate ~seed ~n:requests spec in
-        let result =
-          F.run ~design ?jobs ~max_batch ~plan_cache_cap ~noc env cfg reqs
-        in
+        let result = F.run ~design ?jobs ~max_batch ~noc env cfg reqs in
         Ok
           ( result,
             Elk_serve.Slo.of_result ?slo_ttft ?slo_itl ?window ~mem ~noc
@@ -1023,14 +1021,6 @@ let serve_cmd =
   let max_batch_t =
     Arg.(value & opt int 8 & info [ "max-batch" ] ~doc:"Largest batch the front-end forms.")
   in
-  let plan_cache_cap_t =
-    Arg.(
-      value & opt int 512
-      & info [ "plan-cache-cap" ]
-          ~doc:
-            "Largest number of padded shapes the front-end plan cache keeps \
-             (LRU eviction beyond it).")
-  in
   let slo_ttft_t =
     Arg.(
       value
@@ -1087,7 +1077,7 @@ let serve_cmd =
       const run $ model_t $ scale_t $ layer_factor_t $ env_t $ jobs_t
       $ no_cache_t $ design_t $ workload_t $ rate_t
       $ requests_t $ seed_t $ prompt_t $ output_t $ max_batch_t
-      $ plan_cache_cap_t $ slo_ttft_t $ slo_itl_t $ window_t $ mem_t $ noc_t
+      $ slo_ttft_t $ slo_itl_t $ window_t $ mem_t $ noc_t
       $ json_out_t $ metrics_out_t $ trace_out_t)
 
 let () =

@@ -14,9 +14,10 @@
 
    Plan sharing: batches are padded to bucketed shapes (batch size to
    the next power of two, prompt length to the plan quantum, token
-   count to a multiple of 16), and Serve runs are memoized per bucket —
-   the (model, ctx-bucket, batch-bucket) plan cache a deployment would
-   keep, so compile work amortizes across the whole workload.
+   count to a multiple of 16), and every batch's generation reads one
+   Serve phase memo for the whole run — each prefill and decode phase
+   is planned and simulated once, so compile work amortizes across the
+   whole workload.
 
    Everything here is simulated time; no wall-clock value enters any
    trace or lifecycle field, so runs are byte-deterministic for a given
@@ -45,7 +46,7 @@ type batch_trace = {
   b_end : float;
   b_step_ends : float array;  (* completion time of decode step k *)
   b_live : int array;  (* requests still generating at step k *)
-  b_fresh_plans : int;  (* decode plans compiled for this batch (0 on cache hit) *)
+  b_fresh_plans : int;  (* its generation's recompilations (0 on a repeated shape) *)
   b_highwater : float;  (* peak static per-core SRAM bytes of its plans *)
   b_busiest_link : string;  (* hottest interconnect link of its plans ("" without noc) *)
   b_link_busy : float;  (* that link's reservation seconds (0 without noc) *)
@@ -55,10 +56,8 @@ type result = {
   requests : req_trace list;  (* in arrival order *)
   batches : batch_trace list;  (* in formation order *)
   makespan : float;  (* completion of the last batch *)
-  distinct_shapes : int;  (* plan-cache misses: Serve runs actually computed *)
-  recompilations : int;  (* decode plans compiled across all misses *)
-  plan_cache_size : int;  (* shapes resident in the plan cache at the end *)
-  plan_cache_evictions : int;  (* shapes evicted by the LRU cap *)
+  distinct_shapes : int;  (* padded shapes the run saw *)
+  recompilations : int;  (* decode plans across the distinct shapes' generations *)
 }
 
 let round_up v quantum = (v + quantum - 1) / quantum * quantum
@@ -70,11 +69,9 @@ let next_pow2 n =
 let token_quantum = 16
 
 let run ?(design = B.Elk_full) ?(recompile_every = 64) ?elk_options ?jobs
-    ?(max_batch = 8) ?(plan_cache_cap = 512) ?(noc = false) env cfg requests =
+    ?(max_batch = 8) ?noc env cfg requests =
   if requests = [] then invalid_arg "Frontend.run: no requests";
   if max_batch <= 0 then invalid_arg "Frontend.run: max_batch must be positive";
-  if plan_cache_cap <= 0 then
-    invalid_arg "Frontend.run: plan_cache_cap must be positive";
   let rec sorted = function
     | a :: (b :: _ as rest) ->
         a.Workload.arrival_s <= b.Workload.arrival_s && sorted rest
@@ -83,47 +80,9 @@ let run ?(design = B.Elk_full) ?(recompile_every = 64) ?elk_options ?jobs
   if not (sorted requests) then
     invalid_arg "Frontend.run: requests must be in arrival order";
   Option.iter Elk_util.Pool.set_jobs jobs;
-  (* Serve runs memoized per padded shape: the deployment's plan cache.
-     Bounded — a long-tailed workload must not hold every shape it ever
-     saw — with least-recently-used eviction on insert; an evicted shape
-     that recurs is recompiled and counted as a fresh miss. *)
-  let cache : (int * int * int, Serve.run * int ref) Hashtbl.t = Hashtbl.create 8 in
-  let tick = ref 0 and evictions = ref 0 in
-  let misses = ref 0 and recompiles = ref 0 in
-  let serve_for ~bucket ~prompt_ctx ~tokens =
-    let key = (bucket, prompt_ctx, tokens) in
-    incr tick;
-    match Hashtbl.find_opt cache key with
-    | Some (r, stamp) ->
-        stamp := !tick;
-        (r, 0)
-    | None ->
-        let r =
-          Serve.serve ~design ~recompile_every ~prefill:true ?elk_options ~noc
-            env cfg ~batch:bucket ~prompt_ctx ~tokens
-        in
-        if Hashtbl.length cache >= plan_cache_cap then begin
-          let victim =
-            Hashtbl.fold
-              (fun k (_, stamp) acc ->
-                match acc with
-                | Some (_, s) when s <= !stamp -> acc
-                | _ -> Some (k, !stamp))
-              cache None
-          in
-          match victim with
-          | Some (k, _) ->
-              Hashtbl.remove cache k;
-              incr evictions;
-              Elk_obs.Metrics.incr "elk_serve_plan_evictions_total"
-                ~help:"Padded shapes evicted from the serving plan cache"
-          | None -> ()
-        end;
-        Hashtbl.add cache key (r, ref !tick);
-        incr misses;
-        recompiles := !recompiles + r.Serve.recompilations;
-        (r, r.Serve.recompilations)
-  in
+  let memo = Serve.memo ~design ?elk_options ?noc env cfg in
+  (* The run's padded shapes, for accounting only. *)
+  let shapes = Hashtbl.create 8 in
   let rec take_batch acc k t = function
     | r :: rest when k < max_batch && r.Workload.arrival_s <= t ->
         take_batch (r :: acc) (k + 1) t rest
@@ -145,7 +104,18 @@ let run ?(design = B.Elk_full) ?(recompile_every = 64) ?elk_options ?jobs
           List.fold_left (fun a r -> max a r.Workload.output_len) 1 admitted
         in
         let tokens = round_up needed token_quantum in
-        let sr, fresh = serve_for ~bucket ~prompt_ctx ~tokens in
+        let sr =
+          Serve.generate ~recompile_every ~prefill:true memo ~batch:bucket
+            ~prompt_ctx ~tokens
+        in
+        (* A shape's first batch counts its generation's decode plans. *)
+        let fresh =
+          if Hashtbl.mem shapes (bucket, prompt_ctx, tokens) then 0
+          else begin
+            Hashtbl.add shapes (bucket, prompt_ctx, tokens) ();
+            sr.Serve.recompilations
+          end
+        in
         let prefill_end = t_form +. sr.Serve.prefill_latency in
         let lats = Array.of_list (List.map (fun s -> s.Serve.latency) sr.Serve.steps) in
         let step_ends = Array.make needed prefill_end in
@@ -212,18 +182,15 @@ let run ?(design = B.Elk_full) ?(recompile_every = 64) ?elk_options ?jobs
   Elk_obs.Metrics.incr "elk_frontend_batches_total"
     ~by:(float_of_int (List.length batches))
     ~help:"Batches formed by the serving front-end";
-  Elk_obs.Metrics.set "elk_frontend_plan_cache_misses" (float_of_int !misses)
+  Elk_obs.Metrics.set "elk_frontend_plan_cache_misses"
+    (float_of_int (Hashtbl.length shapes))
     ~help:"Distinct padded shapes the serving front-end compiled plans for";
-  Elk_obs.Metrics.set "elk_frontend_plan_cache_size" (float_of_int (Hashtbl.length cache))
-    ~help:"Padded shapes resident in the serving plan cache";
   {
     requests = requests';
     batches;
     makespan;
-    distinct_shapes = !misses;
-    recompilations = !recompiles;
-    plan_cache_size = Hashtbl.length cache;
-    plan_cache_evictions = !evictions;
+    distinct_shapes = Hashtbl.length shapes;
+    recompilations = List.fold_left (fun a b -> a + b.b_fresh_plans) 0 batches;
   }
 
 (* ---- per-request derived metrics ------------------------------------- *)

@@ -3,11 +3,11 @@
 
     Requests from {!Workload} arrive over time; whenever the engine is
     free, the oldest queued requests (up to [max_batch]) are admitted as
-    one batch, padded to a common shape, and generated with a memoized
-    {!Serve.serve} run — static batching with a plan cache keyed on the
-    padded shape, so compile work amortizes across the workload.  Every
-    lifecycle timestamp is simulated; results are byte-deterministic for
-    a given request list at any jobs count. *)
+    one batch, padded to a common shape, and generated with
+    {!Serve.generate} over the run's one {!Serve.memo} — static batching
+    where compile work amortizes across the workload.  Every lifecycle
+    timestamp is simulated; results are byte-deterministic for a given
+    request list at any jobs count. *)
 
 type req_trace = {
   req : Workload.request;
@@ -30,10 +30,10 @@ type batch_trace = {
   b_end : float;
   b_step_ends : float array;  (** completion time of decode step [k] *)
   b_live : int array;  (** requests still generating at step [k] *)
-  b_fresh_plans : int;  (** decode plans compiled for this batch (0 = cache hit) *)
+  b_fresh_plans : int;  (** its generation's [recompilations]; 0 on a repeated shape *)
   b_highwater : float;
       (** peak static per-core SRAM bytes across the plans serving this
-          batch ({!Serve.run.highwater} of its memoized run) *)
+          batch ({!Serve.run.highwater} of its generation) *)
   b_busiest_link : string;
       (** hottest interconnect link across the plans serving this batch
           ({!Serve.run.busiest_link}; [""] when [run] was called without
@@ -45,10 +45,8 @@ type result = {
   requests : req_trace list;  (** in request-id (= arrival) order *)
   batches : batch_trace list;  (** in formation order *)
   makespan : float;  (** completion time of the last batch *)
-  distinct_shapes : int;  (** plan-cache misses: Serve runs actually computed *)
-  recompilations : int;  (** decode plans compiled across all misses *)
-  plan_cache_size : int;  (** shapes resident in the plan cache at the end *)
-  plan_cache_evictions : int;  (** shapes evicted by the LRU cap *)
+  distinct_shapes : int;  (** padded shapes the run saw *)
+  recompilations : int;  (** the [b_fresh_plans] sum *)
 }
 
 val run :
@@ -57,7 +55,6 @@ val run :
   ?elk_options:Elk.Compile.options ->
   ?jobs:int ->
   ?max_batch:int ->
-  ?plan_cache_cap:int ->
   ?noc:bool ->
   Elk_dse.Dse.env ->
   Elk_model.Zoo.config ->
@@ -66,15 +63,15 @@ val run :
 (** Serve the whole request list.  [max_batch] (default 8) bounds batch
     size; batches pad to the next power of two, prompts to the plan
     quantum ([recompile_every], default 64), token counts to a multiple
-    of 16, and identical padded shapes reuse one {!Serve.serve} run.
-    The shape memo is bounded by [plan_cache_cap] (default 512) with
-    least-recently-used eviction ([elk_serve_plan_evictions_total]
-    counts evictions); an evicted shape that recurs is recompiled.
-    [noc] (default false) records per-link interconnect traffic in each
-    plan's simulation and fills the [b_busiest_link] / [b_link_busy]
-    batch fields; latencies are identical either way.  Raises
-    [Invalid_argument] on an empty or out-of-order request list or
-    nonpositive [max_batch] / [plan_cache_cap]. *)
+    of 16.  Every batch's generation reads the run's one {!Serve.memo},
+    so each phase is planned and simulated once per run; the memo needs
+    no cap, and [elk_serve_recompiles_total] counts the decode phases
+    planned.  The run's set of padded shapes serves only the accounting
+    fields.  [noc] (default false) records per-link interconnect traffic
+    in each plan's simulation and fills the [b_busiest_link] /
+    [b_link_busy] batch fields; latencies are identical either way.  Raises
+    [Invalid_argument] on an empty or out-of-order request list or a
+    nonpositive [max_batch]. *)
 
 val queue_wait : req_trace -> float
 (** Arrival to batch admission. *)

@@ -1,5 +1,6 @@
 module B = Elk_baselines.Baselines
 module D = Elk_dse.Dse
+module Zoo = Elk_model.Zoo
 
 type step = { token : int; ctx : int; latency : float; recompiled : bool }
 
@@ -15,138 +16,153 @@ type run = {
   link_busy : float;
 }
 
-let round_up v quantum = (v + quantum - 1) / quantum * quantum
+(* What planning and simulating one phase gives. *)
+type outcome = {
+  o_latency : float;  (* simulated latency plus the inter-chip all-reduces *)
+  o_highwater : float;  (* the plan's static per-core SRAM high water *)
+  o_link : string * float;  (* busiest link and its reservation seconds *)
+}
 
-let serve ?(design = B.Elk_full) ?(recompile_every = 64) ?(prefill = false) ?elk_options
-    ?jobs ?(noc = false) env cfg ~batch ~prompt_ctx ~tokens =
-  if tokens <= 0 || batch <= 0 || prompt_ctx <= 0 then
-    invalid_arg "Serve.serve: nonpositive workload parameter";
-  (* Every recompile in the loop goes through the shared pool; size it
-     once up front so mid-generation recompiles reuse warm domains. *)
-  Option.iter Elk_util.Pool.set_jobs jobs;
+(* The first strictly busiest (link, seconds) pair; ("", 0.) if none. *)
+let busiest =
+  List.fold_left
+    (fun ((_, b) as best) ((_, b') as l) -> if b' > b then l else best)
+    ("", 0.)
+
+(* One run's phase outcomes, and how to plan a missing phase: its
+   outcome and the wall-clock seconds [B.plan] took. *)
+type memo = {
+  phases : (Zoo.phase, outcome) Hashtbl.t;
+  plan : Zoo.phase -> outcome * float;
+}
+
+let memo ?(design = B.Elk_full) ?elk_options ?(noc = false) env cfg =
   if design = B.Ideal then invalid_arg "Serve.serve: Ideal has no executable plan";
   (* Percentile queries after the run must describe this run alone. *)
   Elk_obs.Metrics.reset_histogram "elk_serve_step_latency_seconds";
-  let chips = env.D.pod.Elk_arch.Arch.chips in
-  (* Cache of (plan context length -> (latency, compile seconds)). *)
-  let plans = Hashtbl.create 8 in
-  (* Peak static per-core SRAM demand across every plan this run
-     compiles (prefill included): the Residency ledger's high water,
-     read off the schedule at compile time — no extra simulation. *)
-  let chip = Elk_partition.Partition.ctx_chip env.D.ctx in
-  let highwater = ref 0. in
-  let note_plan s =
-    let ledger =
-      Elk.Residency.of_schedule
-        ~capacity:(Elk_arch.Arch.usable_sram_per_core chip)
-        ~cores:chip.Elk_arch.Arch.cores s
-    in
-    highwater := Float.max !highwater ledger.Elk.Residency.high_water
-  in
-  (* Peak busy-time interconnect link across every plan this run
-     simulates, from the per-link record ([~noc] only).  link_stats is
-     canonically ordered, so a strict [>] keeps ties deterministic. *)
-  let busiest_link = ref "" and link_busy = ref 0. in
-  let note_noc (r : Elk_sim.Sim.result) =
-    match r.Elk_sim.Sim.noc with
-    | None -> ()
-    | Some nt ->
-        List.iter
-          (fun s ->
-            if s.Elk_sim.Noctrace.ls_busy > !link_busy then begin
-              link_busy := s.Elk_sim.Noctrace.ls_busy;
-              busiest_link := Elk_noc.Noc.link_name s.Elk_sim.Noctrace.ls_link
-            end)
-          (Elk_sim.Noctrace.link_stats nt)
-  in
-  (* One phase's simulated latency: plan its graph, simulate the plan,
-     and add the inter-chip all-reduces. *)
-  let latency_of phase =
-    let graph = Elk_model.Zoo.build cfg phase in
-    match B.plan ?elk_options env.D.ctx ~pod:env.D.pod graph design with
-    | Some s ->
-        note_plan s;
-        let r = Elk_sim.Sim.run ~noc env.D.ctx s in
-        note_noc r;
-        r.Elk_sim.Sim.total
-        +. Elk.Sharding.allreduce_time env.D.pod (Elk.Sharding.shard_graph ~chips graph)
+  let ctx = env.D.ctx and pod = env.D.pod in
+  let plan phase =
+    let graph = Zoo.build cfg phase in
+    let t0 = Unix.gettimeofday () in
+    match B.plan ?elk_options ctx ~pod graph design with
     | None ->
         invalid_arg
           (Printf.sprintf "Serve.serve: design produced no %s plan"
-             (match phase with
-             | Elk_model.Zoo.Decode _ -> "decode"
-             | Elk_model.Zoo.Prefill _ -> "prefill"))
-  in
-  let plan_for ctx_len =
-    match Hashtbl.find_opt plans ctx_len with
-    | Some entry -> (entry, false)
-    | None ->
-        Elk_obs.Metrics.incr "elk_serve_recompiles_total"
-          ~help:"Decode plans compiled as the KV context grew";
-        Elk_obs.Logger.debug ~src:"serve"
-          ~kvs:[ ("plan_ctx", string_of_int ctx_len) ]
-          "recompiling decode plan";
-        let entry =
-          Elk_obs.Span.with_span "serve-plan"
-            ~attrs:[ ("plan_ctx", string_of_int ctx_len) ]
-            (fun () ->
-              let t0 = Unix.gettimeofday () in
-              let latency = latency_of (Elk_model.Zoo.Decode { batch; ctx = ctx_len }) in
-              (latency, Unix.gettimeofday () -. t0))
+             (match phase with Zoo.Decode _ -> "decode" | Zoo.Prefill _ -> "prefill"))
+    | Some s ->
+        let plan_s = Unix.gettimeofday () -. t0 in
+        let r = Elk_sim.Sim.run ~noc ctx s in
+        let links =
+          Option.fold ~none:[] ~some:Elk_sim.Noctrace.link_stats r.Elk_sim.Sim.noc
         in
-        Hashtbl.add plans ctx_len entry;
-        (entry, true)
+        let chips = pod.Elk_arch.Arch.chips in
+        ( {
+            o_latency =
+              r.Elk_sim.Sim.total
+              +. Elk.Sharding.allreduce_time pod (Elk.Sharding.shard_graph ~chips graph);
+            o_highwater = Elk.Residency.high_water s;
+            o_link =
+              busiest
+                (List.map
+                   (fun l ->
+                     Elk_sim.Noctrace.(Elk_noc.Noc.link_name l.ls_link, l.ls_busy))
+                   links);
+          },
+          plan_s )
   in
-  let extra_compile = ref 0. in
-  let prefill_latency =
-    if not prefill then 0.
-    else begin
-      Elk_obs.Span.with_span "serve-prefill-plan"
-        ~attrs:[ ("seq", string_of_int prompt_ctx) ]
-      @@ fun () ->
-      let t0 = Unix.gettimeofday () in
-      let latency = latency_of (Elk_model.Zoo.Prefill { batch; seq = prompt_ctx }) in
-      extra_compile := Unix.gettimeofday () -. t0;
-      latency
-    end
+  { phases = Hashtbl.create 16; plan }
+
+let round_up v quantum = (v + quantum - 1) / quantum * quantum
+
+let generate ?(recompile_every = 64) ?(prefill = false) m ~batch ~prompt_ctx ~tokens =
+  if tokens <= 0 || batch <= 0 || prompt_ctx <= 0 then
+    invalid_arg "Serve.serve: nonpositive workload parameter";
+  let compile_time = ref 0. in
+  let outcome phase =
+    match Hashtbl.find_opt m.phases phase with
+    | Some o -> o
+    | None ->
+        let span, attrs =
+          match phase with
+          | Zoo.Decode { ctx; _ } ->
+              Elk_obs.Metrics.incr "elk_serve_recompiles_total"
+                ~help:"Decode phases planned, once per phase per serving run";
+              Elk_obs.Logger.debug ~src:"serve"
+                ~kvs:[ ("plan_ctx", string_of_int ctx) ]
+                "recompiling decode plan";
+              ("serve-plan", [ ("plan_ctx", string_of_int ctx) ])
+          | Zoo.Prefill { seq; _ } ->
+              ("serve-prefill-plan", [ ("seq", string_of_int seq) ])
+        in
+        let o, plan_s = Elk_obs.Span.with_span span ~attrs (fun () -> m.plan phase) in
+        compile_time := !compile_time +. plan_s;
+        Hashtbl.add m.phases phase o;
+        o
   in
-  let steps = ref [] in
-  for token = 0 to tokens - 1 do
-    let ctx = prompt_ctx + token in
-    let plan_ctx = round_up (max 1 ctx) recompile_every in
-    let (latency, _), recompiled = plan_for plan_ctx in
-    Elk_obs.Metrics.observe "elk_serve_step_latency_seconds" latency
-      ~help:"Simulated per-token decode latency";
-    steps := { token; ctx; latency; recompiled } :: !steps
-  done;
-  let steps = List.rev !steps in
+  let prefill_phase =
+    if prefill then [ outcome (Zoo.Prefill { batch; seq = prompt_ctx }) ] else []
+  in
+  (* Contexts round up to the next [recompile_every] boundary, so shapes
+     always suffice and one decode plan serves a run of steps. *)
+  let plan_ctx token = round_up (max 1 (prompt_ctx + token)) recompile_every in
+  let decode =
+    List.map
+      (fun ctx -> (ctx, outcome (Zoo.Decode { batch; ctx })))
+      (List.sort_uniq compare (List.init tokens plan_ctx))
+  in
+  let steps =
+    List.init tokens (fun token ->
+        let ctx = plan_ctx token in
+        {
+          token;
+          ctx = prompt_ctx + token;
+          latency = (List.assoc ctx decode).o_latency;
+          recompiled = token = 0 || plan_ctx (token - 1) <> ctx;
+        })
+  in
+  List.iter
+    (fun s ->
+      Elk_obs.Metrics.observe "elk_serve_step_latency_seconds" s.latency
+        ~help:"Simulated per-token decode latency")
+    steps;
   let total_time = List.fold_left (fun a s -> a +. s.latency) 0. steps in
-  let compile_time = !extra_compile +. Hashtbl.fold (fun _ (_, c) a -> a +. c) plans 0. in
   let tokens_per_second =
     if total_time > 0. then float_of_int tokens /. total_time else 0.
   in
   Elk_obs.Metrics.set "elk_serve_tokens_per_second" tokens_per_second
-    ~help:"Simulated decode throughput of the last serving run";
+    ~help:"Simulated decode throughput of the last generation";
   Elk_obs.Logger.info ~src:"serve"
     ~kvs:
       [
         ("tokens", string_of_int tokens);
         ("tok_per_s", Printf.sprintf "%.1f" tokens_per_second);
-        ("recompilations", string_of_int (Hashtbl.length plans));
-        ("compile_s", Printf.sprintf "%.2f" compile_time);
+        ("recompilations", string_of_int (List.length decode));
+        ("compile_s", Printf.sprintf "%.2f" !compile_time);
       ]
-    "serving run complete";
+    "generation complete";
+  (* Peaks over the phases this generation ran, prefill first. *)
+  let ran = prefill_phase @ List.map snd decode in
+  let busiest_link, link_busy = busiest (List.map (fun o -> o.o_link) ran) in
   {
     steps;
-    prefill_latency;
+    prefill_latency = (match prefill_phase with [ o ] -> o.o_latency | _ -> 0.);
     total_time;
-    compile_time;
+    compile_time = !compile_time;
     tokens_per_second;
-    recompilations = Hashtbl.length plans;
-    highwater = !highwater;
-    busiest_link = !busiest_link;
-    link_busy = !link_busy;
+    recompilations = List.length decode;
+    highwater = List.fold_left (fun a o -> Float.max a o.o_highwater) 0. ran;
+    busiest_link;
+    link_busy;
   }
+
+let serve ?design ?recompile_every ?prefill ?elk_options ?jobs ?noc env cfg ~batch
+    ~prompt_ctx ~tokens =
+  (* Every phase planned in the run goes through the shared pool; size
+     it once up front so its plans reuse warm domains. *)
+  Option.iter Elk_util.Pool.set_jobs jobs;
+  generate ?recompile_every ?prefill
+    (memo ?design ?elk_options ?noc env cfg)
+    ~batch ~prompt_ctx ~tokens
 
 let time_to_first_token r =
   r.prefill_latency +. (match r.steps with s :: _ -> s.latency | [] -> 0.)

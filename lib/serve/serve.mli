@@ -16,7 +16,7 @@ type step = {
   token : int;  (** 0-based generated-token index. *)
   ctx : int;  (** KV length the step ran with. *)
   latency : float;  (** simulated step latency incl. all-reduce. *)
-  recompiled : bool;  (** a fresh plan was compiled for this step. *)
+  recompiled : bool;  (** first step of the generation on this context bucket. *)
 }
 
 type run = {
@@ -24,20 +24,55 @@ type run = {
   prefill_latency : float;
       (** simulated prefill-phase latency (0 when [prefill] was false). *)
   total_time : float;  (** sum of decode-step latencies. *)
-  compile_time : float;  (** total wall-clock spent compiling. *)
+  compile_time : float;
+      (** wall-clock seconds in {!Elk_baselines.Baselines.plan} for the
+          phases this generation planned; simulation is not counted. *)
   tokens_per_second : float;  (** steps / total_time (excl. compile). *)
-  recompilations : int;
+  recompilations : int;  (** decode plans used: one per context bucket. *)
   highwater : float;
-      (** peak static per-core SRAM demand (bytes) across every plan the
-          run compiled, prefill included — the {!Elk.Residency} ledger's
-          high water, read off each schedule at compile time. *)
+      (** peak static per-core SRAM demand (bytes) across the plans of
+          the generation's phases, prefill included — the
+          {!Elk.Residency} high water of each schedule. *)
   busiest_link : string;
       (** name of the busiest interconnect link (by reservation time)
-          across every plan the run simulated, when the run was made
-          with [noc]; [""] otherwise. *)
+          across the generation's phases, when the memo was made with
+          [noc]; [""] otherwise. *)
   link_busy : float;
       (** that link's reservation seconds; [0.] without [noc]. *)
 }
+
+type memo
+(** The phase memo of one serving run.  A phase is a prefill of (batch,
+    prompt length) or a decode step at (batch, context bucket); the memo
+    plans, ledgers and simulates each once per run.  It dies with the
+    run, so the compile cache is the only store that outlives it and
+    every phase a run plans passes the verifier gate. *)
+
+val memo :
+  ?design:Elk_baselines.Baselines.design ->
+  ?elk_options:Elk.Compile.options ->
+  ?noc:bool ->
+  Elk_dse.Dse.env ->
+  Elk_model.Zoo.config ->
+  memo
+(** Start a serving run.  [design] defaults to [Elk_full]; [noc]
+    (default false) records per-link traffic in each phase's simulation
+    for [busiest_link]/[link_busy] — latencies are identical either
+    way.  Resets the [elk_serve_step_latency_seconds] histogram.  Raises
+    [Invalid_argument] for [Ideal], which has no executable plan. *)
+
+val generate :
+  ?recompile_every:int -> ?prefill:bool -> memo -> batch:int -> prompt_ctx:int ->
+  tokens:int -> run
+(** Generate [tokens] tokens for a [batch] whose prompt occupies
+    [prompt_ctx] KV entries, planning only the phases the memo lacks.
+    Decode plans serve contexts rounded up to the next [recompile_every]
+    boundary (default 64); [prefill] (default false) first runs the
+    prompt through a prefill plan, giving a time-to-first-token.  Steps
+    feed [elk_serve_step_latency_seconds] and
+    [elk_serve_tokens_per_second]; [elk_serve_recompiles_total] counts
+    decode phases planned, once per phase per run.  Raises
+    [Invalid_argument] for nonpositive [tokens]/[batch]/[prompt_ctx]. *)
 
 val serve :
   ?design:Elk_baselines.Baselines.design ->
@@ -52,20 +87,9 @@ val serve :
   prompt_ctx:int ->
   tokens:int ->
   run
-(** Generate [tokens] tokens for a [batch] of requests whose prompt
-    occupies [prompt_ctx] KV entries.  A plan is compiled for context
-    lengths rounded up to the next [recompile_every] boundary (default
-    64), so shapes are always sufficient and plans are reused across
-    steps.  With [prefill] (default false) the prompt is first processed
-    through a prefill-phase plan, giving a time-to-first-token.  [design]
-    defaults to [Elk_full].  [jobs] resizes the shared compilation pool
-    ({!Elk_util.Pool.set_jobs}) before the loop, so every recompile in
-    the generation runs its order search on that many domains; plans are
-    identical whatever the value.  [noc] (default false) turns on
-    per-link interconnect recording in each plan's simulation and fills
-    the [busiest_link]/[link_busy] fields; recording is pure
-    bookkeeping, so latencies are identical either way.  Raises
-    [Invalid_argument] for nonpositive [tokens]/[batch]/[prompt_ctx]. *)
+(** One serving run: {!generate} over a fresh {!memo}.  [jobs] first
+    resizes the shared compilation pool ({!Elk_util.Pool.set_jobs});
+    plans are identical whatever the value. *)
 
 val time_to_first_token : run -> float
 (** [prefill_latency] plus the first decode step's latency. *)

@@ -48,8 +48,6 @@ type report = {
   attainment : float option;  (* fraction of requests meeting every set SLO *)
   distinct_shapes : int;
   recompilations : int;
-  plan_cache_size : int;  (* shapes resident in the front-end plan cache *)
-  plan_cache_evictions : int;  (* shapes evicted by the LRU cap *)
   series : Elk_obs.Timeseries.t;
 }
 
@@ -106,8 +104,6 @@ let of_result ?slo_ttft ?slo_itl ?window ?mem ?noc ~workload ~seed
        else Some (float_of_int met /. float_of_int n));
     distinct_shapes = r.distinct_shapes;
     recompilations = r.recompilations;
-    plan_cache_size = r.plan_cache_size;
-    plan_cache_evictions = r.plan_cache_evictions;
     series;
   }
 
@@ -159,8 +155,6 @@ let to_json rp =
         (opt rp.slo_ttft) (opt rp.slo_itl) (opt rp.attainment);
       Printf.sprintf "\"distinct_shapes\":%d,\"recompilations\":%d,"
         rp.distinct_shapes rp.recompilations;
-      Printf.sprintf "\"plan_cache\":{\"size\":%d,\"evictions\":%d},"
-        rp.plan_cache_size rp.plan_cache_evictions;
       Printf.sprintf "\"series\":%s"
         (Elk_obs.Timeseries.to_json rp.series ~horizon:rp.makespan ());
       "}";
@@ -187,8 +181,6 @@ let print rp =
   Printf.printf
     "  %d requests in %d batches over %.3f s simulated (%d shapes compiled, %d plan compiles)\n"
     rp.n_requests rp.n_batches rp.makespan rp.distinct_shapes rp.recompilations;
-  Printf.printf "  plan cache: %d shapes resident, %d evicted\n" rp.plan_cache_size
-    rp.plan_cache_evictions;
   Printf.printf "  throughput %.1f tok/s, goodput %.1f%% (%d useful / %d padded)\n\n"
     rp.tokens_per_second (100. *. rp.goodput) rp.useful_tokens rp.padded_tokens;
   let tbl =

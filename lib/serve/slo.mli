@@ -33,8 +33,6 @@ type report = {
           target was given *)
   distinct_shapes : int;
   recompilations : int;
-  plan_cache_size : int;  (** shapes resident in the front-end plan cache *)
-  plan_cache_evictions : int;  (** shapes evicted by the LRU cap *)
   series : Elk_obs.Timeseries.t;
 }
 

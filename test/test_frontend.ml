@@ -144,32 +144,39 @@ let test_determinism_across_jobs () =
   let b = run () in
   Alcotest.(check string) "SLO JSON identical across jobs counts" a b
 
-let test_plan_cache_cap () =
+(* A serving run plans each distinct phase once.  Every plan passes the
+   verifier gate, a compile-cache hit included, so the gate runs once
+   per prefill and decode phase the batches reach. *)
+let test_phase_planned_once () =
   let reqs = Workload.generate ~seed:21 ~n:12 spec in
-  let env = Elk_dse.Dse.env () in
-  let full = Frontend.run ~design:B.Elk_dyn ~max_batch:4 env cfg reqs in
-  let capped =
-    Frontend.run ~design:B.Elk_dyn ~max_batch:4 ~plan_cache_cap:1 env cfg reqs
+  let gate = Elk.Compile.verifier () in
+  let calls = ref 0 in
+  Elk.Compile.set_verifier
+    (Some
+       (fun ctx s p ->
+         incr calls;
+         match gate with Some verify -> verify ctx s p | None -> Ok ()));
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Elk.Compile.set_verifier gate)
+      (fun () ->
+        Frontend.run ~design:B.Elk_dyn ~max_batch:4 (Elk_dse.Dse.env ()) cfg reqs)
   in
-  Alcotest.(check int) "uncapped run evicts nothing" 0
-    full.Frontend.plan_cache_evictions;
-  Alcotest.(check bool) "uncapped size = distinct shapes" true
-    (full.Frontend.plan_cache_size = full.Frontend.distinct_shapes);
-  Alcotest.(check bool) "capped size within cap" true
-    (capped.Frontend.plan_cache_size <= 1);
-  if capped.Frontend.distinct_shapes > 1 then
-    Alcotest.(check bool) "cap of 1 forces evictions" true
-      (capped.Frontend.plan_cache_evictions > 0);
-  (* The cap changes only reuse, never results: every request timing is
-     identical to the uncapped run. *)
-  Alcotest.(check (float 1e-12)) "same makespan" full.Frontend.makespan
-    capped.Frontend.makespan;
-  List.iter2
-    (fun (a : Frontend.req_trace) (b : Frontend.req_trace) ->
-      Alcotest.(check (float 1e-12)) "same ttft" (Frontend.ttft a) (Frontend.ttft b);
-      Alcotest.(check (float 1e-12)) "same finish" a.Frontend.finish
-        b.Frontend.finish)
-    full.Frontend.requests capped.Frontend.requests
+  (* Token counts pad to a multiple of 16; decode plans serve contexts
+     rounded up to 64-entry boundaries. *)
+  let round_up v q = (v + q - 1) / q * q in
+  let phases =
+    List.concat_map
+      (fun (b : Frontend.batch_trace) ->
+        Elk_model.Zoo.Prefill { batch = b.b_bucket; seq = b.b_prompt_ctx }
+        :: List.init (round_up b.b_tokens 16) (fun k ->
+               Elk_model.Zoo.Decode
+                 { batch = b.b_bucket; ctx = round_up (b.b_prompt_ctx + k) 64 }))
+      r.Frontend.batches
+  in
+  Alcotest.(check int) "one gate call per distinct phase"
+    (List.length (List.sort_uniq compare phases))
+    !calls
 
 (* serve --noc: with interconnect recording on, every batch carries the
    hottest link of its plans, the busiest-link gauge enters the series,
@@ -209,7 +216,6 @@ let test_rejects_bad_input () =
   let reqs = Workload.generate ~seed:1 ~n:3 spec in
   bad (fun () -> ignore (Frontend.run env cfg []));
   bad (fun () -> ignore (Frontend.run ~max_batch:0 env cfg reqs));
-  bad (fun () -> ignore (Frontend.run ~plan_cache_cap:0 env cfg reqs));
   bad (fun () -> ignore (Frontend.run env cfg (List.rev reqs)))
 
 let suite =
@@ -217,7 +223,7 @@ let suite =
     Alcotest.test_case "lifecycle order" `Quick test_lifecycle_order;
     Alcotest.test_case "fcfs batches" `Quick test_fcfs_batches;
     Alcotest.test_case "plan cache" `Quick test_plan_cache;
-    Alcotest.test_case "plan cache cap" `Quick test_plan_cache_cap;
+    Alcotest.test_case "each phase planned once" `Quick test_phase_planned_once;
     Alcotest.test_case "timeseries tiling" `Quick test_timeseries_tiling;
     Alcotest.test_case "slo report" `Quick test_slo_report;
     Alcotest.test_case "determinism across jobs" `Quick
