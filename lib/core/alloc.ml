@@ -4,6 +4,7 @@ module P = Elk_partition.Partition
 
 type result = {
   exec_plan : P.plan;
+  exec_index : int;
   window : (int * P.preload_opt) list;
   exec_time : float;
   objective : float;
@@ -51,6 +52,22 @@ let well_packed placed =
     | a :: tl -> (not (List.exists (overlaps a) tl)) && go tl
   in
   go placed
+
+(* Whether the bump packing of [n] sizes ([size k] in packing order) is
+   disjoint, in one pass.  With no negative size it is by construction:
+   each base is the previous base plus a nonnegative size, and adding a
+   nonnegative float never rounds below the augend, so a later base is at
+   least an earlier interval's end as [overlaps] computes it; NaN and
+   infinities make [overlaps]'s comparisons false.  Only a negative size
+   needs the pairwise scan. *)
+let packing_disjoint_n n size =
+  let rec nonnegative k = k >= n || ((not (size k < 0.)) && nonnegative (k + 1)) in
+  nonnegative 0
+  || well_packed (pack (List.init n (fun k -> (k, Residency.Preload, size k))))
+
+let packing_disjoint sizes =
+  let sizes = Array.of_list sizes in
+  packing_disjoint_n (Array.length sizes) (Array.get sizes)
 
 (* First-fit address layout over the whole schedule's buffer lifetimes.
 
@@ -143,6 +160,39 @@ let frontier ctx (node : Elk_model.Graph.node) plan =
     overheads = Array.map P.preload_overhead options;
   }
 
+(* The executing operator's frontier, resolved once per induction step
+   and read by every horizon's allocation: its Pareto plans in ascending
+   execution space with the (space, time) pairs the descent steps along,
+   and each plan's preload options, resolved on first use.  The option
+   cache is plain mutable state, so a value belongs to one domain. *)
+type exec_frontier = {
+  node : Elk_model.Graph.node;
+  ctx : P.ctx;
+  plans : P.plan array;
+  plan_spaces : float array;
+  plan_times : float array;
+  plan_options : P.preload_opt list option array;
+}
+
+let exec_frontier ctx (node : Elk_model.Graph.node) =
+  let points = Array.of_list (P.exec_frontier ctx node.Elk_model.Graph.op) in
+  {
+    node;
+    ctx;
+    plans = Array.map (fun p -> p.Pareto.payload) points;
+    plan_spaces = Array.map (fun p -> p.Pareto.x) points;
+    plan_times = Array.map (fun p -> p.Pareto.y) points;
+    plan_options = Array.make (Array.length points) None;
+  }
+
+let exec_options ef i =
+  match ef.plan_options.(i) with
+  | Some opts -> opts
+  | None ->
+      let opts = P.preload_options ef.ctx ef.node.Elk_model.Graph.op ef.plans.(i) in
+      ef.plan_options.(i) <- Some opts;
+      opts
+
 (* One participant in the greedy descent: a frontier of (space, time)
    choices, currently sitting at [idx] (starting at the largest-space /
    fastest end) and able to step down to [idx - 1]. *)
@@ -162,29 +212,28 @@ let[@inline] step_delta p =
 (* Why a search failed, formatted only when someone reads it. *)
 type infeasible = No_plan | Overflow of { demand : float; preloads : int }
 
-let search ctx ~capacity ~(exec_op : Elk_model.Graph.node) ~window =
-  let exec_frontier = P.exec_frontier ctx exec_op.Elk_model.Graph.op in
-  if exec_frontier = [] then Error No_plan
+let search ~capacity ~exec ~window =
+  if Array.length exec.plans = 0 then Error No_plan
   else begin
     (* The execute state first, then every overlapping preload: the
        bump-pack order of the combination's address intervals. *)
     let parts =
-      Array.make (1 + List.length window)
-        (participant
-           (Array.of_list (List.map (fun p -> p.Pareto.x) exec_frontier))
-           (Array.of_list (List.map (fun p -> p.Pareto.y) exec_frontier)))
+      Array.make (1 + List.length window) (participant exec.plan_spaces exec.plan_times)
     in
     List.iteri
       (fun k (f : frontier) -> parts.(k + 1) <- participant f.spaces f.overheads)
       window;
+    let size k =
+      let p = parts.(k) in
+      p.spaces.(p.idx)
+    in
     (* The combination's per-core footprint: the extent of its bump
        packing, summed left to right in packing order — the same float
        operations [pack] performs, without building the layout. *)
     let total () =
       let t = ref 0. in
       for k = 0 to Array.length parts - 1 do
-        let p = parts.(k) in
-        t := !t +. p.spaces.(p.idx)
+        t := !t +. size k
       done;
       !t
     in
@@ -218,56 +267,58 @@ let search ctx ~capacity ~(exec_op : Elk_model.Graph.node) ~window =
          is the irreducible demand of this window combination. *)
       Error (Overflow { demand = total (); preloads = List.length window })
     else begin
-      let exec_plan = (List.nth exec_frontier parts.(0).idx).Pareto.payload in
+      let exec_index = parts.(0).idx in
+      let exec_plan = exec.plans.(exec_index) in
+      (* The intervals the schedule would hand the race analysis are
+         disjoint by construction. *)
+      assert (packing_disjoint_n (Array.length parts) size);
       let chosen_window =
         List.mapi (fun k (f : frontier) -> (f.f_op, f.options.(parts.(k + 1).idx))) window
       in
-      (* The intervals the schedule would hand the race analysis are
-         disjoint by construction. *)
-      assert (
-        well_packed
-          (pack
-             ((exec_op.Elk_model.Graph.id, Residency.Exec, exec_plan.P.exec_space)
-             :: List.map
-                  (fun (id, o) -> (id, Residency.Preload, o.P.preload_space))
-                  chosen_window)));
-      let chip = P.ctx_chip ctx in
+      (* Injection and distribution summed left to right in window order:
+         the order fixes the rounding, which the plan choices see. *)
+      let inject_total = ref 0. and dist_total = ref 0. and rest = ref window in
+      for k = 1 to Array.length parts - 1 do
+        match !rest with
+        | [] -> ()
+        | (f : frontier) :: tl ->
+            let o = parts.(k).idx in
+            inject_total := !inject_total +. f.options.(o).P.noc_inject_bytes;
+            dist_total := !dist_total +. f.overheads.(o);
+            rest := tl
+      done;
+      let chip = P.ctx_chip exec.ctx in
       let link_bw = chip.Arch.intercore_link.Arch.bandwidth in
       let cores = float_of_int chip.Arch.cores in
-      let inject_total =
-        List.fold_left (fun a (_, o) -> a +. o.P.noc_inject_bytes) 0. chosen_window
-      in
       (* Interconnect contention is a per-core PORT phenomenon: during this
          operator's execution each core's ports serve its own exchange
          (already inside [exec_time] as serialized transfer time) plus its
          share of the preload injection overlapping the execution.  The
          injection rate is bounded by what the HBM can feed. *)
       let inject_overlap_pc =
-        Float.min (inject_total /. cores)
+        Float.min (!inject_total /. cores)
           (chip.Arch.hbm_bandwidth /. cores *. exec_plan.P.exec_time)
       in
       let exchange_pc = exec_plan.P.exchange_bytes_per_core in
       let port_service = (inject_overlap_pc +. exchange_pc) /. link_bw in
       let contention = Float.max 0. (port_service -. exec_plan.P.exec_time) in
-      let dist_total =
-        List.fold_left (fun a (_, o) -> a +. P.preload_overhead o) 0. chosen_window
-      in
       Ok
         {
           exec_plan;
+          exec_index;
           window = chosen_window;
           exec_time = exec_plan.P.exec_time +. contention;
-          objective = exec_plan.P.exec_time +. contention +. dist_total;
+          objective = exec_plan.P.exec_time +. contention +. !dist_total;
           total_space = total ();
           contention;
         }
     end
   end
 
-let explain ~capacity (exec_op : Elk_model.Graph.node) reason =
+let explain ~capacity exec reason =
   let op_label =
-    Printf.sprintf "op %d (%s)" exec_op.Elk_model.Graph.id
-      exec_op.Elk_model.Graph.op.Elk_tensor.Opspec.name
+    Printf.sprintf "op %d (%s)" exec.node.Elk_model.Graph.id
+      exec.node.Elk_model.Graph.op.Elk_tensor.Opspec.name
   in
   match reason with
   | No_plan ->
@@ -282,11 +333,11 @@ let explain ~capacity (exec_op : Elk_model.Graph.node) reason =
          SRAM by %.0f B"
         op_label demand preloads capacity (demand -. capacity)
 
-let allocate_or_error ctx ~capacity ~exec_op ~window =
-  Result.map_error (explain ~capacity exec_op) (search ctx ~capacity ~exec_op ~window)
+let allocate_or_error ~capacity ~exec ~window =
+  Result.map_error (explain ~capacity exec) (search ~capacity ~exec ~window)
 
-let allocate ctx ~capacity ~exec_op ~window =
-  match search ctx ~capacity ~exec_op ~window with
+let allocate ~capacity ~exec ~window =
+  match search ~capacity ~exec ~window with
   | Ok r -> Some r
   | Error reason ->
       (* Infeasibility is routine during the window search (the caller
@@ -294,7 +345,7 @@ let allocate ctx ~capacity ~exec_op ~window =
          message names the capacity, the demanded bytes, and the
          offending operator instead of a bare [None]. *)
       if Elk_obs.Logger.enabled Elk_obs.Logger.Debug then
-        Elk_obs.Logger.debug ~src:"alloc" (explain ~capacity exec_op reason);
+        Elk_obs.Logger.debug ~src:"alloc" (explain ~capacity exec reason);
       None
 
 let min_preload_space ctx (node : Elk_model.Graph.node) =

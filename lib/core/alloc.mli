@@ -12,10 +12,18 @@
     steps the most cost-effective operator — the one whose next
     Pareto point frees the most bytes per added second
     ([delta = reduced_space / increased_time]) — down its frontier until
-    the combination fits. *)
+    the combination fits.
+
+    Both sides come resolved: a window operator's preload options once
+    its plan is fixed ({!frontier}), the executing operator's frontier
+    once per scheduler induction step ({!exec_frontier}), so the
+    per-horizon searches of a step share it. *)
 
 type result = {
   exec_plan : Elk_partition.Partition.plan;  (** chosen execute-state plan. *)
+  exec_index : int;
+      (** position of [exec_plan] in the searched {!exec_frontier}
+          (ascending execution space); {!exec_options} takes it. *)
   window : (int * Elk_partition.Partition.preload_opt) list;
       (** chosen preload option per window operator id, in input order. *)
   exec_time : float;
@@ -51,6 +59,14 @@ val overlaps : allocation -> allocation -> bool
     ([[0,4)] and [[4,8)]) do {e not} overlap, and zero-byte buffers
     overlap nothing. *)
 
+val packing_disjoint : float list -> bool
+(** [packing_disjoint sizes] is the verdict the allocator asserts on every
+    combination it returns: whether bump-packing [sizes] (in packing
+    order, from base 0) yields pairwise non-{!overlaps} intervals.  One
+    pass when no size is negative — such a packing is disjoint by
+    construction, zeros, NaN and infinities included — and the pairwise
+    scan only when one is. *)
+
 val layout_of_schedule : Schedule.t -> allocation list
 (** Deterministic first-fit address layout over the schedule's buffer
     lifetimes (liveness in program-instruction coordinates: a preload
@@ -72,23 +88,40 @@ val frontier :
 (** [frontier ctx node plan] resolves [node]'s preload options under
     [plan] ({!Elk_partition.Partition.preload_options}). *)
 
+type exec_frontier
+(** The executing operator's Pareto frontier of execute-state plans
+    ({!Elk_partition.Partition.exec_frontier}), resolved once
+    ({!exec_frontier}) and reused by every allocation of one scheduler
+    induction step — one per candidate preload number.  Each plan's
+    preload options are resolved on first use ({!exec_options}) and kept;
+    the cache is unsynchronized, so a value must stay on one domain. *)
+
+val exec_frontier :
+  Elk_partition.Partition.ctx -> Elk_model.Graph.node -> exec_frontier
+(** [exec_frontier ctx node] resolves [node]'s execute-state frontier. *)
+
+val exec_options : exec_frontier -> int -> Elk_partition.Partition.preload_opt list
+(** [exec_options ef i] is {!Elk_partition.Partition.preload_options} of
+    the frontier's [i]-th plan (a result's [exec_index]), resolved on the
+    first call for [i]. *)
+
 val allocate :
-  Elk_partition.Partition.ctx ->
   capacity:float ->
-  exec_op:Elk_model.Graph.node ->
+  exec:exec_frontier ->
   window:frontier list ->
   result option
-(** [allocate ctx ~capacity ~exec_op ~window] returns [None] when even the
+(** [allocate ~capacity ~exec ~window] returns [None] when even the
     smallest plans/options overflow [capacity] (the caller then tries a
     smaller preload number), or when the executing operator has no feasible
     plan at all.  The infeasibility diagnostic — capacity, demanded bytes,
     offending operator — is logged at debug level under the [alloc]
-    source; use {!allocate_or_error} to receive it directly. *)
+    source; use {!allocate_or_error} to receive it directly.  Every
+    returned combination's bump packing is asserted disjoint
+    ({!packing_disjoint}). *)
 
 val allocate_or_error :
-  Elk_partition.Partition.ctx ->
   capacity:float ->
-  exec_op:Elk_model.Graph.node ->
+  exec:exec_frontier ->
   window:frontier list ->
   (result, string) Stdlib.result
 (** Like {!allocate}, but an infeasible combination returns

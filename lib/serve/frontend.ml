@@ -122,7 +122,8 @@ let run ?(design = B.Elk_full) ?(recompile_every = 64) ?elk_options ?jobs
         let t = ref prefill_end in
         for k = 0 to needed - 1 do
           t := !t +. lats.(k);
-          step_ends.(k) <- !t
+          step_ends.(k) <- !t;
+          Serve.observe_step lats.(k)
         done;
         let live =
           Array.init needed (fun k ->

@@ -66,8 +66,10 @@ val run :
     of 16.  Every batch's generation reads the run's one {!Serve.memo},
     so each phase is planned and simulated once per run; the memo needs
     no cap, and [elk_serve_recompiles_total] counts the decode phases
-    planned.  The run's set of padded shapes serves only the accounting
-    fields.  [noc] (default false) records per-link interconnect traffic
+    planned.  [elk_serve_step_latency_seconds] holds each batch's
+    [b_tokens] timed steps, not its padding.  The run's set of padded
+    shapes serves only the accounting fields.  [noc] (default false)
+    records per-link interconnect traffic
     in each plan's simulation and fills the [b_busiest_link] /
     [b_link_busy] batch fields; latencies are identical either way.  Raises
     [Invalid_argument] on an empty or out-of-order request list or a

@@ -74,6 +74,10 @@ let memo ?(design = B.Elk_full) ?elk_options ?(noc = false) env cfg =
 
 let round_up v quantum = (v + quantum - 1) / quantum * quantum
 
+let observe_step latency =
+  Elk_obs.Metrics.observe "elk_serve_step_latency_seconds" latency
+    ~help:"Simulated per-token decode latency"
+
 let generate ?(recompile_every = 64) ?(prefill = false) m ~batch ~prompt_ctx ~tokens =
   if tokens <= 0 || batch <= 0 || prompt_ctx <= 0 then
     invalid_arg "Serve.serve: nonpositive workload parameter";
@@ -120,11 +124,6 @@ let generate ?(recompile_every = 64) ?(prefill = false) m ~batch ~prompt_ctx ~to
           recompiled = token = 0 || plan_ctx (token - 1) <> ctx;
         })
   in
-  List.iter
-    (fun s ->
-      Elk_obs.Metrics.observe "elk_serve_step_latency_seconds" s.latency
-        ~help:"Simulated per-token decode latency")
-    steps;
   let total_time = List.fold_left (fun a s -> a +. s.latency) 0. steps in
   let tokens_per_second =
     if total_time > 0. then float_of_int tokens /. total_time else 0.
@@ -160,9 +159,13 @@ let serve ?design ?recompile_every ?prefill ?elk_options ?jobs ?noc env cfg ~bat
   (* Every phase planned in the run goes through the shared pool; size
      it once up front so its plans reuse warm domains. *)
   Option.iter Elk_util.Pool.set_jobs jobs;
-  generate ?recompile_every ?prefill
-    (memo ?design ?elk_options ?noc env cfg)
-    ~batch ~prompt_ctx ~tokens
+  let r =
+    generate ?recompile_every ?prefill
+      (memo ?design ?elk_options ?noc env cfg)
+      ~batch ~prompt_ctx ~tokens
+  in
+  List.iter (fun s -> observe_step s.latency) r.steps;
+  r
 
 let time_to_first_token r =
   r.prefill_latency +. (match r.steps with s :: _ -> s.latency | [] -> 0.)

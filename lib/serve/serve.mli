@@ -68,11 +68,17 @@ val generate :
     [prompt_ctx] KV entries, planning only the phases the memo lacks.
     Decode plans serve contexts rounded up to the next [recompile_every]
     boundary (default 64); [prefill] (default false) first runs the
-    prompt through a prefill plan, giving a time-to-first-token.  Steps
-    feed [elk_serve_step_latency_seconds] and
+    prompt through a prefill plan, giving a time-to-first-token.  Sets
     [elk_serve_tokens_per_second]; [elk_serve_recompiles_total] counts
-    decode phases planned, once per phase per run.  Raises
+    decode phases planned, once per phase per run.  Its caller decides
+    which steps were timed and feeds them to {!observe_step}.  Raises
     [Invalid_argument] for nonpositive [tokens]/[batch]/[prompt_ctx]. *)
+
+val observe_step : float -> unit
+(** Record one timed decode step's latency in the
+    [elk_serve_step_latency_seconds] histogram.  {!serve} observes every
+    step of its generation; [Frontend.run] observes each batch's first
+    [b_tokens] steps, the ones its requests wait for. *)
 
 val serve :
   ?design:Elk_baselines.Baselines.design ->
@@ -87,7 +93,8 @@ val serve :
   prompt_ctx:int ->
   tokens:int ->
   run
-(** One serving run: {!generate} over a fresh {!memo}.  [jobs] first
+(** One serving run: {!generate} over a fresh {!memo}, every step
+    observed ({!observe_step}).  [jobs] first
     resizes the shared compilation pool ({!Elk_util.Pool.set_jobs});
     plans are identical whatever the value. *)
 

@@ -14,13 +14,15 @@ let capacity () = Elk_arch.Arch.usable_sram_per_core (P.ctx_chip (ctx ()))
 (* Alloc                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let exec_of node = Elk.Alloc.exec_frontier (ctx ()) node
+
 let some_nodes k =
   let g = graph () in
   List.init k (fun i -> Graph.get g (i * 3 mod Graph.length g))
 
 let test_alloc_empty_window () =
   let node = Graph.get (graph ()) 2 in
-  match Elk.Alloc.allocate (ctx ()) ~capacity:(capacity ()) ~exec_op:node ~window:[] with
+  match Elk.Alloc.allocate ~capacity:(capacity ()) ~exec:(exec_of node) ~window:[] with
   | Some r ->
       Alcotest.(check bool) "fits" true (r.Elk.Alloc.total_space <= capacity ());
       Alcotest.(check bool) "positive time" true (r.Elk.Alloc.exec_time > 0.);
@@ -34,7 +36,7 @@ let test_alloc_fits_capacity () =
       (fun (n : Graph.node) -> Elk.Alloc.frontier (ctx ()) n (P.fastest_plan (ctx ()) n.Graph.op))
       (some_nodes 4)
   in
-  match Elk.Alloc.allocate (ctx ()) ~capacity:(capacity ()) ~exec_op:node ~window with
+  match Elk.Alloc.allocate ~capacity:(capacity ()) ~exec:(exec_of node) ~window with
   | Some r ->
       Alcotest.(check bool) "fits" true (r.Elk.Alloc.total_space <= capacity ());
       Alcotest.(check int) "window assignments" 4 (List.length r.Elk.Alloc.window)
@@ -43,7 +45,7 @@ let test_alloc_fits_capacity () =
 let test_alloc_impossible_capacity () =
   let node = Graph.get (graph ()) 2 in
   Alcotest.(check bool) "tiny capacity fails" true
-    (Elk.Alloc.allocate (ctx ()) ~capacity:16. ~exec_op:node ~window:[] = None)
+    (Elk.Alloc.allocate ~capacity:16. ~exec:(exec_of node) ~window:[] = None)
 
 let test_alloc_shrinks_under_pressure () =
   (* With a big window, the executing op's chosen plan cannot be larger
@@ -56,8 +58,8 @@ let test_alloc_shrinks_under_pressure () =
       (some_nodes 8)
   in
   match
-    ( Elk.Alloc.allocate c ~capacity:(capacity ()) ~exec_op:node ~window:[],
-      Elk.Alloc.allocate c ~capacity:(capacity ()) ~exec_op:node ~window )
+    ( Elk.Alloc.allocate ~capacity:(capacity ()) ~exec:(exec_of node) ~window:[],
+      Elk.Alloc.allocate ~capacity:(capacity ()) ~exec:(exec_of node) ~window )
   with
   | Some free, Some tight ->
       Alcotest.(check bool) "no faster under pressure" true
@@ -66,9 +68,26 @@ let test_alloc_shrinks_under_pressure () =
 
 let test_alloc_objective_consistent () =
   let node = Graph.get (graph ()) 2 in
-  match Elk.Alloc.allocate (ctx ()) ~capacity:(capacity ()) ~exec_op:node ~window:[] with
+  match Elk.Alloc.allocate ~capacity:(capacity ()) ~exec:(exec_of node) ~window:[] with
   | Some r ->
       Tu.check_rel "objective = exec + dists" ~tolerance:1e-9 r.Elk.Alloc.exec_time r.Elk.Alloc.objective
+  | None -> Alcotest.fail "must fit"
+
+(* The result's [exec_index] names the chosen plan in the executing
+   operator's frontier, and [exec_options] resolves that plan's preload
+   options, the same ones the partition memo returns. *)
+let test_alloc_exec_index () =
+  let c = ctx () in
+  let node = Graph.get (graph ()) 2 in
+  let exec = exec_of node in
+  match Elk.Alloc.allocate ~capacity:(capacity ()) ~exec ~window:[] with
+  | Some r ->
+      let i = r.Elk.Alloc.exec_index in
+      Alcotest.(check bool) "index names the chosen plan" true
+        ((List.nth (P.exec_frontier c node.Graph.op) i).Elk_util.Pareto.payload
+        = r.Elk.Alloc.exec_plan);
+      Alcotest.(check bool) "options are the plan's" true
+        (Elk.Alloc.exec_options exec i = P.preload_options c node.Graph.op r.Elk.Alloc.exec_plan)
   | None -> Alcotest.fail "must fit"
 
 let test_min_preload_space_positive_for_weights () =
@@ -430,6 +449,7 @@ let suite =
     ("alloc: impossible capacity", `Quick, test_alloc_impossible_capacity);
     ("alloc: pressure slows exec", `Quick, test_alloc_shrinks_under_pressure);
     ("alloc: objective", `Quick, test_alloc_objective_consistent);
+    ("alloc: exec frontier index", `Quick, test_alloc_exec_index);
     ("alloc: min preload space", `Quick, test_min_preload_space_positive_for_weights);
     ("scheduler: schedule validates", `Quick, test_schedule_validates);
     ("scheduler: windows sum", `Quick, test_schedule_windows_sum);

@@ -178,6 +178,24 @@ let test_phase_planned_once () =
     (List.length (List.sort_uniq compare phases))
     !calls
 
+(* The step-latency histogram holds the decode steps requests waited
+   for: each batch's [b_tokens] timed steps, not the padding up to a
+   multiple of 16 that its generation also ran. *)
+let test_step_histogram_counts_timed_steps () =
+  let reqs = Workload.generate ~seed:21 ~n:12 spec in
+  let was_enabled = Elk_obs.Control.is_enabled () in
+  Elk_obs.Control.enable ();
+  let r =
+    Fun.protect
+      ~finally:(fun () -> if not was_enabled then Elk_obs.Control.disable ())
+      (fun () ->
+        Frontend.run ~design:B.Elk_dyn ~max_batch:4 (Elk_dse.Dse.env ()) cfg reqs)
+  in
+  let timed = List.fold_left (fun a (b : Frontend.batch_trace) -> a + b.b_tokens) 0 r.Frontend.batches in
+  match Elk_obs.Metrics.histogram_stats "elk_serve_step_latency_seconds" with
+  | None -> Alcotest.fail "step-latency histogram missing"
+  | Some (count, _, _, _) -> Alcotest.(check int) "one sample per timed step" timed count
+
 (* serve --noc: with interconnect recording on, every batch carries the
    hottest link of its plans, the busiest-link gauge enters the series,
    and the lifecycle timestamps are identical to a run without it. *)
@@ -228,6 +246,8 @@ let suite =
     Alcotest.test_case "slo report" `Quick test_slo_report;
     Alcotest.test_case "determinism across jobs" `Quick
       test_determinism_across_jobs;
+    Alcotest.test_case "step histogram counts timed steps" `Quick
+      test_step_histogram_counts_timed_steps;
     Alcotest.test_case "noc busiest-link gauge" `Quick test_noc_gauge;
     Alcotest.test_case "rejects bad input" `Quick test_rejects_bad_input;
   ]

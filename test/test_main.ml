@@ -35,5 +35,6 @@ let () =
       ("memprof", Test_memprof.suite);
       ("nocprof", Test_nocprof.suite);
       ("frontend", Test_frontend.suite);
+      ("zooplans", Test_zooplans.suite);
       ("integration", Test_integration.suite);
     ]

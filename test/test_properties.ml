@@ -24,7 +24,8 @@ let qcheck_alloc_fits_any_capacity =
         [ Elk.Alloc.frontier c w (P.fastest_plan c w.Graph.op) ]
       in
       match
-        Elk.Alloc.allocate c ~capacity:(cap_frac *. capacity ()) ~exec_op:node ~window
+        Elk.Alloc.allocate ~capacity:(cap_frac *. capacity ())
+          ~exec:(Elk.Alloc.exec_frontier c node) ~window
       with
       | None -> true (* refusing is allowed; overflowing is not *)
       | Some r -> r.Elk.Alloc.total_space <= (cap_frac *. capacity ()) +. 1e-6)
@@ -36,11 +37,45 @@ let qcheck_alloc_monotone_in_capacity =
       let g = graph () in
       let c = ctx () in
       let node = Graph.get g (nseed mod Graph.length g) in
-      let run cap = Elk.Alloc.allocate c ~capacity:cap ~exec_op:node ~window:[] in
+      let exec = Elk.Alloc.exec_frontier c node in
+      let run cap = Elk.Alloc.allocate ~capacity:cap ~exec ~window:[] in
       match (run (0.4 *. capacity ()), run (capacity ())) with
       | Some small, Some big -> big.Elk.Alloc.exec_time <= small.Elk.Alloc.exec_time +. 1e-12
       | None, _ -> true
       | Some _, None -> false)
+
+(* The allocator's one-pass packing verdict against the definition:
+   bump-pack the sizes into address intervals and scan every pair with
+   [Alloc.overlaps].  Sizes mix zeros, negatives, NaN and infinities, so
+   both the by-construction path and the pairwise fallback are hit. *)
+let qcheck_packing_verdict =
+  let size =
+    QCheck2.Gen.(
+      oneof
+        [
+          pure 0.; pure Float.nan; pure Float.infinity; pure Float.neg_infinity;
+          map float_of_int (int_range (-8) 8); float_range (-1e6) 1e6;
+        ])
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"alloc: packing verdict equals the pairwise scan"
+       ~print:QCheck2.Print.(list float)
+       QCheck2.Gen.(list_size (int_range 0 10) size)
+       (fun sizes ->
+         let _, rev =
+           List.fold_left
+             (fun (base, acc) a_size ->
+               ( base +. a_size,
+                 { Elk.Alloc.a_op = List.length acc; a_kind = Elk.Residency.Preload;
+                   a_base = base; a_size }
+                 :: acc ))
+             (0., []) sizes
+         in
+         let rec pairwise = function
+           | [] -> true
+           | a :: tl -> (not (List.exists (Elk.Alloc.overlaps a) tl)) && pairwise tl
+         in
+         Elk.Alloc.packing_disjoint sizes = pairwise (List.rev rev)))
 
 let qcheck_scheduler_respects_max_preload =
   Tu.qtest ~count:8 "scheduler: windows never exceed max_preload + floor growth"
@@ -189,6 +224,7 @@ let suite =
   [
     qcheck_alloc_fits_any_capacity;
     qcheck_alloc_monotone_in_capacity;
+    qcheck_packing_verdict;
     qcheck_scheduler_respects_max_preload;
     qcheck_hbm_larger_reads_not_faster;
     qcheck_gtext_random_roundtrip;
