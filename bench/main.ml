@@ -192,7 +192,7 @@ let static_sim ~budget_frac ~use_max_popt =
   match
     B.static_schedule env.D.ctx g ~preload_budget:(budget_frac *. capacity) ~use_max_popt
   with
-  | Some s -> Some (Elk_sim.Sim.run env.D.ctx s)
+  | Some s -> Some (s, Elk_sim.Sim.run env.D.ctx s)
   | None -> None
 
 let sparkline values =
@@ -222,7 +222,7 @@ let fig6 () =
     (fun frac ->
       match static_sim ~budget_frac:frac ~use_max_popt:true with
       | None -> ()
-      | Some r ->
+      | Some (_, r) ->
           (* The paper plots the minimum bandwidth needed to avoid stalls:
              each operator's HBM bytes must arrive inside the window its
              preload space allows, i.e. between when its preload could
@@ -247,56 +247,28 @@ let fig6 () =
     [ 0.1; 0.25; 0.45 ];
   Table.print t
 
-let intercore_series (r : Elk_sim.Sim.result) ~cores =
-  let s = Series.create () in
-  Array.iter
-    (fun (o : Elk_sim.Sim.op_trace) ->
-      if o.Elk_sim.Sim.dist_bytes > 0. then
-        Series.add s ~t_start:o.Elk_sim.Sim.exe_start ~t_end:o.Elk_sim.Sim.dist_end
-          ~volume:(o.Elk_sim.Sim.dist_bytes /. cores);
-      if o.Elk_sim.Sim.exchange_bytes > 0. then
-        Series.add s ~t_start:o.Elk_sim.Sim.compute_end ~t_end:o.Elk_sim.Sim.exe_end
-          ~volume:(o.Elk_sim.Sim.exchange_bytes /. cores))
-    r.Elk_sim.Sim.per_op;
-  s
+(* Figs 7-8 plot one of the simulator's derived series (Sim.series) per
+   core: the inter-core phases alone, then with preload injection. *)
+let noc_fig ~title pick =
+  let cores = float_of_int (Lazy.force default_env).D.pod.Elk_arch.Arch.chip.Elk_arch.Arch.cores in
+  let t = Table.create ~title ~columns:(bin_headers ()) in
+  List.iter
+    (fun (label, use_max_popt) ->
+      Option.iter
+        (fun (s, r) ->
+          Table.add_row t
+            (series_row label (pick (Elk_sim.Sim.series s r)) ~scale:(1e9 *. cores)))
+        (static_sim ~budget_frac:0.4 ~use_max_popt))
+    [ ("MinPreload", false); ("MaxPreload", true) ];
+  Table.print t
 
 let fig7 () =
-  let cores = float_of_int (Lazy.force default_env).D.pod.Elk_arch.Arch.chip.Elk_arch.Arch.cores in
-  let t =
-    Table.create
-      ~title:"Fig 7: per-core inter-core bandwidth demand over time (GB/s)"
-      ~columns:(bin_headers ())
-  in
-  List.iter
-    (fun (label, use_max_popt) ->
-      match static_sim ~budget_frac:0.4 ~use_max_popt with
-      | None -> ()
-      | Some r -> Table.add_row t (series_row label (intercore_series r ~cores) ~scale:1e9))
-    [ ("MinPreload", false); ("MaxPreload", true) ];
-  Table.print t
+  noc_fig ~title:"Fig 7: per-core inter-core bandwidth demand over time (GB/s)"
+    (fun s -> s.Elk_sim.Sim.intercore)
 
 let fig8 () =
-  let cores = float_of_int (Lazy.force default_env).D.pod.Elk_arch.Arch.chip.Elk_arch.Arch.cores in
-  let t =
-    Table.create
-      ~title:"Fig 8: total per-core interconnect bandwidth demand over time (GB/s)"
-      ~columns:(bin_headers ())
-  in
-  List.iter
-    (fun (label, use_max_popt) ->
-      match static_sim ~budget_frac:0.4 ~use_max_popt with
-      | None -> ()
-      | Some r ->
-          let s = intercore_series r ~cores in
-          Array.iter
-            (fun (o : Elk_sim.Sim.op_trace) ->
-              if o.Elk_sim.Sim.inject_bytes > 0. then
-                Series.add s ~t_start:o.Elk_sim.Sim.pre_start ~t_end:o.Elk_sim.Sim.pre_end
-                  ~volume:(o.Elk_sim.Sim.inject_bytes /. cores))
-            r.Elk_sim.Sim.per_op;
-          Table.add_row t (series_row label s ~scale:1e9))
-    [ ("MinPreload", false); ("MaxPreload", true) ];
-  Table.print t
+  noc_fig ~title:"Fig 8: total per-core interconnect bandwidth demand over time (GB/s)"
+    (fun s -> s.Elk_sim.Sim.noc)
 
 (* ------------------------------------------------------------------ *)
 (* Fig 12: cost-model accuracy                                        *)
@@ -909,7 +881,7 @@ let attrib () =
       let r = Elk_sim.Sim.run env.D.ctx s in
       check "ATTRIBUTION LEAK"
         (Elk_sim.Perfcore.check r.Elk_sim.Sim.perf ~total:r.Elk_sim.Sim.total);
-      let rep = Elk_analyze.Analyze.analyze ~top:4 s.Elk.Schedule.graph r in
+      let rep = Elk_analyze.Analyze.analyze ~top:4 s r in
       Elk_analyze.Analyze.print ~top_ops:5 rep;
       let module A = Elk_analyze.Analyze in
       let num v = Printf.sprintf "%.4g" v in
@@ -1143,7 +1115,7 @@ let critpath_bench () =
       check "CRITPATH LEAK" (Cp.check ev ~total:r.Elk_sim.Sim.total);
       let sum = Cp.extract ev in
       check "CRITPATH/ATTRIBUTION CROSS-CHECK FAILED"
-        (A.headroom_check (A.analyze s.Elk.Schedule.graph r) sum);
+        (A.headroom_check (A.analyze s r) sum);
       Cp.print ~top:5 ~top_segments:8 s.Elk.Schedule.graph sum;
       let num v = Printf.sprintf "%.4g" v in
       let tbl = Hashtbl.create 64 and order = ref [] in

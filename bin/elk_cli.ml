@@ -344,7 +344,7 @@ type 'r row = {
   print : knobs -> 'r -> unit;
   to_json : knobs -> 'r -> string;
   gauges : 'r -> unit;
-  counters : knobs -> Sim.result -> 'r -> string list;  (* extra trace tracks *)
+  counters : 'r -> string list;  (* extra trace tracks *)
 }
 
 type view = View : 'r row -> view
@@ -373,7 +373,7 @@ let views =
         window = None;
         top_segments = None;
         json = ("analysis", "Write the full bottleneck report as JSON to $(docv).");
-        analyze = (fun k _ s r -> An.analyze ~top:k.top s.Elk.Schedule.graph r);
+        analyze = (fun k _ s r -> An.analyze ~top:k.top s r);
         check =
           (fun r _ ->
             prefix "attribution leak: "
@@ -381,7 +381,7 @@ let views =
         print = (fun _ rep -> An.print rep);
         to_json = (fun _ rep -> An.to_json rep);
         gauges = ignore;
-        counters = (fun k r _ -> An.chrome_counter_events ~top:k.top r);
+        counters = An.chrome_counter_events;
       };
     View
       {
@@ -402,23 +402,21 @@ let views =
           ( "critical path",
             "Write the critical-path snapshot as JSON to $(docv) — the format \
              $(b,elk trace diff) consumes." );
-        analyze =
-          (fun _ _ s r ->
-            (s.Elk.Schedule.graph, Cp.extract (Option.get r.Sim.events)));
+        analyze = (fun _ _ s r -> (s, Cp.extract (Option.get r.Sim.events)));
         check =
-          (fun r (graph, sum) ->
+          (fun r (s, sum) ->
             Result.bind
               (prefix "causal-DAG violation: "
                  (Cp.check (Option.get r.Sim.events) ~total:r.Sim.total))
               (fun () ->
                 prefix "critpath/attribution cross-check: "
-                  (An.headroom_check (An.analyze graph r) sum)));
+                  (An.headroom_check (An.analyze s r) sum)));
         print =
-          (fun k (graph, sum) ->
-            Cp.print ~top:k.top ~top_segments:k.top_segments graph sum);
-        to_json = (fun _ (graph, sum) -> Cp.to_json graph sum);
+          (fun k (s, sum) ->
+            Cp.print ~top:k.top ~top_segments:k.top_segments s.Elk.Schedule.graph sum);
+        to_json = (fun _ (s, sum) -> Cp.to_json s.Elk.Schedule.graph sum);
         gauges = ignore;
-        counters = (fun _ _ (_, sum) -> Elk_sim.Trace.flow_events sum);
+        counters = (fun (_, sum) -> Elk_sim.Trace.flow_events sum);
       };
     View
       {
@@ -463,7 +461,7 @@ let views =
             set "elk_mem_wasted_byte_seconds"
               ~help:"Pre-use + exchange-tail wasted residency"
               (rep.Mp.pre_waste +. rep.Mp.post_waste));
-        counters = (fun _ _ rep -> Mp.chrome_counter_events rep);
+        counters = Mp.chrome_counter_events;
       };
     View
       {
@@ -503,7 +501,7 @@ let views =
               (rep.Np.pre_bytes +. rep.Np.dist_bytes +. rep.Np.ex_bytes);
             set "elk_noc_mean_hops" ~help:"Byte-weighted mean route length"
               rep.Np.mean_hops);
-        counters = (fun _ _ rep -> Np.chrome_counter_events rep);
+        counters = Np.chrome_counter_events;
       };
   ]
 
@@ -540,7 +538,7 @@ let view_cmd (View v) =
     v.print knobs rep;
     Option.iter (fun path -> emit ~what:(fst v.json) path (v.to_json knobs rep)) json_out;
     v.gauges rep;
-    write_trace ~sim:(s.Elk.Schedule.graph, r) ~extra:(v.counters knobs r rep) trace_out;
+    write_trace ~sim:(s.Elk.Schedule.graph, r) ~extra:(v.counters rep) trace_out;
     write_metrics metrics_out
   in
   let top_t = Arg.(value & opt int (fst v.top) & info [ "top" ] ~doc:(snd v.top)) in
@@ -682,9 +680,8 @@ let profile_cmd =
       (Elk_obs.Metrics.counters ());
     Elk_util.Table.print ct;
     if per_core then begin
-      let r = Sim.run env.D.ctx c.Elk.Compile.schedule in
-      Elk_analyze.Analyze.print
-        (Elk_analyze.Analyze.analyze c.Elk.Compile.chip_graph r)
+      let s = c.Elk.Compile.schedule in
+      Elk_analyze.Analyze.print (Elk_analyze.Analyze.analyze s (Sim.run env.D.ctx s))
     end;
     write_trace trace_out;
     write_metrics metrics_out

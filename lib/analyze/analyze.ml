@@ -51,12 +51,15 @@ type report = {
   hbm_mean : float;
   noc_peak : float;
   noc_mean : float;
+  series : Elk_sim.Sim.series;
 }
 
 let series_bins = 60
 
-let analyze ?(top = 8) graph (r : Elk_sim.Sim.result) =
+let analyze ?(top = 8) (s : Elk.Schedule.t) (r : Elk_sim.Sim.result) =
+  let graph = s.Elk.Schedule.graph in
   let perf = r.Elk_sim.Sim.perf in
+  let series = Elk_sim.Sim.series s r in
   let ops =
     Array.mapi
       (fun i a ->
@@ -102,10 +105,11 @@ let analyze ?(top = 8) graph (r : Elk_sim.Sim.result) =
     headroom;
     mix;
     ops;
-    hbm_peak = Elk_util.Series.peak_rate perf.Pc.hbm_series ~n:series_bins;
-    hbm_mean = Elk_util.Series.mean_rate perf.Pc.hbm_series;
-    noc_peak = Elk_util.Series.peak_rate perf.Pc.noc_series ~n:series_bins;
-    noc_mean = Elk_util.Series.mean_rate perf.Pc.noc_series;
+    hbm_peak = Elk_util.Series.peak_rate series.hbm ~n:series_bins;
+    hbm_mean = Elk_util.Series.mean_rate series.hbm;
+    noc_peak = Elk_util.Series.peak_rate series.noc ~n:series_bins;
+    noc_mean = Elk_util.Series.mean_rate series.noc;
+    series;
   }
 
 (* ---- slack-aware what-if cross-check ------------------------------- *)
@@ -305,8 +309,7 @@ let to_json rep =
     ]
   ^ "\n"
 
-let chrome_counter_events ?(bins = series_bins) ?(top = 8) (r : Elk_sim.Sim.result) =
-  let perf = r.Elk_sim.Sim.perf in
+let chrome_counter_events ?(bins = series_bins) rep =
   let scale_rate s =
     (* GB/s reads better than B/s in the Perfetto counter axis. *)
     Array.to_list (Elk_util.Series.bins s ~n:bins)
@@ -315,17 +318,11 @@ let chrome_counter_events ?(bins = series_bins) ?(top = 8) (r : Elk_sim.Sim.resu
   let track name pts =
     List.map (fun (t, v) -> Elk_obs.Chrome.counter_event ~name ~ts:t ~value:v ()) pts
   in
-  let busiest =
-    Array.mapi (fun c b -> (c, Pc.busy b)) perf.Pc.per_core
-    |> Array.to_list
-    |> List.stable_sort (fun (_, a) (_, b) -> compare b a)
-    |> List.filteri (fun i _ -> i < top)
-  in
-  track "HBM bandwidth (GB/s)" (scale_rate perf.Pc.hbm_series)
-  @ track "NoC bandwidth (GB/s)" (scale_rate perf.Pc.noc_series)
+  track "HBM bandwidth (GB/s)" (scale_rate rep.series.hbm)
+  @ track "NoC bandwidth (GB/s)" (scale_rate rep.series.noc)
   @ List.concat_map
-      (fun (c, _) ->
+      (fun { core; _ } ->
         track
-          (Printf.sprintf "core %d busy" c)
-          (Array.to_list (Elk_util.Series.bins perf.Pc.core_busy.(c) ~n:bins)))
-      busiest
+          (Printf.sprintf "core %d busy" core)
+          (Array.to_list (Elk_util.Series.bins rep.series.core_busy.(core) ~n:bins)))
+      rep.top_cores

@@ -1,7 +1,8 @@
 (** Bottleneck analysis over a simulation's resource attribution.
 
     Consumes a {!Elk_sim.Sim.result} (whose [perf] field carries the
-    {!Elk_sim.Perfcore} data the event loop collected) and answers the
+    {!Elk_sim.Perfcore} attribution derived from the run) and the
+    schedule it ran, and answers the
     question the paper's whole evaluation is built around: {e which core,
     which operator, and which contended resource bounds this plan} — the
     Fig 18(a) breakdown made actionable.  Produces:
@@ -56,12 +57,15 @@ type report = {
   hbm_mean : float;
   noc_peak : float;  (** peak binned interconnect bandwidth, B/s. *)
   noc_mean : float;
+  series : Elk_sim.Sim.series;
+      (** the run's series ({!Elk_sim.Sim.series}), for the counter tracks. *)
 }
 
-val analyze : ?top:int -> Elk_model.Graph.t -> Elk_sim.Sim.result -> report
-(** Build a report; [top] (default 8) bounds [top_cores].  Every field is
-    finite even on degenerate inputs (single-operator models, zero-length
-    buckets): divisions are guarded, so no [nan] reaches {!to_json}. *)
+val analyze : ?top:int -> Elk.Schedule.t -> Elk_sim.Sim.result -> report
+(** Build a report for a run of the schedule; [top] (default 8) bounds
+    [top_cores].  Every field is finite even on degenerate inputs
+    (single-operator models, zero-length buckets): divisions are
+    guarded, so no [nan] reaches {!to_json}. *)
 
 val slack_headroom :
   report -> Elk_sim.Critpath.summary -> (resource * float * float) list
@@ -93,10 +97,9 @@ val print : ?top_ops:int -> report -> unit
 val to_json : report -> string
 (** The whole report as one JSON document ({!Elk_obs.Jsonx} escaping). *)
 
-val chrome_counter_events :
-  ?bins:int -> ?top:int -> Elk_sim.Sim.result -> string list
-(** Perfetto counter tracks from the run's time series: HBM bandwidth
+val chrome_counter_events : ?bins:int -> report -> string list
+(** Perfetto counter tracks from the report's series: HBM bandwidth
     (GB/s), interconnect bandwidth (GB/s), and per-core busy fraction
-    for the [top] (default 8) busiest cores, sampled at [bins] (default
-    60) points.  Merge with {!Elk_sim.Trace.chrome_events} and
+    for each of [top_cores], sampled at [bins] (default 60) points.
+    Merge with {!Elk_sim.Trace.chrome_events} and
     {!Elk_obs.Span.chrome_events} into one trace file. *)

@@ -33,12 +33,12 @@ let popt_within ctx op plan ~space =
   | [], first :: _ -> first
   | [], [] -> assert false
 
-let entry_of ctx graph id plan popt =
+let entry_of id plan popt =
   {
     Elk.Schedule.node_id = id;
     plan;
     popt;
-    preload_len = Elk.Schedule.preload_time ctx (Graph.get graph id).Graph.op popt;
+    preload_len = popt.P.preload_len;
     dist_time = popt.P.dist_time;
   }
 
@@ -67,7 +67,7 @@ let basic_schedule ctx graph =
     Elk.Schedule.graph;
     order = Array.init n (fun i -> i);
     windows;
-    entries = Array.init n (fun i -> entry_of ctx graph i plans.(i) popts.(i));
+    entries = Array.init n (fun i -> entry_of i plans.(i) popts.(i));
     est_total = 0.;
   }
 
@@ -118,7 +118,7 @@ let static_schedule ctx graph ~preload_budget ~use_max_popt =
           Elk.Schedule.graph;
           order = Array.init n (fun i -> i);
           windows;
-          entries = Array.init n (fun i -> entry_of ctx graph i plans.(i) popts.(i));
+          entries = Array.init n (fun i -> entry_of i plans.(i) popts.(i));
           est_total = 0.;
         }
   end

@@ -70,6 +70,9 @@ let validate t =
     match numeric_check t with
     | Error _ as e -> e
     | Ok () ->
+    match Array.find_opt (fun id -> id < 0 || id >= n) t.order with
+    | Some id -> Error (Printf.sprintf "order names op %d, outside [0, %d)" id n)
+    | None ->
     let pos = position_of t in
     if Array.exists (fun p -> p < 0) pos then Error "order is not a permutation"
     else begin
@@ -99,8 +102,3 @@ let validate t =
             pos;
           !ok
     end
-
-let preload_time ctx op (popt : Elk_partition.Partition.preload_opt) =
-  ignore ctx;
-  ignore op;
-  popt.Elk_partition.Partition.preload_len

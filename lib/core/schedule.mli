@@ -33,24 +33,20 @@ type t = {
 val num_ops : t -> int
 
 val validate : t -> (unit, string) result
-(** Check structural invariants — [order] is a permutation, windows sum to
-    the op count, every operator's preload position precedes its execution
-    step, entries are indexed consistently — and numeric hygiene: every
-    [preload_len], [dist_time], and [est_total] must be a finite,
-    non-negative float (NaN, infinities, and negative durations are
-    rejected before they can corrupt a timeline evaluation). *)
+(** Check structural invariants — [order] is a permutation of the
+    operator ids (an id outside [\[0, n)] is named in the error),
+    windows sum to the op count, every operator's preload position
+    precedes its execution step, entries are indexed consistently — and
+    numeric hygiene: every [preload_len], [dist_time], and [est_total]
+    must be a finite, non-negative float (NaN, infinities, and negative
+    durations are rejected before they can corrupt a timeline
+    evaluation). *)
 
 val preload_step : t -> int array
 (** [preload_step s] maps each preload {e position} [k] to the execution
     step (0 = initial batch) whose window contains it. *)
 
 val position_of : t -> int array
-(** Map each operator id to its position in [order]. *)
-
-val preload_time :
-  Elk_partition.Partition.ctx -> Elk_tensor.Opspec.t ->
-  Elk_partition.Partition.preload_opt -> float
-(** Estimated duration of one operator's preload: the max of the HBM
-    device roofline time and the interconnect injection time (controller
-    ports, per-core inbound links, mesh entry strips) — the estimate of
-    §4.2's preload scheduling. *)
+(** Map each operator id to its position in [order].  Raises
+    [Invalid_argument] if [order] names an id outside [\[0, n)];
+    {!validate} rejects such a schedule first. *)

@@ -104,7 +104,7 @@ let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
       | Some o -> o
       | None -> min_overhead_opt ctx (node_of id).Graph.op plan
     in
-    Schedule.preload_time ctx (node_of id).Graph.op o
+    o.P.preload_len
   in
   for i = n - 1 downto 0 do
     let node = node_of i in
@@ -343,7 +343,7 @@ let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
           Schedule.node_id = id;
           plan;
           popt;
-          preload_len = Schedule.preload_time ctx (node_of id).Graph.op popt;
+          preload_len = popt.P.preload_len;
           dist_time = popt.P.dist_time;
         })
   in

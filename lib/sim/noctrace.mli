@@ -12,8 +12,9 @@
     derived on demand, and the per-link busy intervals and per-op waits
     a report queries come from one {!index} pass.  It is the one record
     the event loop keeps as it runs, because the reservation times exist
-    nowhere else ({!Critpath} events and the {!Memtrace} record are
-    derived from the per-operator phase times after the loop).  It is
+    nowhere else ({!Critpath} events, the {!Memtrace} record and the
+    {!Perfcore} attribution are derived from the per-operator phase
+    times after the loop).  It is
     pure bookkeeping, never read back into any timing computation (the
     test suite checks simulated output is byte-identical with recording
     on and off). *)

@@ -13,28 +13,15 @@ type op_attrib = {
   mutable a_port : float;
 }
 
-type t = {
-  cores : int;
-  per_core : buckets array;
-  per_op : op_attrib array;
-  hbm_series : Elk_util.Series.t;
-  noc_series : Elk_util.Series.t;
-  core_busy : Elk_util.Series.t array;
-}
-
-let zero_buckets () =
-  { compute = 0.; exchange = 0.; preload_wait = 0.; port = 0.; idle = 0. }
-
-let zero_attrib () = { a_hbm = 0.; a_interconnect = 0.; a_compute = 0.; a_port = 0. }
+type t = { per_core : buckets array; per_op : op_attrib array }
 
 let create ~cores ~ops =
   {
-    cores;
-    per_core = Array.init cores (fun _ -> zero_buckets ());
-    per_op = Array.init ops (fun _ -> zero_attrib ());
-    hbm_series = Elk_util.Series.create ();
-    noc_series = Elk_util.Series.create ();
-    core_busy = Array.init cores (fun _ -> Elk_util.Series.create ());
+    per_core =
+      Array.init cores (fun _ ->
+          { compute = 0.; exchange = 0.; preload_wait = 0.; port = 0.; idle = 0. });
+    per_op =
+      Array.init ops (fun _ -> { a_hbm = 0.; a_interconnect = 0.; a_compute = 0.; a_port = 0. });
   }
 
 let bucket_sum b = b.compute +. b.exchange +. b.preload_wait +. b.port +. b.idle

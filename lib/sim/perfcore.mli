@@ -1,20 +1,19 @@
-(** Per-core and per-operator resource attribution collected during a
-    simulation run (the diagnostic substrate behind Fig 18(a)'s four-way
-    breakdown, the per-link utilization of Fig 18(c)/21, and the HBM
-    bandwidth traces of Figs 6-8).
+(** Per-core and per-operator resource attribution of a simulation run
+    (the diagnostic substrate behind Fig 18(a)'s four-way breakdown).
 
-    The simulator event loop feeds one {!t} per run as it books transfers
-    and compute: every core's share of the makespan is decomposed into
-    five buckets (compute, inter-core exchange, preload stall, port
-    contention, idle), every operator's critical-path span is attributed
-    to the resource that bound it, and HBM / interconnect traffic is
-    recorded as time series so bandwidth {e over time} replaces the
-    chip-wide scalar means (which remain derivable from the series).
+    {!Sim.run} derives one {!t} per run after its event loop, from the
+    per-op phase times and each core's ring and tile times the loop
+    records: every core's share of the makespan is decomposed into five
+    buckets (compute, inter-core exchange, preload stall, port
+    contention, idle), and every operator's critical-path span is
+    attributed to the resource that bound it.  Bandwidth over time is
+    not kept here; {!Sim.series} builds it on demand from the same
+    record.
 
     The per-core buckets tile the makespan exactly: for every core the
     bucket sum equals the simulated total.  {!check} verifies this, and
     the test suite runs it on every topology so that attribution leaks
-    surface whenever the event loop changes. *)
+    surface whenever the simulator changes. *)
 
 type buckets = {
   mutable compute : float;  (** running the operator's tile. *)
@@ -39,24 +38,12 @@ type op_attrib = {
 }
 
 type t = {
-  cores : int;
   per_core : buckets array;  (** indexed by core id. *)
   per_op : op_attrib array;  (** indexed by operator id. *)
-  hbm_series : Elk_util.Series.t;
-      (** HBM device bytes over the read intervals — bandwidth over time. *)
-  noc_series : Elk_util.Series.t;
-      (** interconnect bytes (preload injection + distribution +
-          exchange) over their transfer intervals. *)
-  core_busy : Elk_util.Series.t array;
-      (** per-core busy (compute + communication) time over time; feeds
-          the per-core Perfetto counter tracks. *)
 }
 
 val create : cores:int -> ops:int -> t
 (** Fresh zeroed accumulators for a run over [ops] operators. *)
-
-val zero_buckets : unit -> buckets
-val zero_attrib : unit -> op_attrib
 
 val bucket_sum : buckets -> float
 (** Sum of all five buckets — the core's span of the makespan. *)

@@ -17,6 +17,11 @@ type op_trace = {
   inject_bytes : float;
   dist_bytes : float;
   exchange_bytes : float;
+  core_tile : float array;
+  core_dist_done : float array;
+  core_dist_wait : float array;
+  core_ex_done : float array;
+  core_ex_wait : float array;
 }
 
 type result = {
@@ -254,6 +259,108 @@ let residency ~cores (s : Elk.Schedule.t) per_op =
          })
        per_op)
 
+(* Core [c]'s communication seconds in a ring phase that began at [t0]:
+   its transfer's span less its queueing. *)
+let ring_comm ~t0 fin wait c = Float.max 0. (fin.(c) -. t0 -. wait.(c))
+
+(* Perfcore's buckets and attribution, derived from the per-op phase
+   times in execute order (op id order): every core's share of
+   [prev_ready, exe_end] goes into the five buckets, and the operator's
+   critical-path span into per-resource time.  The pieces are
+   accumulated independently (not as remainders of the makespan), so
+   Perfcore.check genuinely verifies that no time leaks. *)
+let attribution ~cores per_op =
+  let perf = Perfcore.create ~cores ~ops:(Array.length per_op) in
+  (* Core [c]'s share of a ring phase over [t0, t_end]: its transfer,
+     its queueing, then idle until the slowest peer's transfer ends. *)
+  let ring (b : Perfcore.buckets) c ~t0 ~t_end fin wait =
+    if Array.length fin > 0 then begin
+      b.exchange <- b.exchange +. ring_comm ~t0 fin wait c;
+      b.port <- b.port +. wait.(c);
+      b.idle <- b.idle +. (t_end -. fin.(c))
+    end
+  in
+  let prev_ready = ref 0. in
+  Array.iteri
+    (fun op o ->
+      let start = o.exe_start in
+      let gap = start -. !prev_ready in
+      let pre_len = o.pre_end -. o.pre_start in
+      let hbm_frac = if pre_len > 0. then (o.hbm_end -. o.pre_start) /. pre_len else 0. in
+      let dist_len = o.dist_end -. start in
+      let compute_len = o.compute_end -. o.dist_end in
+      let ex_len = o.exe_end -. o.compute_end in
+      let at = perf.Perfcore.per_op.(op) in
+      at.Perfcore.a_hbm <- gap *. hbm_frac;
+      at.Perfcore.a_interconnect <-
+        (gap *. (1. -. hbm_frac)) +. (dist_len -. o.dist_wait) +. (ex_len -. o.ex_wait);
+      at.Perfcore.a_compute <- compute_len;
+      at.Perfcore.a_port <- o.dist_wait +. o.ex_wait;
+      let ncores = Array.length o.core_tile in
+      Array.iteri
+        (fun c (b : Perfcore.buckets) ->
+          b.preload_wait <- b.preload_wait +. gap;
+          if c < ncores then begin
+            ring b c ~t0:start ~t_end:o.dist_end o.core_dist_done o.core_dist_wait;
+            let t_c = o.core_tile.(c) in
+            b.compute <- b.compute +. t_c;
+            b.idle <- b.idle +. (compute_len -. t_c);
+            ring b c ~t0:o.compute_end ~t_end:o.exe_end o.core_ex_done o.core_ex_wait
+          end
+          else b.idle <- b.idle +. (o.exe_end -. start))
+        perf.Perfcore.per_core;
+      prev_ready := o.exe_end)
+    per_op;
+  perf
+
+type series = {
+  hbm : Elk_util.Series.t;
+  noc : Elk_util.Series.t;
+  intercore : Elk_util.Series.t;
+  core_busy : Elk_util.Series.t array;
+}
+
+(* Contributions are added in program order: Series folds over its list,
+   so the order fixes the low bits of every bin. *)
+let series (s : Elk.Schedule.t) r =
+  let module S = Elk_util.Series in
+  let hbm = S.create () and noc = S.create () and intercore = S.create () in
+  let core_busy = Array.map (fun _ -> S.create ()) r.perf.Perfcore.per_core in
+  let phase series ~t_start ~t_end volume =
+    if volume > 0. && t_end > t_start then S.add series ~t_start ~t_end ~volume
+  in
+  let busy c ~t_start ~t_end v =
+    if v > 0. then S.add core_busy.(c) ~t_start ~t_end ~volume:v
+  in
+  (* Core [c]'s transfer in a ring phase that began at [t0]. *)
+  let ring c ~t0 fin wait =
+    if Array.length fin > 0 then begin
+      let comm = ring_comm ~t0 fin wait c in
+      busy c ~t_start:(fin.(c) -. comm) ~t_end:fin.(c) comm
+    end
+  in
+  Array.iter
+    (function
+      | Elk.Program.Preload_async op ->
+          let o = r.per_op.(op) in
+          phase hbm ~t_start:o.pre_start ~t_end:o.hbm_end o.device_bytes;
+          phase noc ~t_start:o.pre_start ~t_end:o.pre_end o.inject_bytes
+      | Elk.Program.Execute op ->
+          let o = r.per_op.(op) in
+          List.iter
+            (fun series ->
+              phase series ~t_start:o.exe_start ~t_end:o.dist_end o.dist_bytes;
+              phase series ~t_start:o.compute_end ~t_end:o.exe_end o.exchange_bytes)
+            [ noc; intercore ];
+          Array.iteri
+            (fun c t_c ->
+              ring c ~t0:o.exe_start o.core_dist_done o.core_dist_wait;
+              busy c ~t_start:o.dist_end ~t_end:(o.dist_end +. t_c) t_c;
+              ring c ~t0:o.compute_end o.core_ex_done o.core_ex_wait)
+            o.core_tile)
+    (Elk.Program.of_schedule s).Elk.Program.instrs;
+  { hbm; noc; intercore; core_busy }
+
 let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
   (match Elk.Schedule.validate s with
   | Ok () -> ()
@@ -274,15 +381,14 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
     acc := !acc +. s.Elk.Schedule.entries.(i).Elk.Schedule.popt.P.hbm_device_bytes
   done;
   let program = Elk.Program.of_schedule s in
+  (* Each preload's times, until its execute builds the op's trace:
+     where the HBM read ends (for splitting the execute's preload stall
+     between the HBM floor and delivery) and the delivery stall.
+     [Program.of_schedule] executes ops in id order, so the traces come
+     out in id order too. *)
   let pre_start = Array.make n 0. and pre_end = Array.make n 0. in
-  let exe_start = Array.make n 0. and exe_end = Array.make n 0. in
-  let dist_end_arr = Array.make n 0. and compute_end_arr = Array.make n 0. in
-  (* Where each operator's HBM read ends, for splitting the execute's
-     preload stall between the HBM floor and delivery, and the per-phase
-     queueing waits: delivery stall, distribute and exchange port waits. *)
   let hbm_end = Array.make n 0. and pre_wait = Array.make n 0. in
-  let dist_wait_arr = Array.make n 0. and ex_wait_arr = Array.make n 0. in
-  let perf = Perfcore.create ~cores:chip.Arch.cores ~ops:n in
+  let traces = ref [] in
   let exec_ready = ref 0. in
   let preload_free = ref 0. in
   let stall_interconnect = ref 0. in
@@ -303,7 +409,30 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
     | Arch.Mesh2d _ | Arch.Clustered _ -> ([||], [||])
   in
   let nrec = if record_noc then Some (Noctrace.create noc) else None in
-  let cores_of plan = plan.P.cores_used in
+  (* One ring phase of an execute: each of the op's [ncores] cores
+     receives [bytes] from core [peer c] on the execution class, not
+     before [not_before].  Returns each core's completion and port wait;
+     both are empty when nothing moves. *)
+  let ring ~op ~ncores ~cls ~peer ~bytes ~not_before =
+    if bytes > 0. then begin
+      let fin = Array.make ncores not_before and wait = Array.make ncores 0. in
+      for c = 0 to ncores - 1 do
+        let p = N.path noc ~src:(N.Core (peer c)) ~dst:(N.Core c) in
+        let f, w = transfer ?nt:nrec fg_fabric p ~cls ~op ~bytes ~not_before in
+        fin.(c) <- f;
+        wait.(c) <- w
+      done;
+      (fin, wait)
+    end
+    else ([||], [||])
+  in
+  (* A ring phase's ideal length at the execution class's share. *)
+  let ring_ideal bytes =
+    if bytes > 0. then
+      N.transfer_time noc ~src:(N.Core 0) ~dst:(N.Core (min 1 (chip.Arch.cores - 1))) ~bytes
+      /. (1. -. pre_share)
+    else 0.
+  in
   Array.iter
     (fun instr ->
       match instr with
@@ -328,9 +457,6 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
             in
             hbm_busy := !hbm_busy +. (hbm_done -. gate);
             hbm_end.(op) <- hbm_done;
-            if hbm_done > gate then
-              Elk_util.Series.add perf.Perfcore.hbm_series ~t_start:gate
-                ~t_end:hbm_done ~volume:popt.P.hbm_device_bytes;
             (* Controllers stream to every core in parallel; each core
                receives its preload-space bytes through its own port.  On
                the all-to-all fabric the delivery is a fluid broadcast:
@@ -402,45 +528,26 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
             pre_start.(op) <- gate;
             pre_end.(op) <- !finish;
             pre_wait.(op) <- d;
-            if popt.P.noc_inject_bytes > 0. && !finish > gate then
-              Elk_util.Series.add perf.Perfcore.noc_series ~t_start:gate
-                ~t_end:!finish ~volume:popt.P.noc_inject_bytes;
             preload_free := !finish
           end
       | Elk.Program.Execute op ->
           let e = s.Elk.Schedule.entries.(op) in
           let plan = e.Elk.Schedule.plan in
           let node = Elk_model.Graph.get graph op in
-          let prev_ready = !exec_ready in
           let start = Float.max !exec_ready pre_end.(op) in
           if !pending > 0 then decr pending;
           preload_wait := !preload_wait +. Float.max 0. (pre_end.(op) -. !exec_ready);
-          let ncores = cores_of plan in
+          let ncores = plan.P.cores_used in
           (* Phase 1: data distribution (preload-state to execute-state),
              ring transfers from sharing-group peers. *)
           let dist_per_core = e.Elk.Schedule.popt.P.dist_bytes_per_core in
-          let dist_end = ref start in
-          let dist_done = Array.make (max 1 ncores) start in
-          let dist_wait = Array.make (max 1 ncores) 0. in
-          let dist_ideal =
-            if dist_per_core > 0. then
-              N.transfer_time noc ~src:(N.Core 0) ~dst:(N.Core (min 1 (chip.Arch.cores - 1)))
-                ~bytes:dist_per_core
-              /. (1. -. pre_share)
-            else 0.
+          let dist_done, dist_wait =
+            ring ~op ~ncores ~cls:Noctrace.Distribute
+              ~peer:(fun c -> (c + 1) mod ncores)
+              ~bytes:dist_per_core ~not_before:start
           in
-          if dist_per_core > 0. then
-            for c = 0 to ncores - 1 do
-              let p = N.path noc ~src:(N.Core ((c + 1) mod ncores)) ~dst:(N.Core c) in
-              let done_c, wait_c =
-                transfer ?nt:nrec fg_fabric p ~cls:Noctrace.Distribute ~op
-                  ~bytes:dist_per_core ~not_before:start
-              in
-              dist_done.(c) <- done_c;
-              dist_wait.(c) <- wait_c;
-              dist_end := Float.max !dist_end done_c
-            done;
-          let sd = Float.max 0. (!dist_end -. start -. dist_ideal) in
+          let dist_end = Array.fold_left Float.max start dist_done in
+          let sd = Float.max 0. (dist_end -. start -. ring_ideal dist_per_core) in
           stall_dist := !stall_dist +. sd;
           stall_interconnect := !stall_interconnect +. sd;
           (* Phase 2: per-core tile computation (slowest core binds). *)
@@ -448,109 +555,53 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
             Elk_cost.Device.exec_time chip ~kind:node.Elk_model.Graph.op.Elk_tensor.Opspec.kind
               ~iter:plan.P.tile
           in
-          let compute_end = ref !dist_end in
-          for c = 0 to ncores - 1 do
-            compute_end :=
-              Float.max !compute_end (!dist_end +. (t_tile *. core_skew ~skew c op))
-          done;
+          let tile = Array.init ncores (fun c -> t_tile *. core_skew ~skew c op) in
+          let compute_end =
+            Array.fold_left (fun m t_c -> Float.max m (dist_end +. t_c)) dist_end tile
+          in
           (* Phase 3: exchange/reduction of shared activations and partial
              results. *)
           let ex_per_core = plan.P.exchange_bytes_per_core in
-          let ex_end = ref !compute_end in
-          let ex_done = Array.make (max 1 ncores) !compute_end in
-          let ex_wait = Array.make (max 1 ncores) 0. in
-          let ex_ideal =
-            if ex_per_core > 0. then
-              N.transfer_time noc ~src:(N.Core 0) ~dst:(N.Core (min 1 (chip.Arch.cores - 1)))
-                ~bytes:ex_per_core
-              /. (1. -. pre_share)
-            else 0.
+          let ex_done, ex_wait =
+            ring ~op ~ncores ~cls:Noctrace.Exchange
+              ~peer:(fun c -> (c + ncores - 1) mod ncores)
+              ~bytes:ex_per_core ~not_before:compute_end
           in
-          if ex_per_core > 0. then
-            for c = 0 to ncores - 1 do
-              let p = N.path noc ~src:(N.Core ((c + ncores - 1) mod ncores)) ~dst:(N.Core c) in
-              let done_c, wait_c =
-                transfer ?nt:nrec fg_fabric p ~cls:Noctrace.Exchange ~op
-                  ~bytes:ex_per_core ~not_before:!compute_end
-              in
-              ex_done.(c) <- done_c;
-              ex_wait.(c) <- wait_c;
-              ex_end := Float.max !ex_end done_c
-            done;
-          let se = Float.max 0. (!ex_end -. !compute_end -. ex_ideal) in
+          let ex_end = Array.fold_left Float.max compute_end ex_done in
+          let se = Float.max 0. (ex_end -. compute_end -. ring_ideal ex_per_core) in
           stall_ex := !stall_ex +. se;
           stall_interconnect := !stall_interconnect +. se;
-          (* Resource attribution: decompose every core's share of
-             [prev_ready, ex_end] into the five Perfcore buckets, and the
-             operator's critical-path span into per-resource time.  The
-             pieces are accumulated independently (not as remainders of
-             the makespan), so Perfcore.check genuinely verifies that no
-             time leaks when this loop changes. *)
-          let gap = start -. prev_ready in
-          let pre_len = pre_end.(op) -. pre_start.(op) in
-          let hbm_frac =
-            if pre_len > 0. then (hbm_end.(op) -. pre_start.(op)) /. pre_len else 0.
-          in
-          let dist_len = !dist_end -. start in
-          let compute_len = !compute_end -. !dist_end in
-          let ex_len = !ex_end -. !compute_end in
-          let max_wait w = Array.fold_left Float.max 0. w in
-          let port_d = Float.min dist_len (if dist_per_core > 0. then max_wait dist_wait else 0.) in
-          let port_e = Float.min ex_len (if ex_per_core > 0. then max_wait ex_wait else 0.) in
-          let at = perf.Perfcore.per_op.(op) in
-          at.Perfcore.a_hbm <- gap *. hbm_frac;
-          at.Perfcore.a_interconnect <-
-            (gap *. (1. -. hbm_frac)) +. (dist_len -. port_d) +. (ex_len -. port_e);
-          at.Perfcore.a_compute <- compute_len;
-          at.Perfcore.a_port <- port_d +. port_e;
-          if dist_per_core > 0. && !dist_end > start then
-            Elk_util.Series.add perf.Perfcore.noc_series ~t_start:start
-              ~t_end:!dist_end
-              ~volume:(dist_per_core *. float_of_int ncores);
-          if ex_per_core > 0. && !ex_end > !compute_end then
-            Elk_util.Series.add perf.Perfcore.noc_series ~t_start:!compute_end
-              ~t_end:!ex_end
-              ~volume:(ex_per_core *. float_of_int ncores);
-          for c = 0 to chip.Arch.cores - 1 do
-            let b = perf.Perfcore.per_core.(c) in
-            b.Perfcore.preload_wait <- b.Perfcore.preload_wait +. gap;
-            if c < ncores then begin
-              if dist_per_core > 0. then begin
-                let comm = Float.max 0. (dist_done.(c) -. start -. dist_wait.(c)) in
-                b.Perfcore.exchange <- b.Perfcore.exchange +. comm;
-                b.Perfcore.port <- b.Perfcore.port +. dist_wait.(c);
-                b.Perfcore.idle <- b.Perfcore.idle +. (!dist_end -. dist_done.(c));
-                if comm > 0. then
-                  Elk_util.Series.add perf.Perfcore.core_busy.(c)
-                    ~t_start:(dist_done.(c) -. comm) ~t_end:dist_done.(c) ~volume:comm
-              end;
-              let t_c = t_tile *. core_skew ~skew c op in
-              b.Perfcore.compute <- b.Perfcore.compute +. t_c;
-              b.Perfcore.idle <- b.Perfcore.idle +. (compute_len -. t_c);
-              if t_c > 0. then
-                Elk_util.Series.add perf.Perfcore.core_busy.(c) ~t_start:!dist_end
-                  ~t_end:(!dist_end +. t_c) ~volume:t_c;
-              if ex_per_core > 0. then begin
-                let comm = Float.max 0. (ex_done.(c) -. !compute_end -. ex_wait.(c)) in
-                b.Perfcore.exchange <- b.Perfcore.exchange +. comm;
-                b.Perfcore.port <- b.Perfcore.port +. ex_wait.(c);
-                b.Perfcore.idle <- b.Perfcore.idle +. (!ex_end -. ex_done.(c));
-                if comm > 0. then
-                  Elk_util.Series.add perf.Perfcore.core_busy.(c)
-                    ~t_start:(ex_done.(c) -. comm) ~t_end:ex_done.(c) ~volume:comm
-              end
-            end
-            else b.Perfcore.idle <- b.Perfcore.idle +. (!ex_end -. start)
-          done;
-          exe_start.(op) <- start;
-          dist_end_arr.(op) <- !dist_end;
-          compute_end_arr.(op) <- !compute_end;
-          exe_end.(op) <- !ex_end;
-          dist_wait_arr.(op) <- port_d;
-          ex_wait_arr.(op) <- port_e;
-          exec_ready := !ex_end)
+          (* A phase's port wait: the longest any core queued, capped at
+             the phase length. *)
+          let port_wait len w = Float.min len (Array.fold_left Float.max 0. w) in
+          let popt = e.Elk.Schedule.popt in
+          traces :=
+            {
+              pre_start = pre_start.(op);
+              hbm_end = hbm_end.(op);
+              pre_end = pre_end.(op);
+              pre_wait = pre_wait.(op);
+              exe_start = start;
+              dist_end;
+              dist_wait = port_wait (dist_end -. start) dist_wait;
+              compute_end;
+              exe_end = ex_end;
+              ex_wait = port_wait (ex_end -. compute_end) ex_wait;
+              device_bytes = popt.P.hbm_device_bytes;
+              inject_bytes = popt.P.noc_inject_bytes;
+              dist_bytes = dist_per_core *. float_of_int ncores;
+              exchange_bytes = ex_per_core *. float_of_int ncores;
+              core_tile = tile;
+              core_dist_done = dist_done;
+              core_dist_wait = dist_wait;
+              core_ex_done = ex_done;
+              core_ex_wait = ex_wait;
+            }
+            :: !traces;
+          exec_ready := ex_end)
     program.Elk.Program.instrs;
-  let total = exe_end.(n - 1) in
+  let per_op = Array.of_list (List.rev !traces) in
+  let total = per_op.(n - 1).exe_end in
   (let module M = Elk_obs.Metrics in
    M.incr "elk_sim_runs_total" ~help:"Simulator invocations";
    M.incr "elk_sim_events_total"
@@ -571,8 +622,8 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
    M.observe "elk_sim_preload_queue_depth" (float_of_int !max_pending)
      ~help:"Peak issued-but-unexecuted preload queue depth per run");
   (* Breakdown: union measures of preload and execute interval sets. *)
-  let pre_iv = List.init n (fun o -> (pre_start.(o), pre_end.(o))) in
-  let exe_iv = List.init n (fun o -> (exe_start.(o), exe_end.(o))) in
+  let pre_iv = List.init n (fun o -> (per_op.(o).pre_start, per_op.(o).pre_end)) in
+  let exe_iv = List.init n (fun o -> (per_op.(o).exe_start, per_op.(o).exe_end)) in
   let both = Elk.Timeline.intersection_measure pre_iv exe_iv in
   let pre_m = Elk.Timeline.union_measure pre_iv
   and exe_m = Elk.Timeline.union_measure exe_iv in
@@ -590,30 +641,6 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
   Elk_obs.Metrics.incr "elk_sim_hbm_requests_total"
     ~by:(float_of_int stats.Elk_hbm.Hbm.requests)
     ~help:"HBM device requests issued";
-  let per_op =
-    Array.init n (fun o ->
-        let e = s.Elk.Schedule.entries.(o) in
-        {
-          pre_start = pre_start.(o);
-          hbm_end = hbm_end.(o);
-          pre_end = pre_end.(o);
-          pre_wait = pre_wait.(o);
-          exe_start = exe_start.(o);
-          dist_end = dist_end_arr.(o);
-          dist_wait = dist_wait_arr.(o);
-          compute_end = compute_end_arr.(o);
-          exe_end = exe_end.(o);
-          ex_wait = ex_wait_arr.(o);
-          device_bytes = e.Elk.Schedule.popt.P.hbm_device_bytes;
-          inject_bytes = e.Elk.Schedule.popt.P.noc_inject_bytes;
-          dist_bytes =
-            e.Elk.Schedule.popt.P.dist_bytes_per_core
-            *. float_of_int e.Elk.Schedule.plan.P.cores_used;
-          exchange_bytes =
-            e.Elk.Schedule.plan.P.exchange_bytes_per_core
-            *. float_of_int e.Elk.Schedule.plan.P.cores_used;
-        })
-  in
   {
     total;
     bd =
@@ -640,7 +667,7 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
     achieved_flops = (if total > 0. then flops /. total else 0.);
     per_op;
     hbm_requests = stats.Elk_hbm.Hbm.requests;
-    perf;
+    perf = attribution ~cores:chip.Arch.cores per_op;
     events = (if record then Some (causal_events program per_op) else None);
     mem = (if record_mem then Some (residency ~cores:chip.Arch.cores s per_op) else None);
     noc = nrec;

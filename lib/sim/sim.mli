@@ -40,6 +40,15 @@ type op_trace = {
   inject_bytes : float;
   dist_bytes : float;  (** total distribution bytes (all cores). *)
   exchange_bytes : float;  (** total exchange bytes (all cores). *)
+  core_tile : float array;
+      (** each participating core's skewed tile time, by core id (length
+          [cores_used]); [compute_end] is [dist_end] plus the largest. *)
+  core_dist_done : float array;
+      (** when each participating core's distribution transfer ended;
+          empty when the op distributes nothing. *)
+  core_dist_wait : float array;  (** how long each of them queued. *)
+  core_ex_done : float array;  (** likewise for the exchange phase. *)
+  core_ex_wait : float array;
 }
 
 type result = {
@@ -57,10 +66,8 @@ type result = {
   per_op : op_trace array;
   hbm_requests : int;  (** HBM device requests issued. *)
   perf : Perfcore.t;
-      (** per-core bucket attribution, per-operator per-resource
-          attribution, and HBM/NoC bandwidth-over-time series collected
-          by the event loop.  [hbm_util]/[noc_util] are the time-averaged
-          scalars derivable from the series. *)
+      (** per-core bucket attribution and per-operator per-resource
+          attribution, derived from [per_op] after the event loop. *)
   events : Critpath.event array option;
       (** causal event DAG, derived from [per_op] only when {!run} is
           called with [~events:true]; [None] otherwise.
@@ -90,10 +97,28 @@ val run :
     asks for the causal event DAG, [mem] for the SRAM-residency record
     and [noc] for the per-link interconnect record (all three default to
     off, and a field is filled only when it was asked for).  The event
-    loop records the link bookings itself; the DAG and the residency
-    record are built after it, from [per_op] and the schedule.  Nothing
-    recorded is read back, so the simulated timeline is identical either
-    way.  Raises [Invalid_argument] if the schedule fails validation. *)
+    loop records timing ([per_op]) and, with [noc], the link bookings;
+    [perf], the DAG and the residency record are built after it, from
+    [per_op] and the schedule.  Nothing recorded is read back, so the
+    simulated timeline is identical either way.  Raises [Invalid_argument] if the schedule fails validation. *)
+
+type series = {
+  hbm : Elk_util.Series.t;  (** HBM device bytes over each read. *)
+  noc : Elk_util.Series.t;
+      (** interconnect bytes: preload injection, distribution and
+          exchange, each over its phase. *)
+  intercore : Elk_util.Series.t;  (** distribution and exchange bytes only. *)
+  core_busy : Elk_util.Series.t array;
+      (** per core, busy time (communication and tile compute) over time. *)
+}
+(** Bandwidth and busy time over time (Figs 7-8, [elk analyze]): the
+    phases of positive length, each volume spread over its interval.
+    [hbm_util]/[noc_util] are the time-averaged scalars. *)
+
+val series : Elk.Schedule.t -> result -> series
+(** Build a run's series from its [per_op], in the program order of the
+    schedule that was simulated.  The event loop keeps none of them, so a
+    caller that reads no series pays nothing for them. *)
 
 val compare_with_timeline :
   Elk_partition.Partition.ctx -> Elk.Schedule.t -> float

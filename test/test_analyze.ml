@@ -33,7 +33,7 @@ let result =
 let report =
   lazy
     (let s = Lazy.force Tu.tiny_schedule in
-     A.analyze ~top:4 s.Elk.Schedule.graph (Lazy.force result))
+     A.analyze ~top:4 s (Lazy.force result))
 
 let test_report_invariants () =
   let r = Lazy.force result and rep = Lazy.force report in
@@ -73,7 +73,7 @@ let test_exports () =
       "\"mix\""; "\"top_cores\""; "\"ops\""; "\"bandwidth\"";
     ];
   Alcotest.(check int) "five tables" 5 (List.length (A.tables rep));
-  let counters = A.chrome_counter_events ~bins:16 ~top:2 (Lazy.force result) in
+  let counters = A.chrome_counter_events ~bins:16 rep in
   Alcotest.(check bool) "counter events present" true (counters <> []);
   List.iter
     (fun ev ->
@@ -93,7 +93,7 @@ let test_degenerate_single_op () =
   let ctx = Lazy.force Tu.default_ctx in
   let s = Elk.Scheduler.run ctx g in
   let r = Sim.run ~events:true ctx s in
-  let rep = A.analyze g r in
+  let rep = A.analyze s r in
   (* Jsonx.number renders non-finite floats as null, so a nan/inf that
      escaped a guard shows up as a ":null" value in the document. *)
   let no_bad what str =
@@ -131,7 +131,7 @@ let test_degenerate_single_op () =
 let test_slack_headroom () =
   let r = Lazy.force (lazy (Sim.run ~events:true (Lazy.force Tu.default_ctx) (Lazy.force Tu.tiny_schedule))) in
   let s = Lazy.force Tu.tiny_schedule in
-  let rep = A.analyze ~top:4 s.Elk.Schedule.graph r in
+  let rep = A.analyze ~top:4 s r in
   match r.Sim.events with
   | None -> Alcotest.fail "no events"
   | Some ev ->
@@ -155,7 +155,7 @@ let test_recording_is_inert () =
   List.iter
     (fun (topo, ctx, sched) ->
       let ctx = Lazy.force ctx and s = Lazy.force sched in
-      let json r = A.to_json (A.analyze s.Elk.Schedule.graph r) in
+      let json r = A.to_json (A.analyze s r) in
       Alcotest.(check string)
         (topo ^ ": report unchanged by recording")
         (json (Sim.run ctx s))

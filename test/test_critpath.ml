@@ -90,8 +90,8 @@ let test_op_slack_consistent () =
    - an exposed-wait-dominated attribution (HBM) cannot coexist with a
      chain that never touches the preload pipeline;
    - a compute-dominated chain forces a visible compute attribution. *)
-let check_analyze_consistency name graph (r : Sim.result) (s : Critpath.summary) =
-  let report = Elk_analyze.Analyze.analyze graph r in
+let check_analyze_consistency name sched (r : Sim.result) (s : Critpath.summary) =
+  let report = Elk_analyze.Analyze.analyze sched r in
   let a_share res =
     try List.assoc res report.Elk_analyze.Analyze.resource_totals with Not_found -> 0.
   in
@@ -144,8 +144,7 @@ let check_analyze_consistency name graph (r : Sim.result) (s : Critpath.summary)
 
 let test_analyze_consistency () =
   let r = Lazy.force result in
-  let g = (Lazy.force Tu.tiny_schedule).Elk.Schedule.graph in
-  check_analyze_consistency "a2a" g r (Lazy.force summary)
+  check_analyze_consistency "a2a" (Lazy.force Tu.tiny_schedule) r (Lazy.force summary)
 
 (* Property sweep: scaled-down zoo models on both topologies.  CI runs
    the full-size models through `elk critpath`; here each config shrinks
@@ -175,7 +174,7 @@ let run_case ~topo ctx (name, cfg) =
   let s' = Critpath.extract ev in
   Tu.check_rel (label ^ ": path length = makespan") ~tolerance:1e-6 r.Sim.total
     s'.Critpath.total;
-  check_analyze_consistency label g r s'
+  check_analyze_consistency label s r s'
 
 let test_zoo_a2a () =
   List.iter (run_case ~topo:"a2a" (Lazy.force Tu.default_ctx)) zoo_cases
@@ -190,8 +189,7 @@ let test_mesh_invariants () =
   (match Critpath.check (events_of r) ~total:r.Sim.total with
   | Ok () -> ()
   | Error m -> Alcotest.fail m);
-  let g = s.Elk.Schedule.graph in
-  check_analyze_consistency "mesh" g r (Critpath.extract (events_of r))
+  check_analyze_consistency "mesh" s r (Critpath.extract (events_of r))
 
 let suite =
   [

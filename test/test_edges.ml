@@ -121,6 +121,28 @@ let test_planio_missing_entry () =
   Alcotest.(check bool) "missing entry rejected" true
     (Result.is_error (Elk.Planio.import (ctx ()) corrupted))
 
+(* An [order] id outside [0, n) is a load error naming the id, not an
+   out-of-bounds exception escaping the permutation check. *)
+let test_planio_order_out_of_range () =
+  let s = Lazy.force Tu.tiny_schedule in
+  let text = Elk.Planio.export s in
+  List.iter
+    (fun bad ->
+      let corrupted =
+        String.split_on_char '\n' text
+        |> List.map (fun l ->
+               match String.index_opt l ',' with
+               | Some i when String.length l > 6 && String.sub l 0 6 = "order " ->
+                   Printf.sprintf "order %d%s" bad (String.sub l i (String.length l - i))
+               | _ -> l)
+        |> String.concat "\n"
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "order id %d rejected" bad)
+        true
+        (Result.is_error (Elk.Planio.import (ctx ()) corrupted)))
+    [ Elk.Schedule.num_ops s; -1 ]
+
 let test_gtext_import_file () =
   let path = Filename.temp_file "elkgraph" ".gt" in
   let oc = open_out path in
@@ -185,6 +207,7 @@ let suite =
     ("edges: codegen round loop", `Quick, test_codegen_rounds_loop);
     ("edges: opsplit chunk names", `Quick, test_opsplit_chunk_names);
     ("edges: planio missing entry", `Quick, test_planio_missing_entry);
+    ("edges: planio order id out of range", `Quick, test_planio_order_out_of_range);
     ("edges: gtext import_file", `Quick, test_gtext_import_file);
     ("edges: pipeline printer", `Quick, test_pipeline_pp);
     ("edges: energy printer", `Quick, test_energy_pp);

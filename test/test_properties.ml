@@ -166,13 +166,46 @@ let qcheck_sharding_flops_split =
       (* Norm replication and ceil rounding leave some slack. *)
       ratio > 0.7 && ratio < 1.3)
 
+(* The series derived from a run conserve volume: the HBM and NoC
+   series carry exactly the bytes of the phases of positive length, and
+   every core's busy series carries its compute + exchange buckets —
+   which ties the two derivations together, so a phase that either one
+   drops or counts twice shows up here. *)
+let series_conserve_volume (s : Elk.Schedule.t) (r : Sim.result) =
+  let module S = Elk_util.Series in
+  let se = Sim.series s r in
+  let close what a b =
+    Float.abs (a -. b) <= 1e-9 *. Float.max (Float.abs a) (Float.abs b)
+    || QCheck2.Test.fail_reportf "%s: series total %.17g, expected %.17g" what a b
+  in
+  let sum f = Array.fold_left (fun a o -> a +. f o) 0. r.Sim.per_op in
+  let over t0 t1 bytes = if t1 > t0 then bytes else 0. in
+  close "HBM"
+    (S.total se.Sim.hbm)
+    (sum (fun o -> over o.Sim.pre_start o.Sim.hbm_end o.Sim.device_bytes))
+  && close "NoC"
+       (S.total se.Sim.noc)
+       (sum (fun o ->
+            over o.Sim.pre_start o.Sim.pre_end o.Sim.inject_bytes
+            +. over o.Sim.exe_start o.Sim.dist_end o.Sim.dist_bytes
+            +. over o.Sim.compute_end o.Sim.exe_end o.Sim.exchange_bytes))
+  && List.for_all
+       (fun c ->
+         let b = r.Sim.perf.Elk_sim.Perfcore.per_core.(c) in
+         close
+           (Printf.sprintf "core %d busy" c)
+           (S.total se.Sim.core_busy.(c))
+           (b.Elk_sim.Perfcore.compute +. b.Elk_sim.Perfcore.exchange))
+       (List.init (Array.length se.Sim.core_busy) Fun.id)
+
 (* Preload orders other than the identity reach the simulator's
    records: the causal DAG's preload parents depend on which gate binds,
    and reordering is what changes that.  On every trajectory the four
    analyses' checks pass, every event but the root starts exactly when
    its causal parent ends (the parent is the gate's binding argument),
    each Distribute/Exchange event carries its op's per-phase port wait,
-   and the SRAM-residency record holds its op's phase times. *)
+   the SRAM-residency record holds its op's phase times, and the derived
+   series conserve volume. *)
 let qcheck_recorders_on_random_orders =
   Tu.qtest ~count:20 "sim: recorder contracts hold on random preload orders"
     QCheck2.Gen.(triple bool (list_size (int_range 1 6) (int_bound 1000)) (int_range 1 8))
@@ -218,7 +251,8 @@ let qcheck_recorders_on_random_orders =
              && m.Mt.m_tail_start = o.Sim.compute_end
              && m.Mt.m_release = o.Sim.exe_end)
            (Array.init (Mt.num_ops mem) (Mt.op_mem mem))
-           r.Sim.per_op)
+           r.Sim.per_op
+      && series_conserve_volume s r)
 
 let suite =
   [
