@@ -248,19 +248,34 @@ let fig6 () =
   Table.print t
 
 (* Figs 7-8 plot one of the simulator's derived series (Sim.series) per
-   core: the inter-core phases alone, then with preload injection. *)
+   core: the inter-core phases alone, then with preload injection.  The
+   two rows differ only where an operator's plan has more than one
+   preload option, so the count of such operators is printed under the
+   table. *)
 let noc_fig ~title pick =
   let cores = float_of_int (Lazy.force default_env).D.pod.Elk_arch.Arch.chip.Elk_arch.Arch.cores in
   let t = Table.create ~title ~columns:(bin_headers ()) in
+  let runs =
+    List.filter_map
+      (fun (label, use_max_popt) ->
+        Option.map (fun run -> (label, run)) (static_sim ~budget_frac:0.4 ~use_max_popt))
+      [ ("MinPreload", false); ("MaxPreload", true) ]
+  in
   List.iter
-    (fun (label, use_max_popt) ->
-      Option.iter
-        (fun (s, r) ->
-          Table.add_row t
-            (series_row label (pick (Elk_sim.Sim.series s r)) ~scale:(1e9 *. cores)))
-        (static_sim ~budget_frac:0.4 ~use_max_popt))
-    [ ("MinPreload", false); ("MaxPreload", true) ];
-  Table.print t
+    (fun (label, (s, r)) ->
+      Table.add_row t (series_row label (pick (Elk_sim.Sim.series s r)) ~scale:(1e9 *. cores)))
+    runs;
+  Table.print t;
+  match runs with
+  | [ (_, (lo, _)); (_, (hi, _)) ] ->
+      let differ = ref 0 in
+      Array.iteri
+        (fun i (e : Elk.Schedule.op_entry) ->
+          if e.Elk.Schedule.popt <> hi.Elk.Schedule.entries.(i).Elk.Schedule.popt then incr differ)
+        lo.Elk.Schedule.entries;
+      Printf.printf "MinPreload and MaxPreload preload options differ on %d of %d ops\n" !differ
+        (Array.length lo.Elk.Schedule.entries)
+  | _ -> ()
 
 let fig7 () =
   noc_fig ~title:"Fig 7: per-core inter-core bandwidth demand over time (GB/s)"

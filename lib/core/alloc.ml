@@ -5,7 +5,8 @@ module P = Elk_partition.Partition
 type result = {
   exec_plan : P.plan;
   exec_index : int;
-  window : (int * P.preload_opt) list;
+  len : int;
+  steps : int;
   exec_time : float;
   objective : float;
   total_space : float;
@@ -146,148 +147,208 @@ let layout_of_schedule (s : Schedule.t) =
    the (space, overhead) pairs the greedy descent steps along. *)
 type frontier = {
   f_op : int;
+  plan : P.plan;
   options : P.preload_opt array;
   spaces : float array;
   overheads : float array;
+  f_nonnegative : bool;  (** no negative space. *)
 }
+
+let nonnegative spaces = Array.for_all (fun x -> not (x < 0.)) spaces
 
 let frontier ctx (node : Elk_model.Graph.node) plan =
   let options = Array.of_list (P.preload_options ctx node.Elk_model.Graph.op plan) in
+  let spaces = Array.map (fun o -> o.P.preload_space) options in
+  let overheads = Array.map P.preload_overhead options in
   {
     f_op = node.Elk_model.Graph.id;
+    plan;
     options;
-    spaces = Array.map (fun o -> o.P.preload_space) options;
-    overheads = Array.map P.preload_overhead options;
+    spaces;
+    overheads;
+    f_nonnegative = nonnegative spaces;
   }
+
+let plan f = f.plan
+let options f = f.options
 
 (* The executing operator's frontier, resolved once per induction step
    and read by every horizon's allocation: its Pareto plans in ascending
    execution space with the (space, time) pairs the descent steps along,
-   and each plan's preload options, resolved on first use.  The option
-   cache is plain mutable state, so a value belongs to one domain. *)
+   and each plan's preload frontier, resolved on first use.  The cache is
+   plain mutable state, so a value belongs to one domain. *)
 type exec_frontier = {
   node : Elk_model.Graph.node;
   ctx : P.ctx;
   plans : P.plan array;
   plan_spaces : float array;
   plan_times : float array;
-  plan_options : P.preload_opt list option array;
+  plan_options : frontier option array;
+  e_nonnegative : bool;
 }
 
 let exec_frontier ctx (node : Elk_model.Graph.node) =
   let points = Array.of_list (P.exec_frontier ctx node.Elk_model.Graph.op) in
+  let plan_spaces = Array.map (fun p -> p.Pareto.x) points in
+  let plan_times = Array.map (fun p -> p.Pareto.y) points in
   {
     node;
     ctx;
     plans = Array.map (fun p -> p.Pareto.payload) points;
-    plan_spaces = Array.map (fun p -> p.Pareto.x) points;
-    plan_times = Array.map (fun p -> p.Pareto.y) points;
+    plan_spaces;
+    plan_times;
     plan_options = Array.make (Array.length points) None;
+    e_nonnegative = nonnegative plan_spaces;
   }
 
 let exec_options ef i =
   match ef.plan_options.(i) with
-  | Some opts -> opts
+  | Some f -> f
   | None ->
-      let opts = P.preload_options ef.ctx ef.node.Elk_model.Graph.op ef.plans.(i) in
-      ef.plan_options.(i) <- Some opts;
-      opts
+      let f = frontier ef.ctx ef.node ef.plans.(i) in
+      ef.plan_options.(i) <- Some f;
+      f
 
-(* One participant in the greedy descent: a frontier of (space, time)
-   choices, currently sitting at [idx] (starting at the largest-space /
-   fastest end) and able to step down to [idx - 1]. *)
-type participant = {
-  spaces : float array;  (** ascending. *)
-  times : float array;  (** descending. *)
-  mutable idx : int;
+(* One induction step's participants: participant 0 is the executing
+   operator, participant [k + 1] the [k]-th resident.  Every search
+   starts each participant at its top point (largest space, fastest), so
+   what the tops give is computed once per window: the footprint,
+   injection and distribution summed left to right over the tops of every
+   prefix.  A search of the first [len] residents keeps each
+   participant's current point in [idx]: it builds no record and no list
+   of its own. *)
+type window = {
+  exec : exec_frontier;
+  residents : frontier array;
+  spaces : float array array;  (** per participant, ascending. *)
+  times : float array array;  (** per participant, descending. *)
+  top : int array;
+  top_total : float array;  (** footprint of participants [0 .. k] at their tops. *)
+  top_inject : float array;  (** injection of residents [0 .. k - 1] at their tops. *)
+  top_dist : float array;  (** overhead of residents [0 .. k - 1] at their tops. *)
+  nonnegative : int;  (** participants [0 .. nonnegative - 1] have no negative space. *)
+  idx : int array;  (** scratch: each participant's current point. *)
+  size : int -> float;  (** participant [k]'s current space. *)
 }
 
-let participant spaces times = { spaces; times; idx = Array.length spaces - 1 }
+let window exec (residents : frontier array) =
+  let n = Array.length residents + 1 in
+  let spaces = Array.make n exec.plan_spaces and times = Array.make n exec.plan_times in
+  let top = Array.make n (Array.length exec.plan_spaces - 1) in
+  let top_total = Array.make n 0. in
+  let top_inject = Array.make n 0. and top_dist = Array.make n 0. in
+  let nonnegative = ref (if exec.e_nonnegative then 1 else 0) in
+  (* Sums in the order a search adds: the footprint from 0 over the
+     execute state, then the window; injection and distribution over the
+     window.  An operator without plans has no top: its searches fail
+     before reading these. *)
+  if top.(0) >= 0 then top_total.(0) <- 0. +. exec.plan_spaces.(top.(0));
+  for k = 1 to n - 1 do
+    let f = residents.(k - 1) in
+    let t = Array.length f.spaces - 1 in
+    spaces.(k) <- f.spaces;
+    times.(k) <- f.overheads;
+    top.(k) <- t;
+    top_total.(k) <- top_total.(k - 1) +. f.spaces.(t);
+    top_inject.(k) <- top_inject.(k - 1) +. f.options.(t).P.noc_inject_bytes;
+    top_dist.(k) <- top_dist.(k - 1) +. f.overheads.(t);
+    if !nonnegative = k && f.f_nonnegative then incr nonnegative
+  done;
+  let idx = Array.copy top in
+  {
+    exec;
+    residents;
+    spaces;
+    times;
+    top;
+    top_total;
+    top_inject;
+    top_dist;
+    nonnegative = !nonnegative;
+    idx;
+    size = (fun k -> spaces.(k).(idx.(k)));
+  }
 
-let[@inline] step_delta p =
-  let freed = p.spaces.(p.idx) -. p.spaces.(p.idx - 1) in
-  let slower = Float.max 1e-12 (p.times.(p.idx - 1) -. p.times.(p.idx)) in
-  freed /. slower
+let reset w len = Array.blit w.top 0 w.idx 0 (len + 1)
+
+(* Step the most cost-effective of participants [0 .. len] — the most
+   bytes freed per added second, the first one on ties — one point down
+   its frontier, and return it; -1 when every one is at its smallest
+   point. *)
+let step w len =
+  let idx = w.idx in
+  let best = ref (-1) and best_d = ref 0. in
+  for k = 0 to len do
+    let i = idx.(k) in
+    if i > 0 then begin
+      let s = w.spaces.(k) and t = w.times.(k) in
+      let d = (s.(i) -. s.(i - 1)) /. Float.max 1e-12 (t.(i - 1) -. t.(i)) in
+      if !best < 0 || not (!best_d >= d) then begin
+        best := k;
+        best_d := d
+      end
+    end
+  done;
+  if !best >= 0 then idx.(!best) <- idx.(!best) - 1;
+  !best
+
+let chosen w r =
+  reset w r.len;
+  for _ = 1 to r.steps do
+    ignore (step w r.len)
+  done;
+  List.init r.len (fun k ->
+      let f = w.residents.(k) in
+      (f.f_op, f.options.(w.idx.(k + 1))))
 
 (* Why a search failed, formatted only when someone reads it. *)
 type infeasible = No_plan | Overflow of { demand : float; preloads : int }
 
-let search ~capacity ~exec ~window =
-  if Array.length exec.plans = 0 then Error No_plan
+let search ~capacity ~len w =
+  if len < 0 || len >= Array.length w.idx then invalid_arg "Alloc.allocate: len out of range";
+  if Array.length w.exec.plans = 0 then Error No_plan
   else begin
+    reset w len;
     (* The execute state first, then every overlapping preload: the
-       bump-pack order of the combination's address intervals. *)
-    let parts =
-      Array.make (1 + List.length window) (participant exec.plan_spaces exec.plan_times)
-    in
-    List.iteri
-      (fun k (f : frontier) -> parts.(k + 1) <- participant f.spaces f.overheads)
-      window;
-    let size k =
-      let p = parts.(k) in
-      p.spaces.(p.idx)
-    in
-    (* The combination's per-core footprint: the extent of its bump
-       packing, summed left to right in packing order — the same float
-       operations [pack] performs, without building the layout. *)
-    let total () =
-      let t = ref 0. in
-      for k = 0 to Array.length parts - 1 do
-        t := !t +. size k
-      done;
-      !t
-    in
-    let rec descend () =
-      if total () <= capacity then true
+       bump-pack order of the combination's address intervals.  The
+       footprint is the extent of that packing, summed left to right in
+       packing order — the same float operations [pack] performs, without
+       building the layout. *)
+    let total = ref w.top_total.(len) and steps = ref 0 and stuck = ref false in
+    let window_stepped = ref (len + 1) in
+    while not (!total <= capacity || !stuck) do
+      let j = step w len in
+      if j < 0 then stuck := true
       else begin
-        (* Step the most cost-effective participant — the most bytes
-           freed per added second, the first one on ties — one point
-           down its frontier. *)
-        let best = ref (-1) and best_d = ref 0. in
-        for k = 0 to Array.length parts - 1 do
-          let p = parts.(k) in
-          if p.idx > 0 then begin
-            let d = step_delta p in
-            if !best < 0 || not (!best_d >= d) then begin
-              best := k;
-              best_d := d
-            end
-          end
-        done;
-        if !best < 0 then false
-        else begin
-          let p = parts.(!best) in
-          p.idx <- p.idx - 1;
-          descend ()
-        end
+        incr steps;
+        if j > 0 && j < !window_stepped then window_stepped := j;
+        total := 0.;
+        for k = 0 to len do
+          total := !total +. w.spaces.(k).(w.idx.(k))
+        done
       end
-    in
-    if not (descend ()) then
-      (* Every participant is at its smallest Pareto point, so [total ()]
+    done;
+    if !stuck then
+      (* Every participant is at its smallest Pareto point, so [!total]
          is the irreducible demand of this window combination. *)
-      Error (Overflow { demand = total (); preloads = List.length window })
+      Error (Overflow { demand = !total; preloads = len })
     else begin
-      let exec_index = parts.(0).idx in
-      let exec_plan = exec.plans.(exec_index) in
+      let exec_index = w.idx.(0) in
+      let exec_plan = w.exec.plans.(exec_index) in
       (* The intervals the schedule would hand the race analysis are
-         disjoint by construction. *)
-      assert (packing_disjoint_n (Array.length parts) size);
-      let chosen_window =
-        List.mapi (fun k (f : frontier) -> (f.f_op, f.options.(parts.(k + 1).idx))) window
-      in
+         disjoint by construction; only a negative space, which a window
+         without one cannot hold, needs [packing_disjoint_n]'s scan. *)
+      assert (len < w.nonnegative || packing_disjoint_n (len + 1) w.size);
       (* Injection and distribution summed left to right in window order:
          the order fixes the rounding, which the plan choices see. *)
-      let inject_total = ref 0. and dist_total = ref 0. and rest = ref window in
-      for k = 1 to Array.length parts - 1 do
-        match !rest with
-        | [] -> ()
-        | (f : frontier) :: tl ->
-            let o = parts.(k).idx in
-            inject_total := !inject_total +. f.options.(o).P.noc_inject_bytes;
-            dist_total := !dist_total +. f.overheads.(o);
-            rest := tl
+      let first = min (!window_stepped - 1) len in
+      let inject_total = ref w.top_inject.(first) and dist_total = ref w.top_dist.(first) in
+      for k = first to len - 1 do
+        let f = w.residents.(k) and o = w.idx.(k + 1) in
+        inject_total := !inject_total +. f.options.(o).P.noc_inject_bytes;
+        dist_total := !dist_total +. f.overheads.(o)
       done;
-      let chip = P.ctx_chip exec.ctx in
+      let chip = P.ctx_chip w.exec.ctx in
       let link_bw = chip.Arch.intercore_link.Arch.bandwidth in
       let cores = float_of_int chip.Arch.cores in
       (* Interconnect contention is a per-core PORT phenomenon: during this
@@ -306,19 +367,20 @@ let search ~capacity ~exec ~window =
         {
           exec_plan;
           exec_index;
-          window = chosen_window;
+          len;
+          steps = !steps;
           exec_time = exec_plan.P.exec_time +. contention;
           objective = exec_plan.P.exec_time +. contention +. !dist_total;
-          total_space = total ();
+          total_space = !total;
           contention;
         }
     end
   end
 
-let explain ~capacity exec reason =
+let explain ~capacity w reason =
   let op_label =
-    Printf.sprintf "op %d (%s)" exec.node.Elk_model.Graph.id
-      exec.node.Elk_model.Graph.op.Elk_tensor.Opspec.name
+    Printf.sprintf "op %d (%s)" w.exec.node.Elk_model.Graph.id
+      w.exec.node.Elk_model.Graph.op.Elk_tensor.Opspec.name
   in
   match reason with
   | No_plan ->
@@ -333,11 +395,11 @@ let explain ~capacity exec reason =
          SRAM by %.0f B"
         op_label demand preloads capacity (demand -. capacity)
 
-let allocate_or_error ~capacity ~exec ~window =
-  Result.map_error (explain ~capacity exec) (search ~capacity ~exec ~window)
+let allocate_or_error ~capacity ~len w =
+  Result.map_error (explain ~capacity w) (search ~capacity ~len w)
 
-let allocate ~capacity ~exec ~window =
-  match search ~capacity ~exec ~window with
+let allocate ~capacity ~len w =
+  match search ~capacity ~len w with
   | Ok r -> Some r
   | Error reason ->
       (* Infeasibility is routine during the window search (the caller
@@ -345,7 +407,7 @@ let allocate ~capacity ~exec ~window =
          message names the capacity, the demanded bytes, and the
          offending operator instead of a bare [None]. *)
       if Elk_obs.Logger.enabled Elk_obs.Logger.Debug then
-        Elk_obs.Logger.debug ~src:"alloc" (explain ~capacity exec reason);
+        Elk_obs.Logger.debug ~src:"alloc" (explain ~capacity w reason);
       None
 
 let min_preload_space ctx (node : Elk_model.Graph.node) =

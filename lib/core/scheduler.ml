@@ -9,26 +9,25 @@ exception Pruned
    below). *)
 
 (* Default preload option for an operator the allocator has not assigned
-   yet: the one minimizing total preload overhead (distribution time plus
-   interconnect-imposed preload lengthening). *)
-let min_overhead_opt ctx op plan =
-  match P.preload_options ctx op plan with
-  | [] -> invalid_arg "Scheduler: operator without preload options"
-  | first :: rest ->
-      List.fold_left
-        (fun acc o -> if P.preload_overhead o < P.preload_overhead acc then o else acc)
-        first rest
+   yet: the first one minimizing total preload overhead (distribution time
+   plus interconnect-imposed preload lengthening). *)
+let min_overhead_opt (opts : P.preload_opt array) =
+  Array.fold_left
+    (fun acc o -> if P.preload_overhead o < P.preload_overhead acc then o else acc)
+    opts.(0) opts
 
-(* Best (least-overhead) of a plan's preload options whose preload space
-   fits a budget; falls back to the smallest option. *)
-let best_opt_within opts ~space =
-  let fitting = List.filter (fun o -> o.P.preload_space <= space) opts in
-  match fitting with
-  | [] -> List.hd opts
-  | first :: rest ->
-      List.fold_left
-        (fun acc o -> if P.preload_overhead o < P.preload_overhead acc then o else acc)
-        first rest
+(* Best (first least-overhead) of a plan's preload options whose preload
+   space fits a budget; falls back to the smallest option. *)
+let best_opt_within (opts : P.preload_opt array) ~space =
+  let best = ref (-1) in
+  for k = 0 to Array.length opts - 1 do
+    let o = opts.(k) in
+    if
+      o.P.preload_space <= space
+      && (!best < 0 || P.preload_overhead o < P.preload_overhead opts.(!best))
+    then best := k
+  done;
+  opts.(max 0 !best)
 
 (* The scheduler implements the backward induction of §4.2 with the
    preload sequence generalized to an arbitrary order (§4.4).  For each
@@ -76,7 +75,6 @@ let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
      horizon bounds only access positions >= [h_floor.(i+1)]. *)
   let spos = Array.make (n + 1) infinity in
   let horizon = Array.make n n in
-  let plans : P.plan option array = Array.make n None in
   let popts : P.preload_opt option array = Array.make n None in
   (* Running maximum of preload positions over execution prefixes:
      [h_floor.(i)] = 1 + max position among ops 0..i. *)
@@ -86,95 +84,89 @@ let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
     pos;
   let s_pre_pos h = if h >= n then infinity else spos.(h) in
   let node_of i = Graph.get graph i in
-  (* Each operator's preload-state frontier, resolved once its plan is
-     fixed: every later allocation window holding it reuses it. *)
+  (* Each scheduled operator's fixed plan with its preload-state frontier,
+     resolved once: every later allocation window holding it, and every
+     read of its options below, reuses it. *)
   let fronts : Alloc.frontier option array = Array.make n None in
-  let fix_plan id plan =
-    plans.(id) <- Some plan;
-    fronts.(id) <- Some (Alloc.frontier ctx (node_of id) plan)
+  let front_of id =
+    match fronts.(id) with
+    | Some f -> f
+    | None -> raise (Infeasible "window op scheduled out of order")
   in
   (* As-late-as-possible preload length of a scheduled operator; used by
      the preload-channel passes below.  Operators not yet given a preload
      option by an allocation window fall back to their min-overhead one,
      exactly as the final materialization will. *)
   let len_of id =
-    let plan = match plans.(id) with Some pl -> pl | None -> assert false in
-    let o =
-      match popts.(id) with
-      | Some o -> o
-      | None -> min_overhead_opt ctx (node_of id).Graph.op plan
-    in
-    o.P.preload_len
+    match popts.(id) with
+    | Some o -> o.P.preload_len
+    | None -> (min_overhead_opt (Alloc.options (front_of id))).P.preload_len
   in
   for i = n - 1 downto 0 do
     let node = node_of i in
     let h_low = if i = n - 1 then n else h_floor.(min (n - 1) (i + 1)) in
     let h_high = if i = n - 1 then n else min n (h_low + max_preload) in
-    (* Residents at horizon h: operators at preload positions < h that
-       execute after i.  The base set (positions < h_low) is shared by all
-       candidate horizons. *)
-    let resident_upto h =
-      let acc = ref [] in
-      for k = h - 1 downto 0 do
-        let w = order.(k) in
-        if w > i then
-          acc :=
-            (match fronts.(w) with
-            | Some f -> f
-            | None -> raise (Infeasible "window op scheduled out of order"))
-            :: !acc
-      done;
-      !acc
-    in
     let next_s_exe = if i = n - 1 then 0. else s_exe.(i + 1) in
-    let candidates = ref [] in
+    let best_start = ref neg_infinity and best = ref None in
+    let tol (span : float) = 0.02 *. Float.max 1e-9 span in
     let h = ref h_low in
     let stop = ref false in
-    Elk_obs.Span.with_span "allocate" (fun () ->
-    (* Op i's frontier, resolved once for every horizon of this step. *)
-    let exec = Alloc.exec_frontier ctx node in
-    while (not !stop) && !h <= h_high do
-      let window = resident_upto !h in
-      (match Alloc.allocate ~capacity ~exec ~window with
-      | None ->
-          (* The residency window overflowed SRAM: the horizon search
-             backtracks to the candidates collected so far. *)
-          Elk_obs.Metrics.incr "elk_scheduler_backtracks_total"
-            ~help:"Horizon searches stopped by an SRAM-overflowing window";
-          stop := true
-      | Some alloc ->
-          (* Estimate op i's own distribution time from the option that
-             would fit in the spare capacity left by this combination. *)
-          let spare = Float.max 0. (capacity -. alloc.Alloc.total_space) in
-          let dist_est =
-            (best_opt_within (Alloc.exec_options exec alloc.Alloc.exec_index) ~space:spare)
-              .P.dist_time
+    let exec, window =
+      Elk_obs.Span.with_span "allocate" (fun () ->
+          (* Op i's frontier, resolved once for every horizon of this step. *)
+          let exec = Alloc.exec_frontier ctx node in
+          (* Residents at horizon h: operators at preload positions < h
+             that execute after i, collected once for the largest horizon
+             in position order.  Positions >= h_low (= h_floor.(i+1)) hold
+             only operators after i + 1, so past h_low each horizon adds
+             exactly one resident: horizon h's window is the first
+             [base + h - h_low] of them. *)
+          let residents =
+            let acc = ref [] in
+            for k = h_high - 1 downto 0 do
+              let w = order.(k) in
+              if w > i then acc := front_of w :: !acc
+            done;
+            Array.of_list !acc
           in
-          let span = alloc.Alloc.exec_time +. dist_est in
-          let bound = Float.min next_s_exe (s_pre_pos !h) in
-          candidates := (bound -. span, span, !h, alloc, bound) :: !candidates);
-      incr h
-    done);
-    (* Keep the best start time; among near-ties take the largest horizon —
-       a larger horizon only relaxes the gates of earlier operators. *)
-    let best =
-      match !candidates with
-      | [] -> ref None
-      | cs ->
-          let best_start =
-            List.fold_left (fun a (s, _, _, _, _) -> Float.max a s) neg_infinity cs
-          in
-          let tol (span : float) = 0.02 *. Float.max 1e-9 span in
-          ref
-            (List.fold_left
-               (fun acc (s, span, h, alloc, bound) ->
-                 if s >= best_start -. tol span then
-                   match acc with
-                   | Some (_, bh, _, _) when bh >= h -> acc
-                   | _ -> Some (s, h, alloc, bound)
-                 else acc)
-               None cs)
+          let base = Array.length residents - (h_high - h_low) in
+          let window = Alloc.window exec residents in
+          while (not !stop) && !h <= h_high do
+            (match Alloc.allocate ~capacity ~len:(base + !h - h_low) window with
+            | None ->
+                (* The residency window overflowed SRAM: the horizon search
+                   backtracks to the horizons searched so far. *)
+                Elk_obs.Metrics.incr "elk_scheduler_backtracks_total"
+                  ~help:"Horizon searches stopped by an SRAM-overflowing window";
+                stop := true
+            | Some alloc ->
+                (* Estimate op i's own distribution time from the option that
+                   would fit in the spare capacity left by this combination. *)
+                let spare = Float.max 0. (capacity -. alloc.Alloc.total_space) in
+                let dist_est =
+                  (best_opt_within
+                     (Alloc.options (Alloc.exec_options exec alloc.Alloc.exec_index))
+                     ~space:spare)
+                    .P.dist_time
+                in
+                let span = alloc.Alloc.exec_time +. dist_est in
+                let start = Float.min next_s_exe (s_pre_pos !h) -. span in
+                (* Keep the best start time; among near-ties take the
+                   largest horizon — a larger horizon only relaxes the
+                   gates of earlier operators.  Horizons come in
+                   ascending order, and a horizon that raises the best
+                   start is within tolerance of it, so the last horizon
+                   within tolerance of the best start seen so far is the
+                   largest within tolerance of the final best. *)
+                best_start := Float.max !best_start start;
+                if start >= !best_start -. tol span then best := Some (start, !h, alloc));
+            incr h
+          done;
+          (exec, window))
     in
+    (* A NaN start leaves no best start, as it leaves no horizon within
+       tolerance of one. *)
+    if Float.is_nan !best_start then best := None;
     (match !best with
     | None ->
         (* Even the minimal residency overflows the SRAM: fall back to the
@@ -193,18 +185,19 @@ let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
                  (Printf.sprintf "operator %s does not fit on the chip"
                     node.Graph.op.Elk_tensor.Opspec.name))
         | smallest :: _ ->
-            let plan = smallest.Elk_util.Pareto.payload in
-            let dist_est = P.preload_overhead (min_overhead_opt ctx node.Graph.op plan) in
+            let front = Alloc.frontier ctx node smallest.Elk_util.Pareto.payload in
+            let plan = Alloc.plan front in
+            let dist_est = P.preload_overhead (min_overhead_opt (Alloc.options front)) in
             let span = plan.P.exec_time +. dist_est in
             let bound = Float.min next_s_exe (s_pre_pos h_low) in
-            fix_plan i plan;
+            fronts.(i) <- Some front;
             horizon.(i) <- h_low;
             s_exe.(i) <- bound -. span)
-    | Some (start, h_star, alloc, _) ->
-        fix_plan i alloc.Alloc.exec_plan;
+    | Some (start, h_star, alloc) ->
+        fronts.(i) <- Some (Alloc.exec_options exec alloc.Alloc.exec_index);
         horizon.(i) <- h_star;
         s_exe.(i) <- start;
-        List.iter (fun (w, o) -> popts.(w) <- Some o) alloc.Alloc.window);
+        List.iter (fun (w, o) -> popts.(w) <- Some o) (Alloc.chosen window alloc));
     (* Branch-and-bound early exit (§4.4 search): the backward induction
        pins op [n-1]'s window bound at 0, and every earlier start can only
        move left — [s_exe] is nondecreasing in [i] — while the final
@@ -236,20 +229,17 @@ let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
   (match popts.(0) with
   | Some _ -> ()
   | None ->
-      let plan0 = match plans.(0) with Some pl -> pl | None -> assert false in
+      let f0 = front_of 0 in
       popts.(0) <-
         Some
-          (best_opt_within
-             (P.preload_options ctx (node_of 0).Graph.op plan0)
-             ~space:(Float.max 0. (capacity -. plan0.P.exec_space))));
+          (best_opt_within (Alloc.options f0)
+             ~space:(Float.max 0. (capacity -. (Alloc.plan f0).P.exec_space))));
   (* Materialize every operator's preload option now so the repair pass
      below and the final entries agree on what is resident. *)
   for id = 0 to n - 1 do
     match popts.(id) with
     | Some _ -> ()
-    | None ->
-        let plan = match plans.(id) with Some pl -> pl | None -> assert false in
-        popts.(id) <- Some (min_overhead_opt ctx (node_of id).Graph.op plan)
+    | None -> popts.(id) <- Some (min_overhead_opt (Alloc.options (front_of id)))
   done;
   (* Horizons need not be monotone across steps (a later operator may have
      chosen a smaller one); forward execution monotonizes them — a preload
@@ -283,7 +273,7 @@ let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
     issued.(i) <- !running
   done;
   let popt_of id = match popts.(id) with Some o -> o | None -> assert false in
-  let plan_of id = match plans.(id) with Some pl -> pl | None -> assert false in
+  let plan_of id = Alloc.plan (front_of id) in
   for i = 0 to n - 1 do
     let usage () =
       let u = ref (plan_of i).P.exec_space in
@@ -304,7 +294,7 @@ let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
         if w > i then begin
           let cur = popt_of w in
           let next_smaller =
-            List.fold_left
+            Array.fold_left
               (fun acc o ->
                 if o.P.preload_space < cur.P.preload_space -. 1e-9 then
                   match acc with
@@ -312,7 +302,7 @@ let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
                   | _ -> Some o
                 else acc)
               None
-              (P.preload_options ctx (node_of w).Graph.op (plan_of w))
+              (Alloc.options (front_of w))
           in
           match next_smaller with
           | None -> ()

@@ -48,10 +48,14 @@ val run :
     soon as the estimate of the schedule under construction exceeds it.
 
     Each induction step resolves the executing operator's frontier once
-    ({!Alloc.exec_frontier}) and runs the cost-aware allocator over it for
-    every candidate horizon; the chosen plan's preload options, read to
-    estimate the operator's own distribution time, come from the same
-    resolved frontier.
+    ({!Alloc.exec_frontier}), collects the residents of its largest
+    horizon once into an {!Alloc.window}, and runs the cost-aware
+    allocator over a prefix of them for every candidate horizon; the
+    chosen plan's preload options, read to estimate the operator's own
+    distribution time, come from the same resolved frontier.  Once an
+    operator's plan is fixed, every read of its preload options — window
+    searches, preload lengths, the final options and the repair pass —
+    goes through its {!Alloc.frontier}, resolved once.
 
     A final capacity-repair pass replays the {e effective} (monotonized)
     residency windows and demotes preload options wherever the combined

@@ -224,10 +224,10 @@ let persist ctx { Key.op; factors } =
 (* Memo tables are shared across the scheduler domains of the parallel
    order search, so every access is serialized under [ctx.lock].  The
    compute itself runs {e outside} the lock: it is a pure function of the
-   key, and [lookup]/[preload_options] are mutually recursive, so holding
-   the (non-reentrant) mutex across it would self-deadlock.  If two
-   domains miss the same key concurrently both compute it; the first
-   insert wins and the duplicate — structurally identical — is dropped. *)
+   key, and holding the mutex across an enumeration would serialize the
+   domains.  If two domains miss the same key concurrently both compute
+   it; the first insert wins and the duplicate — structurally identical —
+   is dropped. *)
 let memo_find ctx tbl key compute =
   Mutex.lock ctx.lock;
   match Memo.find_opt tbl key with
@@ -321,6 +321,7 @@ let factor_vectors ~iter ~cores ~max_split_dims ~cap =
   let ndims = Array.length iter in
   let results = ref [] and count = ref 0 in
   let current = Array.make ndims 1 in
+  let candidates = Array.map (fun extent -> dim_candidates ~extent ~cores) iter in
   let rec go dim prod split_dims =
     if !count >= cap then ()
     else if dim = ndims then begin
@@ -335,7 +336,7 @@ let factor_vectors ~iter ~cores ~max_split_dims ~cap =
             go (dim + 1) (prod * f) (if f = 1 then split_dims else split_dims + 1);
             current.(dim) <- 1
           end)
-        (dim_candidates ~extent:iter.(dim) ~cores)
+        candidates.(dim)
   in
   go 0 1 0;
   !results
@@ -487,113 +488,150 @@ let compute_plans ctx (op : Opspec.t) =
   let truncated = List.filteri (fun i _ -> i < ctx.max_plans) sorted in
   truncated
 
-let compute_preload_options ctx (op : Opspec.t) plan =
+let zero_option =
+  {
+    frac = 1.;
+    preload_space = 0.;
+    dist_bytes_per_core = 0.;
+    dist_time = 0.;
+    hbm_device_bytes = 0.;
+    noc_inject_bytes = 0.;
+    preload_len = 0.;
+    hbm_floor = 0.;
+  }
+
+(* What every plan's preload options share: the operator's HBM-resident
+   inputs, the bytes they occupy on the HBM devices and the HBM time of
+   those bytes.  [None] for an operator with no HBM-resident input. *)
+type hbm_basis = { hbm_inputs : Opspec.tensor list; device_bytes : float; hbm_floor : float }
+
+let hbm_basis ctx (op : Opspec.t) =
   let hbm_inputs =
     List.filter
       (fun (t : Opspec.tensor) ->
         match t.Opspec.source with Opspec.Weights | Opspec.Kv_cache -> true | _ -> false)
       op.Opspec.inputs
   in
-  if hbm_inputs = [] then
-    [
+  if hbm_inputs = [] then None
+  else
+    let device_bytes =
+      List.fold_left (fun a (t : Opspec.tensor) -> a +. Opspec.tensor_bytes op t) 0. hbm_inputs
+    in
+    Some
       {
-        frac = 1.;
-        preload_space = 0.;
-        dist_bytes_per_core = 0.;
-        dist_time = 0.;
-        hbm_device_bytes = 0.;
-        noc_inject_bytes = 0.;
-        preload_len = 0.;
-        hbm_floor = 0.;
-      };
-    ]
-  else begin
-    let rounds =
-      ceil_div (Array.fold_left ( * ) 1 plan.factors) ctx.chip.Arch.cores
-    in
-    let needs =
-      (* All rounds' HBM-resident slices must be delivered to the core. *)
-      List.map
-        (fun t ->
-          ( tensor_needed op plan.tile t *. float_of_int rounds,
-            share_group plan.factors t ))
-        hbm_inputs
-    in
-    let device_bytes = List.fold_left (fun a (t : Opspec.tensor) -> a +. Opspec.tensor_bytes op t) 0. hbm_inputs in
-    let max_g = List.fold_left (fun a (_, g) -> max a g) 1 needs in
-    let rec fracs acc f =
-      if f *. float_of_int max_g <= 1.000001 then (1. /. float_of_int max_g) :: acc
-      else fracs (f :: acc) (f /. 2.)
-    in
-    let candidates = List.sort_uniq compare (fracs [] 1.) in
-    let hops = comm_hops ctx.chip in
-    let hbm_floor = Elk_cost.Costmodel.hbm_time ctx.cost ~bytes:device_bytes in
-    let link_bw = ctx.chip.Arch.intercore_link.Arch.bandwidth in
-    let opts =
-      List.map
-        (fun frac ->
-          let preload_space, dist_bytes, inject =
-            List.fold_left
-              (fun (ps, db, inj) (need, g) ->
-                let f = Float.max frac (1. /. float_of_int g) in
-                ( ps +. (need *. f),
-                  db +. (need *. (1. -. f)),
-                  inj +. (need *. f *. float_of_int plan.cores_used) ))
-              (0., 0., 0.) needs
-          in
-          let dist_time =
-            if dist_bytes > 0. then
-              Elk_cost.Costmodel.predict_transfer ctx.cost ~hops ~bytes:dist_bytes
-            else 0.
-          in
-          let preload_len =
-            Float.max hbm_floor
-              (Float.max (inject /. inject_rate ctx.chip) (preload_space /. link_bw))
-          in
-          {
-            frac;
-            preload_space;
-            dist_bytes_per_core = dist_bytes;
-            dist_time;
-            hbm_device_bytes = device_bytes;
-            noc_inject_bytes = inject;
-            preload_len;
-            hbm_floor;
-          })
-        candidates
-    in
-    let frontier =
-      Pareto.frontier
-        (List.map
-           (fun o -> { Pareto.x = o.preload_space; y = preload_overhead o; payload = o })
-           opts)
-    in
-    match frontier with
-    | [] -> [ List.hd opts ]
-    | pts -> List.map (fun p -> p.Pareto.payload) pts
-  end
+        hbm_inputs;
+        device_bytes;
+        hbm_floor = Elk_cost.Costmodel.hbm_time ctx.cost ~bytes:device_bytes;
+      }
 
+(* A plan's preload-state candidates: its broadcast fractions [1, 1/2,
+   ..., 1/g], ascending, and the one function that turns a fraction into
+   an option. *)
+let preload_candidates ctx (op : Opspec.t) b plan =
+  let rounds = ceil_div (Array.fold_left ( * ) 1 plan.factors) ctx.chip.Arch.cores in
+  (* All rounds' HBM-resident slices must be delivered to the core. *)
+  let needs =
+    Array.of_list
+      (List.map (fun t -> tensor_needed op plan.tile t *. float_of_int rounds) b.hbm_inputs)
+  in
+  let groups = Array.of_list (List.map (share_group plan.factors) b.hbm_inputs) in
+  let max_g = Array.fold_left max 1 groups in
+  (* Halving from 1 while above 1/g, then 1/g itself: already ascending
+     and distinct. *)
+  let rec fracs acc f =
+    if f *. float_of_int max_g <= 1.000001 then (1. /. float_of_int max_g) :: acc
+    else fracs (f :: acc) (f /. 2.)
+  in
+  let hops = comm_hops ctx.chip in
+  let link_bw = ctx.chip.Arch.intercore_link.Arch.bandwidth in
+  let option_at frac =
+    let preload_space = ref 0. and dist_bytes = ref 0. and inject = ref 0. in
+    for k = 0 to Array.length needs - 1 do
+      let need = needs.(k) in
+      let f = Float.max frac (1. /. float_of_int groups.(k)) in
+      preload_space := !preload_space +. (need *. f);
+      dist_bytes := !dist_bytes +. (need *. (1. -. f));
+      inject := !inject +. (need *. f *. float_of_int plan.cores_used)
+    done;
+    let dist_time =
+      if !dist_bytes > 0. then
+        Elk_cost.Costmodel.predict_transfer ctx.cost ~hops ~bytes:!dist_bytes
+      else 0.
+    in
+    let preload_len =
+      Float.max b.hbm_floor
+        (Float.max (!inject /. inject_rate ctx.chip) (!preload_space /. link_bw))
+    in
+    {
+      frac;
+      preload_space = !preload_space;
+      dist_bytes_per_core = !dist_bytes;
+      dist_time;
+      hbm_device_bytes = b.device_bytes;
+      noc_inject_bytes = !inject;
+      preload_len;
+      hbm_floor = b.hbm_floor;
+    }
+  in
+  (fracs [] 1., option_at)
 
-let rec lookup ctx op =
+let compute_preload_options ctx op plan =
+  match hbm_basis ctx op with
+  | None -> [ zero_option ]
+  | Some b -> (
+      let fracs, option_at = preload_candidates ctx op b plan in
+      let opts = List.map option_at fracs in
+      let frontier =
+        Pareto.frontier
+          (List.map
+             (fun o -> { Pareto.x = o.preload_space; y = preload_overhead o; payload = o })
+             opts)
+      in
+      match frontier with
+      | [] -> [ List.hd opts ]
+      | pts -> List.map (fun p -> p.Pareto.payload) pts)
+
+(* The least [preload_overhead] of [compute_preload_options ctx op plan],
+   in one pass over the candidates, with no option list.  [Pareto.frontier]
+   keeps each point whose y is below every earlier one, starting from
+   [infinity], so the frontier's least y is the least candidate y below
+   [infinity]; its space grows with the fraction, so on a tie (0. and -0.)
+   the first candidate is the frontier's point.  With no candidate below
+   [infinity] the frontier is empty and the options are the first
+   candidate alone. *)
+let best_preload_overhead ctx op basis plan =
+  match basis with
+  | None -> preload_overhead zero_option
+  | Some b ->
+      let fracs, option_at = preload_candidates ctx op b plan in
+      let best =
+        List.fold_left
+          (fun best frac ->
+            let y = preload_overhead (option_at frac) in
+            if y < best then y else best)
+          infinity fracs
+      in
+      if best < infinity then best
+      else Float.min infinity (preload_overhead (option_at (List.hd fracs)))
+
+(* The frontier step reads only each plan's best overhead: the option
+   lists are left to [preload_options]' callers. *)
+let lookup ctx op =
   memo_find ctx ctx.memo { Key.op; factors = [||] } (fun () ->
       let plans = compute_plans ctx op in
+      let basis = hbm_basis ctx op in
       let frontier =
         Pareto.frontier
           (List.map
              (fun p ->
-               let overhead =
-                 List.fold_left
-                   (fun a o -> Float.min a (preload_overhead o))
-                   infinity
-                   (preload_options ctx op p)
-               in
+               let overhead = best_preload_overhead ctx op basis p in
                let overhead = if overhead = infinity then 0. else overhead in
                { Pareto.x = p.exec_space; y = p.exec_time +. overhead; payload = p })
              plans)
       in
       { plans; frontier })
 
-and preload_options ctx op plan =
+let preload_options ctx op plan =
   memo_find ctx ctx.popt_memo { Key.op; factors = plan.factors } (fun () ->
       compute_preload_options ctx op plan)
 

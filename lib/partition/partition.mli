@@ -20,9 +20,18 @@
       bytes injected into the interconnect by controllers (scaled by
       broadcast replication).
 
-    Plan enumeration is memoized per operator structure (every field of
+    Two memos, keyed per operator structure (every field of
     {!plan_signature}, names excluded), so the identical layers of an LLM
-    cost one enumeration. *)
+    cost one enumeration:
+    - the enumeration memo: an operator's plans and their Pareto frontier
+      ({!enumerate}, {!exec_frontier}).  The frontier step reads only each
+      plan's least preload overhead, computed in one pass with no option
+      list, so enumerating fills no option entry;
+    - the option memo: a plan's preload-option list ({!preload_options}),
+      keyed also by the plan's factors and filled only on request — by
+      the allocator's windows and the executing operator's chosen plans,
+      preload-order feasibility checks, the verifier, plan imports and the
+      baselines. *)
 
 type ctx
 (** Enumeration context: chip, trained cost model, memo tables. *)
@@ -58,7 +67,9 @@ val shared_store_count : unit -> int
 
 val memo_sizes : ctx -> int * int
 (** [(enumeration entries, preload-option entries)] currently memoized in
-    this context's tables — observability for cache-hit accounting. *)
+    this context's tables: one enumeration entry per operator structure
+    enumerated, one option entry per (operator, factors) whose options
+    were requested — observability for cache-hit accounting. *)
 
 type plan = {
   factors : int array;  (** parts per iteration dimension. *)
@@ -88,7 +99,11 @@ val exec_frontier : ctx -> Elk_tensor.Opspec.t -> plan Elk_util.Pareto.point lis
     [x = exec_space] and [y = exec_time] plus the plan's best achievable
     {!preload_overhead}, so that a plan that executes marginally faster
     but forces an expensive preload state (e.g. a huge replicated weight
-    slice per core) does not dominate.  Memoized. *)
+    slice per core) does not dominate.  That overhead is the least
+    {!preload_overhead} of the plan's {!preload_options} ([0.] when it
+    is [infinity]), folded over the broadcast fractions in one pass
+    without building or memoizing the list.  Memoized with
+    {!enumerate}. *)
 
 val fastest_plan : ctx -> Elk_tensor.Opspec.t -> plan
 (** The frontier plan minimizing execution time plus best preload
@@ -124,7 +139,9 @@ val preload_options : ctx -> Elk_tensor.Opspec.t -> plan -> preload_opt list
 (** Pareto-optimal preload-state options of an execute-state plan
     (Tradeoffs 2-3 of Fig 11), from minimal residency ([frac = 1/g]) to
     full broadcast ([frac = 1]), sorted by increasing [preload_space].
-    Operators with no HBM-resident inputs get a single zero option. *)
+    Operators with no HBM-resident inputs get a single zero option.
+    Memoized per (operator structure, factors) on the first request;
+    enumeration makes none. *)
 
 val plan_with_factors :
   ctx -> Elk_tensor.Opspec.t -> int array -> (plan, string) result

@@ -1,9 +1,14 @@
 type 'a point = { x : float; y : float; payload : 'a }
 
 let frontier pts =
-  (* Sort by (x, y); then a single left-to-right scan keeps a point iff its
-     y strictly improves on the best y seen so far. *)
-  let sorted = List.stable_sort (fun a b -> compare (a.x, a.y) (b.x, b.y)) pts in
+  (* Sort by (x, y) — [Float.compare] orders floats as the polymorphic
+     [compare] does, NaN lowest — then a single left-to-right scan keeps a
+     point iff its y strictly improves on the best y seen so far. *)
+  let sorted =
+    List.stable_sort
+      (fun a b -> match Float.compare a.x b.x with 0 -> Float.compare a.y b.y | c -> c)
+      pts
+  in
   let rec scan best acc = function
     | [] -> List.rev acc
     | p :: rest -> if p.y < best then scan p.y (p :: acc) rest else scan best acc rest

@@ -14,53 +14,50 @@ let capacity () = Elk_arch.Arch.usable_sram_per_core (P.ctx_chip (ctx ()))
 (* Alloc                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let exec_of node = Elk.Alloc.exec_frontier (ctx ()) node
+(* A search of [node] executing beside [residents] (all of them). *)
+let alloc_of ?(capacity = capacity ()) node residents =
+  let residents = Array.of_list residents in
+  let w = Elk.Alloc.window (Elk.Alloc.exec_frontier (ctx ()) node) residents in
+  Elk.Alloc.allocate ~capacity ~len:(Array.length residents) w
 
 let some_nodes k =
   let g = graph () in
   List.init k (fun i -> Graph.get g (i * 3 mod Graph.length g))
 
+let fastest_frontiers c nodes =
+  List.map (fun (n : Graph.node) -> Elk.Alloc.frontier c n (P.fastest_plan c n.Graph.op)) nodes
+
 let test_alloc_empty_window () =
   let node = Graph.get (graph ()) 2 in
-  match Elk.Alloc.allocate ~capacity:(capacity ()) ~exec:(exec_of node) ~window:[] with
+  match alloc_of node [] with
   | Some r ->
       Alcotest.(check bool) "fits" true (r.Elk.Alloc.total_space <= capacity ());
       Alcotest.(check bool) "positive time" true (r.Elk.Alloc.exec_time > 0.);
-      Alcotest.(check int) "no window" 0 (List.length r.Elk.Alloc.window)
+      Alcotest.(check int) "no window" 0 r.Elk.Alloc.len
   | None -> Alcotest.fail "single op must fit"
 
 let test_alloc_fits_capacity () =
   let node = Graph.get (graph ()) 2 in
-  let window =
-    List.map
-      (fun (n : Graph.node) -> Elk.Alloc.frontier (ctx ()) n (P.fastest_plan (ctx ()) n.Graph.op))
-      (some_nodes 4)
-  in
-  match Elk.Alloc.allocate ~capacity:(capacity ()) ~exec:(exec_of node) ~window with
+  let residents = fastest_frontiers (ctx ()) (some_nodes 4) in
+  let w = Elk.Alloc.window (Elk.Alloc.exec_frontier (ctx ()) node) (Array.of_list residents) in
+  match Elk.Alloc.allocate ~capacity:(capacity ()) ~len:4 w with
   | Some r ->
       Alcotest.(check bool) "fits" true (r.Elk.Alloc.total_space <= capacity ());
-      Alcotest.(check int) "window assignments" 4 (List.length r.Elk.Alloc.window)
+      Alcotest.(check (list int)) "window assignments"
+        (List.map (fun (n : Graph.node) -> n.Graph.id) (some_nodes 4))
+        (List.map fst (Elk.Alloc.chosen w r))
   | None -> Alcotest.fail "should fit"
 
 let test_alloc_impossible_capacity () =
   let node = Graph.get (graph ()) 2 in
-  Alcotest.(check bool) "tiny capacity fails" true
-    (Elk.Alloc.allocate ~capacity:16. ~exec:(exec_of node) ~window:[] = None)
+  Alcotest.(check bool) "tiny capacity fails" true (alloc_of ~capacity:16. node [] = None)
 
 let test_alloc_shrinks_under_pressure () =
   (* With a big window, the executing op's chosen plan cannot be larger
      than with no window. *)
   let node = Graph.get (graph ()) 2 in
-  let c = ctx () in
-  let window =
-    List.map
-      (fun (n : Graph.node) -> Elk.Alloc.frontier c n (P.fastest_plan c n.Graph.op))
-      (some_nodes 8)
-  in
-  match
-    ( Elk.Alloc.allocate ~capacity:(capacity ()) ~exec:(exec_of node) ~window:[],
-      Elk.Alloc.allocate ~capacity:(capacity ()) ~exec:(exec_of node) ~window )
-  with
+  let window = fastest_frontiers (ctx ()) (some_nodes 8) in
+  match (alloc_of node [], alloc_of node window) with
   | Some free, Some tight ->
       Alcotest.(check bool) "no faster under pressure" true
         (tight.Elk.Alloc.exec_time >= free.Elk.Alloc.exec_time -. 1e-12)
@@ -68,26 +65,29 @@ let test_alloc_shrinks_under_pressure () =
 
 let test_alloc_objective_consistent () =
   let node = Graph.get (graph ()) 2 in
-  match Elk.Alloc.allocate ~capacity:(capacity ()) ~exec:(exec_of node) ~window:[] with
+  match alloc_of node [] with
   | Some r ->
       Tu.check_rel "objective = exec + dists" ~tolerance:1e-9 r.Elk.Alloc.exec_time r.Elk.Alloc.objective
   | None -> Alcotest.fail "must fit"
 
 (* The result's [exec_index] names the chosen plan in the executing
    operator's frontier, and [exec_options] resolves that plan's preload
-   options, the same ones the partition memo returns. *)
+   frontier, the options the partition memo returns. *)
 let test_alloc_exec_index () =
   let c = ctx () in
   let node = Graph.get (graph ()) 2 in
-  let exec = exec_of node in
-  match Elk.Alloc.allocate ~capacity:(capacity ()) ~exec ~window:[] with
+  let exec = Elk.Alloc.exec_frontier c node in
+  match Elk.Alloc.allocate ~capacity:(capacity ()) ~len:0 (Elk.Alloc.window exec [||]) with
   | Some r ->
       let i = r.Elk.Alloc.exec_index in
       Alcotest.(check bool) "index names the chosen plan" true
         ((List.nth (P.exec_frontier c node.Graph.op) i).Elk_util.Pareto.payload
         = r.Elk.Alloc.exec_plan);
+      let f = Elk.Alloc.exec_options exec i in
+      Alcotest.(check bool) "frontier of the chosen plan" true
+        (Elk.Alloc.plan f = r.Elk.Alloc.exec_plan);
       Alcotest.(check bool) "options are the plan's" true
-        (Elk.Alloc.exec_options exec i = P.preload_options c node.Graph.op r.Elk.Alloc.exec_plan)
+        (Array.to_list (Elk.Alloc.options f) = P.preload_options c node.Graph.op r.Elk.Alloc.exec_plan)
   | None -> Alcotest.fail "must fit"
 
 let test_min_preload_space_positive_for_weights () =

@@ -142,9 +142,9 @@ let test_analyze_requires_record () =
 let test_alloc_error_diagnosis () =
   let g = Lazy.force Tu.tiny_llama_chip_graph in
   let exec_op = Elk_model.Graph.get g 2 in
-  let exec = Elk.Alloc.exec_frontier (ctx ()) exec_op in
+  let w = Elk.Alloc.window (Elk.Alloc.exec_frontier (ctx ()) exec_op) [||] in
   let tiny = 64. in
-  (match Elk.Alloc.allocate_or_error ~capacity:tiny ~exec ~window:[] with
+  (match Elk.Alloc.allocate_or_error ~capacity:tiny ~len:0 w with
   | Ok _ -> Alcotest.fail "expected allocation failure at 64 B/core"
   | Error msg ->
       let has needle =
@@ -158,17 +158,17 @@ let test_alloc_error_diagnosis () =
         (has exec_op.Elk_model.Graph.op.Elk_tensor.Opspec.name);
       Alcotest.(check bool) "message carries the capacity" true (has "B/core"));
   Alcotest.(check bool) "wrapper agrees" true
-    (Elk.Alloc.allocate ~capacity:tiny ~exec ~window:[] = None)
+    (Elk.Alloc.allocate ~capacity:tiny ~len:0 w = None)
 
 let test_alloc_ok_roundtrip () =
   let g = Lazy.force Tu.tiny_llama_chip_graph in
-  let exec = Elk.Alloc.exec_frontier (ctx ()) (Elk_model.Graph.get g 2) in
+  let w = Elk.Alloc.window (Elk.Alloc.exec_frontier (ctx ()) (Elk_model.Graph.get g 2)) [||] in
   let cap = capacity () in
-  match Elk.Alloc.allocate_or_error ~capacity:cap ~exec ~window:[] with
+  match Elk.Alloc.allocate_or_error ~capacity:cap ~len:0 w with
   | Error m -> Alcotest.failf "expected success at full capacity: %s" m
   | Ok _ ->
       Alcotest.(check bool) "wrapper agrees" true
-        (Elk.Alloc.allocate ~capacity:cap ~exec ~window:[] <> None)
+        (Elk.Alloc.allocate ~capacity:cap ~len:0 w <> None)
 
 (* -- Address intervals: Alloc.overlaps half-open semantics. -- *)
 

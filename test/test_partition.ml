@@ -286,6 +286,39 @@ let test_memo_keys_structural () =
       popts "popt: stored factors are a copy" 0 base (plan_of [| 1; 1 |]);
       popts "popt: other factors" 1 base (plan_of [| 2; 1 |]))
 
+(* The frontier step reads each plan's least preload overhead without
+   building its option list, so enumeration leaves the option memo empty;
+   [preload_options] fills it, one entry per new (operator, factors). *)
+let test_option_memo_filled_on_request () =
+  let was = Partition.memo_sharing () in
+  Partition.set_memo_sharing false;
+  Fun.protect
+    ~finally:(fun () -> Partition.set_memo_sharing was)
+    (fun () ->
+      let c = Partition.make_ctx (Partition.ctx_cost (ctx ())) in
+      let options () = snd (Partition.memo_sizes c) in
+      let ops =
+        [ Tu.matmul_op;
+          Opspec.batch_matmul ~name:"bmm" ~batch:8 ~m:1 ~n:64 ~k:128 ();
+          Opspec.elementwise ~name:"e" ~kind:"silu" ~shape:[ 32; 256 ] () ]
+      in
+      List.iter
+        (fun op ->
+          ignore (Partition.enumerate c op);
+          ignore (Partition.exec_frontier c op);
+          ignore (Partition.fastest_plan c op))
+        ops;
+      Alcotest.(check int) "enumeration adds no option entry" 0 (options ());
+      List.iter
+        (fun op ->
+          let plans = List.map (fun pt -> pt.Pareto.payload) (Partition.exec_frontier c op) in
+          let before = options () in
+          List.iter (fun p -> ignore (Partition.preload_options c op p)) plans;
+          Alcotest.(check int) "one entry per frontier plan" (before + List.length plans) (options ());
+          List.iter (fun p -> ignore (Partition.preload_options c op p)) plans;
+          Alcotest.(check int) "repeat requests add none" (before + List.length plans) (options ()))
+        ops)
+
 let test_fingerprint_separates_topologies () =
   Alcotest.(check bool) "a2a and mesh contexts fingerprint apart" true
     (Partition.fingerprint (ctx ()) <> Partition.fingerprint (mctx ()))
@@ -357,6 +390,7 @@ let suite =
     ("partition: reachable floor", `Quick, test_overhead_zero_somewhere);
     ("partition: signature digests full spec", `Quick, test_signature_digests_full_spec);
     ("partition: memo keys structural", `Quick, test_memo_keys_structural);
+    ("partition: option memo filled on request", `Quick, test_option_memo_filled_on_request);
     ("partition: fingerprint separates topologies", `Quick,
      test_fingerprint_separates_topologies);
     ("partition: shared memo across contexts", `Quick, test_shared_memo_across_contexts);

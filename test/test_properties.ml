@@ -21,12 +21,10 @@ let qcheck_alloc_fits_any_capacity =
       let node = Graph.get g (nseed mod Graph.length g) in
       let window =
         let w = Graph.get g ((nseed + 7) mod Graph.length g) in
-        [ Elk.Alloc.frontier c w (P.fastest_plan c w.Graph.op) ]
+        Elk.Alloc.window (Elk.Alloc.exec_frontier c node)
+          [| Elk.Alloc.frontier c w (P.fastest_plan c w.Graph.op) |]
       in
-      match
-        Elk.Alloc.allocate ~capacity:(cap_frac *. capacity ())
-          ~exec:(Elk.Alloc.exec_frontier c node) ~window
-      with
+      match Elk.Alloc.allocate ~capacity:(cap_frac *. capacity ()) ~len:1 window with
       | None -> true (* refusing is allowed; overflowing is not *)
       | Some r -> r.Elk.Alloc.total_space <= (cap_frac *. capacity ()) +. 1e-6)
 
@@ -37,8 +35,8 @@ let qcheck_alloc_monotone_in_capacity =
       let g = graph () in
       let c = ctx () in
       let node = Graph.get g (nseed mod Graph.length g) in
-      let exec = Elk.Alloc.exec_frontier c node in
-      let run cap = Elk.Alloc.allocate ~capacity:cap ~exec ~window:[] in
+      let window = Elk.Alloc.window (Elk.Alloc.exec_frontier c node) [||] in
+      let run cap = Elk.Alloc.allocate ~capacity:cap ~len:0 window in
       match (run (0.4 *. capacity ()), run (capacity ())) with
       | Some small, Some big -> big.Elk.Alloc.exec_time <= small.Elk.Alloc.exec_time +. 1e-12
       | None, _ -> true
@@ -76,6 +74,131 @@ let qcheck_packing_verdict =
            | a :: tl -> (not (List.exists (Elk.Alloc.overlaps a) tl)) && pairwise tl
          in
          Elk.Alloc.packing_disjoint sizes = pairwise (List.rev rev)))
+
+let bits = Int64.bits_of_float
+
+(* The frontier step folds each plan's least preload overhead in one pass;
+   the reference builds every plan's option list and takes its least
+   overhead, as the step did before.  Fresh private memos on both
+   topologies; extents include 1 and primes, and the three operator
+   shapes cover weights, a KV cache and no HBM input at all. *)
+let qcheck_exec_frontier_reference =
+  let extent = QCheck2.Gen.(oneof [ oneofl [ 1; 2; 3; 5; 7; 13; 31; 61; 127 ]; int_range 1 256 ]) in
+  let op =
+    QCheck2.Gen.(
+      oneof
+        [
+          map3 (fun m n k -> Elk_tensor.Opspec.matmul ~name:"mm" ~m ~n ~k ()) extent extent extent;
+          map3
+            (fun batch (m, n) k -> Elk_tensor.Opspec.batch_matmul ~name:"bmm" ~batch ~m ~n ~k ())
+            extent (pair extent extent) extent;
+          map2
+            (fun a b -> Elk_tensor.Opspec.elementwise ~name:"ew" ~kind:"silu" ~shape:[ a; b ] ())
+            extent extent;
+        ])
+  in
+  Tu.qtest ~count:40 "partition: exec frontier equals the option-list reference"
+    QCheck2.Gen.(pair bool op)
+    (fun (mesh, op) ->
+      let was = P.memo_sharing () in
+      P.set_memo_sharing false;
+      Fun.protect
+        ~finally:(fun () -> P.set_memo_sharing was)
+        (fun () ->
+          let cost = P.ctx_cost (Lazy.force (if mesh then Tu.mesh_ctx else Tu.default_ctx)) in
+          let c = P.make_ctx cost in
+          let frontier = P.exec_frontier c op in
+          let reference =
+            Elk_util.Pareto.frontier
+              (List.map
+                 (fun p ->
+                   let o =
+                     List.fold_left
+                       (fun a o -> Float.min a (P.preload_overhead o))
+                       infinity (P.preload_options c op p)
+                   in
+                   let o = if o = infinity then 0. else o in
+                   { Elk_util.Pareto.x = p.P.exec_space; y = p.P.exec_time +. o; payload = p })
+                 (P.enumerate c op))
+          in
+          let key (pt : P.plan Elk_util.Pareto.point) =
+            (bits pt.Elk_util.Pareto.x, bits pt.Elk_util.Pareto.y, pt.Elk_util.Pareto.payload.P.factors)
+          in
+          List.map key frontier = List.map key reference))
+
+(* Every (operator, frontier plan) pair of the test graph, and those
+   whose plan has more than one preload option: residents a search can
+   step down. *)
+let resident_pool =
+  let pool mesh =
+    lazy
+      (let c = Lazy.force (if mesh then Tu.mesh_ctx else Tu.default_ctx) in
+       let all =
+         Array.to_list (Graph.nodes (graph ()))
+         |> List.concat_map (fun (w : Graph.node) ->
+                List.map
+                  (fun pt -> Elk.Alloc.frontier c w pt.Elk_util.Pareto.payload)
+                  (P.exec_frontier c w.Graph.op))
+       in
+       ( Array.of_list all,
+         Array.of_list (List.filter (fun f -> Array.length (Elk.Alloc.options f) > 1) all) ))
+  in
+  let a2a = pool false and mesh = pool true in
+  fun m -> Lazy.force (if m then mesh else a2a)
+
+(* One induction step's searches share a window's scratch: each horizon's
+   result must not depend on which horizons were searched before it.
+   Over a zoo model's operators, with random resident plans (mostly ones
+   with several preload options) and capacities drawn around the whole
+   window's largest footprint, so that searches step down or fail,
+   searching every prefix ascending, descending, and each in a window of
+   its own gives the same results, floats by bits. *)
+let qcheck_step_searches_independent =
+  Tu.qtest ~count:200 "alloc: a step's searches do not depend on horizon order"
+    QCheck2.Gen.(quad bool (int_bound 100_000) (int_range 0 16) (float_range 0.2 1.05))
+    (fun (mesh, seed, residents, cap_frac) ->
+      let c = Lazy.force (if mesh then Tu.mesh_ctx else Tu.default_ctx) in
+      let g = graph () in
+      let node = Graph.get g (seed mod Graph.length g) in
+      let all, several = resident_pool mesh in
+      let residents =
+        Array.init residents (fun k ->
+            let pick = (seed / 3) + (k * 7919) in
+            if k mod 4 <> 3 && several <> [||] then several.(pick mod Array.length several)
+            else all.(pick mod Array.length all))
+      in
+      let largest =
+        Array.fold_left
+          (fun a f ->
+            let o = Elk.Alloc.options f in
+            a +. o.(Array.length o - 1).P.preload_space)
+          (List.fold_left (fun a pt -> Float.max a pt.Elk_util.Pareto.x) 0.
+             (P.exec_frontier c node.Graph.op))
+          residents
+      in
+      let capacity = cap_frac *. largest in
+      let search w len =
+        match Elk.Alloc.allocate_or_error ~capacity ~len w with
+        | Error m -> Error m
+        | Ok r ->
+            Ok
+              ( r.Elk.Alloc.exec_index,
+                r.Elk.Alloc.exec_plan.P.factors,
+                (r.Elk.Alloc.len, r.Elk.Alloc.steps),
+                List.map bits
+                  [ r.Elk.Alloc.exec_time; r.Elk.Alloc.objective; r.Elk.Alloc.total_space;
+                    r.Elk.Alloc.contention ],
+                List.map
+                  (fun (op, o) -> (op, bits o.P.frac, bits o.P.preload_space))
+                  (Elk.Alloc.chosen w r) )
+      in
+      let window rs = Elk.Alloc.window (Elk.Alloc.exec_frontier c node) rs in
+      let w = window residents in
+      let lens = List.init (Array.length residents + 1) Fun.id in
+      let ascending = List.map (search w) lens in
+      let descending = List.rev (List.map (search w) (List.rev lens)) in
+      let alone = List.map (fun len -> search (window (Array.sub residents 0 len)) len) lens in
+      ascending = descending && ascending = alone)
 
 let qcheck_scheduler_respects_max_preload =
   Tu.qtest ~count:8 "scheduler: windows never exceed max_preload + floor growth"
@@ -259,6 +382,8 @@ let suite =
     qcheck_alloc_fits_any_capacity;
     qcheck_alloc_monotone_in_capacity;
     qcheck_packing_verdict;
+    qcheck_exec_frontier_reference;
+    qcheck_step_searches_independent;
     qcheck_scheduler_respects_max_preload;
     qcheck_hbm_larger_reads_not_faster;
     qcheck_gtext_random_roundtrip;
