@@ -519,16 +519,25 @@ let seconds_conv =
   Arg.conv (parse, Format.pp_print_float)
 
 (* Every view runs the same way: plan, simulate with the row's
-   recorders, analyze, check (a violation exits 1), print, then the JSON
-   snapshot, the gauges, the trace with the row's extra tracks, and the
-   metrics. *)
+   recorders, refuse a --window that cuts the makespan into too many
+   windows (exit 2), analyze, check (a violation exits 1), print, then
+   the JSON snapshot, the gauges, the trace with the row's extra tracks,
+   and the metrics. *)
 let view_cmd (View v) =
-  let run target design knobs json_out metrics_out trace_out =
+  let run target design (knobs : knobs) json_out metrics_out trace_out =
     obs_setup ~metrics_out ~trace_out;
     let g = target.graph () in
     let env = target.env () in
     let s = plan_or_exit ~verb:v.verb env g design in
     let r = Sim.run ~events:v.events ~mem:v.mem ~noc:v.noc env.D.ctx s in
+    Option.iter
+      (fun window ->
+        match Elk_obs.Timeseries.check_window ~window ~horizon:r.Sim.total with
+        | Ok () -> ()
+        | Error m ->
+            Format.eprintf "elk_cli: %s@." m;
+            exit 2)
+      knobs.window;
     let rep = v.analyze knobs env.D.ctx s r in
     (match v.check r rep with
     | Ok () -> ()
@@ -1034,8 +1043,8 @@ let serve_cmd =
   let window_t =
     Arg.(
       value
-      & opt (some float) None
-      & info [ "window" ]
+      & opt (some seconds_conv) None
+      & info [ "window" ] ~docv:"SECONDS"
           ~doc:"Time-series window width in seconds (default: makespan/48).")
   in
   let mem_t =

@@ -76,7 +76,7 @@ let analyze ?window ctx (s : Elk.Schedule.t) (r : Elk_sim.Sim.result) =
   let window =
     match window with Some w -> w | None -> Float.max 1e-9 (total /. 48.)
   in
-  let series = Ts.create ~window () in
+  let series = Ts.create ~window ~horizon:total () in
   let gauge name help pts =
     Ts.set series name ~time:0. 0. ~help;
     List.iter (fun (t, v) -> Ts.set series name ~time:t v) pts

@@ -50,7 +50,9 @@ val analyze :
   report
 (** Build the report from a simulator run recorded with [~mem:true].
     [window] is the Timeseries window width (default: makespan / 48).
-    Raises [Invalid_argument] if the run carries no memory record. *)
+    Raises [Invalid_argument] if the run carries no memory record, or
+    if [window] would cut the makespan into more than
+    {!Elk_obs.Timeseries.max_windows} windows. *)
 
 val overcommit_bytes : report -> float
 (** Bytes by which the dynamic per-core peak exceeds usable SRAM, 0 when

@@ -6,9 +6,11 @@
    (volume, class breakdown, busy time, utilization), Timeseries
    utilization gauges over simulated time, hop-count histograms and,
    on 2D meshes, an ASCII heatmap.  The record is indexed once per
-   report (by link and by op and class), each link's busy union is
-   computed once, and [check] reuses the index, so a report is linear
-   in the record apart from sorting.  The static view is a Noc.Load
+   report (by link and by op and class, with the per-link stats), the
+   busy unions and the overlap check are read off the index's flat
+   arrays, and [check] reuses the index, so a report and its check are
+   linear in the record apart from sorting, and allocate no object per
+   booking.  The static view is a Noc.Load
    mirror of the schedule's communication: the same preload fan-out,
    distribution ring and exchange ring the simulator executes, booked
    with Load.add.  [check] gates the two against each other link by
@@ -112,38 +114,32 @@ let static_load noc (s : Elk.Schedule.t) =
 
 let series_of_link name = "noc_link_util:" ^ name
 
-(* The union of one link's busy intervals across both class groups,
-   each list sorted by start: the groups are merged by start (preload
-   first on ties) and swept once. *)
-let union_intervals pre exch =
-  let add acc ((a, b) as iv) =
-    match acc with
-    | (ca, cb) :: tl when a <= cb -> (ca, Float.max cb b) :: tl
-    | _ -> iv :: acc
-  in
-  let rec go acc pre exch =
-    match (pre, exch) with
-    | [], [] -> List.rev acc
-    | iv :: pre, [] -> go (add acc iv) pre []
-    | [], iv :: exch -> go (add acc iv) [] exch
-    | ((a, _) as p) :: pre', ((b, _) as e) :: exch' ->
-        if Float.compare a b <= 0 then go (add acc p) pre' exch
-        else go (add acc e) pre exch'
-  in
-  go [] pre exch
-
-(* Ascending bottom-up merge sort of a float array, comparing unboxed
-   floats ([Array.sort] boxes both operands of every comparison). *)
+(* Ascending, stable natural merge sort of a float array, comparing
+   unboxed floats ([Array.sort] boxes both operands of every comparison):
+   each pass merges neighbouring non-decreasing runs, so an array made of
+   r sorted runs takes log2 r passes. *)
 let sort_floats a =
   let n = Array.length a in
-  let src = ref a and dst = ref (Array.make n 0.) and width = ref 1 in
-  while !width < n do
+  (* run boundaries: bounds.(0) = 0 < ... < bounds.(runs) = n *)
+  let bounds = Array.make (n + 1) n in
+  let runs = ref 0 in
+  for k = 0 to n - 1 do
+    if k = 0 || a.(k) < a.(k - 1) then begin
+      bounds.(!runs) <- k;
+      incr runs
+    end
+  done;
+  bounds.(!runs) <- n;
+  let src = ref a and dst = ref (Array.make n 0.) in
+  while !runs > 1 do
     let s = !src and d = !dst in
-    let lo = ref 0 in
-    while !lo < n do
-      let mid = min n (!lo + !width) and hi = min n (!lo + (2 * !width)) in
-      let i = ref !lo and j = ref mid in
-      for k = !lo to hi - 1 do
+    let merged = ref 0 in
+    let r = ref 0 in
+    while !r < !runs do
+      let lo = bounds.(!r) and mid = bounds.(min !runs (!r + 1)) in
+      let hi = bounds.(min !runs (!r + 2)) in
+      let i = ref lo and j = ref mid in
+      for k = lo to hi - 1 do
         if !j >= hi || (!i < mid && s.(!i) <= s.(!j)) then begin
           d.(k) <- s.(!i);
           incr i
@@ -153,11 +149,14 @@ let sort_floats a =
           incr j
         end
       done;
-      lo := hi
+      bounds.(!merged) <- lo;
+      incr merged;
+      r := !r + 2
     done;
+    bounds.(!merged) <- n;
+    runs := !merged;
     src := d;
-    dst := s;
-    width := 2 * !width
+    dst := s
   done;
   if !src != a then Array.blit !src 0 a 0 n
 
@@ -193,7 +192,6 @@ let analyze ?window ?(top_series = 5) (s : Elk.Schedule.t)
   in
   let load = static_load noc s in
   let index = Nt.index trace in
-  let stats = Nt.link_stats trace in
   let rows =
     List.map
       (fun (st : Nt.link_stat) ->
@@ -210,7 +208,7 @@ let analyze ?window ?(top_series = 5) (s : Elk.Schedule.t)
           l_util = (if total > 0. then st.Nt.ls_busy /. total else 0.);
           l_bookings = st.Nt.ls_bookings;
         })
-      stats
+      (Nt.stats index)
   in
   let hot =
     List.stable_sort (fun a b -> Float.compare b.l_busy a.l_busy) rows
@@ -259,57 +257,44 @@ let analyze ?window ?(top_series = 5) (s : Elk.Schedule.t)
   let window =
     match window with Some w -> w | None -> Float.max 1e-9 (total /. 48.)
   in
-  let series = Ts.create ~window () in
+  let series = Ts.create ~window ~horizon:total () in
   let top_links = List.filteri (fun i _ -> i < top_series) hot in
-  let unions = Array.make (N.num_links noc) [] in
-  List.iter
-    (fun row ->
-      let id = N.link_id noc row.l_link in
-      let pre, exch = Nt.busy_intervals index ~link:id in
-      unions.(id) <- union_intervals pre exch)
-    rows;
+  let u = Nt.unions index in
   List.iter
     (fun row ->
       let name = series_of_link row.l_name in
       Ts.set series name ~time:0. 0.
         ~help:("Busy fraction of " ^ row.l_name ^ " over time");
-      List.iter
-        (fun (a, b) ->
-          Ts.set series name ~time:a 1.;
-          Ts.set series name ~time:b 0.)
-        unions.(N.link_id noc row.l_link))
+      let id = N.link_id noc row.l_link in
+      for k = u.Nt.u_first.(id) to u.Nt.u_first.(id + 1) - 1 do
+        Ts.set series name ~time:u.Nt.u_starts.(k) 1.;
+        Ts.set series name ~time:u.Nt.u_ends.(k) 0.
+      done)
     top_links;
   (* The busy-link count steps +1 at each union interval's start and -1
-     at its end; at equal times the -1 goes first. *)
-  let n_iv = Array.fold_left (fun n u -> n + List.length u) 0 unions in
-  let ups = Array.make n_iv 0. and downs = Array.make n_iv 0. in
-  let k = ref 0 in
-  Array.iter
-    (List.iter (fun (a, b) ->
-         ups.(!k) <- a;
-         downs.(!k) <- b;
-         incr k))
-    unions;
+     at its end; at equal times the -1 goes first.  Each link's union
+     starts and ends are already sorted runs. *)
+  let n_iv = u.Nt.u_first.(N.num_links noc) in
+  let ups = Array.sub u.Nt.u_starts 0 n_iv and downs = Array.sub u.Nt.u_ends 0 n_iv in
   sort_floats ups;
   sort_floats downs;
-  Ts.set series "noc_busy_links" ~time:0. 0.
-    ~help:"Links holding at least one reservation";
+  let busy = "noc_busy_links" in
+  Ts.set series busy ~time:0. 0. ~help:"Links holding at least one reservation";
   let level = ref 0. and i = ref 0 and j = ref 0 in
   while !i < n_iv || !j < n_iv do
     if !j < n_iv && (!i >= n_iv || Float.compare downs.(!j) ups.(!i) <= 0) then begin
       level := !level -. 1.;
-      Ts.set series "noc_busy_links" ~time:downs.(!j) !level;
+      Ts.set series busy ~time:downs.(!j) !level;
       incr j
     end
     else begin
       level := !level +. 1.;
-      Ts.set series "noc_busy_links" ~time:ups.(!i) !level;
+      Ts.set series busy ~time:ups.(!i) !level;
       incr i
     end
   done;
   let series_names =
-    List.map (fun row -> series_of_link row.l_name) top_links
-    @ [ "noc_busy_links" ]
+    List.map (fun row -> series_of_link row.l_name) top_links @ [ busy ]
   in
   let hops = Nt.hop_histogram trace in
   let mean_hops =
@@ -427,33 +412,18 @@ let check rep =
               | Some m -> Error m
               | None ->
                   let overlap =
-                    List.find_map
-                      (fun row ->
-                        let check_cls label ivs =
-                          let rec go = function
-                            | (_, b) :: (((a2, _) :: _) as rest) ->
-                                if a2 < b -. (drift_eps *. Float.max 1. rep.total)
-                                then Some (row.l_name, label)
-                                else go rest
-                            | _ -> None
-                          in
-                          go ivs
-                        in
-                        let pre, exch =
-                          Nt.busy_intervals rep.index
-                            ~link:(N.link_id rep.noc row.l_link)
-                        in
-                        match check_cls "preload" pre with
-                        | Some x -> Some x
-                        | None -> check_cls "exchange" exch)
-                      rep.rows
+                    Nt.overlap rep.index
+                      ~slack:(drift_eps *. Float.max 1. rep.total)
                   in
                   (match overlap with
-                  | Some (name, cls) ->
+                  | Some (id, group) ->
                       err
                         "link %s: overlapping %s-class reservations — the \
                          fabric's serialization was not recorded faithfully"
-                        name cls
+                        (N.link_name (N.link_of_id rep.noc id))
+                        (match group with
+                        | `Preload -> "preload"
+                        | `Execution -> "exchange")
                   | None ->
                       let bad =
                         List.find_map

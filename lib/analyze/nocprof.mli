@@ -14,7 +14,8 @@
     {!Elk_sim.Perfcore}'s per-op port attribution and the simulator's
     per-op distribute/exchange port waits.  {!analyze} indexes the
     record once ({!Elk_sim.Noctrace.index}) and {!check} reuses that
-    index. *)
+    index, so a report and its check cost time linear in the record
+    apart from sorting, and allocate no object per booking. *)
 
 type link_row = {
   l_link : Elk_noc.Noc.link;
@@ -72,7 +73,10 @@ val analyze :
     [window] is the Timeseries window width (default: makespan / 48);
     [top_series] how many of the hottest links get a utilization gauge
     (default 5).  Raises [Invalid_argument] if the run carries no
-    interconnect record. *)
+    interconnect record, or if [window] would cut the makespan into more
+    than {!Elk_obs.Timeseries.max_windows} windows.  The report reads
+    the record through one {!Elk_sim.Noctrace.index}: the per-link rows
+    from its stats, the utilization gauges from its busy unions. *)
 
 val check : report -> (unit, string) result
 (** The invariants [elk noc] enforces on every run: dynamic per-link
@@ -80,8 +84,8 @@ val check : report -> (unit, string) result
     coincide), recorded class totals match the schedule's, recomputed
     queueing waits match Perfcore's per-op port attribution and, per
     phase, the simulator's [dist_wait]/[ex_wait], per-class busy
-    intervals never overlap on a link, and the series tile
-    [[0, total]] without gaps. *)
+    intervals never overlap on a link ({!Elk_sim.Noctrace.overlap}),
+    and the series tile [[0, total]] without gaps. *)
 
 val tables : ?top:int -> report -> Elk_util.Table.t list
 (** Summary, top-[top] hottest links with class breakdown, and the

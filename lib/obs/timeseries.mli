@@ -2,10 +2,20 @@
 
     Where {!Metrics} aggregates one number per run, this module answers
     "over time": queue depth, throughput, rolling latency percentiles.
-    A [t] holds named series; each series is a ring of fixed-width
+    A [t] holds named series; each series is cut into fixed-width
     windows laid edge to edge from [t = 0].  Recording appends a
     timestamped event; all aggregation happens at export time, entirely
     deterministically (simulated timestamps in, pure folds out).
+
+    A series stores its events' times and values in two growable
+    unboxed float arrays, in recording order, so recording allocates no
+    object per event.  A run of records into one series, by the
+    same name string, looks the name up once.  {!points} folds each
+    window over its contiguous run of the time-ordered events (sorting
+    them, stably, only when they were not recorded in time order), and
+    {!check_tiling} reads no event at all: its cost is one step per
+    window.  No series is ever cut into more than {!max_windows}
+    windows.
 
     Window semantics are half-open: window [i] covers
     [[i*window, (i+1)*window)], so a sample landing exactly on an edge
@@ -17,11 +27,19 @@ type kind = Counter | Gauge | Histogram
 
 val kind_name : kind -> string
 
-val create : ?window:float -> ?capacity:int -> unit -> t
+val max_windows : int
+(** The most windows a series is cut into: 100,000.  The [makespan / 48]
+    default of every view needs 48. *)
+
+val check_window : window:float -> horizon:float -> (unit, string) result
+(** [Error] naming [window] and [horizon] when windows of that width
+    would need more than {!max_windows} to tile [[0, horizon]]. *)
+
+val create : ?window:float -> ?horizon:float -> unit -> t
 (** [window] is the window width in (simulated) seconds, default 1 ms.
-    [capacity] bounds the ring: only the newest [capacity] windows are
-    retained at export (older events still seed gauge carry-in and
-    counter totals).  Raises [Invalid_argument] on nonpositive values. *)
+    Raises [Invalid_argument] when it is not positive and finite, or,
+    given the [horizon] the series will be exported to, when
+    {!check_window} refuses the pair. *)
 
 val window : t -> float
 
@@ -67,14 +85,19 @@ val points : t -> ?horizon:float -> string -> point list
 (** The series' windows in time order.  Windows tile [[0, H]] where [H]
     is the later of [horizon] and the last sample; empty windows are
     materialized (zero counters, carried gauges) so the tiling has no
-    gaps.  Empty list for unknown names. *)
+    gaps.  Empty list for unknown names.  Raises [Invalid_argument] if
+    that takes more than {!max_windows} windows. *)
 
 val n_windows : t -> ?horizon:float -> string -> int
+(** The length of {!points}, without folding any window. *)
 
 val check_tiling : t -> horizon:float -> string -> (unit, string) result
 (** Verify the exported windows tile [[0, horizon]]: start at 0, sit
     edge to edge with uniform width, and reach the horizon — to a
-    [1e-6] tolerance (relative to the horizon above one second). *)
+    [1e-6] tolerance (relative to the horizon above one second).  The
+    windows' edges depend on their count and width alone, so this walks
+    the edges {!points} would compute, in O(windows), reading no event.
+    More than {!max_windows} windows is an [Error]. *)
 
 val to_json : t -> ?horizon:float -> unit -> string
 (** [{"window":w,"series":{name:{"kind":…,"help":…,"points":[…]}}}] with

@@ -212,7 +212,7 @@ let timeseries ?window ?(mem = false) ?(noc = false) r =
     | Some w -> w
     | None -> Float.max 1e-9 (r.makespan /. 48.)
   in
-  let ts = Elk_obs.Timeseries.create ~window () in
+  let ts = Elk_obs.Timeseries.create ~window ~horizon:r.makespan () in
   (* queue depth: +1 on arrival, -size when a batch forms *)
   let edges =
     List.map (fun t -> (t.req.Workload.arrival_s, 0, 1)) r.requests

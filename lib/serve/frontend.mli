@@ -91,7 +91,9 @@ val timeseries :
     with [noc] (default false) a [noc_busiest_link_busy] gauge of the
     hottest link's reservation seconds, stepping the same way (the
     result must come from {!run} with [noc] for it to be non-zero).
-    [window] defaults to [makespan / 48]. *)
+    [window] defaults to [makespan / 48].  Raises [Invalid_argument]
+    when [window] would cut the makespan into more than
+    {!Elk_obs.Timeseries.max_windows} windows. *)
 
 val serving_pid : int
 (** Perfetto process id the serving tracks live under. *)

@@ -56,7 +56,8 @@ val of_result :
     both default off).
     Validates that every time series tiles [[0, makespan]] edge to edge
     ({!Elk_obs.Timeseries.check_tiling}) and raises [Invalid_argument]
-    if any window is missing. *)
+    if any window is missing, or if [window] would cut the makespan into
+    more than {!Elk_obs.Timeseries.max_windows} windows. *)
 
 val to_json : report -> string
 (** Snapshot with a Tracediff-comparable core ([total] = makespan,

@@ -58,8 +58,9 @@ let push s =
 
 let set_int s row k v = s.ints.(row / chunk_rows).((s.ni * (row mod chunk_rows)) + k) <- v
 let set_float s row k v = s.floats.(row / chunk_rows).((s.nf * (row mod chunk_rows)) + k) <- v
-let int_at s row k = s.ints.(row / chunk_rows).((s.ni * (row mod chunk_rows)) + k)
-let float_at s row k = s.floats.(row / chunk_rows).((s.nf * (row mod chunk_rows)) + k)
+(* Readers are inlined: a float returned from a call would be boxed. *)
+let[@inline] int_at s row k = s.ints.(row / chunk_rows).((s.ni * (row mod chunk_rows)) + k)
+let[@inline] float_at s row k = s.floats.(row / chunk_rows).((s.nf * (row mod chunk_rows)) + k)
 
 (* Explicit bookings: ints (cls, op, link id), floats (bytes, start,
    end).  Transfers: ints (cls, op, src, dst, hops, explicit bookings
@@ -76,17 +77,22 @@ type t = {
   tr : store;
   mutable effs : float array array;  (* the bandwidth arrays of path transfers *)
   mutable n_bookings : int;
+  nodes : N.node array;  (* by code c at c, or at cores - 1 - c when negative *)
 }
 
 let create noc =
-  { noc; bk = store ~ni:3 ~nf:3; tr = store ~ni:7 ~nf:4; effs = [||]; n_bookings = 0 }
+  let cores = N.cores noc and ctrls = (N.chip noc).Elk_arch.Arch.hbm_controllers in
+  let node i = if i < cores then N.Core i else N.Hbm (i - cores) in
+  { noc; bk = store ~ni:3 ~nf:3; tr = store ~ni:7 ~nf:4; effs = [||]; n_bookings = 0;
+    nodes = Array.init (cores + ctrls) node }
 
 let noc t = t.noc
 let num_bookings t = t.n_bookings
 let num_transfers t = t.tr.len
 
 let node_code = function N.Core c -> c | N.Hbm h -> -1 - h
-let node_of_code c = if c >= 0 then N.Core c else N.Hbm (-1 - c)
+(* Decoding reads the node table, so it allocates nothing. *)
+let node_of_code t c = t.nodes.(if c >= 0 then c else N.cores t.noc - 1 - c)
 
 let record_booking t ~cls ~op ~link ~bytes ~t_start ~t_end =
   if link < 0 || link >= N.num_links t.noc then
@@ -139,47 +145,80 @@ let record_path t ~cls ~op (p : N.path) ~eff ~bytes ~wait ~t_start ~t_end =
 
 (* ---- derived views ---------------------------------------------------- *)
 
-let bk_cls t i = int_at t.bk i 0
-let tr_cls t i = int_at t.tr i 0
-let tr_op t i = int_at t.tr i 1
-let tr_hops t i = int_at t.tr i 4
-let tr_bytes t i = float_at t.tr i 0
-let tr_wait t i = float_at t.tr i 1
-let tr_start t i = float_at t.tr i 2
+let[@inline] bk_cls t i = int_at t.bk i 0
+let[@inline] tr_cls t i = int_at t.tr i 0
+let[@inline] tr_op t i = int_at t.tr i 1
+let[@inline] tr_hops t i = int_at t.tr i 4
+let[@inline] tr_bytes t i = float_at t.tr i 0
+let[@inline] tr_wait t i = float_at t.tr i 1
+let[@inline] tr_start t i = float_at t.tr i 2
 
-(* [f cls op link bytes start end] over every booking, in recording
-   order. *)
-let iter_bookings t f =
-  let next = ref 0 in
-  let explicit upto =
-    while !next < upto do
-      let i = !next in
-      f (bk_cls t i) (int_at t.bk i 1) (int_at t.bk i 2) (float_at t.bk i 0)
-        (float_at t.bk i 1) (float_at t.bk i 2);
-      incr next
-    done
-  in
-  for i = 0 to t.tr.len - 1 do
-    explicit (int_at t.tr i 5);
+(* A cursor over every booking, in recording order: [next] loads the
+   next booking into it and says whether there was one.  Its floats sit
+   in an unboxed array, so a walk allocates nothing per booking. *)
+type cursor = {
+  mutable cls : int;
+  mutable op : int;
+  mutable link : int;
+  f : float array;  (* bytes, start, end *)
+  mutable next_tr : int;  (* next transfer row *)
+  mutable next_bk : int;  (* next explicit booking row *)
+  mutable ids : int array;  (* the current path's link ids *)
+  mutable hop : int;  (* next position in [ids] *)
+  mutable eff : float array;  (* the current path's bandwidths by link id *)
+}
+
+let cursor () =
+  { cls = 0; op = 0; link = 0; f = Array.make 3 0.; next_tr = 0; next_bk = 0; ids = [||];
+    hop = 0; eff = [||] }
+
+let rec next t c =
+  if c.hop < Array.length c.ids then begin
+    let link = c.ids.(c.hop) in
+    c.link <- link;
+    c.f.(2) <- c.f.(1) +. (c.f.(0) /. c.eff.(link));
+    c.hop <- c.hop + 1;
+    true
+  end
+  else if c.next_bk < (if c.next_tr < t.tr.len then int_at t.tr c.next_tr 5 else t.bk.len)
+  then begin
+    let i = c.next_bk in
+    c.cls <- bk_cls t i;
+    c.op <- int_at t.bk i 1;
+    c.link <- int_at t.bk i 2;
+    c.f.(0) <- float_at t.bk i 0;
+    c.f.(1) <- float_at t.bk i 1;
+    c.f.(2) <- float_at t.bk i 2;
+    c.next_bk <- i + 1;
+    true
+  end
+  else if c.next_tr < t.tr.len then begin
+    let i = c.next_tr in
+    c.next_tr <- i + 1;
     let slot = int_at t.tr i 6 in
     if slot >= 0 then begin
-      let eff = t.effs.(slot) and cls = tr_cls t i and op = tr_op t i in
-      let bytes = tr_bytes t i and start = tr_start t i in
-      let p =
-        N.path t.noc ~src:(node_of_code (int_at t.tr i 2)) ~dst:(node_of_code (int_at t.tr i 3))
-      in
-      Array.iter (fun link -> f cls op link bytes start (start +. (bytes /. eff.(link)))) p.N.ids
-    end
-  done;
-  explicit t.bk.len
+      c.cls <- tr_cls t i;
+      c.op <- tr_op t i;
+      c.f.(0) <- tr_bytes t i;
+      c.f.(1) <- tr_start t i;
+      c.eff <- t.effs.(slot);
+      c.ids <-
+        (N.path t.noc ~src:(node_of_code t (int_at t.tr i 2))
+           ~dst:(node_of_code t (int_at t.tr i 3))).N.ids;
+      c.hop <- 0
+    end;
+    next t c
+  end
+  else false
 
 let bookings t =
-  let acc = ref [] in
-  iter_bookings t (fun cls op link bytes start end_ ->
-      acc :=
-        { b_cls = cls_of_index.(cls); b_op = op; b_link = N.link_of_id t.noc link;
-          b_bytes = bytes; b_start = start; b_end = end_ }
-        :: !acc);
+  let c = cursor () and acc = ref [] in
+  while next t c do
+    acc :=
+      { b_cls = cls_of_index.(c.cls); b_op = c.op; b_link = N.link_of_id t.noc c.link;
+        b_bytes = c.f.(0); b_start = c.f.(1); b_end = c.f.(2) }
+      :: !acc
+  done;
   Array.of_list (List.rev !acc)
 
 (* Per-link aggregate, derived on demand. *)
@@ -194,35 +233,54 @@ type link_stat = {
   ls_bookings : int;
 }
 
-(* All touched links in canonical (id) order, with volumes and busy time,
-   summed in emission order.  Bookings within one class never overlap on
-   a link (the fabric's free-time serialization), so summed reservation
-   time is exact per class; across the two classes the link is a shared
-   fluid and the sum can exceed the horizon only if the recording drifted
-   from the model (Nocprof.check enforces the bound per class). *)
-let link_stats t =
+(* Per-link sums by link id, added in recording order.  Bookings within
+   one class never overlap on a link (the fabric's free-time
+   serialization), so summed reservation time is exact per class; across
+   the two classes the link is a shared fluid and the sum can exceed the
+   horizon only if the recording drifted from the model (Nocprof.check
+   enforces the bound per class). *)
+type sums = {
+  volume : float array;
+  by_cls : float array;  (* by 3 * link + class *)
+  busy : float array;
+  count : int array;
+}
+
+let sums t =
   let n = N.num_links t.noc in
-  let volume = Array.make n 0. and by_cls = Array.make (3 * n) 0. in
-  let busy = Array.make n 0. and count = Array.make n 0 in
-  iter_bookings t (fun cls _ l bytes start end_ ->
-      let k = (3 * l) + cls in
-      volume.(l) <- volume.(l) +. bytes;
-      by_cls.(k) <- by_cls.(k) +. bytes;
-      busy.(l) <- busy.(l) +. Float.max 0. (end_ -. start);
-      count.(l) <- count.(l) + 1);
+  { volume = Array.make n 0.; by_cls = Array.make (3 * n) 0.; busy = Array.make n 0.;
+    count = Array.make n 0 }
+
+let add_booking s c =
+  let l = c.link in
+  let k = (3 * l) + c.cls in
+  s.volume.(l) <- s.volume.(l) +. c.f.(0);
+  s.by_cls.(k) <- s.by_cls.(k) +. c.f.(0);
+  s.busy.(l) <- s.busy.(l) +. Float.max 0. (c.f.(2) -. c.f.(1));
+  s.count.(l) <- s.count.(l) + 1
+
+(* All touched links in canonical (id) order. *)
+let stat_rows t s =
   let rows = ref [] in
-  for l = n - 1 downto 0 do
-    if count.(l) > 0 then begin
+  for l = Array.length s.count - 1 downto 0 do
+    if s.count.(l) > 0 then begin
       let link = N.link_of_id t.noc l in
       rows :=
         { ls_link = link; ls_bandwidth = N.link_bandwidth t.noc link;
-          ls_volume = volume.(l); ls_preload = by_cls.(3 * l);
-          ls_distribute = by_cls.((3 * l) + 1); ls_exchange = by_cls.((3 * l) + 2);
-          ls_busy = busy.(l); ls_bookings = count.(l) }
+          ls_volume = s.volume.(l); ls_preload = s.by_cls.(3 * l);
+          ls_distribute = s.by_cls.((3 * l) + 1); ls_exchange = s.by_cls.((3 * l) + 2);
+          ls_busy = s.busy.(l); ls_bookings = s.count.(l) }
         :: !rows
     end
   done;
   !rows
+
+let link_stats t =
+  let s = sums t and c = cursor () in
+  while next t c do
+    add_booking s c
+  done;
+  stat_rows t s
 
 (* Transfer sums run newest first: the committed snapshots hold the
    floats that order gives. *)
@@ -262,34 +320,46 @@ let hop_histogram t =
 
 (* Booking intervals grouped by (link, class group) — group 0 the
    preload class, group 1 distribute and exchange — each group ordered by
-   start, ties in recording order; and the largest queueing wait per
-   (op, class). *)
+   start, ties in recording order; the per-link stats; and the largest
+   queueing wait per (op, class). *)
 type index = {
   noc_of : N.t;
   first : int array;  (* by 2 * link + group: first position; one past the end last *)
   starts : float array;  (* by position *)
   ends : float array;
+  stats : link_stat list;
   waits : float array;  (* by 3 * op + class *)
 }
 
 let index t =
-  let groups = 2 * N.num_links t.noc in
-  let group cls link = (2 * link) + if cls = 0 then 0 else 1 in
-  (* Counting sort by group: stable, so each group is in recording order. *)
+  let groups = 2 * N.num_links t.noc and n = t.n_bookings in
+  (* One walk: the per-link sums, and each booking's group and interval
+     in recording order. *)
+  let s = sums t and c = cursor () in
+  let grp = Array.make n 0 and st = Array.make n 0. and en = Array.make n 0. in
   let first = Array.make (groups + 1) 0 in
-  iter_bookings t (fun cls _ link _ _ _ ->
-      let g = group cls link in
-      first.(g + 1) <- first.(g + 1) + 1);
+  let k = ref 0 in
+  while next t c do
+    add_booking s c;
+    let g = (2 * c.link) + if c.cls = 0 then 0 else 1 in
+    first.(g + 1) <- first.(g + 1) + 1;
+    grp.(!k) <- g;
+    st.(!k) <- c.f.(1);
+    en.(!k) <- c.f.(2);
+    incr k
+  done;
   for g = 1 to groups do
     first.(g) <- first.(g) + first.(g - 1)
   done;
+  (* Counting sort by group: stable, so each group is in recording order. *)
   let fill = Array.sub first 0 groups in
-  let starts = Array.make t.n_bookings 0. and ends = Array.make t.n_bookings 0. in
-  iter_bookings t (fun cls _ link _ start end_ ->
-      let g = group cls link in
-      starts.(fill.(g)) <- start;
-      ends.(fill.(g)) <- end_;
-      fill.(g) <- fill.(g) + 1);
+  let starts = Array.make n 0. and ends = Array.make n 0. in
+  for k = 0 to n - 1 do
+    let g = grp.(k) in
+    starts.(fill.(g)) <- st.(k);
+    ends.(fill.(g)) <- en.(k);
+    fill.(g) <- fill.(g) + 1
+  done;
   (* A fabric books each link's class in start order, so a group needs
      sorting only when the record was written some other way. *)
   for g = 0 to groups - 1 do
@@ -317,7 +387,9 @@ let index t =
     let k = (3 * tr_op t i) + tr_cls t i in
     waits.(k) <- Float.max waits.(k) (tr_wait t i)
   done;
-  { noc_of = t.noc; first; starts; ends; waits }
+  { noc_of = t.noc; first; starts; ends; stats = stat_rows t s; waits }
+
+let stats ix = ix.stats
 
 (* Busy intervals of one link, chronological, one list per class group. *)
 let busy_intervals ix ~link =
@@ -331,6 +403,51 @@ let busy_intervals ix ~link =
     !acc
   in
   (group (2 * link), group ((2 * link) + 1))
+
+type unions = { u_first : int array; u_starts : float array; u_ends : float array }
+
+(* Each link's two groups merged by start, preload first on ties, and
+   swept once: an interval that starts no later than the current union
+   interval ends extends it. *)
+let unions ix =
+  let links = N.num_links ix.noc_of in
+  let u_first = Array.make (links + 1) 0 in
+  let u_starts = Array.make (Array.length ix.starts) 0. in
+  let u_ends = Array.make (Array.length ix.starts) 0. in
+  let m = ref 0 in
+  for l = 0 to links - 1 do
+    u_first.(l) <- !m;
+    let pre_end = ix.first.((2 * l) + 1) and ex_end = ix.first.((2 * l) + 2) in
+    let i = ref ix.first.(2 * l) and j = ref pre_end in
+    while !i < pre_end || !j < ex_end do
+      let pre =
+        !j >= ex_end || (!i < pre_end && Float.compare ix.starts.(!i) ix.starts.(!j) <= 0)
+      in
+      let k = if pre then !i else !j in
+      if pre then incr i else incr j;
+      if !m > u_first.(l) && ix.starts.(k) <= u_ends.(!m - 1) then
+        u_ends.(!m - 1) <- Float.max u_ends.(!m - 1) ix.ends.(k)
+      else begin
+        u_starts.(!m) <- ix.starts.(k);
+        u_ends.(!m) <- ix.ends.(k);
+        incr m
+      end
+    done
+  done;
+  u_first.(links) <- !m;
+  { u_first; u_starts; u_ends }
+
+(* Groups in order: link 0's preload and execution groups, then link 1's. *)
+let overlap ix ~slack =
+  let groups = Array.length ix.first - 1 in
+  let rec scan g k =
+    if g = groups then None
+    else if k >= ix.first.(g + 1) then scan (g + 1) (ix.first.(g + 1) + 1)
+    else if ix.starts.(k) < ix.ends.(k - 1) -. slack then
+      Some (g / 2, if g mod 2 = 0 then `Preload else `Execution)
+    else scan g (k + 1)
+  in
+  scan 0 (ix.first.(0) + 1)
 
 (* Max queueing wait per (op, class) — the quantity Critpath caps into
    an event's [port_wait]. *)

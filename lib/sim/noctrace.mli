@@ -9,8 +9,9 @@
     path ({!record_path}) is one row, its bookings derived when read, so
     recording allocates only when a chunk fills.  Per-link volumes,
     class breakdowns, hop histograms and utilization timelines are
-    derived on demand, and the per-link busy intervals and per-op waits
-    a report queries come from one {!index} pass.  It is the one record
+    derived on demand, and the per-link stats, busy intervals, busy
+    unions, overlaps and per-op waits a report queries come from one
+    {!index} walk.  It is the one record
     the event loop keeps as it runs, because the reservation times exist
     nowhere else ({!Critpath} events, the {!Memtrace} record and the
     {!Perfcore} attribution are derived from the per-operator phase
@@ -119,13 +120,21 @@ val hop_histogram : t -> (int * int * float) list
 
 type index
 (** The record sorted once for a report: bookings grouped by link and
-    class, and the largest queueing wait per (operator, class).  Build it
-    after the recording is complete; later records are not in it. *)
+    class group (preload; distribute and exchange), each group by start;
+    the per-link stats; and the largest queueing wait per (operator,
+    class).  Build it after the recording is complete; later records are
+    not in it. *)
 
 val index : t -> index
-(** One pass over the bookings and one over the transfers (plus a sort
-    of any link's class whose bookings were not recorded in start
-    order). *)
+(** One walk over the bookings, which also sums the per-link stats, and
+    one over the transfers (plus a sort of any link's class group whose
+    bookings were not recorded in start order).  The walk loads each
+    booking into a cursor with unboxed floats: it allocates nothing per
+    booking. *)
+
+val stats : index -> link_stat list
+(** {!link_stats} of the indexed record, summed in the same recording
+    order, so every float is the same. *)
 
 val busy_intervals : index -> link:int -> (float * float) list * (float * float) list
 (** One link's busy intervals, by {!Elk_noc.Noc.link_id}, chronological
@@ -133,6 +142,26 @@ val busy_intervals : index -> link:int -> (float * float) list * (float * float)
     class).  Within a class, intervals never overlap — the fabric
     serializes bookings per link.  Raises [Invalid_argument] for an id
     the chip does not have. *)
+
+(** Every link's busy union, in flat arrays: link [id]'s disjoint
+    intervals, chronological, are [(u_starts.(k), u_ends.(k))] for [k]
+    from [u_first.(id)] to [u_first.(id + 1) - 1]. *)
+type unions = {
+  u_first : int array;  (** by link id, plus the total count last. *)
+  u_starts : float array;  (** by position; entries past the total are unused. *)
+  u_ends : float array;
+}
+
+val unions : index -> unions
+(** Each link's two class groups merged by start, the preload class
+    first on equal starts, and swept once: an interval that starts no
+    later than the current union interval's end extends it. *)
+
+val overlap : index -> slack:float -> (int * [ `Preload | `Execution ]) option
+(** The first link id and class group, links in id order and the
+    preload group first, where an interval starts more than [slack]
+    before its predecessor in the group ends; [None] when no group has
+    one. *)
 
 val max_wait : index -> op:int -> cls:cls -> float
 (** Largest queueing wait among one operator's transfers of one class

@@ -285,6 +285,207 @@ let test_rejects_extra_bytes () =
         ~t_end:total;
       N.link_name b.Nt.b_link)
 
+(* ---- the index against list references ---------------------------- *)
+
+(* The union of one link's two class groups, each sorted by start: merged
+   by start (preload first on ties) and swept once — the list walk
+   Nocprof used before the index answered the query. *)
+let union_intervals pre exch =
+  let add acc ((a, b) as iv) =
+    match acc with
+    | (ca, cb) :: tl when a <= cb -> (ca, Float.max cb b) :: tl
+    | _ -> iv :: acc
+  in
+  let rec go acc pre exch =
+    match (pre, exch) with
+    | [], [] -> List.rev acc
+    | iv :: pre, [] -> go (add acc iv) pre []
+    | [], iv :: exch -> go (add acc iv) [] exch
+    | ((a, _) as p) :: pre', ((b, _) as e) :: exch' ->
+        if Float.compare a b <= 0 then go (add acc p) pre' exch else go (add acc e) pre exch'
+  in
+  go [] pre exch
+
+(* One record of a random trace: a transfer along a route-table path
+   (source code, destination core, bandwidth table), an explicit booking
+   (link index, start, length), or an explicit transfer with a wait. *)
+type rec_ =
+  | Path of Nt.cls * int * int * int * float * float * int
+  | Book of Nt.cls * int * int * float * float * float
+  | Xfer of Nt.cls * int * float
+
+(* Random records on the all-to-all or mesh chip, from a small pool of
+   start times so that preload and execution bookings start together
+   (-0. among them: only a signed zero shows which class a union took
+   first), with zero-length bookings and explicit bookings out of start
+   order.
+   The record must read back as the bookings the test recorded, in
+   recording order; the index's groups must be those bookings grouped by
+   link and class group and stably sorted by start; each link's union
+   must equal [union_intervals] over its groups; the overlap query must
+   equal the pairwise walk at every slack; and the index's stats and
+   [link_stats] must equal sums over the recorded bookings, float bit
+   for float bit. *)
+let qcheck_index_matches_reference =
+  let open QCheck2.Gen in
+  let cls = oneofl [ Nt.Preload; Nt.Distribute; Nt.Exchange ] in
+  let start = oneof [ oneofl [ 0.; -0.; 1.; 2.5; 4. ]; float_range 0. 5. ] in
+  let len = oneof [ pure 0.; float_range 0. 1.5 ] in
+  let bytes = oneof [ pure 0.; float_range 1. 1e6 ] in
+  let record =
+    oneof
+      [
+        map3
+          (fun (c, op) (src, dst, slot) (b, t) -> Path (c, op, src, dst, b, t, slot))
+          (pair cls (int_bound 5))
+          (triple (int_range (-4) 63) (int_bound 63) (int_bound 1))
+          (pair bytes start);
+        map3
+          (fun (c, op) (link, b) (t, l) -> Book (c, op, link, b, t, l))
+          (pair cls (int_bound 5)) (pair (int_bound 1000) bytes) (pair start len);
+        map3 (fun c op w -> Xfer (c, op, w)) cls (int_bound 5) (float_range 0. 1.);
+      ]
+  in
+  let case =
+    triple bool (list_size (int_range 0 60) record)
+      (list_size (int_range 1 4) (oneof [ oneofl [ 0.; 1e-6; -0.25 ]; float_range 0. 2. ]))
+  in
+  QCheck_alcotest.to_alcotest
+  @@ QCheck2.Test.make ~count:300
+       ~name:"noctrace: index, unions, overlaps and stats equal their references"
+       ~print:(fun (mesh, recs, _) ->
+         Printf.sprintf "%s, %d records" (if mesh then "mesh" else "a2a") (List.length recs))
+       case
+  @@ fun (mesh, recs, slacks) ->
+  let chip =
+    if mesh then Elk_arch.Arch.Presets.scaled_chip ~topology_kind:`Mesh ()
+    else Elk_arch.Arch.Presets.scaled_chip ()
+  in
+  let noc = N.create chip in
+  let links = N.num_links noc and cores = chip.Elk_arch.Arch.cores in
+  let ctrls = chip.Elk_arch.Arch.hbm_controllers in
+  let effs =
+    Array.init 2 (fun s ->
+        Array.init links (fun id -> float_of_int ((((id * 7) + s) mod 13) + 1) *. 1e5))
+  in
+  let nt = Nt.create noc in
+  (* (cls, op, link id, bytes, start, end), recording order *)
+  let expected = ref [] in
+  List.iter
+    (function
+      | Path (cls, op, src, dst, bytes, t_start, slot) ->
+          let src = if src < 0 then N.Hbm ((-1 - src) mod ctrls) else N.Core (src mod cores) in
+          let p = N.path noc ~src ~dst:(N.Core (dst mod cores)) in
+          let eff = effs.(slot) in
+          Nt.record_path nt ~cls ~op p ~eff ~bytes ~wait:0. ~t_start ~t_end:(t_start +. 1.);
+          Array.iter
+            (fun id ->
+              let t_end = t_start +. (bytes /. eff.(id)) in
+              expected := (cls, op, id, bytes, t_start, t_end) :: !expected)
+            p.N.ids
+      | Book (cls, op, link, bytes, t_start, len) ->
+          let link = link mod links in
+          Nt.record_booking nt ~cls ~op ~link ~bytes ~t_start ~t_end:(t_start +. len);
+          expected := (cls, op, link, bytes, t_start, t_start +. len) :: !expected
+      | Xfer (cls, op, wait) ->
+          Nt.record_transfer nt ~cls ~op ~src:(N.Core 1) ~dst:(N.Core 0) ~bytes:1. ~hops:1
+            ~wait ~t_start:0. ~t_end:1.)
+    recs;
+  let expected = List.rev !expected in
+  let fail fmt = QCheck2.Test.fail_reportf fmt in
+  let eq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  (* the record reads back as recorded *)
+  let got = Array.to_list (Nt.bookings nt) in
+  if List.length got <> List.length expected then fail "%d bookings read back" (List.length got);
+  List.iteri
+    (fun k ((b : Nt.booking), (cls, op, id, bytes, st, en)) ->
+      if
+        not
+          (b.Nt.b_cls = cls && b.Nt.b_op = op && b.Nt.b_link = N.link_of_id noc id
+         && eq b.Nt.b_bytes bytes && eq b.Nt.b_start st && eq b.Nt.b_end en)
+      then fail "booking %d differs from the one recorded" k)
+    (List.combine got expected);
+  (* stats: per-link sums in recording order *)
+  let volume = Array.make links 0. and by_cls = Array.make (3 * links) 0. in
+  let busy = Array.make links 0. and count = Array.make links 0 in
+  List.iter
+    (fun (cls, _, l, bytes, st, en) ->
+      let k =
+        (3 * l) + match cls with Nt.Preload -> 0 | Nt.Distribute -> 1 | Nt.Exchange -> 2
+      in
+      volume.(l) <- volume.(l) +. bytes;
+      by_cls.(k) <- by_cls.(k) +. bytes;
+      busy.(l) <- busy.(l) +. Float.max 0. (en -. st);
+      count.(l) <- count.(l) + 1)
+    expected;
+  let want_stats =
+    List.filter_map
+      (fun l ->
+        if count.(l) = 0 then None
+        else
+          Some
+            ( l, volume.(l), by_cls.(3 * l), by_cls.((3 * l) + 1), by_cls.((3 * l) + 2),
+              busy.(l), count.(l) ))
+      (List.init links Fun.id)
+  in
+  let ix = Nt.index nt in
+  let same_stats what stats =
+    if List.length stats <> List.length want_stats then
+      fail "%s: %d links" what (List.length stats);
+    List.iter2
+      (fun (s : Nt.link_stat) (l, v, p, d, e, b, c) ->
+        if
+          not
+            (s.Nt.ls_link = N.link_of_id noc l && eq s.Nt.ls_volume v && eq s.Nt.ls_preload p
+           && eq s.Nt.ls_distribute d && eq s.Nt.ls_exchange e && eq s.Nt.ls_busy b
+           && s.Nt.ls_bookings = c)
+        then fail "%s: link %d differs from the recorded sums" what l)
+      stats want_stats
+  in
+  same_stats "link_stats" (Nt.link_stats nt);
+  same_stats "index stats" (Nt.stats ix);
+  (* groups, unions and the pairwise overlap walk, link by link *)
+  let u = Nt.unions ix in
+  let ivs_equal a b =
+    List.length a = List.length b
+    && List.for_all2 (fun (a1, b1) (a2, b2) -> eq a1 a2 && eq b1 b2) a b
+  in
+  let walks =
+    List.init links (fun l ->
+        let group pre =
+          List.filter_map
+            (fun (cls, _, l', _, st, en) ->
+              if l' = l && (cls = Nt.Preload) = pre then Some (st, en) else None)
+            expected
+          |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
+        in
+        let pre, exch = Nt.busy_intervals ix ~link:l in
+        if not (ivs_equal pre (group true) && ivs_equal exch (group false)) then
+          fail "link %d: busy intervals differ from the recorded bookings" l;
+        let union =
+          List.init (u.Nt.u_first.(l + 1) - u.Nt.u_first.(l)) (fun k ->
+              (u.Nt.u_starts.(u.Nt.u_first.(l) + k), u.Nt.u_ends.(u.Nt.u_first.(l) + k)))
+        in
+        if not (ivs_equal union (union_intervals pre exch)) then
+          fail "link %d: union differs from union_intervals" l;
+        (l, pre, exch))
+  in
+  List.iter
+    (fun slack ->
+      let pairwise =
+        List.find_map
+          (fun (l, pre, exch) ->
+            let rec go = function
+              | (_, b) :: ((a2, _) :: _ as rest) -> a2 < b -. slack || go rest
+              | _ -> false
+            in
+            if go pre then Some (l, `Preload) else if go exch then Some (l, `Execution) else None)
+          walks
+      in
+      if Nt.overlap ix ~slack <> pairwise then fail "overlap at slack %g differs" slack)
+    slacks;
+  true
+
 let suite =
   [
     Alcotest.test_case "noc recording off by default" `Quick test_off_by_default;
@@ -323,4 +524,5 @@ let suite =
       test_rejects_excess_wait;
     Alcotest.test_case "check rejects extra booked bytes" `Quick
       test_rejects_extra_bytes;
+    qcheck_index_matches_reference;
   ]

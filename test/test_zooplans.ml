@@ -6,9 +6,11 @@
    (plain, [ELK_JOBS=4], [ELK_COMPILE_CACHE=0]) holds the whole zoo to
    the byte-identity contract.  A second pin covers what the simulator
    derives from each plan: a plain [Sim.run]'s [Analyze] report, its
-   counter tracks and every core's Perfcore buckets.  A change that
-   means to alter a plan or a simulated number states so and replaces
-   the list with the one the failure prints. *)
+   counter tracks and every core's Perfcore buckets.  A third pins the
+   interconnect and memory views of a recorded run at two window
+   widths, on both topologies.  A change that means to alter a plan or
+   a simulated number states so and replaces the list with the one the
+   failure prints. *)
 
 open Elk_model
 module D = Elk_dse.Dse
@@ -120,9 +122,74 @@ let test_zoo_views_pinned () =
            md5 (String.concat "" buckets) ))
        (Lazy.force plans))
 
+(* Per plan and window (the makespan / 48 default, then 1e-6 s), from
+   one [Sim.run ~mem:true ~noc:true]: the Nocprof report's JSON, its
+   rendered tables and heatmap, its counter tracks, and the Memprof
+   report's JSON and counter tracks.  Both reports' checks must pass. *)
+let pinned_records =
+  [
+    ("llama2-13b/8x10@a2a default", "6980e9add73658dd920f91f669787fd5", "583d3ec947b5faeec4424fea19db1188", "5763ff5d84203a73d2201062d7b70c3f", "91f2e7d191668a35b24fe84634b271a2", "6b3d0dc931045f7760edad596162a9a6");
+    ("llama2-13b/8x10@a2a 1e-6", "94d9f23ac298e09774e0d7411bc66b2f", "583d3ec947b5faeec4424fea19db1188", "5763ff5d84203a73d2201062d7b70c3f", "7849360c107777d90272316fec57b0a0", "6b3d0dc931045f7760edad596162a9a6");
+    ("gemma2-27b/8x11@a2a default", "ff186cab07559d2daffaa96b5086216c", "a01fb1bf417a51b4206c86b8c8b48140", "fdab3db4cf9c19eea4d0cbfcc93403e6", "bc8b5a72a636db18acff628758c1e288", "4d41aff2125c0408d932c59117927b37");
+    ("gemma2-27b/8x11@a2a 1e-6", "44d71a5c6096c17841d83fdf5c9a4c36", "a01fb1bf417a51b4206c86b8c8b48140", "fdab3db4cf9c19eea4d0cbfcc93403e6", "320599f5077c2770b13850a5c0b7e4bf", "4d41aff2125c0408d932c59117927b37");
+    ("opt-30b/8x12@a2a default", "5ba87777b58aeabc8c44a2650dceae69", "ce54af738f871f6954ec7c52ea5bb9c9", "a20b7381ba89fd1347089a4943416b2f", "3d1db8da0b73dda372a3b2d8cb0de661", "1bd3869c676e4fa199d1e8f86bafa743");
+    ("opt-30b/8x12@a2a 1e-6", "5c895829b4f7f16835d9fd024c9c3f2f", "ce54af738f871f6954ec7c52ea5bb9c9", "a20b7381ba89fd1347089a4943416b2f", "6c1a8f298ce51585a6ee2a0b6aa2ea61", "1bd3869c676e4fa199d1e8f86bafa743");
+    ("llama2-70b/8x20@a2a default", "60709f39f55c675c19d6bc33c945bb30", "c8a8e20bc7cf8b4afa44b3f94fd0e92c", "09729055bbdd85969526368338625b5c", "34ce51fcad3a9f8ff06042ae1b5227e6", "3a55b8ed55d7f64ea520e86afb287928");
+    ("llama2-70b/8x20@a2a 1e-6", "a98a8b5dd0ecac552820a654fedf563d", "c8a8e20bc7cf8b4afa44b3f94fd0e92c", "09729055bbdd85969526368338625b5c", "869f66f88ff0b9edb21723250e54978e", "3a55b8ed55d7f64ea520e86afb287928");
+    ("dit-xl/8x7@a2a default", "f223a47a05e0cfb02567f5ff6dc950c1", "79fe99929f982611daa9d78a85f46ce8", "efaee7bd2cb7894d7001a2f21b2b201a", "9729f67d0fda9b0b9d9a85d95db7bf98", "fbda62a293fbc98c79a364b8a2cb8e9c");
+    ("dit-xl/8x7@a2a 1e-6", "7c5b94754bf413c3ff22374a22495eaf", "79fe99929f982611daa9d78a85f46ce8", "efaee7bd2cb7894d7001a2f21b2b201a", "b2fdbc677426e0832e8e62174b13075a", "fbda62a293fbc98c79a364b8a2cb8e9c");
+    ("mixtral-8x7b/8x10@a2a default", "6d0abba07de9817062daa3567a844246", "adbdda1293439711470750f2a12656ea", "bb58452ada38389007c2dd9e0b119a4a", "96543e79153d633e860c104340afbb10", "3b0e7a644e386db431c1b41b7a7ca1e9");
+    ("mixtral-8x7b/8x10@a2a 1e-6", "d249c1655e148cd86e1e6c4a07baea06", "adbdda1293439711470750f2a12656ea", "bb58452ada38389007c2dd9e0b119a4a", "bb80bb50b587e7b3a44712565c60a748", "3b0e7a644e386db431c1b41b7a7ca1e9");
+    ("llama2-13b/8x10@mesh default", "55a52c9640d50acf221fc1427bd2c86e", "4659e800b29da50878fc702fc68a1494", "1e330ef02b0fce2c31fa3a29af59122e", "4fb7ebf78b1ee57a474b802747691b8a", "d8efe2bd0b6ed83403bc993cda94a837");
+    ("llama2-13b/8x10@mesh 1e-6", "2080f2e22fcf7c4929ae7315e21802b3", "4659e800b29da50878fc702fc68a1494", "1e330ef02b0fce2c31fa3a29af59122e", "23ec9505862a66344aa0434ec180202f", "d8efe2bd0b6ed83403bc993cda94a837");
+    ("gemma2-27b/8x11@mesh default", "22cc48f6b7ec2a1781802e281bb4ad71", "3b3ec2a7e109d2e77fd3748b89843238", "a60fbe625a4a893bc9158e2c4b068b5c", "53d43afa1b886d495c724d9a2d41298f", "97eec4cf5dde51068d9f5a60d52bbcfe");
+    ("gemma2-27b/8x11@mesh 1e-6", "c7a5a4e4f3597a1fbaee9b0f086646be", "3b3ec2a7e109d2e77fd3748b89843238", "a60fbe625a4a893bc9158e2c4b068b5c", "00359b226a7882ca3b4c2ff3f25c8b0d", "97eec4cf5dde51068d9f5a60d52bbcfe");
+    ("opt-30b/8x12@mesh default", "4d9f99ae3dcc53e88bf5f543be1a2f2e", "97d7251bba479ca4ebe285f00db266d5", "5ddc8781db1ce9f7b9b86132361e9ec4", "d9ba198fdbe67ca37d29d767a8d0ff98", "80aaa4b107f1c9027ff5b943d018a666");
+    ("opt-30b/8x12@mesh 1e-6", "ec08ee657f0082a914c369678ea1ec33", "97d7251bba479ca4ebe285f00db266d5", "5ddc8781db1ce9f7b9b86132361e9ec4", "9b2dc274603aab1e8d4767dbc3b7c694", "80aaa4b107f1c9027ff5b943d018a666");
+    ("llama2-70b/8x20@mesh default", "2c8717ea803c77ef057413b90e3f2e4c", "5b86c37f422e58de743e100e34fb8b35", "1053b6e0f73a9fd60bf2813d091d235b", "2bb33381ea8f2941994373d750384288", "810979b782d5e0c93d5d064e56a1fad8");
+    ("llama2-70b/8x20@mesh 1e-6", "0d38d7c799b47d0ba4dd15e088657b55", "5b86c37f422e58de743e100e34fb8b35", "1053b6e0f73a9fd60bf2813d091d235b", "dc7d23954d6c692606d09dbc07e4fdbc", "810979b782d5e0c93d5d064e56a1fad8");
+    ("dit-xl/8x7@mesh default", "682c90835c02d13dac97871f1a550f5b", "f796b56615cc3875dd0ef34ad85dc538", "696b55966b8ae58d10e9f180f3a7551a", "54d83ce2faf838c6402dd540aaf0f6e8", "f76aed21bf4931b718ebdd20eab5ffe9");
+    ("dit-xl/8x7@mesh 1e-6", "e85eed59f27342842e7b18349ffe4ecb", "f796b56615cc3875dd0ef34ad85dc538", "696b55966b8ae58d10e9f180f3a7551a", "ead234fd1d845a3a929a53eda94ea0e9", "f76aed21bf4931b718ebdd20eab5ffe9");
+    ("mixtral-8x7b/8x10@mesh default", "4225994c36261370284e1d4afecf422e", "7feb4ebe1c93d091b55e250967604bac", "529b9f3bfe6680af62f85b1125176eac", "922dfd04b0943e1dd7d3a90a7bb74445", "d11c2b14340bdf405ad1d000fd18b840");
+    ("mixtral-8x7b/8x10@mesh 1e-6", "8b864120047592d810a04b939737260d", "7feb4ebe1c93d091b55e250967604bac", "529b9f3bfe6680af62f85b1125176eac", "10ee92f6d9f81659e92b467cb80bb26d", "d11c2b14340bdf405ad1d000fd18b840");
+  ]
+
+let test_zoo_records_pinned () =
+  let module Np = Elk_analyze.Nocprof in
+  let module Mp = Elk_analyze.Memprof in
+  let lines = String.concat "\n" in
+  check_pinned "pinned_records"
+    (fun (label, a, b, c, d, e) ->
+      Printf.sprintf "(%S, %S, %S, %S, %S, %S)" label a b c d e)
+    pinned_records
+    (List.concat_map
+       (fun (label, env, s) ->
+         let r = Elk_sim.Sim.run ~mem:true ~noc:true env.D.ctx s in
+         List.map
+           (fun (wname, window) ->
+             let label = label ^ " " ^ wname in
+             let np = Np.analyze ?window s r in
+             let mp = Mp.analyze ?window env.D.ctx s r in
+             (match (Np.check np, Mp.check mp) with
+             | Ok (), Ok () -> ()
+             | Error m, _ | _, Error m -> Alcotest.failf "%s: %s" label m);
+             ( label,
+               md5 (Np.to_json np),
+               md5
+                 (lines
+                    (List.map Elk_util.Table.render (Np.tables np)
+                    @ Option.value ~default:[] (Np.heatmap np))),
+               md5 (lines (Np.chrome_counter_events np)),
+               md5 (Mp.to_json mp),
+               md5 (lines (Mp.chrome_counter_events mp)) ))
+           [ ("default", None); ("1e-6", Some 1e-6) ])
+       (Lazy.force plans))
+
 let suite =
   [
     Alcotest.test_case "12 zoo plans match the pinned digests" `Quick test_zoo_plans_pinned;
     Alcotest.test_case "12 zoo plans' simulator views match the pinned digests" `Quick
       test_zoo_views_pinned;
+    Alcotest.test_case "12 zoo plans' interconnect and memory views match the pinned digests"
+      `Quick test_zoo_records_pinned;
   ]
