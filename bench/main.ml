@@ -22,7 +22,7 @@ module P = Elk_partition.Partition
 
 let bench_elk_options =
   { Elk.Compile.reorder = true; max_orders = 8; max_edit_distance = 4; max_preload = 32;
-    fuse = false; prune_margin = 0.25 }
+    prune_margin = 0.25 }
 
 let width_factor = 8
 let ctx_len = 2048 / width_factor

@@ -193,7 +193,7 @@ let info_cmd =
     Term.(const run $ graph_t)
 
 let compile_cmd =
-  let run target jobs no_cache trace codegen_dir save_plan metrics_out trace_out =
+  let run target jobs no_cache codegen_dir save_plan metrics_out trace_out =
     obs_setup ~metrics_out ~trace_out;
     set_jobs jobs;
     set_cache no_cache;
@@ -201,13 +201,6 @@ let compile_cmd =
     let env = target.env () in
     let c = Elk.Compile.compile env.D.ctx ~pod:env.D.pod g in
     Format.printf "%a@." Elk.Compile.pp_summary c;
-    (match trace with
-    | None -> ()
-    | Some path ->
-        let r = Sim.run env.D.ctx c.Elk.Compile.schedule in
-        Elk_sim.Trace.write_chrome_json ~path c.Elk.Compile.chip_graph r;
-        Format.printf "wrote Chrome trace (%d events) to %s@."
-          (Elk_sim.Trace.event_count r) path);
     (match codegen_dir with
     | None -> ()
     | Some dir ->
@@ -231,10 +224,6 @@ let compile_cmd =
         write_trace ~sim:(c.Elk.Compile.chip_graph, r) trace_out);
     write_metrics metrics_out
   in
-  let trace_t =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~doc:"Write a Chrome trace of the simulated run to $(docv).")
-  in
   let codegen_t =
     Arg.(value & opt (some string) None
          & info [ "emit-kernels" ] ~doc:"Write generated kernel sources under $(docv).")
@@ -245,7 +234,7 @@ let compile_cmd =
   in
   Cmd.v (Cmd.info "compile" ~doc:"Compile a model with Elk and print the plan summary.")
     Term.(
-      const run $ target_t $ jobs_t $ no_cache_t $ trace_t $ codegen_t $ save_plan_t
+      const run $ target_t $ jobs_t $ no_cache_t $ codegen_t $ save_plan_t
       $ metrics_out_t $ trace_out_t)
 
 let compare_cmd =
@@ -649,7 +638,7 @@ let trace_cmd =
     [ diff_cmd ]
 
 let profile_cmd =
-  let run target jobs per_core metrics_out trace_out =
+  let run target jobs metrics_out trace_out =
     Elk_obs.Control.enable ();
     set_jobs jobs;
     let g = target.graph () in
@@ -688,27 +677,15 @@ let profile_cmd =
       (fun (name, v) -> Elk_util.Table.add_row ct [ name; Printf.sprintf "%.0f" v ])
       (Elk_obs.Metrics.counters ());
     Elk_util.Table.print ct;
-    if per_core then begin
-      let s = c.Elk.Compile.schedule in
-      Elk_analyze.Analyze.print (Elk_analyze.Analyze.analyze s (Sim.run env.D.ctx s))
-    end;
     write_trace trace_out;
     write_metrics metrics_out
-  in
-  let per_core_t =
-    Arg.(
-      value & flag
-      & info [ "per-core" ]
-          ~doc:
-            "Also simulate the compiled plan and print the per-core resource \
-             attribution (as $(b,analyze) does for a single design).")
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
          "Compile a model with span collection on and print a per-phase \
           compile-time table.")
-    Term.(const run $ target_t $ jobs_t $ per_core_t $ metrics_out_t $ trace_out_t)
+    Term.(const run $ target_t $ jobs_t $ metrics_out_t $ trace_out_t)
 
 (* ---- verify and lint: static checks over one plan ---- *)
 
@@ -969,7 +946,7 @@ let serve_cmd =
           | None -> invalid_arg (Printf.sprintf "unknown workload %S" workload)
         in
         let reqs = W.generate ~seed ~n:requests spec in
-        let result = F.run ~design ?jobs ~max_batch ~noc env cfg reqs in
+        let result = F.run ~design ~max_batch ~noc env cfg reqs in
         Ok
           ( result,
             Elk_serve.Slo.of_result ?slo_ttft ?slo_itl ?window ~mem ~noc
@@ -987,11 +964,8 @@ let serve_cmd =
             emit ~what:"SLO report" path (Elk_serve.Slo.to_json report ^ "\n"))
           json_out;
         let counters =
-          List.concat_map
-            (fun name ->
-              Elk_obs.Timeseries.chrome_counter_events report.Elk_serve.Slo.series
-                ~horizon:report.Elk_serve.Slo.makespan name)
-            (Elk_obs.Timeseries.names report.Elk_serve.Slo.series)
+          Elk_obs.Timeseries.counter_tracks report.Elk_serve.Slo.series
+            ~horizon:report.Elk_serve.Slo.makespan ()
         in
         write_trace ~extra:(F.chrome_events result @ counters) trace_out;
         write_metrics metrics_out

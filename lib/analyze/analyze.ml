@@ -135,11 +135,7 @@ let slack_headroom rep (s : Cp.summary) =
 let headroom_check rep (s : Cp.summary) =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let tol = 1e-6 *. Float.max 1e-12 rep.total in
-  let rel_err a b =
-    let scale = Float.max (Float.abs a) (Float.abs b) in
-    if scale <= 0. then 0. else Float.abs (a -. b) /. scale
-  in
-  if rel_err rep.total s.Cp.total > 1e-6 then
+  if Elk_util.Stats.rel_err rep.total s.Cp.total > 1e-6 then
     err "attribution total %.9g and critical-path total %.9g differ" rep.total
       s.Cp.total
   else begin
@@ -253,9 +249,7 @@ let print ?top_ops rep = List.iter Elk_util.Table.print (tables ?top_ops rep)
 
 let to_json rep =
   let open Elk_obs in
-  let obj fields = "{" ^ String.concat "," fields ^ "}" in
-  let arr items = "[" ^ String.concat "," items ^ "]" in
-  let field k v = Jsonx.quote k ^ ":" ^ v in
+  let open Jsonx in
   let res_obj f =
     obj (List.map (fun res -> field (resource_name res) (f res)) all_resources)
   in

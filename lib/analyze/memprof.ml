@@ -55,10 +55,6 @@ type report = {
   series : Ts.t;
 }
 
-let series_names =
-  [ "sram_occupancy_max_core_bytes"; "sram_occupancy_min_core_bytes";
-    "sram_occupancy_chip_bytes" ]
-
 let analyze ?window ctx (s : Elk.Schedule.t) (r : Elk_sim.Sim.result) =
   let mem =
     match r.Elk_sim.Sim.mem with
@@ -74,7 +70,7 @@ let analyze ?window ctx (s : Elk.Schedule.t) (r : Elk_sim.Sim.result) =
   let total = r.Elk_sim.Sim.total in
   let ledger = Rd.of_schedule ~capacity ~cores s in
   let window =
-    match window with Some w -> w | None -> Float.max 1e-9 (total /. 48.)
+    match window with Some w -> w | None -> Ts.default_window ~horizon:total
   in
   let series = Ts.create ~window ~horizon:total () in
   let gauge name help pts =
@@ -179,16 +175,7 @@ let check rep =
   else if rep.pre_waste < 0. || rep.post_waste < 0. then
     err "negative wasted residency (%.3g pre, %.3g post)" rep.pre_waste
       rep.post_waste
-  else
-    let bad =
-      List.find_map
-        (fun name ->
-          match Ts.check_tiling rep.series ~horizon:rep.total name with
-          | Ok () -> None
-          | Error m -> Some m)
-        series_names
-    in
-    match bad with Some m -> Error m | None -> Ok ()
+  else Ts.check_all rep.series ~horizon:rep.total
 
 (* ---- tables ----------------------------------------------------------- *)
 
@@ -269,18 +256,6 @@ let tables ?(top = 10) rep =
     by_bytes;
   [ summary; waste; hbm ]
 
-let sparkline values =
-  let glyphs = [| " "; "_"; "."; ":"; "-"; "="; "+"; "*"; "#" |] in
-  let hi = List.fold_left Float.max 0. values in
-  if hi <= 0. then String.concat "" (List.map (fun _ -> glyphs.(0)) values)
-  else
-    String.concat ""
-      (List.map
-         (fun v ->
-           let i = int_of_float (Float.round (v /. hi *. 8.)) in
-           glyphs.(max 0 (min 8 i)))
-         values)
-
 let print ?top rep =
   List.iter Elk_util.Table.print (tables ?top rep);
   let points =
@@ -289,21 +264,16 @@ let print ?top rep =
   if points <> [] then begin
     let vals = List.map (fun p -> p.Ts.mean) points in
     Printf.printf "SRAM occupancy over time (%d windows, peak %s KB/core):\n  %s\n"
-      (List.length points) (kb rep.dyn_high_water) (sparkline vals)
+      (List.length points) (kb rep.dyn_high_water)
+      (Elk_util.Table.sparkline vals)
   end
 
 (* ---- JSON snapshot ---------------------------------------------------- *)
 
-(* Round like the SLO snapshot so the committed file is stable under
-   float noise. *)
-let g v = J.number (float_of_string (Printf.sprintf "%.6g" v))
-
 let to_json ?(top = 10) rep =
+  let g = J.number6 in
   let cap_cores = rep.capacity *. float_of_int rep.cores in
-  let seg name kind dur =
-    Printf.sprintf "{\"name\":%s,\"kind\":%s,\"resource\":\"sram\",\"dur\":%s}"
-      (J.quote name) (J.quote kind) (g dur)
-  in
+  let seg name kind dur = { Tracediff.name; kind; resource = "sram"; dur } in
   (* Waste in capacity-seconds: byte-seconds normalized by the chip's
      total SRAM, so segment durations live on the makespan's scale and
      Tracediff's threshold (a fraction of the old total) is meaningful. *)
@@ -343,34 +313,26 @@ let to_json ?(top = 10) rep =
              h.Rd.h_op (J.quote h.Rd.h_name) (g h.Rd.h_bytes) h.Rd.h_moves
              h.Rd.h_reuse_distance)
   in
-  String.concat ""
-    [
-      "{";
-      Printf.sprintf "\"model\":%s," (J.quote rep.model);
-      (* Tracediff-comparable core: total + segments *)
-      Printf.sprintf "\"total\":%s,\"dominant\":\"sram\"," (g rep.total);
-      Printf.sprintf "\"resource_seconds\":{\"sram\":%s},"
-        (g ((rep.pre_waste +. rep.post_waste) /. cap_cores));
-      Printf.sprintf "\"segments\":[%s]," (String.concat "," segments);
-      (* Full memory payload *)
-      Printf.sprintf "\"capacity_bytes\":%s,\"cores\":%d," (g rep.capacity)
-        rep.cores;
-      Printf.sprintf
-        "\"dyn_high_water_bytes\":%s,\"static_high_water_bytes\":%s,\"static_high_water_step\":%d,"
-        (g rep.dyn_high_water) (g rep.static_high_water)
-        rep.static_high_water_step;
-      Printf.sprintf "\"chip_peak_bytes\":%s,\"utilization\":%s,"
-        (g rep.chip_peak)
-        (g (rep.dyn_high_water /. Float.max 1e-12 rep.capacity));
-      Printf.sprintf
-        "\"pre_use_waste_byte_seconds\":%s,\"post_use_waste_byte_seconds\":%s,"
-        (g rep.pre_waste) (g rep.post_waste);
-      Printf.sprintf "\"buffers\":[%s]," (String.concat "," buffers);
-      Printf.sprintf "\"hbm\":[%s]," (String.concat "," hbm);
-      Printf.sprintf "\"series\":%s"
-        (Ts.to_json rep.series ~horizon:rep.total ());
-      "}";
-    ]
+  J.obj
+    ((J.field "model" (J.quote rep.model)
+     :: Tracediff.core_fields ~total:rep.total ~dominant:"sram"
+          ~resources:[ ("sram", (rep.pre_waste +. rep.post_waste) /. cap_cores) ]
+          ~segments)
+    @ [
+        (* Full memory payload *)
+        J.field "capacity_bytes" (g rep.capacity);
+        J.field "cores" (string_of_int rep.cores);
+        J.field "dyn_high_water_bytes" (g rep.dyn_high_water);
+        J.field "static_high_water_bytes" (g rep.static_high_water);
+        J.field "static_high_water_step" (string_of_int rep.static_high_water_step);
+        J.field "chip_peak_bytes" (g rep.chip_peak);
+        J.field "utilization" (g (rep.dyn_high_water /. Float.max 1e-12 rep.capacity));
+        J.field "pre_use_waste_byte_seconds" (g rep.pre_waste);
+        J.field "post_use_waste_byte_seconds" (g rep.post_waste);
+        J.field "buffers" (J.arr buffers);
+        J.field "hbm" (J.arr hbm);
+        J.field "series" (Ts.to_json rep.series ~horizon:rep.total ());
+      ])
 
 (* ---- Perfetto counter tracks ------------------------------------------ *)
 
@@ -387,9 +349,4 @@ let chrome_counter_events rep =
           ~ts ~value:rep.capacity ())
       [ 0.; rep.total ]
   in
-  capacity_track
-  @ List.concat_map
-      (fun name ->
-        Ts.chrome_counter_events rep.series ~horizon:rep.total ~pid:mem_pid
-          name)
-      series_names
+  capacity_track @ Ts.counter_tracks rep.series ~horizon:rep.total ~pid:mem_pid ()

@@ -39,9 +39,6 @@ type report = {
   series : Elk_obs.Timeseries.t;
 }
 
-val series_names : string list
-(** The occupancy gauge names the report records, in emission order. *)
-
 val analyze :
   ?window:float ->
   Elk_partition.Partition.ctx ->
@@ -49,7 +46,8 @@ val analyze :
   Elk_sim.Sim.result ->
   report
 (** Build the report from a simulator run recorded with [~mem:true].
-    [window] is the Timeseries window width (default: makespan / 48).
+    [window] is the Timeseries window width (default:
+    {!Elk_obs.Timeseries.default_window} of the makespan).
     Raises [Invalid_argument] if the run carries no memory record, or
     if [window] would cut the makespan into more than
     {!Elk_obs.Timeseries.max_windows} windows. *)
@@ -76,12 +74,11 @@ val print : ?top:int -> report -> unit
 (** {!tables} plus an occupancy sparkline, to stdout. *)
 
 val to_json : ?top:int -> report -> string
-(** JSON snapshot.  The top-level [total] / [dominant] /
-    [resource_seconds] / [segments] fields follow the
-    {!Elk_analyze.Tracediff} shape (waste segments in capacity-seconds)
-    so [elk trace diff] can gate [BENCH_mem.json]; the rest is the full
+(** JSON snapshot.  After [model], the snapshot core written by
+    {!Tracediff.core_fields} (waste segments in capacity-seconds) so
+    [elk trace diff] can gate [BENCH_mem.json]; the rest is the full
     memory payload (high waters, buffers, HBM ledger, series).  Floats
-    are rounded to 6 significant digits for snapshot stability. *)
+    are rounded to 6 significant digits ({!Elk_obs.Jsonx.number6}). *)
 
 val mem_pid : int
 (** Perfetto process id of the memory counter tracks (8). *)

@@ -30,6 +30,7 @@ module Ts = Elk_obs.Timeseries
 module A = Elk_arch.Arch
 module P = Elk_partition.Partition
 module J = Elk_obs.Jsonx
+module Stats = Elk_util.Stats
 
 (* Same relative tolerance as Perfcore's tiling invariant. *)
 let drift_eps = 1e-6
@@ -68,7 +69,6 @@ type report = {
   trace : Nt.t;
   index : Nt.index;
   series : Ts.t;
-  series_names : string list;
   port_attrib : (float * float) array;  (* per op: recomputed vs Perfcore a_port *)
   per_op : Elk_sim.Sim.op_trace array;
 }
@@ -113,6 +113,9 @@ let static_load noc (s : Elk.Schedule.t) =
 (* ---- analysis --------------------------------------------------------- *)
 
 let series_of_link name = "noc_link_util:" ^ name
+
+(* The hottest links that get a utilization gauge. *)
+let top_series = 5
 
 (* Ascending, stable natural merge sort of a float array, comparing
    unboxed floats ([Array.sort] boxes both operands of every comparison):
@@ -170,8 +173,7 @@ let trace_port_waits index ~op (o : Elk_sim.Sim.op_trace) =
       (o.Elk_sim.Sim.exe_end -. o.Elk_sim.Sim.compute_end)
       (Nt.max_wait index ~op ~cls:Nt.Exchange) )
 
-let analyze ?window ?(top_series = 5) (s : Elk.Schedule.t)
-    (r : Elk_sim.Sim.result) =
+let analyze ?window (s : Elk.Schedule.t) (r : Elk_sim.Sim.result) =
   let trace =
     match r.Elk_sim.Sim.noc with
     | Some t -> t
@@ -255,7 +257,7 @@ let analyze ?window ?(top_series = 5) (s : Elk.Schedule.t)
      over each window.  One gauge per hottest link, plus a busy-link
      count across the whole fabric. *)
   let window =
-    match window with Some w -> w | None -> Float.max 1e-9 (total /. 48.)
+    match window with Some w -> w | None -> Ts.default_window ~horizon:total
   in
   let series = Ts.create ~window ~horizon:total () in
   let top_links = List.filteri (fun i _ -> i < top_series) hot in
@@ -293,9 +295,6 @@ let analyze ?window ?(top_series = 5) (s : Elk.Schedule.t)
       incr i
     end
   done;
-  let series_names =
-    List.map (fun row -> series_of_link row.l_name) top_links @ [ busy ]
-  in
   let hops = Nt.hop_histogram trace in
   let mean_hops =
     let b = List.fold_left (fun a (_, _, bytes) -> a +. bytes) 0. hops in
@@ -326,16 +325,11 @@ let analyze ?window ?(top_series = 5) (s : Elk.Schedule.t)
     trace;
     index;
     series;
-    series_names;
     port_attrib;
     per_op;
   }
 
 (* ---- cross-checks ----------------------------------------------------- *)
-
-let rel_err a b =
-  let scale = Float.max (Float.abs a) (Float.abs b) in
-  if scale <= 0. then 0. else Float.abs (a -. b) /. scale
 
 (* The invariants `elk noc` enforces on every run (and CI on every zoo
    model): the dynamic per-link volumes agree with the static Load
@@ -347,7 +341,9 @@ let rel_err a b =
 let check rep =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let link_drift =
-    List.find_opt (fun row -> rel_err row.l_volume row.l_static > drift_eps) rep.rows
+    List.find_opt
+      (fun row -> Stats.rel_err row.l_volume row.l_static > drift_eps)
+      rep.rows
   in
   match link_drift with
   | Some row ->
@@ -358,10 +354,10 @@ let check rep =
   | None -> (
       match (rep.busiest_dyn, rep.busiest_static) with
       | Some (dl, dt), Some (sl, st)
-        when dl <> sl && rel_err dt st > drift_eps ->
+        when dl <> sl && Stats.rel_err dt st > drift_eps ->
           err "busiest link diverged: recorded %s (%.3g s) vs static %s (%.3g s)"
             (N.link_name dl) dt (N.link_name sl) st
-      | Some (_, dt), Some (_, st) when rel_err dt st > drift_eps ->
+      | Some (_, dt), Some (_, st) when Stats.rel_err dt st > drift_eps ->
           err "busiest-link volume drifted: recorded %.6g s vs static %.6g s"
             dt st
       | Some _, None | None, Some _ ->
@@ -369,7 +365,7 @@ let check rep =
       | _ ->
           let class_drift =
             List.find_opt
-              (fun (_, got, want) -> rel_err got want > drift_eps)
+              (fun (_, got, want) -> Stats.rel_err got want > drift_eps)
               [
                 ("preload", rep.pre_bytes, rep.expect_pre);
                 ("distribute", rep.dist_bytes, rep.expect_dist);
@@ -387,7 +383,7 @@ let check rep =
                     let got, want = rep.port_attrib.(op) in
                     let port_d, port_e = trace_port_waits rep.index ~op o in
                     let phase cls sim trace =
-                      if rel_err sim trace > drift_eps then
+                      if Stats.rel_err sim trace > drift_eps then
                         Some
                           (Printf.sprintf
                              "op %d: the simulator's %s port wait %.6g s \
@@ -396,7 +392,7 @@ let check rep =
                              op cls sim trace)
                       else None
                     in
-                    if rel_err got want > drift_eps then
+                    if Stats.rel_err got want > drift_eps then
                       Some
                         (Printf.sprintf
                            "op %d: port wait recomputed from the trace (%.6g \
@@ -424,20 +420,7 @@ let check rep =
                         (match group with
                         | `Preload -> "preload"
                         | `Execution -> "exchange")
-                  | None ->
-                      let bad =
-                        List.find_map
-                          (fun name ->
-                            match
-                              Ts.check_tiling rep.series ~horizon:rep.total name
-                            with
-                            | Ok () -> None
-                            | Error m -> Some m)
-                          rep.series_names
-                      in
-                      (match bad with
-                      | Some m -> Error m
-                      | None -> Ok ())))))
+                  | None -> Ts.check_all rep.series ~horizon:rep.total))))
 
 (* ---- tables ----------------------------------------------------------- *)
 
@@ -504,18 +487,6 @@ let tables ?(top = 10) rep =
     rep.hops;
   [ summary; links; hist ]
 
-let glyphs = [| " "; "_"; "."; ":"; "-"; "="; "+"; "*"; "#" |]
-
-let glyph_of hi v =
-  if hi <= 0. then glyphs.(0)
-  else
-    let i = int_of_float (Float.round (v /. hi *. 8.)) in
-    glyphs.(max 0 (min 8 i))
-
-let sparkline values =
-  let hi = List.fold_left Float.max 0. values in
-  String.concat "" (List.map (glyph_of hi) values)
-
 (* ASCII mesh heatmap: one cell per core, intensity = the hottest
    utilization among the links leaving that core (outgoing mesh edges,
    plus the controller entry edge where one lands).  None on
@@ -539,7 +510,7 @@ let heatmap rep =
         let lines =
           List.init rows (fun r ->
               String.concat ""
-                (List.init cols (fun c -> glyph_of hi cell.((r * cols) + c))))
+                (List.init cols (fun c -> Elk_util.Table.glyph ~hi cell.((r * cols) + c))))
         in
         Some
           (Printf.sprintf
@@ -568,24 +539,18 @@ let print ?top rep =
         let vals = List.map (fun p -> p.Ts.mean) points in
         Printf.printf "%s utilization over time (%d windows, %s busy):\n  %s\n"
           hottest.l_name (List.length points) (pct hottest.l_util)
-          (sparkline vals)
+          (Elk_util.Table.sparkline vals)
       end
 
 (* ---- JSON snapshot ---------------------------------------------------- *)
 
-(* Round like the SLO snapshot so the committed file is stable under
-   float noise. *)
-let g v = J.number (float_of_string (Printf.sprintf "%.6g" v))
-
 let to_json ?(top = 10) rep =
-  let seg name kind dur =
-    Printf.sprintf
-      "{\"name\":%s,\"kind\":%s,\"resource\":\"interconnect\",\"dur\":%s}"
-      (J.quote name) (J.quote kind) (g dur)
-  in
+  let g = J.number6 in
   let segments =
     List.filteri (fun i _ -> i < top) rep.hot
-    |> List.map (fun row -> seg row.l_name "link-busy" row.l_busy)
+    |> List.map (fun row ->
+           { Tracediff.name = row.l_name; kind = "link-busy"; resource = "interconnect";
+             dur = row.l_busy })
   in
   let busy_total = List.fold_left (fun a row -> a +. row.l_busy) 0. rep.rows in
   let links =
@@ -610,32 +575,26 @@ let to_json ?(top = 10) rep =
           (g t)
     | None -> "null"
   in
-  String.concat ""
-    [
-      "{";
-      Printf.sprintf "\"model\":%s," (J.quote rep.model);
-      (* Tracediff-comparable core: total + segments *)
-      Printf.sprintf "\"total\":%s,\"dominant\":\"interconnect\"," (g rep.total);
-      Printf.sprintf "\"resource_seconds\":{\"interconnect\":%s},"
-        (g busy_total);
-      Printf.sprintf "\"segments\":[%s]," (String.concat "," segments);
-      (* Full interconnect payload *)
-      Printf.sprintf "\"topology\":%s,\"links_touched\":%d,\"transfers\":%d,"
-        (J.quote rep.topology) (List.length rep.rows)
-        (Nt.num_transfers rep.trace);
-      Printf.sprintf
-        "\"preload_bytes\":%s,\"distribute_bytes\":%s,\"exchange_bytes\":%s,"
-        (g rep.pre_bytes) (g rep.dist_bytes) (g rep.ex_bytes);
-      Printf.sprintf "\"mean_hops\":%s," (g rep.mean_hops);
-      Printf.sprintf "\"busiest\":%s,\"busiest_static\":%s,"
-        (busiest rep.busiest_dyn)
-        (busiest rep.busiest_static);
-      Printf.sprintf "\"links\":[%s]," (String.concat "," links);
-      Printf.sprintf "\"hops\":[%s]," (String.concat "," hist);
-      Printf.sprintf "\"series\":%s"
-        (Ts.to_json rep.series ~horizon:rep.total ());
-      "}";
-    ]
+  J.obj
+    ((J.field "model" (J.quote rep.model)
+     :: Tracediff.core_fields ~total:rep.total ~dominant:"interconnect"
+          ~resources:[ ("interconnect", busy_total) ]
+          ~segments)
+    @ [
+        (* Full interconnect payload *)
+        J.field "topology" (J.quote rep.topology);
+        J.field "links_touched" (string_of_int (List.length rep.rows));
+        J.field "transfers" (string_of_int (Nt.num_transfers rep.trace));
+        J.field "preload_bytes" (g rep.pre_bytes);
+        J.field "distribute_bytes" (g rep.dist_bytes);
+        J.field "exchange_bytes" (g rep.ex_bytes);
+        J.field "mean_hops" (g rep.mean_hops);
+        J.field "busiest" (busiest rep.busiest_dyn);
+        J.field "busiest_static" (busiest rep.busiest_static);
+        J.field "links" (J.arr links);
+        J.field "hops" (J.arr hist);
+        J.field "series" (Ts.to_json rep.series ~horizon:rep.total ());
+      ])
 
 (* ---- Perfetto counter tracks ------------------------------------------ *)
 
@@ -644,7 +603,4 @@ let to_json ?(top = 10) rep =
 let noc_pid = 10
 
 let chrome_counter_events rep =
-  List.concat_map
-    (fun name ->
-      Ts.chrome_counter_events rep.series ~horizon:rep.total ~pid:noc_pid name)
-    rep.series_names
+  Ts.counter_tracks rep.series ~horizon:rep.total ~pid:noc_pid ()

@@ -51,7 +51,8 @@ type report = {
   trace : Elk_sim.Noctrace.t;
   index : Elk_sim.Noctrace.index;  (** [trace]'s index, built once by {!analyze}. *)
   series : Elk_obs.Timeseries.t;
-  series_names : string list;
+      (** a utilization gauge per hottest link (the five busiest), then
+          the busy-link count. *)
   port_attrib : (float * float) array;
       (** per op: (port wait recomputed from the trace, Perfcore's
           [a_port]). *)
@@ -65,14 +66,12 @@ val static_load : Elk_noc.Noc.t -> Elk.Schedule.t -> Elk_noc.Noc.Load.loads
 
 val analyze :
   ?window:float ->
-  ?top_series:int ->
   Elk.Schedule.t ->
   Elk_sim.Sim.result ->
   report
 (** Build the report from a simulator run recorded with [~noc:true].
-    [window] is the Timeseries window width (default: makespan / 48);
-    [top_series] how many of the hottest links get a utilization gauge
-    (default 5).  Raises [Invalid_argument] if the run carries no
+    [window] is the Timeseries window width (default:
+    {!Elk_obs.Timeseries.default_window} of the makespan).  Raises [Invalid_argument] if the run carries no
     interconnect record, or if [window] would cut the makespan into more
     than {!Elk_obs.Timeseries.max_windows} windows.  The report reads
     the record through one {!Elk_sim.Noctrace.index}: the per-link rows
@@ -100,13 +99,12 @@ val print : ?top:int -> report -> unit
     utilization sparkline, to stdout. *)
 
 val to_json : ?top:int -> report -> string
-(** JSON snapshot.  The top-level [total] / [dominant] /
-    [resource_seconds] / [segments] fields follow the
-    {!Elk_analyze.Tracediff} shape (hottest links as busy-second
-    segments) so [elk trace diff] can gate [BENCH_noc.json]; the rest
-    is the full interconnect payload (links, class totals, hop
-    histogram, series).  Floats are rounded to 6 significant digits
-    for snapshot stability. *)
+(** JSON snapshot.  After [model], the snapshot core written by
+    {!Tracediff.core_fields} (hottest links as busy-second segments) so
+    [elk trace diff] can gate [BENCH_noc.json]; the rest is the full
+    interconnect payload (links, class totals, hop histogram, series).
+    Floats are rounded to 6 significant digits
+    ({!Elk_obs.Jsonx.number6}). *)
 
 val noc_pid : int
 (** Perfetto process id of the interconnect counter tracks (10). *)

@@ -13,6 +13,30 @@ type t = {
   segments : entry list;
 }
 
+(* ---- the snapshot core ----------------------------------------------- *)
+
+type segment = { name : string; kind : string; resource : string; dur : float }
+
+(* The four fields [snapshot_of_value] reads, written the one way every
+   view's snapshot carries them. *)
+let core_fields ~total ~dominant ~resources ~segments =
+  let seg s =
+    J.obj
+      [
+        J.field "name" (J.quote s.name);
+        J.field "kind" (J.quote s.kind);
+        J.field "resource" (J.quote s.resource);
+        J.field "dur" (J.number6 s.dur);
+      ]
+  in
+  [
+    J.field "total" (J.number6 total);
+    J.field "dominant" (J.quote dominant);
+    J.field "resource_seconds"
+      (J.obj (List.map (fun (k, v) -> J.field k (J.number6 v)) resources));
+    J.field "segments" (J.arr (List.map seg segments));
+  ]
+
 (* ---- snapshot loading ------------------------------------------------ *)
 
 let num ?(default = Float.nan) v k =
@@ -163,30 +187,27 @@ let tables ?(top = 12) d =
 let print ?top d = List.iter Elk_util.Table.print (tables ?top d)
 
 let to_json ~threshold d =
-  let obj fields = "{" ^ String.concat "," fields ^ "}" in
-  let arr items = "[" ^ String.concat "," items ^ "]" in
-  let field k v = J.quote k ^ ":" ^ v in
   let entry e =
-    obj
+    J.obj
       [
-        field "key" (J.quote e.key);
-        field "old" (J.number e.v_old);
-        field "new" (J.number e.v_new);
-        field "delta" (J.number (delta e));
+        J.field "key" (J.quote e.key);
+        J.field "old" (J.number e.v_old);
+        J.field "new" (J.number e.v_new);
+        J.field "delta" (J.number (delta e));
       ]
   in
-  obj
+  J.obj
     [
-      field "total_old" (J.number d.total_old);
-      field "total_new" (J.number d.total_new);
-      field "total_delta" (J.number (d.total_new -. d.total_old));
-      field "dominant_old" (J.quote d.dominant_old);
-      field "dominant_new" (J.quote d.dominant_new);
-      field "threshold" (J.number threshold);
-      field "regressed" (if regressed ~threshold d then "true" else "false");
-      field "regressions"
-        (arr (List.map entry (sort_by_magnitude (regressed_entries ~threshold d))));
-      field "resources" (arr (List.map entry d.resources));
-      field "segments" (arr (List.map entry (sort_by_magnitude d.segments)));
+      J.field "total_old" (J.number d.total_old);
+      J.field "total_new" (J.number d.total_new);
+      J.field "total_delta" (J.number (d.total_new -. d.total_old));
+      J.field "dominant_old" (J.quote d.dominant_old);
+      J.field "dominant_new" (J.quote d.dominant_new);
+      J.field "threshold" (J.number threshold);
+      J.field "regressed" (if regressed ~threshold d then "true" else "false");
+      J.field "regressions"
+        (J.arr (List.map entry (sort_by_magnitude (regressed_entries ~threshold d))));
+      J.field "resources" (J.arr (List.map entry d.resources));
+      J.field "segments" (J.arr (List.map entry (sort_by_magnitude d.segments)));
     ]
   ^ "\n"

@@ -1,7 +1,8 @@
-(** Run-to-run comparison of critical-path snapshots.
+(** Run-to-run comparison of view snapshots.
 
-    Consumes two [elk critpath --json-out] documents
-    ({!Elk_sim.Critpath.to_json}) and answers "what got slower, and on
+    Consumes two [--json-out] documents of [elk critpath]
+    ({!Elk_sim.Critpath.to_json}), [elk mem], [elk noc] or [elk serve]
+    and answers "what got slower, and on
     which resource": makespan delta, per-resource critical-seconds
     deltas, and per-segment deltas keyed by (operator name, kind,
     resource) — individual critical segments are not stable run to run,
@@ -13,6 +14,30 @@
     [threshold × old makespan].  [elk trace diff] maps {!regressed} to
     its exit code, so CI can compare a fresh snapshot against the
     committed [BENCH_critpath.json] baseline. *)
+
+(** {1 The snapshot core}
+
+    Every snapshot [elk trace diff] reads carries the same four fields: ["total"], ["dominant"], ["resource_seconds"] (resource
+    → seconds) and ["segments"] (an array of [{name, kind, resource,
+    dur}]).  {!Elk_sim.Critpath.to_json} writes its own layout of them
+    (its segments also carry [op] and [start], and an ["events"] field
+    sits between [total] and [dominant]); the memory, interconnect and
+    SLO snapshots write them with {!core_fields}. *)
+
+type segment = { name : string; kind : string; resource : string; dur : float }
+
+val core_fields :
+  total:float ->
+  dominant:string ->
+  resources:(string * float) list ->
+  segments:segment list ->
+  string list
+(** The four core fields, rendered ({!Elk_obs.Jsonx.field}) in that
+    order, numbers rounded by {!Elk_obs.Jsonx.number6}: splice them into
+    the snapshot's {!Elk_obs.Jsonx.obj}.  Lists are written as given;
+    {!diff} sums the segments that share (name, kind, resource). *)
+
+(** {1 Diffing} *)
 
 type entry = { key : string; v_old : float; v_new : float }
 

@@ -3,7 +3,6 @@ type options = {
   max_orders : int;
   max_edit_distance : int;
   max_preload : int;
-  fuse : bool;
   prune_margin : float;
 }
 
@@ -13,7 +12,6 @@ let default_options =
     max_orders = 24;
     max_edit_distance = 6;
     max_preload = 32;
-    fuse = false;
     prune_margin = 0.25;
   }
 
@@ -43,6 +41,20 @@ let the_verifier : verifier option ref = ref None
 let set_verifier v = the_verifier := v
 let verifier () = !the_verifier
 
+(* Static verification gate: never emit a plan the verifier flags with
+   an error.  The hook is installed by Elk_verify when that library is
+   linked; warnings are logged by the hook itself. *)
+let gate ctx ~model schedule program =
+  match !the_verifier with
+  | None -> ()
+  | Some verify -> (
+      match verify ctx schedule program with
+      | Ok () -> ()
+      | Error msg ->
+          Elk_obs.Logger.error ~src:"compile" ~kvs:[ ("model", model) ]
+            ("plan rejected by verifier: " ^ msg);
+          raise (Rejected msg))
+
 (* Whole-plan cache.  The key digests everything a compile depends on —
    the partition-context fingerprint (chip + cost-model behavior), every
    option field, the pod, and the full input graph content (names
@@ -62,7 +74,6 @@ let options_sig o =
       string_of_int o.max_orders;
       string_of_int o.max_edit_distance;
       string_of_int o.max_preload;
-      string_of_bool o.fuse;
       Printf.sprintf "%h" o.prune_margin;
     ]
 
@@ -74,9 +85,8 @@ let pod_sig (pod : Elk_arch.Arch.pod) =
       Elk_arch.Arch.fingerprint pod.Elk_arch.Arch.chip;
     ]
 
-(* What a disk entry holds: the (possibly fused) source graph, the
-   schedule (which embeds the chip graph), and the search effort spent
-   producing it. *)
+(* What a disk entry holds: the source graph, the schedule (which embeds
+   the chip graph), and the search effort spent producing it. *)
 type disk_entry = Elk_model.Graph.t * Schedule.t * int
 
 let probe_cache ~key ~pod ~t0 ctx graph =
@@ -86,16 +96,7 @@ let probe_cache ~key ~pod ~t0 ctx graph =
           (* Re-run the verifier gate: a cold compile of these inputs
              would produce this exact plan and gate it, and the installed
              verifier may have changed since the entry was written. *)
-          (match !the_verifier with
-          | None -> ()
-          | Some verify -> (
-              match verify ctx t.schedule t.program with
-              | Ok () -> ()
-              | Error msg ->
-                  Elk_obs.Logger.error ~src:"compile"
-                    ~kvs:[ ("model", Elk_model.Graph.name graph) ]
-                    ("plan rejected by verifier: " ^ msg);
-                  raise (Rejected msg)));
+          gate ctx ~model:(Elk_model.Graph.name graph) t.schedule t.program;
           Compilecache.note_plan_hit ();
           Some { t with pod; compile_seconds = Unix.gettimeofday () -. t0 }
       | None -> (
@@ -164,10 +165,6 @@ let compile ?(options = default_options) ctx ~pod graph =
           t
       | None ->
       Option.iter (fun _ -> Compilecache.note_plan_miss ()) key;
-      let graph =
-        if options.fuse then Span.with_span "fuse" (fun () -> Fusion.fuse graph)
-        else graph
-      in
       let chip_graph =
         Span.with_span "shard" (fun () ->
             Opsplit.split_graph ctx
@@ -316,19 +313,7 @@ let compile ?(options = default_options) ctx ~pod graph =
           compile_seconds = Unix.gettimeofday () -. t0;
         }
       in
-      (* Static verification gate: never emit a plan the verifier flags
-         with an error.  The hook is installed by Elk_verify when that
-         library is linked; warnings are logged by the hook itself. *)
-      (match !the_verifier with
-      | None -> ()
-      | Some verify -> (
-          match verify ctx t.schedule t.program with
-          | Ok () -> ()
-          | Error msg ->
-              Elk_obs.Logger.error ~src:"compile"
-                ~kvs:[ ("model", Elk_model.Graph.name graph) ]
-                ("plan rejected by verifier: " ^ msg);
-              raise (Rejected msg)));
+      gate ctx ~model:(Elk_model.Graph.name graph) t.schedule t.program;
       (match key with
       | Some key ->
           Compilecache.Lru.put plan_store key t;

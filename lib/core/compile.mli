@@ -11,7 +11,6 @@ type options = {
   max_orders : int;  (** candidate preload orders to evaluate. *)
   max_edit_distance : int;  (** Kendall-tau bound on per-layer reorders. *)
   max_preload : int;  (** cap on per-operator preload numbers. *)
-  fuse : bool;  (** run the §8 pointwise-fusion pass before scheduling. *)
   prune_margin : float;
       (** slack of the branch-and-bound cutoff, the execution order's
           stall-free lower bound ({!Timeline.lower_bound}) stretched by
@@ -27,9 +26,10 @@ type options = {
 }
 
 val default_options : options
-(** Elk-Full: reordering on, 24 orders, edit distance 6, fusion off (the
-    paper's Elk treats fusion as an optional compatibility pass, §8),
-    prune margin 0.25. *)
+(** Elk-Full: reordering on, 24 orders, edit distance 6, prune margin
+    0.25.  [compile] never fuses: the paper's Elk treats the §8
+    pointwise-fusion pass as an optional compatibility step, so a caller
+    that wants it compiles [Fusion.fuse graph]. *)
 
 val dyn_options : options
 (** Elk-Dyn: scheduling and allocation only, no reordering (§6.1). *)
@@ -64,6 +64,13 @@ val set_verifier : verifier option -> unit
     above this one in the build graph. *)
 
 val verifier : unit -> verifier option
+
+val gate :
+  Elk_partition.Partition.ctx -> model:string -> Schedule.t -> Program.t -> unit
+(** Run the installed verifier on a plan about to be emitted: on [Error]
+    log it (naming [model]) and raise {!Rejected}; no-op when no verifier
+    is installed.  {!compile} gates every plan it returns with it, and so
+    does [Dse]'s simulator-backed Elk-Full order search. *)
 
 val compile :
   ?options:options ->

@@ -111,15 +111,24 @@ let plan_elk_full_sim env graph (options : Elk.Compile.options) =
                 else Some (s, Elk_sim.Sim.run env.ctx s))
           rest
       in
-      List.fold_left
-        (fun best c ->
-          match c with
-          | None -> best
-          | Some (s, r) -> (
-              match best with
-              | Some (_, br) when br.Elk_sim.Sim.total <= r.Elk_sim.Sim.total -> best
-              | _ -> Some (s, r)))
-        base candidates
+      let best =
+        List.fold_left
+          (fun best c ->
+            match c with
+            | None -> best
+            | Some (s, r) -> (
+                match best with
+                | Some (_, br) when br.Elk_sim.Sim.total <= r.Elk_sim.Sim.total -> best
+                | _ -> Some (s, r)))
+          base candidates
+      in
+      (* The winner is an emitted plan: it passes the compiler's gate. *)
+      Option.iter
+        (fun (s, _) ->
+          Elk.Compile.gate env.ctx ~model:(Elk_model.Graph.name graph) s
+            (Elk.Program.of_schedule s))
+        best;
+      best
 
 let evaluate ?elk_options env graph design =
   Elk_obs.Span.with_span "dse-eval"

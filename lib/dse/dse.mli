@@ -43,7 +43,12 @@ val evaluate :
   Elk_baselines.Baselines.design ->
   eval
 (** Plan with the design's policy, then measure on the simulator (the
-    [Ideal] roofline is analytic — it has no schedule to simulate). *)
+    [Ideal] roofline is analytic — it has no schedule to simulate).
+    Elk-Full's plan comes from this module's own order search: the same
+    candidate orders as {!Elk.Compile.compile}, chosen by simulated
+    rather than analytic total.  Like every emitted plan it passes
+    {!Elk.Compile.gate}, so an installed verifier that flags it raises
+    {!Elk.Compile.Rejected}. *)
 
 val evaluate_all :
   ?elk_options:Elk.Compile.options ->

@@ -23,6 +23,14 @@ let number f =
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.12g" f
 
+(* Snapshots round to 6 significant digits, so that float noise below
+   that does not move a committed file. *)
+let number6 f = number (float_of_string (Printf.sprintf "%.6g" f))
+
+let obj fields = "{" ^ String.concat "," fields ^ "}"
+let arr items = "[" ^ String.concat "," items ^ "]"
+let field k v = quote k ^ ":" ^ v
+
 (* ---- Parsing -------------------------------------------------------- *)
 
 type value =

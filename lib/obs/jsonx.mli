@@ -20,6 +20,25 @@ val number : float -> string
     others with round-trip precision.  Non-finite values (which JSON
     cannot represent) render as [null]. *)
 
+val number6 : float -> string
+(** {!number} of the value rounded to 6 significant digits ([%.6g]):
+    the snapshots' numbers, stable under float noise below that. *)
+
+(** {1 Building documents}
+
+    Rendered JSON text in, rendered JSON text out: the exporters build
+    their documents from these three. *)
+
+val obj : string list -> string
+(** [obj fields] is [{f1,f2,...}]; each field comes from {!field}. *)
+
+val arr : string list -> string
+(** [arr items] is [[i1,i2,...]]. *)
+
+val field : string -> string -> string
+(** [field k v] is the member [k:v]: [k] is quoted, [v] is already
+    rendered JSON. *)
+
 (** {1 Parsing}
 
     A minimal JSON document model and recursive-descent parser, enough

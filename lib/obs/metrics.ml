@@ -198,42 +198,38 @@ let to_json () =
   let is_counter n = counter_value n <> None in
   let is_gauge n = gauge_value n <> None in
   let is_histogram n = histogram_stats n <> None in
-  let obj fields = "{" ^ String.concat "," fields ^ "}" in
+  let open Jsonx in
   let counters_json =
     List.map
-      (fun n -> Jsonx.quote n ^ ":" ^ Jsonx.number (Option.get (counter_value n)))
+      (fun n -> field n (number (Option.get (counter_value n))))
       (kind is_counter)
   in
   let gauges_json =
-    List.map
-      (fun n -> Jsonx.quote n ^ ":" ^ Jsonx.number (Option.get (gauge_value n)))
-      (kind is_gauge)
+    List.map (fun n -> field n (number (Option.get (gauge_value n)))) (kind is_gauge)
   in
   let hist_json =
     List.map
       (fun n ->
         let count, sum, mn, mx = Option.get (histogram_stats n) in
-        let pct p =
-          match percentile n p with Some v -> Jsonx.number v | None -> "null"
-        in
-        Jsonx.quote n ^ ":"
-        ^ obj
-            [
-              "\"count\":" ^ string_of_int count;
-              "\"sum\":" ^ Jsonx.number sum;
-              "\"min\":" ^ Jsonx.number mn;
-              "\"max\":" ^ Jsonx.number mx;
-              "\"p50\":" ^ pct 50.;
-              "\"p90\":" ^ pct 90.;
-              "\"p99\":" ^ pct 99.;
-            ])
+        let pct p = match percentile n p with Some v -> number v | None -> "null" in
+        field n
+          (obj
+             [
+               field "count" (string_of_int count);
+               field "sum" (number sum);
+               field "min" (number mn);
+               field "max" (number mx);
+               field "p50" (pct 50.);
+               field "p90" (pct 90.);
+               field "p99" (pct 99.);
+             ]))
       (kind is_histogram)
   in
   obj
     [
-      "\"counters\":" ^ obj counters_json;
-      "\"gauges\":" ^ obj gauges_json;
-      "\"histograms\":" ^ obj hist_json;
+      field "counters" (obj counters_json);
+      field "gauges" (obj gauges_json);
+      field "histograms" (obj hist_json);
     ]
   ^ "\n"
 

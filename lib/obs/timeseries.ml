@@ -57,6 +57,8 @@ let check_window ~window ~horizon =
     Error (too_many ~window ~horizon)
   else Ok ()
 
+let default_window ~horizon = Float.max 1e-9 (horizon /. 48.)
+
 let create ?(window = 1e-3) ?horizon () =
   if not (Float.is_finite window) || window <= 0. then
     invalid_arg "Timeseries.create: window must be positive";
@@ -319,6 +321,11 @@ let check_tiling t ~horizon name =
                  (edge t 0))
           else walk 0)
 
+let check_all t ~horizon =
+  List.fold_left
+    (fun acc name -> Result.bind acc (fun () -> check_tiling t ~horizon name))
+    (Ok ()) (names t)
+
 (* ---- export ---------------------------------------------------------- *)
 
 let point_json kind p =
@@ -340,7 +347,7 @@ let point_json kind p =
             ("mean", f p.mean); ("p50", f p.p50); ("p99", f p.p99);
             ("max", f p.vmax) ]
   in
-  "{" ^ String.concat "," (List.map (fun (k, v) -> Jsonx.quote k ^ ":" ^ v) fields) ^ "}"
+  Jsonx.obj (List.map (fun (k, v) -> Jsonx.field k v) fields)
 
 let series_json t ?horizon name =
   match Hashtbl.find_opt t.tbl name with
@@ -380,3 +387,6 @@ let chrome_counter_events t ?horizon ?(pid = 9) name =
               let v = match s.s_kind with Counter -> p.mean | _ -> p.p99 in
               Chrome.counter_event ~pid ~name ~ts:p.t0 ~value:v ())
             (points t ?horizon name))
+
+let counter_tracks t ~horizon ?pid () =
+  List.concat_map (fun name -> chrome_counter_events t ~horizon ?pid name) (names t)

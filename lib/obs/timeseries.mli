@@ -28,8 +28,12 @@ type kind = Counter | Gauge | Histogram
 val kind_name : kind -> string
 
 val max_windows : int
-(** The most windows a series is cut into: 100,000.  The [makespan / 48]
-    default of every view needs 48. *)
+(** The most windows a series is cut into: 100,000.  The
+    {!default_window} needs 48. *)
+
+val default_window : horizon:float -> float
+(** The window every view uses when none is given: [horizon / 48], at
+    least [1e-9] s. *)
 
 val check_window : window:float -> horizon:float -> (unit, string) result
 (** [Error] naming [window] and [horizon] when windows of that width
@@ -99,6 +103,10 @@ val check_tiling : t -> horizon:float -> string -> (unit, string) result
     the edges {!points} would compute, in O(windows), reading no event.
     More than {!max_windows} windows is an [Error]. *)
 
+val check_all : t -> horizon:float -> (unit, string) result
+(** {!check_tiling} of every series, in registration order: the first
+    error, or [Ok ()]. *)
+
 val to_json : t -> ?horizon:float -> unit -> string
 (** [{"window":w,"series":{name:{"kind":…,"help":…,"points":[…]}}}] with
     per-kind point fields (counter: rate/total, gauge: mean/min/max/last,
@@ -110,3 +118,7 @@ val chrome_counter_events : t -> ?horizon:float -> ?pid:int -> string -> string 
 (** One Perfetto counter track per series: gauges emit their raw change
     points (crisp steps), counters the per-window rate, histograms the
     per-window p99. *)
+
+val counter_tracks : t -> horizon:float -> ?pid:int -> unit -> string list
+(** {!chrome_counter_events} of every series, in registration order,
+    under [pid] (default 9). *)

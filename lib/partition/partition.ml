@@ -81,8 +81,7 @@ module Memo = Hashtbl.Make (Key)
 type ctx = {
   chip : Arch.chip;
   cost : Elk_cost.Costmodel.t;
-  max_plans : int;
-  fp : string;  (* digest of (chip, cost model, max_plans). *)
+  fp : string;  (* digest of (chip, cost model, max_plans_per_op). *)
   lock : Mutex.t;  (* guards the three tables; see [memo_find]. *)
   memo : memo_entry Memo.t;
   popt_memo : preload_opt list Memo.t;
@@ -140,7 +139,10 @@ let shared_store_count () =
   Mutex.unlock registry_lock;
   n
 
-let make_ctx ?(max_plans_per_op = 512) cost =
+(* The fastest plans kept per operator. *)
+let max_plans_per_op = 512
+
+let make_ctx cost =
   let chip = Elk_cost.Costmodel.chip cost in
   let fp =
     Digest.to_hex
@@ -190,7 +192,6 @@ let make_ctx ?(max_plans_per_op = 512) cost =
   {
     chip;
     cost;
-    max_plans = max_plans_per_op;
     fp;
     lock = store.s_lock;
     memo = store.s_memo;
@@ -456,7 +457,7 @@ let compute_plans ctx (op : Opspec.t) =
     (* Allow up to 16 sequential rounds so operators bigger than one
        spatial pass still get plans. *)
     factor_vectors ~iter:op.Opspec.iter ~cores:(cores * 16) ~max_split_dims
-      ~cap:(ctx.max_plans * 64)
+      ~cap:(max_plans_per_op * 64)
   in
   let points =
     Array.fold_left (fun a e -> if a > cores then a else a * e) 1 op.Opspec.iter
@@ -485,7 +486,7 @@ let compute_plans ctx (op : Opspec.t) =
     plans;
   let deduped = Hashtbl.fold (fun _ p acc -> p :: acc) table [] in
   let sorted = List.sort (fun a b -> compare a.exec_time b.exec_time) deduped in
-  let truncated = List.filteri (fun i _ -> i < ctx.max_plans) sorted in
+  let truncated = List.filteri (fun i _ -> i < max_plans_per_op) sorted in
   truncated
 
 let zero_option =

@@ -36,15 +36,15 @@
 type ctx
 (** Enumeration context: chip, trained cost model, memo tables. *)
 
-val make_ctx : ?max_plans_per_op:int -> Elk_cost.Costmodel.t -> ctx
+val make_ctx : Elk_cost.Costmodel.t -> ctx
 (** Build a context from a trained cost model (the chip is taken from the
-    model).  [max_plans_per_op] caps enumeration (default 512). *)
+    model).  Enumeration keeps each operator's 512 fastest plans. *)
 
 val ctx_chip : ctx -> Elk_arch.Arch.chip
 val ctx_cost : ctx -> Elk_cost.Costmodel.t
 
 val fingerprint : ctx -> string
-(** Digest of (chip, cost-model behavior, [max_plans_per_op]) — the
+(** Digest of (chip, cost-model behavior, the 512-plan cap) — the
     context component of every cross-compile cache key.  Two contexts
     with equal fingerprints produce identical enumeration, frontier and
     preload-option results for every operator. *)

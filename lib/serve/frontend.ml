@@ -68,7 +68,7 @@ let next_pow2 n =
 
 let token_quantum = 16
 
-let run ?(design = B.Elk_full) ?(recompile_every = 64) ?elk_options ?jobs
+let run ?(design = B.Elk_full) ?(recompile_every = 64) ?elk_options
     ?(max_batch = 8) ?noc env cfg requests =
   if requests = [] then invalid_arg "Frontend.run: no requests";
   if max_batch <= 0 then invalid_arg "Frontend.run: max_batch must be positive";
@@ -79,7 +79,6 @@ let run ?(design = B.Elk_full) ?(recompile_every = 64) ?elk_options ?jobs
   in
   if not (sorted requests) then
     invalid_arg "Frontend.run: requests must be in arrival order";
-  Option.iter Elk_util.Pool.set_jobs jobs;
   let memo = Serve.memo ~design ?elk_options ?noc env cfg in
   (* The run's padded shapes, for accounting only. *)
   let shapes = Hashtbl.create 8 in
@@ -210,7 +209,7 @@ let timeseries ?window ?(mem = false) ?(noc = false) r =
   let window =
     match window with
     | Some w -> w
-    | None -> Float.max 1e-9 (r.makespan /. 48.)
+    | None -> Elk_obs.Timeseries.default_window ~horizon:r.makespan
   in
   let ts = Elk_obs.Timeseries.create ~window ~horizon:r.makespan () in
   (* queue depth: +1 on arrival, -size when a batch forms *)

@@ -53,7 +53,6 @@ val run :
   ?design:Elk_baselines.Baselines.design ->
   ?recompile_every:int ->
   ?elk_options:Elk.Compile.options ->
-  ?jobs:int ->
   ?max_batch:int ->
   ?noc:bool ->
   Elk_dse.Dse.env ->
@@ -91,7 +90,8 @@ val timeseries :
     with [noc] (default false) a [noc_busiest_link_busy] gauge of the
     hottest link's reservation seconds, stepping the same way (the
     result must come from {!run} with [noc] for it to be non-zero).
-    [window] defaults to [makespan / 48].  Raises [Invalid_argument]
+    [window] defaults to {!Elk_obs.Timeseries.default_window} of the
+    makespan.  Raises [Invalid_argument]
     when [window] would cut the makespan into more than
     {!Elk_obs.Timeseries.max_windows} windows. *)
 

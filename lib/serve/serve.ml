@@ -53,7 +53,9 @@ let memo ?(design = B.Elk_full) ?elk_options ?(noc = false) env cfg =
         let plan_s = Unix.gettimeofday () -. t0 in
         let r = Elk_sim.Sim.run ~noc ctx s in
         let links =
-          Option.fold ~none:[] ~some:Elk_sim.Noctrace.link_stats r.Elk_sim.Sim.noc
+          Option.fold ~none:[]
+            ~some:(fun t -> Elk_sim.Noctrace.(stats (index t)))
+            r.Elk_sim.Sim.noc
         in
         let chips = pod.Elk_arch.Arch.chips in
         ( {
@@ -154,11 +156,8 @@ let generate ?(recompile_every = 64) ?(prefill = false) m ~batch ~prompt_ctx ~to
     link_busy;
   }
 
-let serve ?design ?recompile_every ?prefill ?elk_options ?jobs ?noc env cfg ~batch
+let serve ?design ?recompile_every ?prefill ?elk_options ?noc env cfg ~batch
     ~prompt_ctx ~tokens =
-  (* Every phase planned in the run goes through the shared pool; size
-     it once up front so its plans reuse warm domains. *)
-  Option.iter Elk_util.Pool.set_jobs jobs;
   let r =
     generate ?recompile_every ?prefill
       (memo ?design ?elk_options ?noc env cfg)

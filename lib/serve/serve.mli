@@ -85,7 +85,6 @@ val serve :
   ?recompile_every:int ->
   ?prefill:bool ->
   ?elk_options:Elk.Compile.options ->
-  ?jobs:int ->
   ?noc:bool ->
   Elk_dse.Dse.env ->
   Elk_model.Zoo.config ->
@@ -94,9 +93,8 @@ val serve :
   tokens:int ->
   run
 (** One serving run: {!generate} over a fresh {!memo}, every step
-    observed ({!observe_step}).  [jobs] first
-    resizes the shared compilation pool ({!Elk_util.Pool.set_jobs});
-    plans are identical whatever the value. *)
+    observed ({!observe_step}).  Plans are identical whatever the
+    size of the shared compilation pool ({!Elk_util.Pool.set_jobs}). *)
 
 val time_to_first_token : run -> float
 (** [prefill_latency] plus the first decode step's latency. *)

@@ -62,12 +62,9 @@ let of_result ?slo_ttft ?slo_itl ?window ?mem ?noc ~workload ~seed
   let series = Frontend.timeseries ?window ?mem ?noc r in
   (* The time series must tile [0, makespan] edge to edge — a gap means
      a window went missing and every rate in the report is suspect. *)
-  List.iter
-    (fun name ->
-      match Elk_obs.Timeseries.check_tiling series ~horizon:r.makespan name with
-      | Ok () -> ()
-      | Error m -> invalid_arg (Printf.sprintf "Slo.of_result: %s" m))
-    (Elk_obs.Timeseries.names series);
+  Result.iter_error
+    (fun m -> invalid_arg (Printf.sprintf "Slo.of_result: %s" m))
+    (Elk_obs.Timeseries.check_all series ~horizon:r.makespan);
   let useful, padded =
     List.fold_left
       (fun (u, p) (b : Frontend.batch_trace) ->
@@ -109,72 +106,58 @@ let of_result ?slo_ttft ?slo_itl ?window ?mem ?noc ~workload ~seed
 
 (* ---- JSON snapshot ---------------------------------------------------- *)
 
-(* Round to keep snapshots stable under float noise, like the committed
-   bench tables. *)
-let g v = J.number (float_of_string (Printf.sprintf "%.6g" v))
+let g = J.number6
 
-let pct_segments name p =
-  List.map
-    (fun (kind, v) ->
-      Printf.sprintf
-        "{\"name\":%s,\"kind\":%s,\"resource\":\"latency\",\"dur\":%s}"
-        (J.quote name) (J.quote kind) (g v))
-    [ ("p50", p.p50); ("p90", p.p90); ("p99", p.p99); ("mean", p.mean);
-      ("max", p.max) ]
+let pct_fields p =
+  [ ("p50", p.p50); ("p90", p.p90); ("p99", p.p99); ("mean", p.mean); ("max", p.max) ]
 
-let pct_json p =
-  Printf.sprintf "{\"p50\":%s,\"p90\":%s,\"p99\":%s,\"mean\":%s,\"max\":%s}"
-    (g p.p50) (g p.p90) (g p.p99) (g p.mean) (g p.max)
+let pct_json p = J.obj (List.map (fun (k, v) -> J.field k (g v)) (pct_fields p))
 
 let to_json rp =
   let segments =
-    pct_segments "ttft" rp.ttft
-    @ pct_segments "itl" rp.itl
-    @ pct_segments "queue_wait" rp.queue_wait
+    List.concat_map
+      (fun (name, p) ->
+        List.map
+          (fun (kind, dur) -> { Elk_analyze.Tracediff.name; kind; resource = "latency"; dur })
+          (pct_fields p))
+      [ ("ttft", rp.ttft); ("itl", rp.itl); ("queue_wait", rp.queue_wait) ]
   in
   let opt = function None -> "null" | Some v -> g v in
-  String.concat ""
-    [
-      "{";
-      Printf.sprintf "\"workload\":%s,\"seed\":%d," (J.quote rp.workload) rp.seed;
-      Printf.sprintf "\"requests\":%d,\"batches\":%d," rp.n_requests rp.n_batches;
-      (* Tracediff-comparable core: total + segments *)
-      Printf.sprintf "\"total\":%s,\"dominant\":\"ttft_p99\"," (g rp.makespan);
-      Printf.sprintf "\"resource_seconds\":{\"latency\":%s},"
-        (g (rp.ttft.p99 +. rp.itl.p99 +. rp.queue_wait.p99));
-      Printf.sprintf "\"segments\":[%s]," (String.concat "," segments);
-      (* Full SLO payload *)
-      Printf.sprintf "\"ttft\":%s,\"itl\":%s,\"queue_wait\":%s," (pct_json rp.ttft)
-        (pct_json rp.itl)
-        (pct_json rp.queue_wait);
-      Printf.sprintf "\"tokens_per_second\":%s,\"goodput\":%s,"
-        (g rp.tokens_per_second) (g rp.goodput);
-      Printf.sprintf "\"useful_tokens\":%d,\"padded_tokens\":%d,"
-        rp.useful_tokens rp.padded_tokens;
-      Printf.sprintf "\"slo\":{\"ttft\":%s,\"itl\":%s,\"attainment\":%s},"
-        (opt rp.slo_ttft) (opt rp.slo_itl) (opt rp.attainment);
-      Printf.sprintf "\"distinct_shapes\":%d,\"recompilations\":%d,"
-        rp.distinct_shapes rp.recompilations;
-      Printf.sprintf "\"series\":%s"
-        (Elk_obs.Timeseries.to_json rp.series ~horizon:rp.makespan ());
-      "}";
-    ]
+  let int v = string_of_int v in
+  J.obj
+    ([
+       J.field "workload" (J.quote rp.workload);
+       J.field "seed" (int rp.seed);
+       J.field "requests" (int rp.n_requests);
+       J.field "batches" (int rp.n_batches);
+     ]
+    @ Elk_analyze.Tracediff.core_fields ~total:rp.makespan ~dominant:"ttft_p99"
+        ~resources:[ ("latency", rp.ttft.p99 +. rp.itl.p99 +. rp.queue_wait.p99) ]
+        ~segments
+    @ [
+        (* Full SLO payload *)
+        J.field "ttft" (pct_json rp.ttft);
+        J.field "itl" (pct_json rp.itl);
+        J.field "queue_wait" (pct_json rp.queue_wait);
+        J.field "tokens_per_second" (g rp.tokens_per_second);
+        J.field "goodput" (g rp.goodput);
+        J.field "useful_tokens" (int rp.useful_tokens);
+        J.field "padded_tokens" (int rp.padded_tokens);
+        J.field "slo"
+          (J.obj
+             [
+               J.field "ttft" (opt rp.slo_ttft);
+               J.field "itl" (opt rp.slo_itl);
+               J.field "attainment" (opt rp.attainment);
+             ]);
+        J.field "distinct_shapes" (int rp.distinct_shapes);
+        J.field "recompilations" (int rp.recompilations);
+        J.field "series" (Elk_obs.Timeseries.to_json rp.series ~horizon:rp.makespan ());
+      ])
 
 (* ---- human-readable report ------------------------------------------- *)
 
 let ms v = Printf.sprintf "%.2f ms" (1e3 *. v)
-
-let sparkline values =
-  let glyphs = [| " "; "_"; "."; ":"; "-"; "="; "+"; "*"; "#" |] in
-  let hi = List.fold_left Float.max 0. values in
-  if hi <= 0. then String.concat "" (List.map (fun _ -> glyphs.(0)) values)
-  else
-    String.concat ""
-      (List.map
-         (fun v ->
-           let i = int_of_float (Float.round (v /. hi *. 8.)) in
-           glyphs.(max 0 (min 8 i)))
-         values)
 
 let print rp =
   Printf.printf "serving SLO report: %s workload, seed %d\n" rp.workload rp.seed;
@@ -207,5 +190,5 @@ let print rp =
       (List.length points)
       (float_of_string
          (Printf.sprintf "%.3g" (Elk_obs.Timeseries.window rp.series)))
-      (sparkline vals)
+      (Elk_util.Table.sparkline vals)
   end

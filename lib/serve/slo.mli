@@ -55,14 +55,15 @@ val of_result :
     {!Frontend.timeseries} (SRAM high-water and busiest-link gauges,
     both default off).
     Validates that every time series tiles [[0, makespan]] edge to edge
-    ({!Elk_obs.Timeseries.check_tiling}) and raises [Invalid_argument]
+    ({!Elk_obs.Timeseries.check_all}) and raises [Invalid_argument]
     if any window is missing, or if [window] would cut the makespan into
     more than {!Elk_obs.Timeseries.max_windows} windows. *)
 
 val to_json : report -> string
-(** Snapshot with a Tracediff-comparable core ([total] = makespan,
-    latency percentiles as [segments]) plus the full SLO payload and the
-    exported time series.  Deterministic for a given seed. *)
+(** Snapshot with the core {!Elk_analyze.Tracediff.core_fields} writes
+    ([total] = makespan, latency percentiles as [segments]) plus the
+    full SLO payload and the exported time series, numbers rounded by
+    {!Elk_obs.Jsonx.number6}.  Deterministic for a given seed. *)
 
 val print : report -> unit
 (** Human-readable report: headline rates, latency table, SLO

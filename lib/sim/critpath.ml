@@ -186,10 +186,6 @@ let extract events =
   { total; events; crit_ids = !crit; segments; slack; op_slack; op_crit;
     resource_seconds }
 
-let rel_err a b =
-  let scale = Float.max (Float.abs a) (Float.abs b) in
-  if scale <= 0. then 0. else Float.abs (a -. b) /. scale
-
 let check events ~total =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let n = Array.length events in
@@ -226,10 +222,10 @@ let check events ~total =
     | None ->
         let s = extract events in
         let path_len = List.fold_left (fun a seg -> a +. seg.s_dur) 0. s.segments in
-        if rel_err path_len total > 1e-6 then
+        if Elk_util.Stats.rel_err path_len total > 1e-6 then
           err "critical-path length %.9g != makespan %.9g (rel %.3g)" path_len total
-            (rel_err path_len total)
-        else if rel_err s.total total > 1e-6 then
+            (Elk_util.Stats.rel_err path_len total)
+        else if Elk_util.Stats.rel_err s.total total > 1e-6 then
           err "terminal event ends at %.9g, makespan is %.9g" s.total total
         else begin
           let neg = Array.exists (fun v -> v < -1e-9) s.slack in
@@ -348,9 +344,7 @@ let print ?top ?top_segments graph s =
 
 let to_json graph s =
   let open Elk_obs in
-  let obj fields = "{" ^ String.concat "," fields ^ "}" in
-  let arr items = "[" ^ String.concat "," items ^ "]" in
-  let field k v = Jsonx.quote k ^ ":" ^ v in
+  let open Jsonx in
   obj
     [
       field "total" (Jsonx.number s.total);

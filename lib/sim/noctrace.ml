@@ -275,13 +275,6 @@ let stat_rows t s =
   done;
   !rows
 
-let link_stats t =
-  let s = sums t and c = cursor () in
-  while next t c do
-    add_booking s c
-  done;
-  stat_rows t s
-
 (* Transfer sums run newest first: the committed snapshots hold the
    floats that order gives. *)
 let class_bytes t ~cls =

@@ -92,7 +92,7 @@ val record_path :
 val bookings : t -> booking array
 (** Emission order (simulation order). *)
 
-(** Per-link aggregate over all bookings. *)
+(** Per-link aggregate over all bookings; {!stats} gives them. *)
 type link_stat = {
   ls_link : Elk_noc.Noc.link;
   ls_bandwidth : float;  (** raw link capacity, B/s. *)
@@ -103,10 +103,6 @@ type link_stat = {
   ls_busy : float;  (** summed reservation time across both classes. *)
   ls_bookings : int;
 }
-
-val link_stats : t -> link_stat list
-(** Every touched link in the canonical {!Elk_noc.Noc.compare_link}
-    order. *)
 
 val class_bytes : t -> cls:cls -> float
 (** Transfer bytes of one class, counted once per transfer. *)
@@ -133,8 +129,9 @@ val index : t -> index
     booking. *)
 
 val stats : index -> link_stat list
-(** {!link_stats} of the indexed record, summed in the same recording
-    order, so every float is the same. *)
+(** Every touched link of the indexed record in the canonical
+    {!Elk_noc.Noc.compare_link} order, its sums taken in recording
+    order. *)
 
 val busy_intervals : index -> link:int -> (float * float) list * (float * float) list
 (** One link's busy intervals, by {!Elk_noc.Noc.link_id}, chronological

@@ -43,26 +43,22 @@ let imbalance t =
     if mean <= 0. then 0. else !mx /. mean
   end
 
-let rel_err a b =
-  let scale = Float.max (Float.abs a) (Float.abs b) in
-  if scale <= 0. then 0. else Float.abs (a -. b) /. scale
-
 let check t ~total =
   let bad_core = ref None in
   Array.iteri
     (fun c b ->
-      if !bad_core = None && rel_err (bucket_sum b) total > 1e-6 then
+      if !bad_core = None && Elk_util.Stats.rel_err (bucket_sum b) total > 1e-6 then
         bad_core := Some (c, bucket_sum b))
     t.per_core;
   match !bad_core with
   | Some (c, s) ->
       Error
         (Printf.sprintf "core %d: bucket sum %.9g != makespan %.9g (rel %.3g)" c s
-           total (rel_err s total))
+           total (Elk_util.Stats.rel_err s total))
   | None ->
       let op_sum = Array.fold_left (fun a o -> a +. attrib_sum o) 0. t.per_op in
-      if rel_err op_sum total > 1e-6 then
+      if Elk_util.Stats.rel_err op_sum total > 1e-6 then
         Error
           (Printf.sprintf "per-op attribution sum %.9g != makespan %.9g (rel %.3g)"
-             op_sum total (rel_err op_sum total))
+             op_sum total (Elk_util.Stats.rel_err op_sum total))
       else Ok ()

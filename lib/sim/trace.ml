@@ -78,15 +78,3 @@ let chrome_meta =
     Elk_obs.Chrome.thread_name ~pid:1 ~tid:1 "HBM preload";
     Elk_obs.Chrome.thread_name ~pid:1 ~tid:2 "on-chip execute";
   ]
-
-let to_chrome_json graph r =
-  Elk_obs.Chrome.wrap (chrome_meta @ chrome_events graph r)
-
-let write_chrome_json ~path graph r =
-  Elk_obs.Chrome.write ~path (chrome_meta @ chrome_events graph r)
-
-let event_count (r : Sim.result) =
-  Array.fold_left
-    (fun a (o : Sim.op_trace) ->
-      a + (if o.Sim.pre_end > o.Sim.pre_start then 1 else 0) + List.length (phases o))
-    0 r.Sim.per_op

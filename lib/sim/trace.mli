@@ -9,9 +9,12 @@
     paper's Fig 18(a) breakdown. *)
 
 val chrome_events : Elk_model.Graph.t -> Sim.result -> string list
-(** The rendered trace-event objects alone (no enclosing document) — for
-    merging with other producers, e.g. {!Elk_obs.Span.chrome_events}, into
-    one timeline via {!Elk_obs.Chrome.write}. *)
+(** The rendered trace-event objects alone (no enclosing document): one
+    per preload with nonzero duration and one per nonzero
+    distribute/compute/exchange phase — for merging with other
+    producers, e.g. {!Elk_obs.Span.chrome_events}, into one timeline
+    via {!Elk_obs.Chrome.write}.  The CLI's [--trace-out] writes them
+    after {!chrome_meta}. *)
 
 val flow_events : Critpath.summary -> string list
 (** Perfetto flow ("s"/"f") event pairs — one arrow per causal edge of
@@ -23,13 +26,3 @@ val flow_events : Critpath.summary -> string list
 val chrome_meta : string list
 (** thread_name metadata events labelling tracks 1 (HBM preload) and 2
     (on-chip execute). *)
-
-val to_chrome_json : Elk_model.Graph.t -> Sim.result -> string
-(** Serialize; timestamps in microseconds as the format requires. *)
-
-val write_chrome_json : path:string -> Elk_model.Graph.t -> Sim.result -> unit
-(** {!to_chrome_json} to a file. *)
-
-val event_count : Sim.result -> int
-(** Number of trace events that will be emitted (preloads with nonzero
-    duration + three phases per executed operator). *)

@@ -112,3 +112,7 @@ let predict coeffs features =
     acc := !acc +. (coeffs.(i) *. features.(i))
   done;
   !acc
+
+let rel_err a b =
+  let scale = Float.max (Float.abs a) (Float.abs b) in
+  if scale <= 0. then 0. else Float.abs (a -. b) /. scale

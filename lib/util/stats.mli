@@ -33,3 +33,6 @@ val ols : (float array * float) list -> float array
 
 val predict : float array -> float array -> float
 (** [predict coeffs features] applies a coefficient vector from {!ols}. *)
+
+val rel_err : float -> float -> float
+(** [|a - b|] relative to the larger magnitude; 0 when both are 0. *)

@@ -39,3 +39,13 @@ let render t =
 let print t =
   print_string (render t);
   print_newline ()
+
+let glyphs = [| " "; "_"; "."; ":"; "-"; "="; "+"; "*"; "#" |]
+
+let glyph ~hi v =
+  if hi <= 0. then glyphs.(0)
+  else glyphs.(max 0 (min 8 (int_of_float (Float.round (v /. hi *. 8.)))))
+
+let sparkline values =
+  let hi = List.fold_left Float.max 0. values in
+  String.concat "" (List.map (glyph ~hi) values)

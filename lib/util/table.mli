@@ -1,4 +1,5 @@
-(** Plain-text table rendering for the benchmark harness.
+(** Plain-text table rendering for the benchmark harness and the CLI's
+    reports, and the one sparkline the views draw.
 
     Every experiment in [bench/main.ml] prints its rows through this module
     so that the regenerated tables and figure series share one layout. *)
@@ -24,3 +25,10 @@ val render : t -> string
 
 val print : t -> unit
 (** [print t] writes [render t] to stdout followed by a blank line. *)
+
+val glyph : hi:float -> float -> string
+(** One of nine intensity glyphs, [" "] to ["#"], for a value on the
+    scale [[0, hi]]; [" "] when [hi <= 0]. *)
+
+val sparkline : float list -> string
+(** One {!glyph} per value, scaled to the largest value (at least 0). *)

@@ -147,8 +147,8 @@ let all =
     (* The race/deadlock families are the lint layer: whole-plan
        soundness analyses over the happens-before DAG, the address
        layout, and the NoC routes.  Opt-in (excluded from the default
-       verify selection and from the compile-time hook unless ELK_LINT
-       is set): on compiler output they prove the absence of hazards
+       verify selection and from the compile-time hook): on compiler
+       output they prove the absence of hazards
        rather than find them — the findings come from mutated,
        hand-written, or future fused plans. *)
     {

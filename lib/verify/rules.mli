@@ -16,9 +16,8 @@
 
     The [race]/[deadlock] families are {e opt-in}: excluded from the
     default selection (so [elk verify] and the compile-time hook keep
-    their historical rule set) and enabled by {!lint_selection}, by
-    naming them in a selection spec, or by the [ELK_LINT] environment
-    variable for the compile-time hook. *)
+    their historical rule set) and enabled by {!lint_selection} or by
+    naming them in a selection spec. *)
 
 type family = Memory | Dependency | Numeric | Bandwidth | Race | Deadlock
 

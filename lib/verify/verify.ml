@@ -478,12 +478,7 @@ let run ?(rules = Rules.default_selection) ?(promote = Rules.no_promotion)
   { model = G.name graph; n_ops = n; rules_checked = Rules.enabled_ids rules; diags }
 
 let check ctx sched prog =
-  let rules =
-    (* ELK_LINT arms the opt-in race/deadlock families at compile time. *)
-    if Sys.getenv_opt "ELK_LINT" <> None then Rules.lint_selection
-    else Rules.default_selection
-  in
-  let r = run ~rules ~program:prog ctx sched in
+  let r = run ~program:prog ctx sched in
   List.iter
     (fun d ->
       if d.Diag.severity = Diag.Warning then

@@ -28,8 +28,8 @@
       {!Elk_noc} routes ({!Deadlock}).
 
     The opt-in families run under {!Rules.lint_selection} (the [elk
-    lint] subcommand), when named explicitly in a rule spec, or at
-    compile time when the [ELK_LINT] environment variable is set.
+    lint] subcommand) or when named explicitly in a rule spec; the
+    compile-time hook never runs them.
 
     Diagnostics cite rules from {!Rules.all}; severities follow the
     registry.  Every diagnostic increments [elk_verify_diags_total] and a
@@ -77,8 +77,7 @@ val check :
   Elk.Program.t ->
   (unit, string) result
 (** The {!Elk.Compile.verifier}: runs {!run} with every non-opt-in rule
-    enabled ({!Rules.lint_selection} instead when the [ELK_LINT]
-    environment variable is set), logs warnings via {!Elk_obs.Logger},
+    enabled, logs warnings via {!Elk_obs.Logger},
     and returns [Error] summarizing the error-severity diagnostics (if
     any). *)
 

@@ -162,6 +162,116 @@ let test_recording_is_inert () =
         (json (Sim.run ~events:true ~mem:true ~noc:true ctx s)))
     [ ("a2a", Tu.default_ctx, Tu.tiny_schedule); ("mesh", Tu.mesh_ctx, Tu.mesh_schedule) ]
 
+(* ---- the snapshot core ---------------------------------------------- *)
+
+module Td = Elk_analyze.Tracediff
+module J = Elk_obs.Jsonx
+
+let round6 v = float_of_string (Printf.sprintf "%.6g" v)
+
+(* The layout the memory, interconnect and SLO snapshots wrote by hand
+   before [Tracediff.core_fields] (each with its resource name as a
+   literal): the reference the one writer must keep byte for byte. *)
+let printf_core ~total ~dominant ~resources ~segments =
+  let g v = J.number (round6 v) in
+  let seg (s : Td.segment) =
+    Printf.sprintf "{\"name\":%s,\"kind\":%s,\"resource\":%s,\"dur\":%s}"
+      (J.quote s.name) (J.quote s.kind) (J.quote s.resource) (g s.dur)
+  in
+  String.concat ""
+    [
+      Printf.sprintf "\"total\":%s,\"dominant\":%s," (g total) (J.quote dominant);
+      Printf.sprintf "\"resource_seconds\":{%s},"
+        (String.concat ","
+           (List.map (fun (k, v) -> Printf.sprintf "%s:%s" (J.quote k) (g v)) resources));
+      Printf.sprintf "\"segments\":[%s]" (String.concat "," (List.map seg segments));
+    ]
+
+(* Random cores: names with quotes, backslashes, control characters and
+   non-ASCII bytes (no '/', the reader's key separator), drawn from small
+   pools so segment keys repeat; numbers that sit on the 6th digit's
+   rounding edge, tiny, huge, integral and negative.  [core_fields] must
+   equal the reference layout, and [Tracediff.diff] of a document
+   carrying it against itself must read back the rounded numbers, give
+   zero deltas, and aggregate the segments by (name, kind, resource) in
+   first-seen order. *)
+let qcheck_core_fields =
+  let open QCheck2.Gen in
+  let name =
+    string_size (int_range 0 5)
+      ~gen:(oneofl [ 'a'; 'Z'; '0'; ' '; '"'; '\\'; '\n'; '\t'; '\001'; '\031'; '\127'; '\200' ])
+  in
+  let num =
+    oneof
+      [
+        float_range (-1e3) 1e3;
+        map (fun (m, e) -> m *. (10. ** float_of_int e)) (pair (float_range 1. 10.) (int_range (-300) 300));
+        oneofl
+          [ 0.; 1.2345649999; 1.2345650001; 999999.5; 9999995.; 123456.5; 1e15; 1e-300; 5e-7 ];
+        map float_of_int (int_range (-1_000_000) 1_000_000);
+      ]
+  in
+  let core =
+    let* pool = list_size (int_range 1 3) name in
+    let* total = num and* dominant = name in
+    let* resources = list_size (int_range 0 3) (pair name num) in
+    let* segments =
+      list_size (int_range 0 8)
+        (map
+           (fun (((name, kind), resource), dur) -> { Td.name; kind; resource; dur })
+           (pair (pair (pair (oneofl pool) (oneofl pool)) (oneofl pool)) num))
+    in
+    (* Resource keys are unique in every snapshot the views write. *)
+    let resources =
+      List.fold_left
+        (fun acc (k, v) -> if List.mem_assoc k acc then acc else acc @ [ (k, v) ])
+        [] resources
+    in
+    pure (total, dominant, resources, segments)
+  in
+  let print (total, dominant, resources, segments) =
+    Printf.sprintf "total %h, dominant %S, resources [%s], segments [%s]" total dominant
+      (String.concat "; " (List.map (fun (k, v) -> Printf.sprintf "%S %h" k v) resources))
+      (String.concat "; "
+         (List.map
+            (fun (s : Td.segment) -> Printf.sprintf "%S/%S/%S %h" s.name s.kind s.resource s.dur)
+            segments))
+  in
+  QCheck_alcotest.to_alcotest
+  @@ QCheck2.Test.make ~count:300 ~print
+       ~name:"tracediff: the core writer keeps the hand-written layout" core
+       (fun (total, dominant, resources, segments) ->
+         let fail fmt = QCheck2.Test.fail_reportf fmt in
+         let fields = Td.core_fields ~total ~dominant ~resources ~segments in
+         if String.concat "," fields <> printf_core ~total ~dominant ~resources ~segments
+         then fail "core_fields differs from the reference layout";
+         let doc =
+           J.obj
+             ((J.field "model" (J.quote "m") :: fields) @ [ J.field "series" (J.obj []) ])
+         in
+         match Td.diff ~old_json:doc ~new_json:doc with
+         | Error m -> fail "diff of a core against itself failed: %s" m
+         | Ok d ->
+             let key (s : Td.segment) = Printf.sprintf "%s/%s/%s" s.name s.kind s.resource in
+             let want =
+               List.fold_left
+                 (fun acc s ->
+                   let k = key s and v = round6 s.Td.dur in
+                   match List.assoc_opt k acc with
+                   | Some cur -> List.map (fun (k', c) -> (k', if k' = k then cur +. v else c)) acc
+                   | None -> acc @ [ (k, v) ])
+                 [] segments
+             in
+             let read entries = List.map (fun e -> (e.Td.key, e.Td.v_old)) entries in
+             if d.Td.total_old <> round6 total then fail "total %h read back as %h" total d.Td.total_old;
+             if d.Td.dominant_old <> dominant then fail "dominant read back as %S" d.Td.dominant_old;
+             if read d.Td.resources <> List.map (fun (k, v) -> (k, round6 v)) resources then
+               fail "resources read back differently";
+             if read d.Td.segments <> want then fail "segments not aggregated in first-seen order";
+             List.for_all (fun e -> Td.delta e = 0.) (d.Td.resources @ d.Td.segments)
+             && d.Td.total_new -. d.Td.total_old = 0.
+             && not (Td.regressed ~threshold:0. d))
+
 let suite =
   [
     ("classify: synthetic dominant buckets", `Quick, test_classify_synthetic);
@@ -171,4 +281,5 @@ let suite =
     ("degenerate single-op model stays finite", `Quick, test_degenerate_single_op);
     ("slack-aware headroom cross-check", `Quick, test_slack_headroom);
     ("recorders leave the report byte-identical", `Quick, test_recording_is_inert);
+    qcheck_core_fields;
   ]

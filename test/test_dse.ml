@@ -72,6 +72,20 @@ let test_gpu_env_contends () =
   let l e = (Dse.evaluate ~elk_options:Elk.Compile.dyn_options e g B.Elk_dyn).Dse.latency in
   Alcotest.(check bool) "gpu slower" true (l gpu > l a2a)
 
+(* Elk-Full's simulator-chosen plan is an emitted plan: it must pass the
+   compiler's verifier gate like every compiled one. *)
+let test_elk_full_gated () =
+  let e = Dse.env () in
+  let gate = Elk.Compile.verifier () in
+  Elk.Compile.set_verifier (Some (fun _ _ _ -> Error "rejects every plan"));
+  Fun.protect
+    ~finally:(fun () -> Elk.Compile.set_verifier gate)
+    (fun () ->
+      match Dse.evaluate e (model ()) B.Elk_full with
+      | _ -> Alcotest.fail "an Elk-Full plan the verifier rejects was evaluated"
+      | exception Elk.Compile.Rejected m ->
+          Alcotest.(check string) "the verifier's message" "rejects every plan" m)
+
 let suite =
   [
     ("dse: mesh env", `Quick, test_env_topology);
@@ -83,4 +97,5 @@ let suite =
     ("dse: elk-full sim-selected", `Slow, test_elk_full_sim_selected);
     ("dse: flops scaling on prefill", `Slow, test_flops_scale_helps_prefill);
     ("dse: gpu fabric contends", `Slow, test_gpu_env_contends);
+    ("dse: elk-full plan passes the verifier gate", `Slow, test_elk_full_gated);
   ]

@@ -77,12 +77,13 @@ let test_fused_graph_compiles () =
 
 
 let test_compile_fuse_option () =
-  (* The §8 fusion pass is exposed as a compile option and shrinks the
-     scheduled graph. *)
+  (* The §8 fusion pass runs before compiling, as [bench compat] runs it,
+     and shrinks the scheduled graph. *)
   let g = graph () in
   let pod = Lazy.force Tu.default_pod and ctx = Lazy.force Tu.default_ctx in
-  let opts = { Elk.Compile.dyn_options with Elk.Compile.fuse = true } in
-  let c = Elk.Compile.compile ~options:opts ctx ~pod g in
+  let c =
+    Elk.Compile.compile ~options:Elk.Compile.dyn_options ctx ~pod (Elk.Fusion.fuse g)
+  in
   Alcotest.(check bool) "fewer scheduled ops" true
     (Graph.length c.Elk.Compile.chip_graph < Graph.length g);
   Alcotest.(check bool) "compiles" true (Elk.Compile.latency c > 0.)

@@ -241,7 +241,7 @@ let test_cluster_l2_serializes () =
 
 (* Ids are dense over 0..n-1, [link_of_id] inverts [link_id], and id
    order is compare_link order for every pair — which keeps Load.fold,
-   Noctrace.link_stats and the Nocprof rows in canonical order.  Every id
+   Noctrace.stats and the Nocprof rows in canonical order.  Every id
    lies on some route, and every route's links have ids. *)
 let check_link_ids t =
   let n = Noc.num_links t in

@@ -121,7 +121,7 @@ let test_hop_histogram_partitions () =
    bookings. *)
 let test_link_stats_consistent () =
   let t = Option.get (Lazy.force mresult).Elk_sim.Sim.noc in
-  let stats = Nt.link_stats t in
+  let stats = Nt.stats (Nt.index t) in
   let rec sorted = function
     | a :: (b :: _ as rest) ->
         N.compare_link a.Nt.ls_link b.Nt.ls_link < 0 && sorted rest
@@ -164,7 +164,7 @@ let test_busy_intervals_sane () =
       in
       check_ivs "preload" pre;
       check_ivs "exec" ex)
-    (Nt.link_stats t)
+    (Nt.stats ix)
 
 (* Mesh topologies render a heatmap; all-to-all has no 2D layout. *)
 let test_heatmap () =
@@ -323,9 +323,8 @@ type rec_ =
    recording order; the index's groups must be those bookings grouped by
    link and class group and stably sorted by start; each link's union
    must equal [union_intervals] over its groups; the overlap query must
-   equal the pairwise walk at every slack; and the index's stats and
-   [link_stats] must equal sums over the recorded bookings, float bit
-   for float bit. *)
+   equal the pairwise walk at every slack; and the index's stats must
+   equal sums over the recorded bookings, float bit for float bit. *)
 let qcheck_index_matches_reference =
   let open QCheck2.Gen in
   let cls = oneofl [ Nt.Preload; Nt.Distribute; Nt.Exchange ] in
@@ -442,7 +441,6 @@ let qcheck_index_matches_reference =
         then fail "%s: link %d differs from the recorded sums" what l)
       stats want_stats
   in
-  same_stats "link_stats" (Nt.link_stats nt);
   same_stats "index stats" (Nt.stats ix);
   (* groups, unions and the pairwise overlap walk, link by link *)
   let u = Nt.unions ix in

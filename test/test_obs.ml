@@ -182,22 +182,32 @@ let test_disabled_noop () =
     (Obs.Metrics.percentile "nh" 50.);
   Obs.Control.enable ()
 
-(* Trace.event_count must agree with the events actually serialized. *)
+(* Trace.chrome_events emits one complete event per nonzero preload and
+   per nonzero execute phase, and each is serialized as one X event. *)
 let test_trace_event_count () =
   let r = Elk_sim.Sim.run (Lazy.force Tu.default_ctx) (Lazy.force Tu.tiny_schedule) in
   let graph = (Lazy.force Tu.tiny_schedule).Elk.Schedule.graph in
-  let json = Elk_sim.Trace.to_chrome_json graph r in
+  let events = Elk_sim.Trace.chrome_events graph r in
+  let json = Obs.Chrome.wrap (Elk_sim.Trace.chrome_meta @ events) in
   let needle = "\"ph\":\"X\"" in
   let n = String.length needle in
   let occurrences = ref 0 in
   for i = 0 to String.length json - n do
     if String.sub json i n = needle then incr occurrences
   done;
-  Alcotest.(check int) "event_count matches serialized X events"
-    (Elk_sim.Trace.event_count r) !occurrences;
-  Alcotest.(check int) "chrome_events length"
-    (Elk_sim.Trace.event_count r)
-    (List.length (Elk_sim.Trace.chrome_events graph r))
+  let expected =
+    Array.fold_left
+      (fun a (o : Elk_sim.Sim.op_trace) ->
+        let nonzero d = if d > 0. then 1 else 0 in
+        a
+        + nonzero (o.pre_end -. o.pre_start)
+        + nonzero (o.dist_end -. o.exe_start)
+        + nonzero (o.compute_end -. o.dist_end)
+        + nonzero (o.exe_end -. o.compute_end))
+      0 r.Elk_sim.Sim.per_op
+  in
+  Alcotest.(check int) "chrome_events length" expected (List.length events);
+  Alcotest.(check int) "one serialized X event each" expected !occurrences
 
 let test_logger_levels () =
   let saved = Obs.Logger.level () in

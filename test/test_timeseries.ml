@@ -476,6 +476,33 @@ let qcheck_matches_reference =
       T.to_json ts ?horizon () = Ref.to_json w ?horizon series
       || fail "to_json differs from the reference"
 
+(* [check_all] answers for the first series in registration order that
+   fails to tile (here: events too far past the horizon), not the first
+   by name; [counter_tracks] is every series' counter track, in
+   registration order. *)
+let test_check_all_and_counter_tracks () =
+  let ts = T.create ~window:1.0 () in
+  T.set ts "z" ~time:0. 1.;
+  T.add ts "c" ~time:2e6 1.;
+  T.add ts "b" ~time:1e6 1.;
+  T.observe ts "a" ~time:3. 2.;
+  (match T.check_all ts ~horizon:10. with
+  | Ok () -> Alcotest.fail "series c cannot tile [0, 10] in 1 s windows"
+  | Error m ->
+      Alcotest.(check (result unit string)) "the first failing series" (T.check_tiling ts ~horizon:10. "c")
+        (Error m));
+  let ok = T.create ~window:1.0 () in
+  T.set ok "z" ~time:4. 1.;
+  T.add ok "a" ~time:9.5 3.;
+  Alcotest.(check (result unit string)) "all tile" (Ok ()) (T.check_all ok ~horizon:10.);
+  let tracks = T.counter_tracks ok ~horizon:10. ~pid:3 () in
+  Alcotest.(check (list string)) "registration order"
+    (T.chrome_counter_events ok ~horizon:10. ~pid:3 "z"
+    @ T.chrome_counter_events ok ~horizon:10. ~pid:3 "a")
+    tracks;
+  Alcotest.(check int) "one event per gauge change and per counter window" (1 + 10)
+    (List.length tracks)
+
 let suite =
   [
     Alcotest.test_case "edge sample opens next window" `Quick
@@ -496,5 +523,7 @@ let suite =
     Alcotest.test_case "counter export of empty series" `Quick
       test_chrome_counter_events_empty_series;
     Alcotest.test_case "window cap" `Quick test_window_cap;
+    Alcotest.test_case "check_all and counter_tracks follow registration order" `Quick
+      test_check_all_and_counter_tracks;
     qcheck_matches_reference;
   ]
