@@ -185,9 +185,9 @@ let fig5 () =
 (* Figs 6-8: traffic demand over time                                 *)
 (* ------------------------------------------------------------------ *)
 
-let static_sim ~budget_frac ~use_max_popt =
+let static_sim graph ~budget_frac ~use_max_popt =
   let env = Lazy.force default_env in
-  let g = Elk.Sharding.shard_graph ~chips:4 (decode llama13b ~batch:32) in
+  let g = Elk.Sharding.shard_graph ~chips:4 graph in
   let capacity = Elk_arch.Arch.usable_sram_per_core env.D.pod.Elk_arch.Arch.chip in
   match
     B.static_schedule env.D.ctx g ~preload_budget:(budget_frac *. capacity) ~use_max_popt
@@ -220,7 +220,7 @@ let fig6 () =
   in
   List.iter
     (fun frac ->
-      match static_sim ~budget_frac:frac ~use_max_popt:true with
+      match static_sim (decode llama13b ~batch:32) ~budget_frac:frac ~use_max_popt:true with
       | None -> ()
       | Some (_, r) ->
           (* The paper plots the minimum bandwidth needed to avoid stalls:
@@ -250,15 +250,18 @@ let fig6 () =
 (* Figs 7-8 plot one of the simulator's derived series (Sim.series) per
    core: the inter-core phases alone, then with preload injection.  The
    two rows differ only where an operator's plan has more than one
-   preload option, so the count of such operators is printed under the
-   table. *)
+   preload option, so the count of such operators, and each row's
+   distribution-phase bytes (what a larger preload state should cut),
+   are printed under the table.  Prefill: every Static plan of the
+   decode graph has a single preload option, so its rows are identical. *)
 let noc_fig ~title pick =
   let cores = float_of_int (Lazy.force default_env).D.pod.Elk_arch.Arch.chip.Elk_arch.Arch.cores in
   let t = Table.create ~title ~columns:(bin_headers ()) in
+  let g = Zoo.build llama13b (Zoo.Prefill { batch = 1; seq = ctx_len }) in
   let runs =
     List.filter_map
       (fun (label, use_max_popt) ->
-        Option.map (fun run -> (label, run)) (static_sim ~budget_frac:0.4 ~use_max_popt))
+        Option.map (fun run -> (label, run)) (static_sim g ~budget_frac:0.4 ~use_max_popt))
       [ ("MinPreload", false); ("MaxPreload", true) ]
   in
   List.iter
@@ -267,22 +270,32 @@ let noc_fig ~title pick =
     runs;
   Table.print t;
   match runs with
-  | [ (_, (lo, _)); (_, (hi, _)) ] ->
+  | [ (_, (lo, lr)); (_, (hi, hr)) ] ->
       let differ = ref 0 in
       Array.iteri
         (fun i (e : Elk.Schedule.op_entry) ->
           if e.Elk.Schedule.popt <> hi.Elk.Schedule.entries.(i).Elk.Schedule.popt then incr differ)
         lo.Elk.Schedule.entries;
       Printf.printf "MinPreload and MaxPreload preload options differ on %d of %d ops\n" !differ
-        (Array.length lo.Elk.Schedule.entries)
+        (Array.length lo.Elk.Schedule.entries);
+      let dist (r : Elk_sim.Sim.result) =
+        Array.fold_left
+          (fun acc (o : Elk_sim.Sim.op_trace) -> acc +. o.Elk_sim.Sim.dist_bytes)
+          0. r.Elk_sim.Sim.per_op
+      in
+      Format.printf "distribution-phase bytes: MinPreload %a, MaxPreload %a@." Units.pp_bytes
+        (dist lr) Units.pp_bytes (dist hr)
   | _ -> ()
 
 let fig7 () =
-  noc_fig ~title:"Fig 7: per-core inter-core bandwidth demand over time (GB/s)"
+  noc_fig
+    ~title:"Fig 7: per-core inter-core bandwidth demand over time (GB/s), Llama2-13B prefill"
     (fun s -> s.Elk_sim.Sim.intercore)
 
 let fig8 () =
-  noc_fig ~title:"Fig 8: total per-core interconnect bandwidth demand over time (GB/s)"
+  noc_fig
+    ~title:
+      "Fig 8: total per-core interconnect bandwidth demand over time (GB/s), Llama2-13B prefill"
     (fun s -> s.Elk_sim.Sim.noc)
 
 (* ------------------------------------------------------------------ *)

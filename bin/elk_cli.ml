@@ -30,17 +30,34 @@ let model_conv =
 let model_t =
   Arg.(value & opt model_conv Elk_model.Zoo.llama2_13b & info [ "m"; "model" ] ~doc:"Model name.")
 
-let batch_t = Arg.(value & opt int 32 & info [ "b"; "batch" ] ~doc:"Batch size.")
-let ctx_t = Arg.(value & opt int 0 & info [ "ctx" ] ~doc:"KV context length (0 = 2048/scale).")
+(* An integer of at least [lo]; anything else is cmdliner's usage error
+   naming the option (exit 124). *)
+let int_conv ~lo ~expected =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_conv = int_conv ~lo:1 ~expected:"a positive integer"
+
+let batch_t = Arg.(value & opt positive_conv 32 & info [ "b"; "batch" ] ~doc:"Batch size.")
+
+let ctx_t =
+  Arg.(
+    value
+    & opt (int_conv ~lo:0 ~expected:"a nonnegative integer") 0
+    & info [ "ctx" ] ~doc:"KV context length (0 = 2048/scale).")
 
 let scale_t =
-  Arg.(value & opt int 8 & info [ "scale" ] ~doc:"Width scale divisor (1 = full size).")
+  Arg.(value & opt positive_conv 8 & info [ "scale" ] ~doc:"Width scale divisor (1 = full size).")
 
 let layer_factor_t =
-  Arg.(value & opt int 10 & info [ "layer-factor" ] ~doc:"Layer count divisor.")
+  Arg.(value & opt positive_conv 10 & info [ "layer-factor" ] ~doc:"Layer count divisor.")
 
-let chips_t = Arg.(value & opt int 4 & info [ "chips" ] ~doc:"Chips in the pod.")
-let cores_t = Arg.(value & opt int 64 & info [ "cores" ] ~doc:"Cores per chip.")
+let chips_t = Arg.(value & opt positive_conv 4 & info [ "chips" ] ~doc:"Chips in the pod.")
+let cores_t = Arg.(value & opt positive_conv 64 & info [ "cores" ] ~doc:"Cores per chip.")
 
 let topo_t =
   Arg.(
@@ -69,7 +86,7 @@ let scale_cfg cfg ~scale ~layer_factor =
    enabling collection and only when it needs one. *)
 let graph_t =
   let make cfg scale layer_factor batch ctx prefill () =
-    let ctx = if ctx > 0 then ctx else max 32 (2048 / max 1 scale) in
+    let ctx = if ctx > 0 then ctx else max 32 (2048 / scale) in
     let phase =
       if prefill then Elk_model.Zoo.Prefill { batch; seq = ctx }
       else Elk_model.Zoo.Decode { batch; ctx }

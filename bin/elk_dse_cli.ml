@@ -31,7 +31,16 @@ let topo_t =
     & opt (enum [ ("a2a", `All_to_all); ("mesh", `Mesh); ("gpu", `Gpu) ]) `All_to_all
     & info [ "topology" ] ~doc:"Interconnect topology: a2a, mesh or gpu (clustered).")
 
-let batch_t = Arg.(value & opt int 32 & info [ "b"; "batch" ] ~doc:"Batch size.")
+(* A batch size: a positive integer, else cmdliner's usage error (exit 124). *)
+let positive_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let batch_t = Arg.(value & opt positive_conv 32 & info [ "b"; "batch" ] ~doc:"Batch size.")
 
 let jobs_t =
   Arg.(

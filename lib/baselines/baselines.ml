@@ -169,17 +169,11 @@ let run_ideal ctx ~pod chip_graph =
        else 0.);
   }
 
-(* One chip's share of the graph, op-split: what the hand-written
-   baselines schedule.  Compile.compile does its own split. *)
-let chip_graph ctx ~pod graph =
-  Elk.Opsplit.split_graph ctx
-    (Elk.Sharding.shard_graph ~chips:pod.Elk_arch.Arch.chips graph)
-
 let plan ?elk_options ctx ~pod graph design =
   match design with
-  | Basic -> Some (basic_schedule ctx (chip_graph ctx ~pod graph))
+  | Basic -> Some (basic_schedule ctx (Elk.Compile.chip_graph ctx ~pod graph))
   | Static ->
-      let chip_graph = chip_graph ctx ~pod graph in
+      let chip_graph = Elk.Compile.chip_graph ctx ~pod graph in
       let chip = P.ctx_chip ctx in
       let capacity = Elk_arch.Arch.usable_sram_per_core chip in
       let grid = [ 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8 ] in
@@ -221,7 +215,7 @@ let plan ?elk_options ctx ~pod graph design =
   | Ideal -> None
 
 let run ?elk_options ctx ~pod graph design =
-  let chip_graph = chip_graph ctx ~pod graph in
+  let chip_graph = Elk.Compile.chip_graph ctx ~pod graph in
   let allreduce = Elk.Sharding.allreduce_time pod chip_graph in
   match plan ?elk_options ctx ~pod graph design with
   | Some s -> outcome_of_timeline design pod (Elk.Timeline.evaluate ctx s) allreduce

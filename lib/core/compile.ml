@@ -140,6 +140,71 @@ let probe_cache ~key ~pod ~t0 ctx graph =
                 Some t
               end)))
 
+let chip_graph ctx ~pod graph =
+  Opsplit.split_graph ctx (Sharding.shard_graph ~chips:pod.Elk_arch.Arch.chips graph)
+
+type candidates = { survivors : (Schedule.t * float) list; tried : int }
+
+let note_pruned () =
+  Metrics.incr "elk_compile_orders_pruned_total"
+    ~help:"Candidate preload orders pruned by the branch-and-bound lower bound"
+
+(* The head candidate (the execution order) is scheduled sequentially:
+   it warms the partition memo caches before the fan-out, and its lower
+   bound fixes the cutoff.  The scheduler abandons an induction whose
+   running estimate exceeds the cutoff ({!Scheduler.Pruned}); a finished
+   schedule whose own lower bound exceeds it is dropped.  The cutoff
+   depends only on the head, so the survivors are the same whatever the
+   jobs count. *)
+let candidates ?(options = default_options) ctx chip_graph =
+  let orders =
+    Span.with_span "order-gen" (fun () ->
+        if options.reorder then
+          Reorder.candidate_orders ~max_orders:options.max_orders
+            ~max_edit_distance:options.max_edit_distance ctx chip_graph
+        else [ Array.init (Elk_model.Graph.length chip_graph) (fun i -> i) ])
+  in
+  let schedule_order ?cutoff order =
+    Metrics.incr "elk_compile_orders_tried_total"
+      ~help:"Candidate preload orders attempted by the scheduler";
+    try
+      let s =
+        Span.with_span "schedule" (fun () ->
+            Scheduler.run ~order ~max_preload:options.max_preload ?cutoff ctx chip_graph)
+      in
+      Some (s, Timeline.lower_bound ctx s)
+    with
+    | Scheduler.Infeasible _ ->
+        Metrics.incr "elk_compile_orders_infeasible_total"
+          ~help:"Candidate preload orders rejected as infeasible";
+        None
+    | Scheduler.Pruned ->
+        note_pruned ();
+        None
+  in
+  let head, rest =
+    match orders with [] -> (None, []) | first :: rest -> (schedule_order first, rest)
+  in
+  let cutoff =
+    match head with
+    | Some (_, lb) when options.prune_margin >= 0. -> lb *. (1. +. options.prune_margin)
+    | _ -> infinity
+  in
+  let scheduled =
+    Option.to_list head
+    @ List.filter_map Fun.id
+        (Elk_util.Pool.map (Elk_util.Pool.get ()) (schedule_order ~cutoff) rest)
+  in
+  (* A dropped schedule counts as pruned, and still as tried. *)
+  let survivors, dropped = List.partition (fun (_, lb) -> lb <= cutoff) scheduled in
+  List.iter (fun _ -> note_pruned ()) dropped;
+  match survivors with
+  | [] ->
+      (* Re-run in execution order to surface the underlying error. *)
+      let s = Span.with_span "schedule" (fun () -> Scheduler.run ctx chip_graph) in
+      { survivors = [ (s, Timeline.lower_bound ctx s) ]; tried = 1 }
+  | _ -> { survivors; tried = List.length scheduled }
+
 let compile ?(options = default_options) ctx ~pod graph =
   Span.with_span "compile"
     ~attrs:[ ("model", Elk_model.Graph.name graph) ]
@@ -165,140 +230,26 @@ let compile ?(options = default_options) ctx ~pod graph =
           t
       | None ->
       Option.iter (fun _ -> Compilecache.note_plan_miss ()) key;
-      let chip_graph =
-        Span.with_span "shard" (fun () ->
-            Opsplit.split_graph ctx
-              (Sharding.shard_graph ~chips:pod.Elk_arch.Arch.chips graph))
+      let chip_graph = Span.with_span "shard" (fun () -> chip_graph ctx ~pod graph) in
+      let { survivors; tried } = candidates ~options ctx chip_graph in
+      (* Fold in candidate order: a survivor whose stall-free lower bound
+         already exceeds the best total so far cannot win and is not
+         evaluated; any other wins only with a strictly lower total, so
+         ties keep the lowest candidate index. *)
+      let evaluate s = Span.with_span "timeline-eval" (fun () -> Timeline.evaluate ctx s) in
+      let step ((_, btl) as best) (s, lb) =
+        if lb > btl.Timeline.total then begin
+          note_pruned ();
+          best
+        end
+        else
+          let tl = evaluate s in
+          if tl.Timeline.total < btl.Timeline.total then (s, tl) else best
       in
-      let orders =
-        Span.with_span "order-gen" (fun () ->
-            if options.reorder then
-              Reorder.candidate_orders ~max_orders:options.max_orders
-                ~max_edit_distance:options.max_edit_distance ctx chip_graph
-            else [ Array.init (Elk_model.Graph.length chip_graph) (fun i -> i) ])
-      in
-      (* Branch-and-bound order search.  The head candidate (always the
-         execution order) is scheduled and evaluated sequentially: it
-         seeds the incumbent deterministically and warms the partition
-         memo caches before the fan-out.  The remaining candidates run on
-         the shared domain pool; each is bounded twice:
-
-         - a {e static} scheduler cutoff — the baseline's stall-free
-           lower bound stretched by [prune_margin] — aborts hopeless
-           backward inductions early ({!Scheduler.Pruned}).  The scheduler
-           compares it with its own running estimate, which bounds the
-           finished schedule's [est_total] but not its stall-free lower
-           bound (the estimate runs up to 3.6% above it on the zoo); the
-           margin absorbs that gap.  The cutoff depends only on the
-           baseline, so the set of orders it prunes is identical whatever
-           the jobs count;
-         - a shared incumbent (best full timeline total so far) lets a
-           worker skip the quadratic {!Timeline.evaluate} whenever the
-           candidate's O(n) {!Timeline.lower_bound} already exceeds it.
-           Skipping is sound and cannot perturb the winner: the skipped
-           total would be [>= lb > incumbent >= final best], strictly
-           worse, so ties still resolve to the lowest candidate index.
-
-         The final fold runs in candidate-list order, making the chosen
-         plan byte-identical across jobs counts. *)
-      let schedule_order ?cutoff order =
-        Metrics.incr "elk_compile_orders_tried_total"
-          ~help:"Candidate preload orders attempted by the scheduler";
-        try
-          Some
-            (Span.with_span "schedule" (fun () ->
-                 Scheduler.run ~order ~max_preload:options.max_preload ?cutoff ctx
-                   chip_graph))
-        with
-        | Scheduler.Infeasible _ ->
-            Metrics.incr "elk_compile_orders_infeasible_total"
-              ~help:"Candidate preload orders rejected as infeasible";
-            None
-        | Scheduler.Pruned ->
-            Metrics.incr "elk_compile_orders_pruned_total"
-              ~help:"Candidate preload orders pruned by the branch-and-bound lower bound";
-            None
-      in
-      let timeline_of s =
-        Span.with_span "timeline-eval" (fun () -> Timeline.evaluate ctx s)
-      in
-      let base =
-        match orders with
-        | [] -> None
-        | first :: _ -> (
-            match schedule_order first with
-            | None -> None
-            | Some s -> Some (s, timeline_of s))
-      in
-      let cutoff =
-        match base with
-        | Some (s, _) when options.prune_margin >= 0. ->
-            Timeline.lower_bound ctx s *. (1. +. options.prune_margin)
-        | _ -> infinity
-      in
-      let incumbent =
-        Atomic.make
-          (match base with Some (_, tl) -> tl.Timeline.total | None -> infinity)
-      in
-      let rest = match orders with [] -> [] | _ :: tl -> tl in
-      let candidates =
-        Elk_util.Pool.map (Elk_util.Pool.get ())
-          (fun order ->
-            match schedule_order ~cutoff order with
-            | None -> None
-            | Some s ->
-                (* Two evaluation skips: against the static cutoff (fires
-                   deterministically, on candidates whose finished
-                   stall-free makespan exceeds it although the scheduler's
-                   running estimate never did) and against the shared
-                   incumbent (timing-dependent but sound, see above). *)
-                if
-                  Timeline.lower_bound ctx s > Float.min cutoff (Atomic.get incumbent)
-                then begin
-                  Metrics.incr "elk_compile_orders_pruned_total"
-                    ~help:
-                      "Candidate preload orders pruned by the branch-and-bound lower bound";
-                  (* Scheduled but not fully evaluated: still counts as
-                     tried, keeping [orders_tried] jobs-independent. *)
-                  Some (s, None)
-                end
-                else begin
-                  let tl = timeline_of s in
-                  let rec relax () =
-                    let cur = Atomic.get incumbent in
-                    if
-                      tl.Timeline.total < cur
-                      && not (Atomic.compare_and_set incumbent cur tl.Timeline.total)
-                    then relax ()
-                  in
-                  relax ();
-                  Some (s, Some tl)
-                end)
-          rest
-      in
-      let tried =
-        (match base with Some _ -> 1 | None -> 0)
-        + List.length (List.filter Option.is_some candidates)
-      in
-      let best =
-        List.fold_left
-          (fun acc c ->
-            match c with
-            | Some (s, Some tl) -> (
-                match acc with
-                | Some (_, btl) when btl.Timeline.total <= tl.Timeline.total -> acc
-                | _ -> Some (s, tl))
-            | Some (_, None) | None -> acc)
-          base candidates
-      in
-      let s, tl, tried =
-        match best with
-        | Some (s, tl) -> (s, tl, tried)
-        | None ->
-            (* Re-run in execution order to surface the underlying error. *)
-            let s = Span.with_span "schedule" (fun () -> Scheduler.run ctx chip_graph) in
-            let tl = Span.with_span "timeline-eval" (fun () -> Timeline.evaluate ctx s) in
-            (s, tl, 1)
+      let s, tl =
+        match survivors with
+        | [] -> assert false
+        | (s, _) :: rest -> List.fold_left step (s, evaluate s) rest
       in
       let t =
         {

@@ -4,7 +4,8 @@
     preload orders (§4.4), schedules each with the inductive scheduler
     (§4.2) + cost-aware allocator (§4.3), evaluates candidates with the
     analytic timeline, and returns the best plan together with its device
-    program (§4.5). *)
+    program (§4.5).  The search up to the score is {!candidates}, which
+    [Dse] shares to score the same survivors on the simulator. *)
 
 type options = {
   reorder : bool;  (** enable preload-order permutation (Elk-Full). *)
@@ -19,9 +20,9 @@ type options = {
           is not evaluated when its own stall-free lower bound does.  The
           scheduler's estimate is no lower bound of the stall-free
           makespan (up to 3.6% above it on the zoo); the margin absorbs
-          that gap.  Negative disables the cutoff (the sound incumbent skip inside
-          the search still applies).  The cutoff is derived solely from
-          the always-evaluated baseline order, so pruning — and the
+          that gap.  Negative disables the cutoff ({!compile}'s sound
+          lower-bound skip still applies).  The cutoff is derived solely
+          from the always-scheduled baseline order, so pruning — and the
           chosen plan — is identical whatever the jobs count. *)
 }
 
@@ -70,7 +71,38 @@ val gate :
 (** Run the installed verifier on a plan about to be emitted: on [Error]
     log it (naming [model]) and raise {!Rejected}; no-op when no verifier
     is installed.  {!compile} gates every plan it returns with it, and so
-    does [Dse]'s simulator-backed Elk-Full order search. *)
+    does [Dse]'s simulator-scored Elk-Full. *)
+
+val chip_graph :
+  Elk_partition.Partition.ctx -> pod:Elk_arch.Arch.pod -> Elk_model.Graph.t ->
+  Elk_model.Graph.t
+(** One chip's share of a model: the graph sharded across the pod's
+    chips ({!Sharding.shard_graph}), then op-split to fit a core
+    ({!Opsplit.split_graph}).  What {!compile} and every baseline
+    schedule. *)
+
+type candidates = {
+  survivors : (Schedule.t * float) list;
+      (** scheduled candidate orders that survive the cutoff, in
+          candidate order (the execution order first when it
+          schedules), each with its
+          {!Timeline.lower_bound}; never empty. *)
+  tried : int;  (** candidate orders the scheduler completed. *)
+}
+
+val candidates :
+  ?options:options -> Elk_partition.Partition.ctx -> Elk_model.Graph.t -> candidates
+(** The preload-order search up to the score, on a {!chip_graph}:
+    generate the candidate orders ({!Reorder.candidate_orders}, or the
+    execution order alone without [reorder]), schedule the head
+    sequentially, derive the cutoff from its lower bound (see
+    [prune_margin]) and schedule the other orders on the shared
+    {!Elk_util.Pool}, dropping any whose lower bound exceeds the cutoff.
+    The survivors are identical whatever the jobs count.  Counts
+    [elk_compile_orders_{tried,infeasible,pruned}_total].  When no order
+    schedules, the execution order is re-run at the default
+    [max_preload]: it raises {!Scheduler.Infeasible}, or is the one
+    survivor with [tried = 1]. *)
 
 val compile :
   ?options:options ->
@@ -82,12 +114,13 @@ val compile :
     in execution order (some operator exceeds per-core SRAM), and
     {!Rejected} if the installed verifier flags the winning plan.
 
-    Candidate orders beyond the first are scheduled and evaluated on the
-    shared {!Elk_util.Pool} (size it with [Elk_util.Pool.set_jobs] or
-    [ELK_JOBS]); the returned plan is byte-identical whatever the jobs
-    count — ties between equal-makespan orders always resolve to the
-    lowest candidate index, and pruning uses bounds that cannot exclude
-    a winner.
+    The survivors of {!candidates} (scheduled on the shared
+    {!Elk_util.Pool}; size it with [Elk_util.Pool.set_jobs] or
+    [ELK_JOBS]) are folded in candidate order by analytic total: one
+    whose lower bound exceeds the best total so far is skipped (counted
+    as pruned), and a later one wins only with a strictly lower total.
+    The returned plan, [orders_tried] and the order counters are
+    therefore identical whatever the jobs count.
 
     While {!Compilecache.enabled}, compiles are served from a whole-plan
     cache keyed by a digest of (context fingerprint, options, pod, full

@@ -58,10 +58,10 @@ val lower_bound : Elk_partition.Partition.ctx -> Schedule.t -> float
 (** A stall-free makespan: {!evaluate}'s forward pass with the
     interconnect-contention term dropped.  Because stalls are nonnegative
     and gating is monotone in them, this is a {e true lower bound} of
-    [(evaluate ctx s).total] — the branch-and-bound order search in
-    {!Compile.compile} may skip the full quadratic evaluation of any
-    candidate whose bound already exceeds the incumbent without ever
-    changing the argmin.  O(n) after the validate.  Raises
+    [(evaluate ctx s).total] — {!Compile.compile}'s fold over the
+    order search's survivors may skip the full quadratic evaluation of
+    any candidate whose bound already exceeds the best total so far
+    without ever changing the argmin.  O(n) after the validate.  Raises
     [Invalid_argument] on an invalid schedule. *)
 
 val pp_breakdown : Format.formatter -> breakdown -> unit

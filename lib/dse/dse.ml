@@ -44,91 +44,32 @@ type eval = {
   sim : Elk_sim.Sim.result option;
 }
 
-(* For Elk-Full, candidate preload orders are compared on the event-driven
-   simulator rather than only on the analytic timeline — the simulator
-   resolves the interconnect rush hours that reordering targets (§4.4),
-   which the fluid analytic model smooths over. *)
-let plan_elk_full_sim env graph (options : Elk.Compile.options) =
-  let chips = env.pod.Arch.chips in
-  let cg = Elk.Opsplit.split_graph env.ctx (Elk.Sharding.shard_graph ~chips graph) in
-  let orders =
-    if options.Elk.Compile.reorder then
-      Elk.Reorder.candidate_orders ~max_orders:options.Elk.Compile.max_orders
-        ~max_edit_distance:options.Elk.Compile.max_edit_distance env.ctx cg
-    else [ Array.init (Elk_model.Graph.length cg) (fun i -> i) ]
-  in
-  (* Same shape as the search in [Compile.compile]: the head order runs
-     sequentially (deterministic baseline, warm memo caches), the rest
-     fan out on the shared domain pool under the static branch-and-bound
-     scheduler cutoff derived from the baseline.  Candidates here are
-     compared on {e simulated} totals, which the analytic lower bound
-     does not provably bound — so, unlike [Compile.compile], there is no
-     incumbent-based evaluation skip: it could prune a simulated winner
-     and make the result depend on worker timing.  The ordered fold keeps
-     ties on the lowest candidate index. *)
-  let schedule_order ?cutoff order =
-    try
-      Some
-        (Elk.Scheduler.run ~order ~max_preload:options.Elk.Compile.max_preload ?cutoff
-           env.ctx cg)
+(* For Elk-Full, the survivors of the compiler's order search are
+   compared on the event-driven simulator rather than on the analytic
+   timeline — the simulator resolves the interconnect rush hours that
+   reordering targets (§4.4), which the fluid analytic model smooths
+   over.  The timeline's lower bound does not bound a simulated total, so
+   every survivor is simulated; the ordered fold keeps ties on the lowest
+   candidate index.  The winner is an emitted plan: it passes the
+   compiler's gate.  Returns the winner's simulation. *)
+let elk_full_sim env graph options =
+  let cg = Elk.Compile.chip_graph env.ctx ~pod:env.pod graph in
+  let { Elk.Compile.survivors; _ } = Elk.Compile.candidates ~options env.ctx cg in
+  let s, r =
+    match
+      Elk_util.Pool.map (Elk_util.Pool.get ())
+        (fun (s, _) -> (s, Elk_sim.Sim.run env.ctx s))
+        survivors
     with
-    | Elk.Scheduler.Infeasible _ -> None
-    | Elk.Scheduler.Pruned ->
-        Elk_obs.Metrics.incr "elk_dse_orders_pruned_total"
-          ~help:"Candidate preload orders pruned in the simulator-backed order search";
-        None
-  in
-  match orders with
-  | [] -> None
-  | first :: rest ->
-      let base =
-        match schedule_order first with
-        | None -> None
-        | Some s -> Some (s, Elk_sim.Sim.run env.ctx s)
-      in
-      let cutoff =
-        match base with
-        | Some (s, _) when options.Elk.Compile.prune_margin >= 0. ->
-            Elk.Timeline.lower_bound env.ctx s
-            *. (1. +. options.Elk.Compile.prune_margin)
-        | _ -> infinity
-      in
-      let candidates =
-        Elk_util.Pool.map (Elk_util.Pool.get ())
-          (fun order ->
-            match schedule_order ~cutoff order with
-            | None -> None
-            | Some s ->
-                (* Deterministic skip of the (expensive) simulation when
-                   the completed schedule's stall-free bound already blows
-                   the static cutoff. *)
-                if Elk.Timeline.lower_bound env.ctx s > cutoff then begin
-                  Elk_obs.Metrics.incr "elk_dse_orders_pruned_total"
-                    ~help:
-                      "Candidate preload orders pruned in the simulator-backed order search";
-                  None
-                end
-                else Some (s, Elk_sim.Sim.run env.ctx s))
-          rest
-      in
-      let best =
+    | [] -> assert false
+    | first :: rest ->
         List.fold_left
-          (fun best c ->
-            match c with
-            | None -> best
-            | Some (s, r) -> (
-                match best with
-                | Some (_, br) when br.Elk_sim.Sim.total <= r.Elk_sim.Sim.total -> best
-                | _ -> Some (s, r)))
-          base candidates
-      in
-      (* The winner is an emitted plan: it passes the compiler's gate. *)
-      Option.iter
-        (fun (s, _) ->
-          Elk.Compile.gate env.ctx ~model:(Elk_model.Graph.name graph) s
-            (Elk.Program.of_schedule s))
-        best;
-      best
+          (fun ((_, br) as best) ((_, r) as c) ->
+            if r.Elk_sim.Sim.total < br.Elk_sim.Sim.total then c else best)
+          first rest
+  in
+  Elk.Compile.gate env.ctx ~model:(Elk_model.Graph.name graph) s (Elk.Program.of_schedule s);
+  r
 
 let evaluate ?elk_options env graph design =
   Elk_obs.Span.with_span "dse-eval"
@@ -136,21 +77,18 @@ let evaluate ?elk_options env graph design =
   @@ fun () ->
   Elk_obs.Metrics.incr "elk_dse_evals_total" ~help:"Design-point evaluations";
   let chips = env.pod.Arch.chips in
-  let elk_full_sim =
-    if design = B.Elk_full then
-      plan_elk_full_sim env graph
-        (Option.value elk_options ~default:Elk.Compile.default_options)
-    else None
+  let sim =
+    match design with
+    | B.Elk_full ->
+        Some
+          (elk_full_sim env graph
+             (Option.value elk_options ~default:Elk.Compile.default_options))
+    | _ ->
+        Option.map (Elk_sim.Sim.run env.ctx)
+          (B.plan ?elk_options env.ctx ~pod:env.pod graph design)
   in
-  match
-    match elk_full_sim with
-    | Some (s, _) -> Some s
-    | None -> B.plan ?elk_options env.ctx ~pod:env.pod graph design
-  with
-  | Some s ->
-      let r =
-        match elk_full_sim with Some (_, r) -> r | None -> Elk_sim.Sim.run env.ctx s
-      in
+  match sim with
+  | Some r ->
       let allreduce =
         Elk.Sharding.allreduce_time env.pod (Elk.Sharding.shard_graph ~chips graph)
       in

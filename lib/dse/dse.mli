@@ -44,11 +44,13 @@ val evaluate :
   eval
 (** Plan with the design's policy, then measure on the simulator (the
     [Ideal] roofline is analytic — it has no schedule to simulate).
-    Elk-Full's plan comes from this module's own order search: the same
-    candidate orders as {!Elk.Compile.compile}, chosen by simulated
-    rather than analytic total.  Like every emitted plan it passes
+    Elk-Full's plan is the survivor of {!Elk.Compile.candidates} with
+    the lowest simulated total (the lowest candidate index on ties):
+    the compiler's own search, scored by the simulator rather than the
+    analytic timeline.  Like every emitted plan it passes
     {!Elk.Compile.gate}, so an installed verifier that flags it raises
-    {!Elk.Compile.Rejected}. *)
+    {!Elk.Compile.Rejected}; an unschedulable model raises
+    {!Elk.Scheduler.Infeasible}. *)
 
 val evaluate_all :
   ?elk_options:Elk.Compile.options ->

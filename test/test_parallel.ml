@@ -133,6 +133,80 @@ let test_dse_full_sim_deterministic () =
   let seq = eval 1 and par = eval 4 in
   Tu.check_float "elk-full sim latency" seq.Elk_dse.Dse.latency par.Elk_dse.Dse.latency
 
+(* The one order search is exact: Compile.compile's fold picks the
+   argmin of the analytic total over every survivor of Compile.candidates
+   (lowest index on ties) and skips exactly the survivors whose lower
+   bound exceeds an earlier survivor's total; Dse's Elk-Full picks the
+   simulated argmin of the same survivors.  Checked at jobs 1 and 4. *)
+let test_one_search_exact () =
+  let was_enabled = Elk_obs.Control.is_enabled () in
+  Elk_obs.Control.enable ();
+  let was_cached = Elk.Compilecache.enabled () in
+  Elk.Compilecache.set_enabled false;
+  Fun.protect
+    ~finally:(fun () ->
+      Elk_util.Pool.set_jobs 1;
+      Elk.Compilecache.set_enabled was_cached;
+      if not was_enabled then Elk_obs.Control.disable ())
+    (fun () ->
+      let pruned () = counter "elk_compile_orders_pruned_total" in
+      List.iter
+        (fun (label, ctx, pod, g) ->
+          let pod = Lazy.force pod in
+          let run jobs =
+            Elk_util.Pool.set_jobs jobs;
+            let label = Printf.sprintf "%s, jobs %d" label jobs in
+            let before = pruned () in
+            let { Elk.Compile.survivors; tried } =
+              Elk.Compile.candidates ~options ctx (Elk.Compile.chip_graph ctx ~pod g)
+            in
+            let search_pruned = pruned () -. before in
+            let totals =
+              List.map (fun (s, _) -> (Elk.Timeline.evaluate ctx s).Elk.Timeline.total) survivors
+            in
+            let best, _ =
+              List.fold_left2
+                (fun (best, bt) (s, _) t -> if t < bt then (Some s, t) else (best, bt))
+                (None, infinity) survivors totals
+            in
+            let skipped, _ =
+              List.fold_left2
+                (fun (n, m) (_, lb) t -> ((if lb > m then n + 1 else n), Float.min m t))
+                (0, infinity) survivors totals
+            in
+            let before = pruned () in
+            let c = Elk.Compile.compile ~options ctx ~pod g in
+            let compile_pruned = pruned () -. before in
+            Alcotest.(check string)
+              (label ^ ": plan is the timeline argmin")
+              (Elk.Planio.export (Option.get best))
+              (Elk.Planio.export c.Elk.Compile.schedule);
+            Alcotest.(check int) (label ^ ": orders tried") tried c.Elk.Compile.orders_tried;
+            Alcotest.(check (float 0.))
+              (label ^ ": pruned = search drops + fold skips")
+              (search_pruned +. float_of_int skipped)
+              compile_pruned;
+            let chips = pod.Elk_arch.Arch.chips in
+            let sim_best =
+              List.fold_left
+                (fun m (s, _) -> Float.min m (Elk_sim.Sim.run ctx s).Elk_sim.Sim.total)
+                infinity survivors
+            in
+            let e =
+              Elk_dse.Dse.evaluate ~elk_options:options { Elk_dse.Dse.pod; ctx } g
+                Elk_baselines.Baselines.Elk_full
+            in
+            Alcotest.(check (float 0.))
+              (label ^ ": Elk-Full is the simulated argmin")
+              (sim_best
+              +. Elk.Sharding.allreduce_time pod (Elk.Sharding.shard_graph ~chips g))
+              e.Elk_dse.Dse.latency;
+            compile_pruned
+          in
+          let one = run 1 in
+          Alcotest.(check (float 0.)) (label ^ ": pruned at jobs 1 and 4") one (run 4))
+        (fixtures ()))
+
 let test_evaluate_all_parallel () =
   let env = { Elk_dse.Dse.pod = Lazy.force Tu.default_pod; ctx = Lazy.force Tu.default_ctx } in
   let g = Lazy.force Tu.tiny_llama in
@@ -163,4 +237,6 @@ let suite =
       test_dse_full_sim_deterministic;
     Alcotest.test_case "evaluate_all parallel equals sequential" `Quick
       test_evaluate_all_parallel;
+    Alcotest.test_case "one search: both scores fold the same survivors exactly" `Quick
+      test_one_search_exact;
   ]
