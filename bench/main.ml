@@ -21,8 +21,7 @@ module D = Elk_dse.Dse
 module P = Elk_partition.Partition
 
 let bench_elk_options =
-  { Elk.Compile.reorder = true; max_orders = 8; max_edit_distance = 4; max_preload = 32;
-    prune_margin = 0.25 }
+  { Elk.Compile.max_orders = 8; max_edit_distance = 4; max_preload = 32; prune_margin = 0.25 }
 
 let width_factor = 8
 let ctx_len = 2048 / width_factor
@@ -635,9 +634,7 @@ let ablation () =
     (fun orders ->
       let e =
         D.evaluate
-          ~elk_options:
-            { bench_elk_options with Elk.Compile.max_orders = orders;
-              reorder = orders > 1 }
+          ~elk_options:{ bench_elk_options with Elk.Compile.max_orders = orders }
           env2 g B.Elk_full
       in
       Table.add_row t [ string_of_int orders; us e.D.latency ])
@@ -990,8 +987,9 @@ let compile_bench () =
           let runs =
             List.map
               (fun jobs ->
-                (* A fresh env per run: memo caches warmed by the previous
-                   jobs level would flatter the second measurement. *)
+                (* A fresh env per run, so a new partition context with
+                   empty memos: the memos of the previous jobs level's
+                   context would flatter the second measurement. *)
                 let env = D.env ~topology () in
                 Elk_util.Pool.set_jobs jobs;
                 let pruned0 = counter "elk_compile_orders_pruned_total" in

@@ -42,6 +42,18 @@ let int_conv ~lo ~expected =
 
 let positive_conv = int_conv ~lo:1 ~expected:"a positive integer"
 
+(* A positive, finite float, under the same usage error. *)
+let positive_float_conv ~expected =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0. -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+(* A time-series window width or an SLO target. *)
+let seconds_conv = positive_float_conv ~expected:"a positive finite number of seconds"
+
 let batch_t = Arg.(value & opt positive_conv 32 & info [ "b"; "batch" ] ~doc:"Batch size.")
 
 let ctx_t =
@@ -132,10 +144,10 @@ let no_cache_t =
     value & flag
     & info [ "no-compile-cache" ]
         ~doc:
-          "Disable the cross-compile incremental cache (the whole-plan \
-           store and shared partition memos).  \
-           Equivalent to setting $(b,ELK_COMPILE_CACHE=0) in the \
-           environment; compiled plans are byte-identical either way.")
+          "Disable the cross-compile incremental cache, the whole-plan \
+           store in memory and on disk.  Equivalent to setting \
+           $(b,ELK_COMPILE_CACHE=0) in the environment; compiled plans are \
+           byte-identical either way.")
 
 let set_cache no_cache = if no_cache then Elk.Compilecache.set_enabled false
 
@@ -510,19 +522,6 @@ let views =
         counters = Np.chrome_counter_events;
       };
   ]
-
-(* A time-series window width: a positive, finite number of seconds. *)
-let seconds_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | Some w when Float.is_finite w && w > 0. -> Ok w
-    | _ ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "invalid value '%s', expected a positive finite number of seconds" s))
-  in
-  Arg.conv (parse, Format.pp_print_float)
 
 (* Every view runs the same way: plan, simulate with the row's
    recorders, refuse a --window that cuts the makespan into too many
@@ -996,10 +995,13 @@ let serve_cmd =
           ~doc:"Arrival process: $(b,poisson), $(b,bursty) or $(b,diurnal).")
   in
   let rate_t =
-    Arg.(value & opt float 4.0 & info [ "rate" ] ~doc:"Mean arrival rate, requests/second.")
+    Arg.(
+      value
+      & opt (positive_float_conv ~expected:"a positive finite rate") 4.0
+      & info [ "rate" ] ~doc:"Mean arrival rate, requests/second.")
   in
   let requests_t =
-    Arg.(value & opt int 16 & info [ "requests" ] ~doc:"Number of requests to generate.")
+    Arg.(value & opt positive_conv 16 & info [ "requests" ] ~doc:"Number of requests to generate.")
   in
   let seed_t =
     Arg.(
@@ -1010,24 +1012,25 @@ let serve_cmd =
              and SLO report, whatever the $(b,--jobs) count.")
   in
   let prompt_t =
-    Arg.(value & opt int 128 & info [ "prompt" ] ~doc:"Mean prompt length, tokens.")
+    Arg.(value & opt positive_conv 128 & info [ "prompt" ] ~doc:"Mean prompt length, tokens.")
   in
   let output_t =
-    Arg.(value & opt int 24 & info [ "output" ] ~doc:"Mean output length, tokens.")
+    Arg.(value & opt positive_conv 24 & info [ "output" ] ~doc:"Mean output length, tokens.")
   in
   let max_batch_t =
-    Arg.(value & opt int 8 & info [ "max-batch" ] ~doc:"Largest batch the front-end forms.")
+    Arg.(
+      value & opt positive_conv 8 & info [ "max-batch" ] ~doc:"Largest batch the front-end forms.")
   in
   let slo_ttft_t =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some seconds_conv) None
       & info [ "slo-ttft" ] ~doc:"TTFT target in seconds; enables SLO attainment.")
   in
   let slo_itl_t =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some seconds_conv) None
       & info [ "slo-itl" ]
           ~doc:"Mean inter-token-latency target in seconds; enables SLO attainment.")
   in

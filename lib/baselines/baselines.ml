@@ -203,7 +203,7 @@ let plan ?elk_options ctx ~pod graph design =
   | Elk_dyn ->
       let options =
         match elk_options with
-        | Some o -> { o with Elk.Compile.reorder = false }
+        | Some o -> { o with Elk.Compile.max_orders = 1 }
         | None -> Elk.Compile.dyn_options
       in
       let c = Elk.Compile.compile ~options ctx ~pod graph in

@@ -1,5 +1,4 @@
 type options = {
-  reorder : bool;
   max_orders : int;
   max_edit_distance : int;
   max_preload : int;
@@ -8,14 +7,13 @@ type options = {
 
 let default_options =
   {
-    reorder = true;
     max_orders = 24;
     max_edit_distance = 6;
     max_preload = 32;
     prune_margin = 0.25;
   }
 
-let dyn_options = { default_options with reorder = false }
+let dyn_options = { default_options with max_orders = 1 }
 
 type t = {
   pod : Elk_arch.Arch.pod;
@@ -70,7 +68,6 @@ let () = Compilecache.on_reset (fun () -> Compilecache.Lru.clear plan_store)
 let options_sig o =
   String.concat ","
     [
-      string_of_bool o.reorder;
       string_of_int o.max_orders;
       string_of_int o.max_edit_distance;
       string_of_int o.max_preload;
@@ -159,10 +156,11 @@ let note_pruned () =
 let candidates ?(options = default_options) ctx chip_graph =
   let orders =
     Span.with_span "order-gen" (fun () ->
-        if options.reorder then
+        if options.max_orders <= 1 then
+          [ Array.init (Elk_model.Graph.length chip_graph) (fun i -> i) ]
+        else
           Reorder.candidate_orders ~max_orders:options.max_orders
-            ~max_edit_distance:options.max_edit_distance ctx chip_graph
-        else [ Array.init (Elk_model.Graph.length chip_graph) (fun i -> i) ])
+            ~max_edit_distance:options.max_edit_distance ctx chip_graph)
   in
   let schedule_order ?cutoff order =
     Metrics.incr "elk_compile_orders_tried_total"

@@ -8,8 +8,9 @@
     [Dse] shares to score the same survivors on the simulator. *)
 
 type options = {
-  reorder : bool;  (** enable preload-order permutation (Elk-Full). *)
-  max_orders : int;  (** candidate preload orders to evaluate. *)
+  max_orders : int;
+      (** candidate preload orders to evaluate; at most 1 is the execution
+          order alone, no preload-order permutation (Elk-Dyn). *)
   max_edit_distance : int;  (** Kendall-tau bound on per-layer reorders. *)
   max_preload : int;  (** cap on per-operator preload numbers. *)
   prune_margin : float;
@@ -27,13 +28,14 @@ type options = {
 }
 
 val default_options : options
-(** Elk-Full: reordering on, 24 orders, edit distance 6, prune margin
+(** Elk-Full: 24 orders, edit distance 6, prune margin
     0.25.  [compile] never fuses: the paper's Elk treats the §8
     pointwise-fusion pass as an optional compatibility step, so a caller
     that wants it compiles [Fusion.fuse graph]. *)
 
 val dyn_options : options
-(** Elk-Dyn: scheduling and allocation only, no reordering (§6.1). *)
+(** Elk-Dyn: scheduling and allocation only, no reordering (§6.1):
+    [default_options] with [max_orders = 1]. *)
 
 type t = {
   pod : Elk_arch.Arch.pod;
@@ -94,7 +96,7 @@ val candidates :
   ?options:options -> Elk_partition.Partition.ctx -> Elk_model.Graph.t -> candidates
 (** The preload-order search up to the score, on a {!chip_graph}:
     generate the candidate orders ({!Reorder.candidate_orders}, or the
-    execution order alone without [reorder]), schedule the head
+    execution order alone when [max_orders <= 1]), schedule the head
     sequentially, derive the cutoff from its lower bound (see
     [prune_margin]) and schedule the other orders on the shared
     {!Elk_util.Pool}, dropping any whose lower bound exceeds the cutoff.
@@ -128,7 +130,7 @@ val compile :
     previously computed plan — byte-identical by construction — in
     [O(digest)] time, and an on-disk store ([ELK_COMPILE_CACHE_DIR])
     extends this across processes.  Cache misses reuse the partition
-    memos of earlier compiles under the same context fingerprint.
+    memos that earlier compiles left in the same context.
     Disable with [--no-compile-cache], [ELK_COMPILE_CACHE=0], or
     {!Compilecache.set_enabled}[ false] to recover the exact uncached
     pipeline. *)

@@ -6,10 +6,14 @@ module Metrics = Elk_obs.Metrics
 (* ------------------------------------------------------------------ *)
 (* Enablement.                                                         *)
 
-(* One switch for every cache: Partition's memo sharing, which reads
-   [ELK_COMPILE_CACHE] once at startup, also gates the caches below. *)
-let enabled = P.memo_sharing
-let set_enabled = P.set_memo_sharing
+(* The one switch, read from [ELK_COMPILE_CACHE] once at startup.  It
+   gates the whole-plan store; a partition context's memos are the
+   context's own and need no switch. *)
+let switch =
+  ref (match Sys.getenv_opt "ELK_COMPILE_CACHE" with Some "0" -> false | _ -> true)
+
+let enabled () = !switch
+let set_enabled v = switch := v
 
 (* ------------------------------------------------------------------ *)
 (* Stats: plain process-global counters, always recorded (unlike
@@ -214,7 +218,6 @@ let on_reset f = reset_hooks := f :: !reset_hooks
 
 let reset () =
   List.iter (fun f -> f ()) !reset_hooks;
-  P.reset_shared_memos ();
   Atomic.set c_plan_hits 0;
   Atomic.set c_plan_misses 0;
   Atomic.set c_plan_evictions 0;

@@ -7,28 +7,27 @@
     optional on-disk store, keyed by a digest of the input graph, the
     compile options, the pod, and the {!Elk_partition.Partition} context
     fingerprint.  A warm hit returns the previously compiled plan,
-    byte-identical by construction.  Beside it, the same switch turns on
-    cross-context memo sharing inside {!Elk_partition.Partition}
-    (enumeration and preload frontiers).  The scheduler and the
-    preload-order search keep no state between compiles.
+    byte-identical by construction.  It is the one store that outlives a
+    compile's context: a {!Elk_partition.Partition.ctx} keeps its own
+    frontier and option memos, which die with it, and the scheduler
+    and the preload-order search keep no state between compiles.
 
     Every key digests complete canonical encodings (length-prefixed
     strings, bit-exact floats), so hits cannot conflate distinct inputs.
-    Disable everything with {!set_enabled}[ false], the CLI's
+    Disable the store with {!set_enabled}[ false], the CLI's
     [--no-compile-cache], or [ELK_COMPILE_CACHE=0] in the environment —
     compilation then behaves exactly as if this module did not exist. *)
 
 val enabled : unit -> bool
-(** Whether the compile caches are active (default: yes, unless
-    [ELK_COMPILE_CACHE=0] was set at startup).  This is
-    {!Elk_partition.Partition.memo_sharing}. *)
+(** Whether the whole-plan store, in memory and on disk, is active
+    (default: yes, unless [ELK_COMPILE_CACHE=0] was set at startup; this
+    module reads that variable once). *)
 
 val set_enabled : bool -> unit
-(** Toggle all compile caches.  This is
-    {!Elk_partition.Partition.set_memo_sharing}, the one switch, so the
-    partition memos' cross-context sharing toggles with them.  Existing
+(** Toggle the whole-plan store, the one compile-cache switch.  Existing
     entries are kept (re-enabling resumes warm); call {!reset} for a cold
-    start. *)
+    start.  A partition context's memos are not gated: they belong to
+    the context. *)
 
 (** {1 Counters} *)
 
@@ -99,6 +98,8 @@ val on_reset : (unit -> unit) -> unit
 (** Register a clear hook (module-init time in cache owners). *)
 
 val reset : unit -> unit
-(** Clear every in-memory store (registered hooks plus the shared
-    partition memos) and zero {!stats} — a cold-cache state for tests
-    and benchmarks.  Does not touch the on-disk store. *)
+(** Clear the in-memory whole-plan store (every registered hook) and zero
+    {!stats} — a cold-cache state for tests and benchmarks.  Does not
+    touch the on-disk store, nor the memos of a live partition context:
+    a compile is as cold as a new process's on a context made after the
+    reset. *)

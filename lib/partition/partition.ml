@@ -27,8 +27,6 @@ type preload_opt = {
 
 let preload_overhead o = o.dist_time +. Float.max 0. (o.preload_len -. o.hbm_floor)
 
-type memo_entry = { plans : plan list; frontier : plan Pareto.point list }
-
 (* Structural memo keys.  Partitioning reads an operator's kind,
    iteration extents, each tensor's indexing dims and source, its
    per-point FLOPs and its dtype — the fields {!plan_signature} digests —
@@ -36,8 +34,8 @@ type memo_entry = { plans : plan list; frontier : plan Pareto.point list }
    compare exactly those fields, so a lookup hashes a few words instead
    of building a string and digesting it.  [flops_per_point] compares by
    its bits: [0.] and [-0.] key apart, as their "%h" renderings do.
-   Preload options also key on the plan's factor vector; enumeration
-   keys carry an empty one. *)
+   Preload options also key on the plan's factor vector; frontier keys
+   carry an empty one. *)
 module Key = struct
   type t = { op : Opspec.t; factors : int array }
 
@@ -83,120 +81,31 @@ type ctx = {
   cost : Elk_cost.Costmodel.t;
   fp : string;  (* digest of (chip, cost model, max_plans_per_op). *)
   lock : Mutex.t;  (* guards the three tables; see [memo_find]. *)
-  memo : memo_entry Memo.t;
+  memo : plan Pareto.point list Memo.t;  (* each operator's exec frontier. *)
   popt_memo : preload_opt list Memo.t;
   ops : Opspec.t Memo.t;  (* the stored copy of each operator keyed so far. *)
 }
 
-(* Cross-compile memo sharing: contexts built from behaviorally identical
-   cost models (same chip, same training) index the same memo tables, so
-   a serving loop that rebuilds a context per recompile — or a bench that
-   builds a fresh env per run — still reuses every enumeration and
-   preload frontier already computed.  Sharing is sound because memo
-   values are pure functions of (key, fingerprint) and keys hold every
-   field the values depend on.  Disable with [ELK_COMPILE_CACHE=0] or
-   {!set_memo_sharing} (fresh private tables per context, the pre-cache
-   behavior).  This is the one place the environment switch is read, and
-   the one switch: [Compilecache.enabled]/[set_enabled] are this pair, so
-   it gates the compiler's other caches too. *)
-let sharing =
-  ref (match Sys.getenv_opt "ELK_COMPILE_CACHE" with Some "0" -> false | _ -> true)
-
-let set_memo_sharing v = sharing := v
-let memo_sharing () = !sharing
-
-type shared_store = {
-  s_lock : Mutex.t;
-  s_memo : memo_entry Memo.t;
-  s_popt : preload_opt list Memo.t;
-  s_ops : Opspec.t Memo.t;
-  mutable s_stamp : int;
-}
-
-let registry_lock = Mutex.create ()
-let registry : (string, shared_store) Hashtbl.t = Hashtbl.create 8
-let registry_tick = ref 0
-let registry_cap = 8
-
-let reset_shared_memos () =
-  Mutex.lock registry_lock;
-  (* Clear tables in place, not just the registry: live contexts keep
-     references to their shared store and must also go cold. *)
-  Hashtbl.iter
-    (fun _ s ->
-      Mutex.lock s.s_lock;
-      Memo.reset s.s_memo;
-      Memo.reset s.s_popt;
-      Memo.reset s.s_ops;
-      Mutex.unlock s.s_lock)
-    registry;
-  Hashtbl.reset registry;
-  Mutex.unlock registry_lock
-
-let shared_store_count () =
-  Mutex.lock registry_lock;
-  let n = Hashtbl.length registry in
-  Mutex.unlock registry_lock;
-  n
-
 (* The fastest plans kept per operator. *)
 let max_plans_per_op = 512
 
+(* Every context owns its memo tables: they start empty here and live as
+   long as the context does. *)
 let make_ctx cost =
   let chip = Elk_cost.Costmodel.chip cost in
-  let fp =
-    Digest.to_hex
-      (Digest.string
-         (Arch.fingerprint chip ^ "|"
-         ^ Elk_cost.Costmodel.fingerprint cost
-         ^ "|" ^ string_of_int max_plans_per_op))
-  in
-  let fresh () =
-    { s_lock = Mutex.create (); s_memo = Memo.create 64;
-      s_popt = Memo.create 256; s_ops = Memo.create 64; s_stamp = 0 }
-  in
-  let store =
-    if not (memo_sharing ()) then fresh ()
-    else begin
-      Mutex.lock registry_lock;
-      incr registry_tick;
-      let s =
-        match Hashtbl.find_opt registry fp with
-        | Some s -> s
-        | None ->
-            (* Keep the registry small: evict the least-recently-used
-               fingerprint (an abandoned chip/cost configuration) once
-               over capacity. *)
-            if Hashtbl.length registry >= registry_cap then begin
-              let victim =
-                Hashtbl.fold
-                  (fun k s acc ->
-                    match acc with
-                    | Some (_, st) when st <= s.s_stamp -> acc
-                    | _ -> Some (k, s.s_stamp))
-                  registry None
-              in
-              match victim with
-              | Some (k, _) -> Hashtbl.remove registry k
-              | None -> ()
-            end;
-            let s = fresh () in
-            Hashtbl.add registry fp s;
-            s
-      in
-      s.s_stamp <- !registry_tick;
-      Mutex.unlock registry_lock;
-      s
-    end
-  in
   {
     chip;
     cost;
-    fp;
-    lock = store.s_lock;
-    memo = store.s_memo;
-    popt_memo = store.s_popt;
-    ops = store.s_ops;
+    fp =
+      Digest.to_hex
+        (Digest.string
+           (Arch.fingerprint chip ^ "|"
+           ^ Elk_cost.Costmodel.fingerprint cost
+           ^ "|" ^ string_of_int max_plans_per_op));
+    lock = Mutex.create ();
+    memo = Memo.create 64;
+    popt_memo = Memo.create 256;
+    ops = Memo.create 64;
   }
 
 let fingerprint ctx = ctx.fp
@@ -222,13 +131,13 @@ let persist ctx { Key.op; factors } =
   in
   { Key.op; factors = Array.copy factors }
 
-(* Memo tables are shared across the scheduler domains of the parallel
-   order search, so every access is serialized under [ctx.lock].  The
-   compute itself runs {e outside} the lock: it is a pure function of the
-   key, and holding the mutex across an enumeration would serialize the
-   domains.  If two domains miss the same key concurrently both compute
-   it; the first insert wins and the duplicate — structurally identical —
-   is dropped. *)
+(* A context's memo tables are shared across the scheduler domains of
+   the parallel order search, so every access is serialized under
+   [ctx.lock].  The compute itself runs {e outside} the lock: it is a
+   pure function of the key, and holding the mutex across an enumeration
+   would serialize the domains.  If two domains miss the same key
+   concurrently both compute it; the first insert wins and the duplicate
+   — structurally identical — is dropped. *)
 let memo_find ctx tbl key compute =
   Mutex.lock ctx.lock;
   match Memo.find_opt tbl key with
@@ -615,29 +524,25 @@ let best_preload_overhead ctx op basis plan =
       if best < infinity then best
       else Float.min infinity (preload_overhead (option_at (List.hd fracs)))
 
-(* The frontier step reads only each plan's best overhead: the option
-   lists are left to [preload_options]' callers. *)
-let lookup ctx op =
+let enumerate = compute_plans
+
+(* Only the frontier is kept: the plan list it is folded from is garbage
+   once the entry is made.  The frontier step reads only each plan's best
+   overhead: the option lists are left to [preload_options]' callers. *)
+let exec_frontier ctx op =
   memo_find ctx ctx.memo { Key.op; factors = [||] } (fun () ->
-      let plans = compute_plans ctx op in
       let basis = hbm_basis ctx op in
-      let frontier =
-        Pareto.frontier
-          (List.map
-             (fun p ->
-               let overhead = best_preload_overhead ctx op basis p in
-               let overhead = if overhead = infinity then 0. else overhead in
-               { Pareto.x = p.exec_space; y = p.exec_time +. overhead; payload = p })
-             plans)
-      in
-      { plans; frontier })
+      Pareto.frontier
+        (List.map
+           (fun p ->
+             let overhead = best_preload_overhead ctx op basis p in
+             let overhead = if overhead = infinity then 0. else overhead in
+             { Pareto.x = p.exec_space; y = p.exec_time +. overhead; payload = p })
+           (compute_plans ctx op)))
 
 let preload_options ctx op plan =
   memo_find ctx ctx.popt_memo { Key.op; factors = plan.factors } (fun () ->
       compute_preload_options ctx op plan)
-
-let enumerate ctx op = (lookup ctx op).plans
-let exec_frontier ctx op = (lookup ctx op).frontier
 
 let fastest_plan ctx op =
   match Pareto.min_y (exec_frontier ctx op) with

@@ -23,22 +23,29 @@
     Two memos, keyed per operator structure (every field of
     {!plan_signature}, names excluded), so the identical layers of an LLM
     cost one enumeration:
-    - the enumeration memo: an operator's plans and their Pareto frontier
-      ({!enumerate}, {!exec_frontier}).  The frontier step reads only each
-      plan's least preload overhead, computed in one pass with no option
-      list, so enumerating fills no option entry;
+    - the frontier memo: an operator's Pareto frontier of plans
+      ({!exec_frontier}).  It keeps the frontier alone, not the plan list
+      it is folded from; {!enumerate} recomputes that list on each call.
+      The frontier step reads only each plan's least preload overhead,
+      computed in one pass with no option list, so it fills no option
+      entry;
     - the option memo: a plan's preload-option list ({!preload_options}),
       keyed also by the plan's factors and filled only on request — by
       the allocator's windows and the executing operator's chosen plans,
       preload-order feasibility checks, the verifier, plan imports and the
-      baselines. *)
+      baselines.
+
+    Both memos belong to one {!ctx}: {!make_ctx} makes them empty, and
+    they live and die with the context.  The module holds no
+    process-global state. *)
 
 type ctx
 (** Enumeration context: chip, trained cost model, memo tables. *)
 
 val make_ctx : Elk_cost.Costmodel.t -> ctx
 (** Build a context from a trained cost model (the chip is taken from the
-    model).  Enumeration keeps each operator's 512 fastest plans. *)
+    model), with its own empty memo tables.  Enumeration keeps each
+    operator's 512 fastest plans. *)
 
 val ctx_chip : ctx -> Elk_arch.Arch.chip
 val ctx_cost : ctx -> Elk_cost.Costmodel.t
@@ -49,27 +56,12 @@ val fingerprint : ctx -> string
     with equal fingerprints produce identical enumeration, frontier and
     preload-option results for every operator. *)
 
-val set_memo_sharing : bool -> unit
-(** Enable/disable cross-context memo sharing (default on unless
-    [ELK_COMPILE_CACHE=0]).  When on, {!make_ctx} calls with equal
-    fingerprints return contexts backed by the same memo tables, so
-    enumeration work persists across compiles.  When off, every context
-    gets fresh private tables.  [Elk.Compilecache.set_enabled] is this
-    function: one switch for every compile cache. *)
-
-val memo_sharing : unit -> bool
-
-val reset_shared_memos : unit -> unit
-(** Drop every shared memo table (tests and cold-start benchmarks). *)
-
-val shared_store_count : unit -> int
-(** Number of distinct fingerprints currently holding shared tables. *)
-
 val memo_sizes : ctx -> int * int
-(** [(enumeration entries, preload-option entries)] currently memoized in
-    this context's tables: one enumeration entry per operator structure
-    enumerated, one option entry per (operator, factors) whose options
-    were requested — observability for cache-hit accounting. *)
+(** [(frontier entries, preload-option entries)] memoized so far in this
+    context: one frontier entry per operator structure whose frontier was
+    requested, one option entry per (operator, factors) whose options
+    were requested — observability for cache-hit accounting.  A new
+    context reads [(0, 0)]. *)
 
 type plan = {
   factors : int array;  (** parts per iteration dimension. *)
@@ -92,7 +84,9 @@ val enumerate : ctx -> Elk_tensor.Opspec.t -> plan list
 (** All candidate plans for an operator on this chip: per-dim part counts
     drawn from divisors and powers of two, product within the core count,
     mesh chips restricted to at most 2 partitioned dimensions (§5).
-    Result is sorted by [exec_time] and deduplicated by tile shape. *)
+    Result is sorted by [exec_time] and deduplicated by tile shape.
+    Recomputed on each call (a fresh, equal list): only the frontier is
+    memoized. *)
 
 val exec_frontier : ctx -> Elk_tensor.Opspec.t -> plan Elk_util.Pareto.point list
 (** Pareto frontier over {!enumerate} — Tradeoff 1 of Fig 11 — with
@@ -102,8 +96,9 @@ val exec_frontier : ctx -> Elk_tensor.Opspec.t -> plan Elk_util.Pareto.point lis
     slice per core) does not dominate.  That overhead is the least
     {!preload_overhead} of the plan's {!preload_options} ([0.] when it
     is [infinity]), folded over the broadcast fractions in one pass
-    without building or memoizing the list.  Memoized with
-    {!enumerate}. *)
+    without building or memoizing the list.  Memoized in the context per
+    operator structure: structurally equal operators get the physically
+    same list. *)
 
 val fastest_plan : ctx -> Elk_tensor.Opspec.t -> plan
 (** The frontier plan minimizing execution time plus best preload

@@ -102,12 +102,16 @@ let test_a2a_allows_more_dims () =
          Array.fold_left (fun a f -> if f > 1 then a + 1 else a) 0 p.Partition.factors >= 3)
        plans)
 
+(* The frontier is memoized per operator structure, so renamed copies of
+   one operator share it; the plan list is recomputed, equal each time. *)
 let test_memoization_hits () =
   let c = ctx () in
   let a = Opspec.matmul ~name:"x1" ~m:24 ~n:96 ~k:96 () in
   let b = Opspec.matmul ~name:"x2" ~m:24 ~n:96 ~k:96 () in
-  let pa = Partition.enumerate c a and pb = Partition.enumerate c b in
-  Alcotest.(check bool) "same list (memoized)" true (pa == pb)
+  Alcotest.(check bool) "same frontier (memoized)" true
+    (Partition.exec_frontier c a == Partition.exec_frontier c b);
+  Alcotest.(check bool) "equal plan lists" true
+    (Partition.enumerate c a = Partition.enumerate c b)
 
 let test_exchange_zero_when_unshared () =
   (* Partitioning only m slices the activation and shares the weight; a
@@ -235,122 +239,108 @@ let test_signature_digests_full_spec () =
    renaming never adds an entry, every other field does, and a stored key
    is immune to the caller mutating its arrays afterwards. *)
 let test_memo_keys_structural () =
-  let was = Partition.memo_sharing () in
-  Partition.set_memo_sharing false;
-  Fun.protect
-    ~finally:(fun () -> Partition.set_memo_sharing was)
-    (fun () ->
-      let c = Partition.make_ctx (Partition.ctx_cost (ctx ())) in
-      let entries () = fst (Partition.memo_sizes c) in
-      let adds what expected op =
-        let before = entries () in
-        ignore (Partition.enumerate c op);
-        Alcotest.(check int) what (before + expected) (entries ());
-        ignore (Partition.enumerate c op);
-        Alcotest.(check int) (what ^ ": repeat lookup") (before + expected) (entries ())
-      in
-      let base =
-        Opspec.elementwise ~flops_per_point:1. ~name:"e" ~kind:"silu" ~shape:[ 256; 64 ] ()
-      in
-      let map_inputs f op = { op with Opspec.inputs = List.map f op.Opspec.inputs } in
-      adds "first operator" 1 base;
-      adds "name ignored" 0 { base with Opspec.name = "renamed" };
-      adds "tensor names ignored" 0
-        (map_inputs (fun t -> { t with Opspec.t_name = "other" })
-           { base with Opspec.output = { base.Opspec.output with Opspec.t_name = "y" } });
-      adds "kind" 1 { base with Opspec.kind = "gelu" };
-      adds "extent" 1 { base with Opspec.iter = [| 256; 32 |] };
-      adds "tensor dims" 1 (map_inputs (fun t -> { t with Opspec.dims = [ 0 ] }) base);
-      adds "tensor source" 1 (map_inputs (fun t -> { t with Opspec.source = Opspec.Weights }) base);
-      adds "dtype" 1 { base with Opspec.dtype = Dtype.Fp32 };
-      adds "flops_per_point" 1 { base with Opspec.flops_per_point = 4. };
-      adds "zero flops" 1 { base with Opspec.flops_per_point = 0. };
-      adds "negative-zero flops" 1 { base with Opspec.flops_per_point = -0. };
-      (* Mutating a looked-up operator's extents must not move its entry. *)
-      let mutated = { base with Opspec.iter = [| 128; 64 |] } in
-      adds "new extents" 1 mutated;
-      mutated.Opspec.iter.(0) <- 64;
-      adds "stored extents are a copy" 0 { base with Opspec.iter = [| 128; 64 |] };
-      (* Preload options key on the operator and the plan's factors. *)
-      let options () = snd (Partition.memo_sizes c) in
-      let plan_of factors = Result.get_ok (Partition.plan_with_factors c base factors) in
-      let popts what expected op plan =
-        let before = options () in
-        ignore (Partition.preload_options c op plan);
-        Alcotest.(check int) what (before + expected) (options ())
-      in
-      let factors = [| 1; 1 |] in
-      popts "popt: new factors" 1 base (plan_of factors);
-      popts "popt: name ignored" 0 { base with Opspec.name = "renamed" } (plan_of [| 1; 1 |]);
-      factors.(0) <- 2;
-      popts "popt: stored factors are a copy" 0 base (plan_of [| 1; 1 |]);
-      popts "popt: other factors" 1 base (plan_of [| 2; 1 |]))
+  let c = Partition.make_ctx (Partition.ctx_cost (ctx ())) in
+  let entries () = fst (Partition.memo_sizes c) in
+  let adds what expected op =
+    let before = entries () in
+    ignore (Partition.exec_frontier c op);
+    Alcotest.(check int) what (before + expected) (entries ());
+    ignore (Partition.exec_frontier c op);
+    Alcotest.(check int) (what ^ ": repeat lookup") (before + expected) (entries ())
+  in
+  let base =
+    Opspec.elementwise ~flops_per_point:1. ~name:"e" ~kind:"silu" ~shape:[ 256; 64 ] ()
+  in
+  let map_inputs f op = { op with Opspec.inputs = List.map f op.Opspec.inputs } in
+  adds "first operator" 1 base;
+  adds "name ignored" 0 { base with Opspec.name = "renamed" };
+  adds "tensor names ignored" 0
+    (map_inputs (fun t -> { t with Opspec.t_name = "other" })
+       { base with Opspec.output = { base.Opspec.output with Opspec.t_name = "y" } });
+  adds "kind" 1 { base with Opspec.kind = "gelu" };
+  adds "extent" 1 { base with Opspec.iter = [| 256; 32 |] };
+  adds "tensor dims" 1 (map_inputs (fun t -> { t with Opspec.dims = [ 0 ] }) base);
+  adds "tensor source" 1 (map_inputs (fun t -> { t with Opspec.source = Opspec.Weights }) base);
+  adds "dtype" 1 { base with Opspec.dtype = Dtype.Fp32 };
+  adds "flops_per_point" 1 { base with Opspec.flops_per_point = 4. };
+  adds "zero flops" 1 { base with Opspec.flops_per_point = 0. };
+  adds "negative-zero flops" 1 { base with Opspec.flops_per_point = -0. };
+  (* Mutating a looked-up operator's extents must not move its entry. *)
+  let mutated = { base with Opspec.iter = [| 128; 64 |] } in
+  adds "new extents" 1 mutated;
+  mutated.Opspec.iter.(0) <- 64;
+  adds "stored extents are a copy" 0 { base with Opspec.iter = [| 128; 64 |] };
+  (* Preload options key on the operator and the plan's factors. *)
+  let options () = snd (Partition.memo_sizes c) in
+  let plan_of factors = Result.get_ok (Partition.plan_with_factors c base factors) in
+  let popts what expected op plan =
+    let before = options () in
+    ignore (Partition.preload_options c op plan);
+    Alcotest.(check int) what (before + expected) (options ())
+  in
+  let factors = [| 1; 1 |] in
+  popts "popt: new factors" 1 base (plan_of factors);
+  popts "popt: name ignored" 0 { base with Opspec.name = "renamed" } (plan_of [| 1; 1 |]);
+  factors.(0) <- 2;
+  popts "popt: stored factors are a copy" 0 base (plan_of [| 1; 1 |]);
+  popts "popt: other factors" 1 base (plan_of [| 2; 1 |])
 
 (* The frontier step reads each plan's least preload overhead without
    building its option list, so enumeration leaves the option memo empty;
    [preload_options] fills it, one entry per new (operator, factors). *)
 let test_option_memo_filled_on_request () =
-  let was = Partition.memo_sharing () in
-  Partition.set_memo_sharing false;
-  Fun.protect
-    ~finally:(fun () -> Partition.set_memo_sharing was)
-    (fun () ->
-      let c = Partition.make_ctx (Partition.ctx_cost (ctx ())) in
-      let options () = snd (Partition.memo_sizes c) in
-      let ops =
-        [ Tu.matmul_op;
-          Opspec.batch_matmul ~name:"bmm" ~batch:8 ~m:1 ~n:64 ~k:128 ();
-          Opspec.elementwise ~name:"e" ~kind:"silu" ~shape:[ 32; 256 ] () ]
-      in
-      List.iter
-        (fun op ->
-          ignore (Partition.enumerate c op);
-          ignore (Partition.exec_frontier c op);
-          ignore (Partition.fastest_plan c op))
-        ops;
-      Alcotest.(check int) "enumeration adds no option entry" 0 (options ());
-      List.iter
-        (fun op ->
-          let plans = List.map (fun pt -> pt.Pareto.payload) (Partition.exec_frontier c op) in
-          let before = options () in
-          List.iter (fun p -> ignore (Partition.preload_options c op p)) plans;
-          Alcotest.(check int) "one entry per frontier plan" (before + List.length plans) (options ());
-          List.iter (fun p -> ignore (Partition.preload_options c op p)) plans;
-          Alcotest.(check int) "repeat requests add none" (before + List.length plans) (options ()))
-        ops)
+  let c = Partition.make_ctx (Partition.ctx_cost (ctx ())) in
+  let options () = snd (Partition.memo_sizes c) in
+  let ops =
+    [ Tu.matmul_op;
+      Opspec.batch_matmul ~name:"bmm" ~batch:8 ~m:1 ~n:64 ~k:128 ();
+      Opspec.elementwise ~name:"e" ~kind:"silu" ~shape:[ 32; 256 ] () ]
+  in
+  List.iter
+    (fun op ->
+      ignore (Partition.enumerate c op);
+      ignore (Partition.exec_frontier c op);
+      ignore (Partition.fastest_plan c op))
+    ops;
+  Alcotest.(check int) "enumeration adds no option entry" 0 (options ());
+  List.iter
+    (fun op ->
+      let plans = List.map (fun pt -> pt.Pareto.payload) (Partition.exec_frontier c op) in
+      let before = options () in
+      List.iter (fun p -> ignore (Partition.preload_options c op p)) plans;
+      Alcotest.(check int) "one entry per frontier plan" (before + List.length plans) (options ());
+      List.iter (fun p -> ignore (Partition.preload_options c op p)) plans;
+      Alcotest.(check int) "repeat requests add none" (before + List.length plans) (options ()))
+    ops
 
 let test_fingerprint_separates_topologies () =
   Alcotest.(check bool) "a2a and mesh contexts fingerprint apart" true
     (Partition.fingerprint (ctx ()) <> Partition.fingerprint (mctx ()))
 
-let test_shared_memo_across_contexts () =
-  let was = Partition.memo_sharing () in
-  Partition.set_memo_sharing true;
-  Fun.protect
-    ~finally:(fun () ->
-      Partition.set_memo_sharing was;
-      Partition.reset_shared_memos ())
-    (fun () ->
-      Partition.reset_shared_memos ();
-      let chip = (Lazy.force Tu.default_pod).Elk_arch.Arch.chip in
-      let cost = Elk_cost.Costmodel.train ~samples_per_kind:60 chip in
-      let c1 = Partition.make_ctx cost and c2 = Partition.make_ctx cost in
-      Alcotest.(check string) "equal fingerprints" (Partition.fingerprint c1)
-        (Partition.fingerprint c2);
-      ignore (Partition.enumerate c1 Tu.matmul_op);
-      let m2, _ = Partition.memo_sizes c2 in
-      Alcotest.(check bool) "second context reuses first's enumeration" true
-        (m2 > 0);
-      (* Sharing off: a fresh context gets private empty tables. *)
-      Partition.set_memo_sharing false;
-      let c3 = Partition.make_ctx cost in
-      let m3, _ = Partition.memo_sizes c3 in
-      Alcotest.(check int) "private tables when sharing is off" 0 m3;
-      (* Reset clears tables in place, so live contexts go cold too. *)
-      Partition.set_memo_sharing true;
-      Partition.reset_shared_memos ();
-      let m1, _ = Partition.memo_sizes c1 in
-      Alcotest.(check int) "reset empties live contexts" 0 m1)
+(* A context's memos are its own: a second context of the same cost model
+   starts empty beside a warm one and computes the same frontier, and
+   resetting the compile cache neither empties a live context nor warms a
+   new one. *)
+let test_context_owns_memos () =
+  let cost = Partition.ctx_cost (ctx ()) in
+  let c1 = Partition.make_ctx cost and c2 = Partition.make_ctx cost in
+  Alcotest.(check string) "equal fingerprints" (Partition.fingerprint c1)
+    (Partition.fingerprint c2);
+  ignore (Partition.enumerate c1 Tu.matmul_op);
+  Alcotest.(check (pair int int)) "the plan list is not memoized" (0, 0)
+    (Partition.memo_sizes c1);
+  let f1 = Partition.exec_frontier c1 Tu.matmul_op in
+  let warm = Partition.memo_sizes c1 in
+  Alcotest.(check (pair int int)) "first context memoized its frontier" (1, 0) warm;
+  Alcotest.(check (pair int int)) "second context untouched" (0, 0) (Partition.memo_sizes c2);
+  let f2 = Partition.exec_frontier c2 Tu.matmul_op in
+  let plans f = List.map (fun pt -> pt.Pareto.payload) f in
+  Alcotest.(check bool) "equal frontier plans" true (plans f1 = plans f2);
+  Elk.Compilecache.reset ();
+  Alcotest.(check (pair int int)) "reset leaves a live context warm" warm
+    (Partition.memo_sizes c1);
+  Alcotest.(check (pair int int)) "a new context starts empty" (0, 0)
+    (Partition.memo_sizes (Partition.make_ctx cost))
 
 let qcheck_enumerate_valid =
   Tu.qtest ~count:25 "partition: random matmuls produce consistent plans"
@@ -393,6 +383,6 @@ let suite =
     ("partition: option memo filled on request", `Quick, test_option_memo_filled_on_request);
     ("partition: fingerprint separates topologies", `Quick,
      test_fingerprint_separates_topologies);
-    ("partition: shared memo across contexts", `Quick, test_shared_memo_across_contexts);
+    ("partition: each context owns its memos", `Quick, test_context_owns_memos);
     qcheck_enumerate_valid;
   ]

@@ -100,31 +100,26 @@ let qcheck_exec_frontier_reference =
   Tu.qtest ~count:40 "partition: exec frontier equals the option-list reference"
     QCheck2.Gen.(pair bool op)
     (fun (mesh, op) ->
-      let was = P.memo_sharing () in
-      P.set_memo_sharing false;
-      Fun.protect
-        ~finally:(fun () -> P.set_memo_sharing was)
-        (fun () ->
-          let cost = P.ctx_cost (Lazy.force (if mesh then Tu.mesh_ctx else Tu.default_ctx)) in
-          let c = P.make_ctx cost in
-          let frontier = P.exec_frontier c op in
-          let reference =
-            Elk_util.Pareto.frontier
-              (List.map
-                 (fun p ->
-                   let o =
-                     List.fold_left
-                       (fun a o -> Float.min a (P.preload_overhead o))
-                       infinity (P.preload_options c op p)
-                   in
-                   let o = if o = infinity then 0. else o in
-                   { Elk_util.Pareto.x = p.P.exec_space; y = p.P.exec_time +. o; payload = p })
-                 (P.enumerate c op))
-          in
-          let key (pt : P.plan Elk_util.Pareto.point) =
-            (bits pt.Elk_util.Pareto.x, bits pt.Elk_util.Pareto.y, pt.Elk_util.Pareto.payload.P.factors)
-          in
-          List.map key frontier = List.map key reference))
+      let cost = P.ctx_cost (Lazy.force (if mesh then Tu.mesh_ctx else Tu.default_ctx)) in
+      let c = P.make_ctx cost in
+      let frontier = P.exec_frontier c op in
+      let reference =
+        Elk_util.Pareto.frontier
+          (List.map
+             (fun p ->
+               let o =
+                 List.fold_left
+                   (fun a o -> Float.min a (P.preload_overhead o))
+                   infinity (P.preload_options c op p)
+               in
+               let o = if o = infinity then 0. else o in
+               { Elk_util.Pareto.x = p.P.exec_space; y = p.P.exec_time +. o; payload = p })
+             (P.enumerate c op))
+      in
+      let key (pt : P.plan Elk_util.Pareto.point) =
+        (bits pt.Elk_util.Pareto.x, bits pt.Elk_util.Pareto.y, pt.Elk_util.Pareto.payload.P.factors)
+      in
+      List.map key frontier = List.map key reference)
 
 (* Every (operator, frontier plan) pair of the test graph, and those
    whose plan has more than one preload option: residents a search can
