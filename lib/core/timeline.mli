@@ -8,12 +8,16 @@
     four-way time breakdown of Fig 18(a), HBM / interconnect utilization
     (Fig 18(b,c)) and achieved FLOP/s (Fig 18(d)).
 
-    Interconnect contention is modeled first-order: when the injection
-    traffic of in-flight preloads plus the executing operator's inter-core
-    exchange exceeds what the fabric can serve within the execution span,
-    the excess service time stretches the span and is accounted to the
-    [interconnect] bucket.  The event-driven simulator ({!Elk_sim.Sim})
-    refines this with per-link queues. *)
+    The replay is written once.  {!evaluate} runs it with the
+    interconnect-contention term and {!lower_bound} with that term fixed
+    at zero; nothing else separates them.  Contention is modeled
+    first-order: when the injection traffic of in-flight preloads plus
+    the executing operator's inter-core exchange exceeds what the fabric
+    can serve within the execution span, the excess service time
+    stretches the span and is accounted to the [interconnect] bucket.
+    The event-driven simulator ({!Elk_sim.Sim}) refines this with
+    per-link queues, and derives its own Fig 18 numbers from its
+    intervals with {!account}. *)
 
 type op_times = {
   pre_start : float;
@@ -28,6 +32,18 @@ type breakdown = {
   overlapped : float;  (** both active. *)
   interconnect : float;  (** stalls from interconnect contention. *)
 }
+
+type account = {
+  bd : breakdown;
+  hbm_util : float;
+  intercore_volume : float;
+  inject_volume : float;
+  hbm_device_volume : float;
+  achieved_flops : float;
+}
+(** The Fig 18 quantities every timeline model reports the same way,
+    each as in {!result}.  Interconnect utilization is not among them:
+    each model measures its own. *)
 
 type result = {
   total : float;
@@ -44,24 +60,43 @@ type result = {
 val union_measure : (float * float) list -> float
 (** Length covered by a list of [(start, stop)] intervals.  Overlapping
     and touching intervals count once; empty ones ([stop <= start]) count
-    nothing.  The Fig 18(a) breakdown measures preload and execute time
-    with it, here and in {!Elk_sim.Sim}. *)
+    nothing.  {!account} measures preload and execute time with it. *)
 
 val intersection_measure : (float * float) list -> (float * float) list -> float
 (** Length covered by both lists: the {!union_measure} of every pairwise
     overlap.  Either list may overlap itself. *)
 
+val account :
+  Elk_arch.Arch.chip ->
+  Schedule.t ->
+  pre:(float * float) list ->
+  exe:(float * float) list ->
+  stall:float ->
+  total:float ->
+  account
+(** The Fig 18 accounting of a replay of the schedule that ended at
+    [total]: the breakdown from the [(start, end)] preload and execute
+    intervals and the summed interconnect [stall] (preload-only and
+    execute-only time outside their overlap, the stall taken out of
+    execute-only), HBM utilization over [total], the three traffic
+    volumes of the schedule's entries and achieved FLOP/s.  {!evaluate}
+    and {!Elk_sim.Sim.run} both report through it. *)
+
 val evaluate : Elk_partition.Partition.ctx -> Schedule.t -> result
-(** Raises [Invalid_argument] if the schedule fails {!Schedule.validate}. *)
+(** The replay with the interconnect-contention stall, O(n^2) in the
+    operators.  Raises [Invalid_argument] if the schedule fails
+    {!Schedule.validate}. *)
 
 val lower_bound : Elk_partition.Partition.ctx -> Schedule.t -> float
-(** A stall-free makespan: {!evaluate}'s forward pass with the
-    interconnect-contention term dropped.  Because stalls are nonnegative
-    and gating is monotone in them, this is a {e true lower bound} of
-    [(evaluate ctx s).total] — {!Compile.compile}'s fold over the
-    order search's survivors may skip the full quadratic evaluation of
-    any candidate whose bound already exceeds the best total so far
-    without ever changing the argmin.  O(n) after the validate.  Raises
+(** {!evaluate}'s replay with the stall fixed at zero: the same float
+    expressions, so it equals [(evaluate ctx s).total] whenever that
+    plan's stall is zero, and because the stall is nonnegative and [+.]
+    and [Float.max] are monotone it is never above it, bit for bit.
+    {!Compile.candidates} cuts the order search with it and
+    {!Compile.compile}'s fold skips the full evaluation of any survivor
+    whose bound already exceeds the best total so far without ever
+    changing the argmin; the verifier's [num.est-drift] compares a
+    plan's estimate with it.  O(n) after the validate.  Raises
     [Invalid_argument] on an invalid schedule. *)
 
 val pp_breakdown : Format.formatter -> breakdown -> unit

@@ -11,8 +11,7 @@ type t = {
   cm_chip : Arch.chip;
   exec_trees : (string * Linear_tree.t) list;
   transfer_tree : Linear_tree.t;
-  hbm_dev : Elk_hbm.Hbm.t;
-  mutable hbm_bw_cache : (int * float) list;
+  hbm_bw : float array;  (** effective HBM bandwidth per log2 read-size bucket. *)
 }
 
 let chip t = t.cm_chip
@@ -61,7 +60,18 @@ let random_tile rng ~chip ~kind =
   in
   draw 0
 
-let train ?(seed = 42) ?(samples_per_kind = 600) ?(kinds = default_kinds) chip =
+(* Effective bandwidth of one fresh sequential read of [2^bucket] bytes
+   from the chip's HBM. *)
+let bucket_bandwidth chip bucket =
+  Elk_hbm.Hbm.effective_bandwidth
+    (Elk_hbm.Hbm.create (Elk_hbm.Hbm.config_for_bandwidth chip.Arch.hbm_bandwidth))
+    ~bytes:(2. ** float_of_int bucket)
+
+(* Buckets kept in [hbm_bw]: reads up to 2^47 bytes; larger ones are
+   computed on the spot. *)
+let hbm_buckets = 48
+
+let train ?(seed = 42) ?(samples_per_kind = 600) chip =
   let rng = Xrng.create seed in
   let exec_trees =
     List.map
@@ -73,9 +83,8 @@ let train ?(seed = 42) ?(samples_per_kind = 600) ?(kinds = default_kinds) chip =
               (features ~kind ~iter, Device.measured_exec_time chip ~kind ~iter))
         in
         (kind, Linear_tree.fit samples))
-      kinds
+      default_kinds
   in
-  let noc = Elk_noc.Noc.create chip in
   let trng = Xrng.split rng in
   let max_hops =
     match chip.Arch.topology with
@@ -99,13 +108,11 @@ let train ?(seed = 42) ?(samples_per_kind = 600) ?(kinds = default_kinds) chip =
         in
         ([| bytes; float_of_int hops |], time))
   in
-  ignore noc;
   {
     cm_chip = chip;
     exec_trees;
     transfer_tree = Linear_tree.fit transfer_samples;
-    hbm_dev = Elk_hbm.Hbm.create (Elk_hbm.Hbm.config_for_bandwidth chip.Arch.hbm_bandwidth);
-    hbm_bw_cache = [];
+    hbm_bw = Array.init hbm_buckets (bucket_bandwidth chip);
   }
 
 let predict_exec t ~kind ~iter =
@@ -122,15 +129,8 @@ let hbm_time t ~bytes =
   if bytes <= 0. then 0.
   else
     let bucket = int_of_float (Float.round (log (Float.max 1. bytes) /. log 2.)) in
-    let bw =
-      match List.assoc_opt bucket t.hbm_bw_cache with
-      | Some bw -> bw
-      | None ->
-          let bw = Elk_hbm.Hbm.effective_bandwidth t.hbm_dev ~bytes:(2. ** float_of_int bucket) in
-          t.hbm_bw_cache <- (bucket, bw) :: t.hbm_bw_cache;
-          bw
-    in
-    bytes /. bw
+    if bucket >= 0 && bucket < hbm_buckets then bytes /. t.hbm_bw.(bucket)
+    else bytes /. bucket_bandwidth t.cm_chip bucket
 
 (* Behavioral fingerprint of a trained model: the chip digest plus
    bit-exact ("%h") predictions on a fixed probe set per kind, fixed

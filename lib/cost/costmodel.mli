@@ -10,10 +10,10 @@
 
 type t
 
-val train :
-  ?seed:int -> ?samples_per_kind:int -> ?kinds:string list -> Elk_arch.Arch.chip -> t
-(** Profile-and-fit for one chip.  [samples_per_kind] defaults to 600;
-    [kinds] defaults to every kind the model zoo emits. *)
+val train : ?seed:int -> ?samples_per_kind:int -> Elk_arch.Arch.chip -> t
+(** Profile-and-fit for one chip, for every kind the model zoo emits.
+    [samples_per_kind] defaults to 600.  The result is immutable, so pool
+    domains may share it. *)
 
 val chip : t -> Elk_arch.Arch.chip
 val kinds : t -> string list
@@ -39,8 +39,9 @@ val predict_transfer : t -> hops:int -> bytes:float -> float
 
 val hbm_time : t -> bytes:float -> float
 (** Roofline preload time for [bytes] read sequentially at tensor
-    granularity from this chip's HBM (effective bandwidth from the channel
-    model, which derates small reads). *)
+    granularity from this chip's HBM: [bytes] over the effective bandwidth
+    of a read of the nearest power of two bytes (from the channel model,
+    which derates small reads; {!train} tabulates it once). *)
 
 val exec_accuracy :
   ?seed:int -> t -> kind:string -> n:int -> (float * float) list

@@ -71,14 +71,15 @@ let exec_time chip ~kind ~iter =
 (* Deterministic "measurement" noise: a hash of the shape mapped into
    [1 - noise, 1 + noise].  Stable across runs, uncorrelated across
    shapes. *)
-let shape_noise ~noise key =
+let noise = 0.06
+
+let shape_noise key =
   let h = Hashtbl.hash key in
   let u = float_of_int (h land 0xFFFF) /. 65535. in
   1. -. noise +. (2. *. noise *. u)
 
-let measured_exec_time ?(noise = 0.06) chip ~kind ~iter =
-  exec_time chip ~kind ~iter *. shape_noise ~noise (kind, Array.to_list iter)
+let measured_exec_time chip ~kind ~iter =
+  exec_time chip ~kind ~iter *. shape_noise (kind, Array.to_list iter)
 
-let measured_transfer_time ?(noise = 0.06) noc ~src ~dst ~bytes =
-  Elk_noc.Noc.transfer_time noc ~src ~dst ~bytes
-  *. shape_noise ~noise (src, dst, int_of_float bytes)
+let measured_transfer_time noc ~src ~dst ~bytes =
+  Elk_noc.Noc.transfer_time noc ~src ~dst ~bytes *. shape_noise (src, dst, int_of_float bytes)

@@ -34,12 +34,10 @@ val exec_time : Elk_arch.Arch.chip -> kind:string -> iter:int array -> float
     by a vector-width factor.  Raises [Invalid_argument] on an empty or
     nonpositive iteration vector. *)
 
-val measured_exec_time :
-  ?noise:float -> Elk_arch.Arch.chip -> kind:string -> iter:int array -> float
+val measured_exec_time : Elk_arch.Arch.chip -> kind:string -> iter:int array -> float
 (** {!exec_time} scaled by deterministic shape-keyed noise, uniform in
-    [1-noise, 1+noise] ([noise] defaults to 0.06). *)
+    [0.94, 1.06]. *)
 
 val measured_transfer_time :
-  ?noise:float -> Elk_noc.Noc.t -> src:Elk_noc.Noc.node -> dst:Elk_noc.Noc.node ->
-  bytes:float -> float
+  Elk_noc.Noc.t -> src:Elk_noc.Noc.node -> dst:Elk_noc.Noc.node -> bytes:float -> float
 (** Uncontended transfer time with the same kind of measurement noise. *)

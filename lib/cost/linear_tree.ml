@@ -26,7 +26,10 @@ let candidate_thresholds values =
   else
     List.filteri (fun i _ -> i > 0 && i mod (max 1 (n / 8)) = 0) sorted
 
-let best_split samples dim min_leaf =
+(* Minimum samples per leaf. *)
+let min_leaf = 16
+
+let best_split samples dim =
   let base = sse_of_mean samples in
   let best = ref None in
   for feat = 0 to dim - 1 do
@@ -46,22 +49,22 @@ let best_split samples dim min_leaf =
   | Some (score, feat, thresh, lo, hi) when score > base *. 1e-4 -> Some (feat, thresh, lo, hi)
   | _ -> None
 
-let rec grow samples dim ~depth ~max_depth ~min_leaf =
+let rec grow samples dim ~depth ~max_depth =
   if depth >= max_depth || List.length samples < 2 * min_leaf then
     Leaf (leaf_model samples dim)
   else
-    match best_split samples dim min_leaf with
+    match best_split samples dim with
     | None -> Leaf (leaf_model samples dim)
     | Some (feat, thresh, lo, hi) ->
         Split
           {
             feat;
             thresh;
-            lo = grow lo dim ~depth:(depth + 1) ~max_depth ~min_leaf;
-            hi = grow hi dim ~depth:(depth + 1) ~max_depth ~min_leaf;
+            lo = grow lo dim ~depth:(depth + 1) ~max_depth;
+            hi = grow hi dim ~depth:(depth + 1) ~max_depth;
           }
 
-let fit ?(max_depth = 7) ?(min_leaf = 16) samples =
+let fit ?(max_depth = 7) samples =
   (match samples with [] -> invalid_arg "Linear_tree.fit: no samples" | _ -> ());
   let dim = Array.length (fst (List.hd samples)) in
   List.iter
@@ -69,7 +72,7 @@ let fit ?(max_depth = 7) ?(min_leaf = 16) samples =
       if Array.length f <> dim then
         invalid_arg "Linear_tree.fit: inconsistent feature dimensions")
     samples;
-  { dim; root = grow samples dim ~depth:0 ~max_depth ~min_leaf }
+  { dim; root = grow samples dim ~depth:0 ~max_depth }
 
 let predict t features =
   if Array.length features <> t.dim then

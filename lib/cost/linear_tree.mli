@@ -8,9 +8,9 @@
 
 type t
 
-val fit : ?max_depth:int -> ?min_leaf:int -> (float array * float) list -> t
-(** [fit samples] trains a tree on [(features, target)] pairs.
-    [max_depth] defaults to 7, [min_leaf] (minimum samples per leaf) to 16.
+val fit : ?max_depth:int -> (float array * float) list -> t
+(** [fit samples] trains a tree on [(features, target)] pairs, with at
+    least 16 samples per leaf.  [max_depth] defaults to 7.
     Raises [Invalid_argument] on an empty sample list or inconsistent
     feature dimensionality. *)
 

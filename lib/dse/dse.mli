@@ -16,7 +16,6 @@ val env :
   ?link_bw:float ->
   ?flops_scale:float ->
   ?sram_per_core:float ->
-  ?cost_seed:int ->
   unit ->
   env
 (** Build an environment.  Defaults mirror {!Elk_arch.Arch.Presets.scaled_pod}:
@@ -24,7 +23,7 @@ val env :
     [hbm_bw_per_chip] overrides the per-chip HBM bandwidth; [link_bw] the
     inter-core link bandwidth; [flops_scale] multiplies both per-core
     compute rates (Fig 24's x-axis).  A cost model is trained per
-    environment with [cost_seed] (default 42). *)
+    environment with {!Elk_cost.Costmodel.train}'s default seed. *)
 
 type eval = {
   design : Elk_baselines.Baselines.design;

@@ -78,13 +78,6 @@ let observe ?(help = "") name x =
             if x > h.h_max then h.h_max <- x
         | _ -> ())
 
-let time ?help name f =
-  if not (Control.is_enabled ()) then f ()
-  else begin
-    let t0 = Control.now () in
-    Fun.protect ~finally:(fun () -> observe ?help name (Control.now () -. t0)) f
-  end
-
 let find name = with_lock (fun () -> Hashtbl.find_opt registry name)
 
 let counter_value name =

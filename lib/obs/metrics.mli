@@ -1,7 +1,7 @@
 (** Process-global metrics registry: named counters, gauges, and
     log-scale histograms, with Prometheus-text and JSON exporters.
 
-    Recording calls ({!incr}, {!set}, {!observe}, {!time}) are no-ops
+    Recording calls ({!incr}, {!set}, {!observe}) are no-ops
     while {!Control.is_enabled} is false — the hot paths of the compiler
     and simulator call them unconditionally and rely on that fast path.
     Queries and exporters always work on whatever has been recorded.
@@ -20,11 +20,6 @@ val observe : ?help:string -> string -> float -> unit
     (powers of two from 1 microsecond up — suited to seconds-valued
     timings, but any positive scale works; samples below the first bound
     land in the first bucket). *)
-
-val time : ?help:string -> string -> (unit -> 'a) -> 'a
-(** [time name f] runs [f] and, when enabled, observes its wall-clock
-    duration in seconds into histogram [name].  When disabled it is
-    [f ()]. *)
 
 (** {1 Queries} *)
 

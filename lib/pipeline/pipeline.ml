@@ -140,10 +140,10 @@ let plan ctx graph ~stages =
     throughput = (if cycle > 0. then 1. /. cycle else 0.);
   }
 
-let best_stage_count ?(max_stages = 8) ctx graph =
+let best_stage_count ctx graph =
   let n = Graph.length graph in
   let chip_cores = (P.ctx_chip ctx).Elk_arch.Arch.cores in
-  let hi = min max_stages (min n chip_cores) in
+  let hi = min 8 (min n chip_cores) in
   let rec go best k =
     if k > hi then best
     else

@@ -41,9 +41,8 @@ val plan :
     stage work, and price weight swapping for non-resident stages.
     Raises [Invalid_argument] if [stages] is not in [1, min (ops, cores)]. *)
 
-val best_stage_count :
-  ?max_stages:int -> Elk_partition.Partition.ctx -> Elk_model.Graph.t -> int * plan
-(** The §7 scheduling question: the stage count maximizing throughput
-    (ties broken toward lower latency).  [max_stages] defaults to 8. *)
+val best_stage_count : Elk_partition.Partition.ctx -> Elk_model.Graph.t -> int * plan
+(** The §7 scheduling question: the stage count, at most 8, maximizing
+    throughput (ties broken toward lower latency). *)
 
 val pp_plan : Format.formatter -> plan -> unit

@@ -621,36 +621,19 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
      ~help:"Execute time spent waiting on the operator's own preload";
    M.observe "elk_sim_preload_queue_depth" (float_of_int !max_pending)
      ~help:"Peak issued-but-unexecuted preload queue depth per run");
-  (* Breakdown: union measures of preload and execute interval sets. *)
   let pre_iv = List.init n (fun o -> (per_op.(o).pre_start, per_op.(o).pre_end)) in
   let exe_iv = List.init n (fun o -> (per_op.(o).exe_start, per_op.(o).exe_end)) in
-  let both = Elk.Timeline.intersection_measure pre_iv exe_iv in
-  let pre_m = Elk.Timeline.union_measure pre_iv
-  and exe_m = Elk.Timeline.union_measure exe_iv in
-  let sum f = Array.fold_left (fun a e -> a +. f e) 0. s.Elk.Schedule.entries in
-  let hbm_device_volume = sum (fun e -> e.Elk.Schedule.popt.P.hbm_device_bytes) in
-  let inject_volume = sum (fun e -> e.Elk.Schedule.popt.P.noc_inject_bytes) in
-  let intercore_volume =
-    sum (fun e ->
-        (e.Elk.Schedule.plan.P.exchange_bytes_per_core
-        +. e.Elk.Schedule.popt.P.dist_bytes_per_core)
-        *. float_of_int e.Elk.Schedule.plan.P.cores_used)
+  let a =
+    Elk.Timeline.account chip s ~pre:pre_iv ~exe:exe_iv ~stall:!stall_interconnect ~total
   in
-  let flops = Elk_model.Graph.total_flops graph in
   let stats = Elk_hbm.Hbm.stats hbm_dev in
   Elk_obs.Metrics.incr "elk_sim_hbm_requests_total"
     ~by:(float_of_int stats.Elk_hbm.Hbm.requests)
     ~help:"HBM device requests issued";
   {
     total;
-    bd =
-      {
-        Elk.Timeline.preload_only = Float.max 0. (pre_m -. both);
-        execute_only = Float.max 0. (exe_m -. both -. !stall_interconnect);
-        overlapped = both;
-        interconnect = !stall_interconnect;
-      };
-    hbm_util = (if total > 0. then hbm_device_volume /. (chip.Arch.hbm_bandwidth *. total) else 0.);
+    bd = a.Elk.Timeline.bd;
+    hbm_util = a.hbm_util;
     noc_util =
       (if total > 0. then
          (fg_fabric.link_volume +. pre_fabric.link_volume)
@@ -661,10 +644,10 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
          let d = fabric_capacity chip *. total in
          (fg_fabric.link_volume /. d, pre_fabric.link_volume /. d)
        else (0., 0.));
-    intercore_volume;
-    inject_volume;
-    hbm_device_volume;
-    achieved_flops = (if total > 0. then flops /. total else 0.);
+    intercore_volume = a.intercore_volume;
+    inject_volume = a.inject_volume;
+    hbm_device_volume = a.hbm_device_volume;
+    achieved_flops = a.achieved_flops;
     per_op;
     hbm_requests = stats.Elk_hbm.Hbm.requests;
     perf = attribution ~cores:chip.Arch.cores per_op;

@@ -54,8 +54,17 @@ type op_trace = {
 type result = {
   total : float;
   bd : Elk.Timeline.breakdown;
+      (** [bd], [hbm_util], the three volumes and [achieved_flops] are
+          {!Elk.Timeline.account} of the simulated preload and execute
+          intervals ([pre_start]-[pre_end], [exe_start]-[exe_end]) and the
+          summed interconnect stall: the same accounting as the analytic
+          timeline's, over the simulator's times. *)
   hbm_util : float;
   noc_util : float;
+      (** hop-weighted bytes the simulated links carried over the
+          fabric's link capacity times [total]: the simulator's own
+          measure, where the analytic timeline divides traffic volume by
+          aggregate bandwidth. *)
   noc_util_split : float * float;
       (** (inter-core, preload) components of [noc_util] — the stacked
           bars of Fig 18(c). *)

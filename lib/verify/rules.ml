@@ -113,8 +113,8 @@ let all =
       default_severity = Diag.Warning;
       opt_in = false;
       summary =
-        "est_total drifts from a fresh stall-free Timeline re-evaluation by more \
-         than the tolerance";
+        "est_total drifts from the stall-free Timeline replay \
+         (Timeline.lower_bound) by more than the tolerance";
     };
     {
       id = "bw.hbm-roofline";

@@ -367,14 +367,13 @@ let run ?(rules = Rules.default_selection) ?(promote = Rules.no_promotion)
         end);
 
     (* --- num.est-drift: the claimed makespan vs a fresh stall-free
-       timeline re-evaluation (interconnect contention excluded: the
-       scheduler's estimate predates the contention model).  Schedules
-       carrying the [est_total = 0] sentinel (baselines, deserialized
-       plans) are exempt; the timeline replays only fully valid
-       schedules. --- *)
+       timeline re-evaluation, [Timeline.lower_bound] (interconnect
+       contention excluded: the scheduler's estimate predates the
+       contention model).  Schedules carrying the [est_total = 0]
+       sentinel (baselines, deserialized plans) are exempt; the timeline
+       replays only fully valid schedules. --- *)
     if on "num.est-drift" && struct_ok && s.S.est_total > 0. then begin
-      let tl = Elk.Timeline.evaluate ctx s in
-      let stall_free = tl.Elk.Timeline.total -. tl.Elk.Timeline.bd.Elk.Timeline.interconnect in
+      let stall_free = Elk.Timeline.lower_bound ctx s in
       let drift =
         Float.abs (s.S.est_total -. stall_free) /. Float.max 1e-12 stall_free
       in

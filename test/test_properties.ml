@@ -316,6 +316,25 @@ let series_conserve_volume (s : Elk.Schedule.t) (r : Sim.result) =
            (b.Elk_sim.Perfcore.compute +. b.Elk_sim.Perfcore.exchange))
        (List.init (Array.length se.Sim.core_busy) Fun.id)
 
+(* A seeded preload order: the a2a or the mesh test context, one to six
+   adjacent swaps of the execution order, and a [max_preload] of 1-8. *)
+let random_order =
+  QCheck2.Gen.(triple bool (list_size (int_range 1 6) (int_bound 1000)) (int_range 1 8))
+
+(* The test graph scheduled under a [random_order] draw. *)
+let schedule_random_order (mesh, swaps, max_preload) =
+  let ctx = Lazy.force (if mesh then Tu.mesh_ctx else Tu.default_ctx) in
+  let g = graph () in
+  let order = Array.init (Graph.length g) Fun.id in
+  List.iter
+    (fun k ->
+      let i = k mod (Array.length order - 1) in
+      let t = order.(i) in
+      order.(i) <- order.(i + 1);
+      order.(i + 1) <- t)
+    swaps;
+  (ctx, Elk.Scheduler.run ~order ~max_preload ctx g)
+
 (* Preload orders other than the identity reach the simulator's
    records: the causal DAG's preload parents depend on which gate binds,
    and reordering is what changes that.  On every trajectory the four
@@ -325,20 +344,9 @@ let series_conserve_volume (s : Elk.Schedule.t) (r : Sim.result) =
    the SRAM-residency record holds its op's phase times, and the derived
    series conserve volume. *)
 let qcheck_recorders_on_random_orders =
-  Tu.qtest ~count:20 "sim: recorder contracts hold on random preload orders"
-    QCheck2.Gen.(triple bool (list_size (int_range 1 6) (int_bound 1000)) (int_range 1 8))
-    (fun (mesh, swaps, max_preload) ->
-      let ctx = Lazy.force (if mesh then Tu.mesh_ctx else Tu.default_ctx) in
-      let g = graph () in
-      let order = Array.init (Graph.length g) Fun.id in
-      List.iter
-        (fun k ->
-          let i = k mod (Array.length order - 1) in
-          let t = order.(i) in
-          order.(i) <- order.(i + 1);
-          order.(i + 1) <- t)
-        swaps;
-      let s = Elk.Scheduler.run ~order ~max_preload ctx g in
+  Tu.qtest ~count:20 "sim: recorder contracts hold on random preload orders" random_order
+    (fun draw ->
+      let ctx, s = schedule_random_order draw in
       let r = Sim.run ~events:true ~mem:true ~noc:true ctx s in
       let ok what = function
         | Ok () -> true
@@ -372,6 +380,21 @@ let qcheck_recorders_on_random_orders =
            r.Sim.per_op
       && series_conserve_volume s r)
 
+(* The order search's pruning bound on reordered schedules: never above
+   the full evaluation's total, compared with no tolerance, and equal to
+   it when the timeline stalls nowhere. *)
+let qcheck_lower_bound_on_random_orders =
+  Tu.qtest ~count:50 "timeline: lower bound never above the total on random preload orders"
+    random_order (fun draw ->
+      let ctx, s = schedule_random_order draw in
+      let tl = Elk.Timeline.evaluate ctx s and bound = Elk.Timeline.lower_bound ctx s in
+      let total = tl.Elk.Timeline.total in
+      if not (bound <= total) then
+        QCheck2.Test.fail_reportf "bound %h above total %h" bound total;
+      if tl.Elk.Timeline.bd.Elk.Timeline.interconnect = 0. && bound <> total then
+        QCheck2.Test.fail_reportf "stall-free total %h but bound %h" total bound;
+      true)
+
 let suite =
   [
     qcheck_alloc_fits_any_capacity;
@@ -385,4 +408,5 @@ let suite =
     qcheck_planio_random_schedules;
     qcheck_sharding_flops_split;
     qcheck_recorders_on_random_orders;
+    qcheck_lower_bound_on_random_orders;
   ]

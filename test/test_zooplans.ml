@@ -185,6 +185,27 @@ let test_zoo_records_pinned () =
            [ ("default", None); ("1e-6", Some 1e-6) ])
        (Lazy.force plans))
 
+(* Every survivor of each plan's order search, rescheduled on the
+   plan's chip graph: its [Timeline.lower_bound] is never above its
+   [Timeline.evaluate] total, compared as floats with no tolerance, and
+   equals it when the survivor's timeline has no interconnect stall. *)
+let test_zoo_lower_bounds () =
+  List.iter
+    (fun (label, env, s) ->
+      let ctx = env.D.ctx in
+      let cands = Elk.Compile.candidates ctx s.Elk.Schedule.graph in
+      List.iteri
+        (fun i (c, bound) ->
+          let tl = Elk.Timeline.evaluate ctx c in
+          let total = tl.Elk.Timeline.total in
+          if not (bound <= total) then
+            Alcotest.failf "%s survivor %d: bound %h above total %h" label i bound total;
+          if tl.Elk.Timeline.bd.Elk.Timeline.interconnect = 0. && bound <> total then
+            Alcotest.failf "%s survivor %d: stall-free total %h but bound %h" label i total
+              bound)
+        cands.Elk.Compile.survivors)
+    (Lazy.force plans)
+
 let suite =
   [
     Alcotest.test_case "12 zoo plans match the pinned digests" `Quick test_zoo_plans_pinned;
@@ -192,4 +213,6 @@ let suite =
       test_zoo_views_pinned;
     Alcotest.test_case "12 zoo plans' interconnect and memory views match the pinned digests"
       `Quick test_zoo_records_pinned;
+    Alcotest.test_case "12 zoo plans' survivors: lower bound never above the total" `Quick
+      test_zoo_lower_bounds;
   ]
