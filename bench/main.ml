@@ -760,7 +760,7 @@ let gpu () =
       in
       let chip = Elk_arch.Arch.with_topology base l2 in
       let pod = { Elk_arch.Arch.chips = 4; chip; interchip_bandwidth = 27.8e9 } in
-      let cost = Elk_cost.Costmodel.train chip in
+      let cost = Elk_cost.Costmodel.for_chip chip in
       let env = { D.pod; ctx = P.make_ctx cost } in
       row [ "clustered"; Printf.sprintf "%.1fx" l2_mult ] env)
     [ 1.; 2.; 4. ];
@@ -866,7 +866,7 @@ let validate () =
 let full () =
   let chip = Elk_arch.Arch.Presets.ipu_mk2_full in
   let pod = Elk_arch.Arch.Presets.ipu_pod4_full in
-  let cost = Elk_cost.Costmodel.train chip in
+  let cost = Elk_cost.Costmodel.for_chip chip in
   let env = { D.pod; ctx = P.make_ctx cost } in
   let t =
     Table.create

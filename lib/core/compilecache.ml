@@ -218,6 +218,7 @@ let on_reset f = reset_hooks := f :: !reset_hooks
 
 let reset () =
   List.iter (fun f -> f ()) !reset_hooks;
+  Elk_cost.Costmodel.clear_memo ();
   Atomic.set c_plan_hits 0;
   Atomic.set c_plan_misses 0;
   Atomic.set c_plan_evictions 0;

@@ -98,7 +98,8 @@ val on_reset : (unit -> unit) -> unit
 (** Register a clear hook (module-init time in cache owners). *)
 
 val reset : unit -> unit
-(** Clear the in-memory whole-plan store (every registered hook) and zero
+(** Clear the in-memory whole-plan store (every registered hook), forget
+    the cost-model trees {!Elk_cost.Costmodel.for_chip} keeps, and zero
     {!stats} — a cold-cache state for tests and benchmarks.  Does not
     touch the on-disk store, nor the memos of a live partition context:
     a compile is as cold as a new process's on a context made after the

@@ -71,49 +71,117 @@ let bucket_bandwidth chip bucket =
    computed on the spot. *)
 let hbm_buckets = 48
 
-let train ?(seed = 42) ?(samples_per_kind = 600) chip =
+(* The generators of one fit: [Xrng.create seed] split once per kind of
+   [default_kinds], in order, then once for the transfer tree. *)
+let rngs seed =
   let rng = Xrng.create seed in
-  let exec_trees =
-    List.map
-      (fun kind ->
-        let krng = Xrng.split rng in
-        let samples =
-          List.init samples_per_kind (fun _ ->
-              let iter = random_tile krng ~chip ~kind in
-              (features ~kind ~iter, Device.measured_exec_time chip ~kind ~iter))
-        in
-        (kind, Linear_tree.fit samples))
-      default_kinds
-  in
-  let trng = Xrng.split rng in
-  let max_hops =
-    match chip.Arch.topology with
-    | Arch.All_to_all -> 2
-    | Arch.Clustered _ -> 3
-    | Arch.Mesh2d { rows; cols } -> rows + cols
-  in
-  let transfer_samples =
-    List.init (max 200 samples_per_kind) (fun _ ->
-        let bytes = float_of_int (log_uniform trng 64 (1 lsl 20)) in
-        let hops = 1 + Xrng.int trng max_hops in
-        let time =
-          (* Synthesize the measured time for a route of this length from
-             the per-link model plus noise. *)
-          let base =
-            (float_of_int hops *. chip.Arch.intercore_link.Arch.latency)
-            +. (bytes /. chip.Arch.intercore_link.Arch.bandwidth)
-          in
-          let u = float_of_int (Hashtbl.hash (hops, int_of_float bytes) land 0xFFFF) /. 65535. in
-          base *. (0.94 +. (0.12 *. u))
-        in
-        ([| bytes; float_of_int hops |], time))
-  in
+  let kind_rngs = List.map (fun kind -> (kind, Xrng.split rng)) default_kinds in
+  (kind_rngs, Xrng.split rng)
+
+let fit_span trees f = Elk_obs.Span.with_span "costmodel.train" ~attrs:[ ("trees", trees) ] f
+
+(* The execution trees read the chip's usable SRAM (tiles must fit it)
+   and the device model's rates; [exec_key] names exactly those. *)
+let exec_key ~seed ~samples_per_kind chip =
+  Printf.sprintf "%d/%d/%h/%h/%h/%h/%h" seed samples_per_kind chip.Arch.sram_per_core
+    chip.Arch.net_buffer_per_core chip.Arch.matmul_flops_per_core
+    chip.Arch.vector_flops_per_core chip.Arch.sram_bw_per_core
+
+let fit_exec ~seed ~samples_per_kind chip =
+  fit_span "exec" @@ fun () ->
+  List.map
+    (fun (kind, krng) ->
+      let samples =
+        List.init samples_per_kind (fun _ ->
+            let iter = random_tile krng ~chip ~kind in
+            (features ~kind ~iter, Device.measured_exec_time chip ~kind ~iter))
+      in
+      (kind, Linear_tree.fit samples))
+    (fst (rngs seed))
+
+let max_hops chip =
+  match chip.Arch.topology with
+  | Arch.All_to_all -> 2
+  | Arch.Clustered _ -> 3
+  | Arch.Mesh2d { rows; cols } -> rows + cols
+
+(* The transfer tree draws at least 200 routes, and reads the route
+   lengths the topology allows and the link's latency and bandwidth;
+   [transfer_key] names exactly those. *)
+let transfer_samples samples_per_kind = max 200 samples_per_kind
+
+let transfer_key ~seed ~samples_per_kind chip =
+  Printf.sprintf "%d/%d/%d/%h/%h" seed (transfer_samples samples_per_kind) (max_hops chip)
+    chip.Arch.intercore_link.Arch.latency chip.Arch.intercore_link.Arch.bandwidth
+
+let fit_transfer ~seed ~samples_per_kind chip =
+  fit_span "transfer" @@ fun () ->
+  let trng = snd (rngs seed) in
+  let max_hops = max_hops chip in
+  Linear_tree.fit
+    (List.init (transfer_samples samples_per_kind) (fun _ ->
+         let bytes = float_of_int (log_uniform trng 64 (1 lsl 20)) in
+         let hops = 1 + Xrng.int trng max_hops in
+         let time =
+           (* Synthesize the measured time for a route of this length from
+              the per-link model plus noise. *)
+           let base =
+             (float_of_int hops *. chip.Arch.intercore_link.Arch.latency)
+             +. (bytes /. chip.Arch.intercore_link.Arch.bandwidth)
+           in
+           let u = float_of_int (Hashtbl.hash (hops, int_of_float bytes) land 0xFFFF) /. 65535. in
+           base *. (0.94 +. (0.12 *. u))
+         in
+         ([| bytes; float_of_int hops |], time)))
+
+let model chip exec_trees transfer_tree =
   {
     cm_chip = chip;
     exec_trees;
-    transfer_tree = Linear_tree.fit transfer_samples;
+    transfer_tree;
     hbm_bw = Array.init hbm_buckets (bucket_bandwidth chip);
   }
+
+let train ?(seed = 42) ?(samples_per_kind = 600) chip =
+  let exec_trees = fit_exec ~seed ~samples_per_kind chip in
+  model chip exec_trees (fit_transfer ~seed ~samples_per_kind chip)
+
+(* Fitted trees by key, for the life of the process or until [clear_memo].
+   Fits run outside the lock; when two domains fit one key at once, the
+   first result stored is the one every caller gets. *)
+let memo_lock = Mutex.create ()
+let exec_memo : (string, (string * Linear_tree.t) list) Hashtbl.t = Hashtbl.create 16
+let transfer_memo : (string, Linear_tree.t) Hashtbl.t = Hashtbl.create 16
+
+let memoized tbl key fit =
+  match Mutex.protect memo_lock (fun () -> Hashtbl.find_opt tbl key) with
+  | Some v -> v
+  | None ->
+      let v = fit () in
+      Mutex.protect memo_lock (fun () ->
+          match Hashtbl.find_opt tbl key with
+          | Some first -> first
+          | None ->
+              Hashtbl.replace tbl key v;
+              v)
+
+let for_chip ?(seed = 42) ?(samples_per_kind = 600) chip =
+  let exec_trees =
+    memoized exec_memo (exec_key ~seed ~samples_per_kind chip) (fun () ->
+        fit_exec ~seed ~samples_per_kind chip)
+  in
+  let transfer_tree =
+    memoized transfer_memo (transfer_key ~seed ~samples_per_kind chip) (fun () ->
+        fit_transfer ~seed ~samples_per_kind chip)
+  in
+  model chip exec_trees transfer_tree
+
+let clear_memo () =
+  Mutex.protect memo_lock (fun () ->
+      Hashtbl.reset exec_memo;
+      Hashtbl.reset transfer_memo)
+
+let trees t = (t.exec_trees, t.transfer_tree)
 
 let predict_exec t ~kind ~iter =
   match List.assoc_opt kind t.exec_trees with

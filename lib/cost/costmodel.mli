@@ -11,9 +11,30 @@
 type t
 
 val train : ?seed:int -> ?samples_per_kind:int -> Elk_arch.Arch.chip -> t
-(** Profile-and-fit for one chip, for every kind the model zoo emits.
+(** Profile-and-fit for one chip, for every kind the model zoo emits: a
+    fresh fit on every call (see {!for_chip} for the memoized one).
     [samples_per_kind] defaults to 600.  The result is immutable, so pool
     domains may share it. *)
+
+val for_chip : ?seed:int -> ?samples_per_kind:int -> Elk_arch.Arch.chip -> t
+(** The model {!train} would return, fitting only trees this process has
+    not fitted yet.  The execution trees are memoized by what their fit
+    reads of the chip (SRAM size and net buffer, matmul and vector rates,
+    SRAM bandwidth) and the transfer tree by its own (the topology's
+    longest route, the link's latency and bandwidth), each with [seed] and
+    [samples_per_kind]; chips that differ only in their interconnect, or
+    only in HBM, share execution trees.  The HBM table is rebuilt and the
+    model answers {!chip} with the caller's chip, so its {!fingerprint}
+    equals a fresh {!train}'s.  Safe to call from several domains; fits
+    run outside the memo's lock.  Each fit (a miss here, and each half of
+    {!train}) runs in an {!Elk_obs.Span} named [costmodel.train]. *)
+
+val clear_memo : unit -> unit
+(** Forget every tree {!for_chip} has kept, so its next call fits again
+    ([Elk.Compilecache.reset] calls this). *)
+
+val trees : t -> (string * Linear_tree.t) list * Linear_tree.t
+(** The fitted execution trees by kind, and the transfer tree. *)
 
 val chip : t -> Elk_arch.Arch.chip
 val kinds : t -> string list
@@ -26,8 +47,10 @@ val fingerprint : t -> string
     component of the cross-compile cache keys. *)
 
 val features : kind:string -> iter:int array -> float array
-(** Feature vector used by the per-kind trees: up to 4 leading tile
-    extents, total points, FLOPs and SRAM bytes. *)
+(** Feature vector used by the per-kind trees, nine entries: the first 4
+    tile extents (1 past the tile's rank), total points, FLOPs, SRAM
+    bytes, and two 16-alignment indicators (1 or 0): the second extent
+    and the last one. *)
 
 val predict_exec : t -> kind:string -> iter:int array -> float
 (** Predicted per-core execution time of one tile.  Falls back to the

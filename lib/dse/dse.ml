@@ -31,7 +31,7 @@ let env ?(chips = 4) ?(cores = 64) ?(topology = `All_to_all) ?hbm_bw_per_chip ?l
   in
   let interchip_ratio = Elk_util.Units.gbps 640. /. Arch.aggregate_intercore_bw Arch.Presets.ipu_mk2_full in
   let pod = { Arch.chips; chip; interchip_bandwidth = interchip_ratio *. Arch.aggregate_intercore_bw chip } in
-  let cost = Elk_cost.Costmodel.train chip in
+  let cost = Elk_cost.Costmodel.for_chip chip in
   { pod; ctx = Elk_partition.Partition.make_ctx cost }
 
 type eval = {

@@ -22,8 +22,10 @@ val env :
     4 chips x 64 cores, all-to-all, 2.7 GB/s/core HBM, 5.5 GB/s links.
     [hbm_bw_per_chip] overrides the per-chip HBM bandwidth; [link_bw] the
     inter-core link bandwidth; [flops_scale] multiplies both per-core
-    compute rates (Fig 24's x-axis).  A cost model is trained per
-    environment with {!Elk_cost.Costmodel.train}'s default seed. *)
+    compute rates (Fig 24's x-axis).  The cost model is
+    {!Elk_cost.Costmodel.for_chip} at its default seed: environments that
+    differ only in interconnect or HBM share execution trees, and the
+    process fits each distinct input once. *)
 
 type eval = {
   design : Elk_baselines.Baselines.design;

@@ -87,13 +87,15 @@ let ols samples =
      all-ones feature column. *)
   let xtx = Array.make_matrix n n 0. in
   let xty = Array.make n 0. in
-  let feat f i = if i = dim then 1. else f.(i) in
+  let row = Array.make n 1. in
   List.iter
     (fun (f, y) ->
+      Array.blit f 0 row 0 dim;
       for i = 0 to n - 1 do
-        xty.(i) <- xty.(i) +. (feat f i *. y);
+        let ri = row.(i) and xi = xtx.(i) in
+        xty.(i) <- xty.(i) +. (ri *. y);
         for j = 0 to n - 1 do
-          xtx.(i).(j) <- xtx.(i).(j) +. (feat f i *. feat f j)
+          xi.(j) <- xi.(j) +. (ri *. row.(j))
         done
       done)
     samples;
