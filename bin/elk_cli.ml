@@ -659,6 +659,9 @@ let profile_cmd =
     set_jobs jobs;
     let g = target.graph () in
     let env = target.env () in
+    (* Spans recorded so far ran in the set-up (the cost-model fit), not
+       inside [compile]: their share of it is left blank. *)
+    let setup = List.map (fun sp -> sp.Elk_obs.Span.name) (Elk_obs.Span.spans ()) in
     let c = Elk.Compile.compile env.D.ctx ~pod:env.D.pod g in
     let totals = Elk_obs.Span.totals () in
     let overall =
@@ -682,7 +685,8 @@ let profile_cmd =
             string_of_int calls;
             fmt_t tot;
             fmt_t (tot /. float_of_int (max 1 calls));
-            Printf.sprintf "%.1f%%" (100. *. tot /. Float.max 1e-12 overall);
+            (if List.mem name setup then ""
+             else Printf.sprintf "%.1f%%" (100. *. tot /. Float.max 1e-12 overall));
           ])
       totals;
     Elk_util.Table.print t;

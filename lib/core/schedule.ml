@@ -61,7 +61,8 @@ let numeric_check t =
 
 let validate t =
   let n = num_ops t in
-  if Elk_model.Graph.length t.graph <> n then Error "entry count mismatch with graph"
+  if n = 0 then Error "empty schedule: no operators"
+  else if Elk_model.Graph.length t.graph <> n then Error "entry count mismatch with graph"
   else if Array.length t.order <> n then Error "order length mismatch"
   else if Array.length t.windows <> n + 1 then Error "windows length must be N+1"
   else if Array.exists (fun w -> w < 0) t.windows then Error "negative window"

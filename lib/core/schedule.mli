@@ -33,9 +33,9 @@ type t = {
 val num_ops : t -> int
 
 val validate : t -> (unit, string) result
-(** Check structural invariants — [order] is a permutation of the
-    operator ids (an id outside [\[0, n)] is named in the error),
-    windows sum to the op count, every operator's preload position
+(** Check structural invariants — at least one operator, [order] is a
+    permutation of the operator ids (an id outside [\[0, n)] is named in
+    the error), windows sum to the op count, every operator's preload position
     precedes its execution step, entries are indexed consistently — and
     numeric hygiene: every [preload_len], [dist_time], and [est_total]
     must be a finite, non-negative float (NaN, infinities, and negative

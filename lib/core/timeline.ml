@@ -36,34 +36,51 @@ type result = {
   per_op : op_times array;
 }
 
-(* Measure of the union of a set of closed intervals. *)
-let union_measure intervals =
-  let sorted = List.sort compare (List.filter (fun (a, b) -> b > a) intervals) in
-  let rec go acc cur = function
-    | [] -> ( match cur with None -> acc | Some (a, b) -> acc +. (b -. a))
-    | (a, b) :: rest -> (
-        match cur with
-        | None -> go acc (Some (a, b)) rest
-        | Some (ca, cb) ->
-            if a <= cb then go acc (Some (ca, Float.max cb b)) rest
-            else go (acc +. (cb -. ca)) (Some (a, b)) rest)
-  in
-  go 0. None sorted
+(* The maximal runs of a list of closed intervals, as start and stop
+   arrays in increasing order: the empty ones ([stop <= start], or NaN)
+   dropped, the rest sorted by start and merged where they overlap or
+   touch.  A run starts at its first interval's start and stops at the
+   largest stop among its intervals. *)
+let runs intervals =
+  let iv = Array.of_list (List.filter (fun (a, b) -> b > a) intervals) in
+  Array.stable_sort (fun (a, _) (c, _) -> Float.compare a c) iv;
+  let n = Array.length iv in
+  let starts = Array.make n 0. and stops = Array.make n 0. in
+  let k = ref (-1) in
+  for i = 0 to n - 1 do
+    let a, b = iv.(i) in
+    if !k >= 0 && a <= stops.(!k) then stops.(!k) <- Float.max stops.(!k) b
+    else begin
+      incr k;
+      starts.(!k) <- a;
+      stops.(!k) <- b
+    end
+  done;
+  (!k + 1, starts, stops)
 
-(* Measure of the intersection of two interval unions (both lists may
-   overlap internally; we clip each pair). *)
-let intersection_measure xs ys =
-  let pieces =
-    List.concat_map
-      (fun (a, b) ->
-        List.filter_map
-          (fun (c, d) ->
-            let lo = Float.max a c and hi = Float.min b d in
-            if hi > lo then Some (lo, hi) else None)
-          ys)
-      xs
-  in
-  union_measure pieces
+(* Run lengths summed in order from the first run. *)
+let runs_measure (n, starts, stops) =
+  let acc = ref 0. in
+  for i = 0 to n - 1 do
+    acc := !acc +. (stops.(i) -. starts.(i))
+  done;
+  !acc
+
+(* The overlaps of two run lists, merged once in order: each overlap of
+   positive length is one maximal run of the intersection, since the
+   runs of each side are apart by a positive gap.  Their lengths are
+   summed in order from the first. *)
+let runs_overlap (nx, xs, xe) (ny, ys, ye) =
+  let acc = ref 0. and i = ref 0 and j = ref 0 in
+  while !i < nx && !j < ny do
+    let lo = Float.max xs.(!i) ys.(!j) and hi = Float.min xe.(!i) ye.(!j) in
+    if hi > lo then acc := !acc +. (hi -. lo);
+    if xe.(!i) < ye.(!j) then incr i else incr j
+  done;
+  !acc
+
+let union_measure intervals = runs_measure (runs intervals)
+let intersection_measure xs ys = runs_overlap (runs xs) (runs ys)
 
 (* The §4.5 forward replay, written once.  Preloads are issued in
    position order on one channel, lazily as execution advances: a
@@ -107,8 +124,9 @@ let replay name (s : Schedule.t) ~stall =
   (pre_start, pre_end, exe_start, exe_end)
 
 let account chip (s : Schedule.t) ~pre ~exe ~stall ~total : account =
-  let pre_m = union_measure pre and exe_m = union_measure exe in
-  let both = intersection_measure pre exe in
+  let pre = runs pre and exe = runs exe in
+  let pre_m = runs_measure pre and exe_m = runs_measure exe in
+  let both = runs_overlap pre exe in
   let sum f = Array.fold_left (fun a e -> a +. f e) 0. s.Schedule.entries in
   let hbm_device_volume = sum (fun e -> e.Schedule.popt.P.hbm_device_bytes) in
   let flops = Elk_model.Graph.total_flops s.Schedule.graph in

@@ -60,11 +60,14 @@ type result = {
 val union_measure : (float * float) list -> float
 (** Length covered by a list of [(start, stop)] intervals.  Overlapping
     and touching intervals count once; empty ones ([stop <= start]) count
-    nothing.  {!account} measures preload and execute time with it. *)
+    nothing.  One sort by start and one merge into maximal runs, whose
+    lengths are summed in order: O(n log n). *)
 
 val intersection_measure : (float * float) list -> (float * float) list -> float
 (** Length covered by both lists: the {!union_measure} of every pairwise
-    overlap.  Either list may overlap itself. *)
+    overlap, to the bit, computed by merging the two lists' maximal runs
+    once, O((n + m) log (n + m)), rather than by clipping every pair.
+    Either list may overlap itself. *)
 
 val account :
   Elk_arch.Arch.chip ->
@@ -79,8 +82,10 @@ val account :
     intervals and the summed interconnect [stall] (preload-only and
     execute-only time outside their overlap, the stall taken out of
     execute-only), HBM utilization over [total], the three traffic
-    volumes of the schedule's entries and achieved FLOP/s.  {!evaluate}
-    and {!Elk_sim.Sim.run} both report through it. *)
+    volumes of the schedule's entries and achieved FLOP/s.  Each side's
+    runs are sorted and merged once, and the union and intersection
+    measures read off them.  {!evaluate} and {!Elk_sim.Sim.run} both
+    report through it. *)
 
 val evaluate : Elk_partition.Partition.ctx -> Schedule.t -> result
 (** The replay with the interconnect-contention stall, O(n^2) in the

@@ -274,7 +274,7 @@ let path t ~src ~dst =
 let route t ~src ~dst = Array.fold_right (fun id r -> t.links.(id) :: r) (path t ~src ~dst).ids []
 let hops t ~src ~dst = Array.length (path t ~src ~dst).ids
 
-let path_time p ~bytes =
+let[@inline] path_time p ~bytes =
   if bytes < 0. then invalid_arg "Noc.path_time: negative size";
   if Array.length p.ids = 0 then 0. else p.latency +. (bytes /. p.bottleneck)
 

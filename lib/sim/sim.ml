@@ -53,12 +53,15 @@ type result = {
    own share (cut-through flow model): fan-out from one controller
    pipelines, a single receiver port serializes. *)
 type fabric = {
-  noc : N.t;
   eff : float array;  (** effective bandwidth of this class, by link id. *)
   free : float array;  (** when each link frees for this class, by link id. *)
-  mutable link_volume : float;
-      (** bytes x links traversed on core-side links (hop-weighted), for
-          the per-link interconnect-utilization metric of Fig 18c/21. *)
+  core_side : bool array;
+      (** by link id: not a controller port.  Only these links count in
+          [link_volume]. *)
+  link_volume : float array;
+      (** one cell: bytes x links traversed on core-side links
+          (hop-weighted), for the per-link interconnect-utilization metric
+          of Fig 18c/21.  A float array, so adding to it boxes nothing. *)
 }
 
 let max_preload_share = 0.7
@@ -105,25 +108,31 @@ let preload_share chip (s : Elk.Schedule.t) =
 
 (* Controller ports carry only preload traffic: they run at full rate and
    stay out of the core-side volume. *)
-let is_ctrl_port = function N.Port_out (N.Hbm _) -> true | _ -> false
+let core_side_links noc =
+  Array.init (N.num_links noc) (fun id ->
+      match N.link_of_id noc id with N.Port_out (N.Hbm _) -> false | _ -> true)
 
-let fabric_of ~share noc =
+let fabric_of ~share ~core_side noc =
   let n = N.num_links noc in
   let eff =
     Array.init n (fun id ->
-        let l = N.link_of_id noc id in
-        let bw = N.link_bandwidth noc l in
-        if is_ctrl_port l then bw else bw *. share)
+        let bw = N.link_bandwidth noc (N.link_of_id noc id) in
+        if core_side.(id) then bw *. share else bw)
   in
-  { noc; eff; free = Array.make n 0.; link_volume = 0. }
+  { eff; free = Array.make n 0.; core_side; link_volume = [| 0. |] }
 
-(* Books [bytes] along a route table entry, returning (completion_time,
-   queuing_delay).  With [nt], the exact per-link reservations (and the
-   transfer envelope) are mirrored into a Noctrace record — pure
-   bookkeeping, never read back into timing. *)
-let transfer ?nt f (p : N.path) ~cls ~op ~bytes ~not_before =
+(* Books [bytes] along a route table entry and writes the completion
+   time and the queuing delay into [fin.(c)] and [wait.(c)].  Inlined
+   into its two callers, so that no float is boxed per transfer.  With
+   [nt], the exact per-link reservations (and the transfer envelope) are
+   mirrored into a Noctrace record — pure bookkeeping, never read back
+   into timing. *)
+let[@inline] transfer ?nt f (p : N.path) ~cls ~op ~bytes ~not_before fin wait c =
   let ids = p.N.ids in
-  if Array.length ids = 0 || bytes <= 0. then (not_before, 0.)
+  if Array.length ids = 0 || bytes <= 0. then begin
+    fin.(c) <- not_before;
+    wait.(c) <- 0.
+  end
   else begin
     let start = ref not_before and bottleneck = ref infinity in
     for k = 0 to Array.length ids - 1 do
@@ -134,8 +143,7 @@ let transfer ?nt f (p : N.path) ~cls ~op ~bytes ~not_before =
     let start = !start in
     for k = 0 to Array.length ids - 1 do
       let l = ids.(k) in
-      if not (is_ctrl_port (N.link_of_id f.noc l)) then
-        f.link_volume <- f.link_volume +. bytes;
+      if f.core_side.(l) then f.link_volume.(0) <- f.link_volume.(0) +. bytes;
       f.free.(l) <- start +. (bytes /. f.eff.(l))
     done;
     let finish = start +. p.N.latency +. (bytes /. !bottleneck) in
@@ -144,8 +152,17 @@ let transfer ?nt f (p : N.path) ~cls ~op ~bytes ~not_before =
     | Some nt ->
         Noctrace.record_path nt ~cls ~op p ~eff:f.eff ~bytes ~wait:(start -. not_before)
           ~t_start:start ~t_end:finish);
-    (finish, start -. not_before)
+    fin.(c) <- finish;
+    wait.(c) <- start -. not_before
   end
+
+(* [Array.fold_left Float.max from a], unboxed. *)
+let[@inline] max_fold from (a : float array) =
+  let m = ref from in
+  for c = 0 to Array.length a - 1 do
+    m := Float.max !m a.(c)
+  done;
+  !m
 
 (* Aggregate capacity of the core-side interconnect links: ports for the
    all-to-all fabric, directed edges plus boundary entry links for the
@@ -161,10 +178,44 @@ let fabric_capacity chip =
       let entries = 2 * cols in
       float_of_int (edges + entries) *. link
 
-(* Deterministic per-(core, op) compute skew in [1-skew, 1+skew]. *)
-let core_skew ~skew core op_id =
-  let h = Hashtbl.hash (core, op_id, "skew") land 0xFFFF in
-  1. -. skew +. (2. *. skew *. (float_of_int h /. 65535.))
+(* Core [core]'s deterministic skew unit on operator [op], in [0, 1]; its
+   tile time is scaled by [1 - skew + 2 skew unit]. *)
+let hash_unit core op = float_of_int (Hashtbl.hash (core, op, "skew") land 0xFFFF) /. 65535.
+
+(* [hash_unit], tabulated: row [op] holds cores [0 .. length - 1].  The
+   table is process-wide and filled on first use.  A published row is
+   never written: a domain that needs a longer row or a new op builds the
+   rows and publishes a new outer array by compare-and-set, and tries
+   again if another domain published first.  The values are a pure
+   function of two ints, so a lost race costs only work and nothing
+   needs a reset. *)
+let skew_table : float array array Atomic.t = Atomic.make [||]
+
+(* The table once every op below [ops] has a row of at least [cores op]
+   cores. *)
+let rec skew_rows ~ops ~cores =
+  let rows = Atomic.get skew_table in
+  let row op = if op < Array.length rows then rows.(op) else [||] in
+  let short op = Array.length (row op) < cores op in
+  let rec any_short op = op < ops && (short op || any_short (op + 1)) in
+  if not (any_short 0) then rows
+  else begin
+    let grown =
+      Array.init (max ops (Array.length rows)) (fun op ->
+          let have = row op in
+          if op < ops && short op then
+            Array.init (max (cores op) (2 * Array.length have)) (fun c ->
+                if c < Array.length have then have.(c) else hash_unit c op)
+          else have)
+    in
+    if Atomic.compare_and_set skew_table rows grown then grown else skew_rows ~ops ~cores
+  end
+
+let skew_unit ~core ~op =
+  if core < 0 || op < 0 then invalid_arg "Sim.skew_unit: negative core or op";
+  let rows = Atomic.get skew_table in
+  if op < Array.length rows && core < Array.length rows.(op) then rows.(op).(core)
+  else (skew_rows ~ops:(op + 1) ~cores:(fun o -> if o = op then core + 1 else 0)).(op).(core)
 
 (* The causal parent of a gate [max a b]: the argument that bound it.
    Ties go to [on_b] (callers pass the data-dependency side there). *)
@@ -263,6 +314,15 @@ let residency ~cores (s : Elk.Schedule.t) per_op =
    its transfer's span less its queueing. *)
 let ring_comm ~t0 fin wait c = Float.max 0. (fin.(c) -. t0 -. wait.(c))
 
+(* Core [c]'s share of a ring phase over [t0, t_end]: its transfer, its
+   queueing, then idle until the slowest peer's transfer ends. *)
+let ring_buckets (b : Perfcore.buckets) c ~t0 ~t_end fin wait =
+  if Array.length fin > 0 then begin
+    b.exchange <- b.exchange +. ring_comm ~t0 fin wait c;
+    b.port <- b.port +. wait.(c);
+    b.idle <- b.idle +. (t_end -. fin.(c))
+  end
+
 (* Perfcore's buckets and attribution, derived from the per-op phase
    times in execute order (op id order): every core's share of
    [prev_ready, exe_end] goes into the five buckets, and the operator's
@@ -271,46 +331,38 @@ let ring_comm ~t0 fin wait c = Float.max 0. (fin.(c) -. t0 -. wait.(c))
    Perfcore.check genuinely verifies that no time leaks. *)
 let attribution ~cores per_op =
   let perf = Perfcore.create ~cores ~ops:(Array.length per_op) in
-  (* Core [c]'s share of a ring phase over [t0, t_end]: its transfer,
-     its queueing, then idle until the slowest peer's transfer ends. *)
-  let ring (b : Perfcore.buckets) c ~t0 ~t_end fin wait =
-    if Array.length fin > 0 then begin
-      b.exchange <- b.exchange +. ring_comm ~t0 fin wait c;
-      b.port <- b.port +. wait.(c);
-      b.idle <- b.idle +. (t_end -. fin.(c))
-    end
-  in
+  let per_core = perf.Perfcore.per_core in
   let prev_ready = ref 0. in
-  Array.iteri
-    (fun op o ->
-      let start = o.exe_start in
-      let gap = start -. !prev_ready in
-      let pre_len = o.pre_end -. o.pre_start in
-      let hbm_frac = if pre_len > 0. then (o.hbm_end -. o.pre_start) /. pre_len else 0. in
-      let dist_len = o.dist_end -. start in
-      let compute_len = o.compute_end -. o.dist_end in
-      let ex_len = o.exe_end -. o.compute_end in
-      let at = perf.Perfcore.per_op.(op) in
-      at.Perfcore.a_hbm <- gap *. hbm_frac;
-      at.Perfcore.a_interconnect <-
-        (gap *. (1. -. hbm_frac)) +. (dist_len -. o.dist_wait) +. (ex_len -. o.ex_wait);
-      at.Perfcore.a_compute <- compute_len;
-      at.Perfcore.a_port <- o.dist_wait +. o.ex_wait;
-      let ncores = Array.length o.core_tile in
-      Array.iteri
-        (fun c (b : Perfcore.buckets) ->
-          b.preload_wait <- b.preload_wait +. gap;
-          if c < ncores then begin
-            ring b c ~t0:start ~t_end:o.dist_end o.core_dist_done o.core_dist_wait;
-            let t_c = o.core_tile.(c) in
-            b.compute <- b.compute +. t_c;
-            b.idle <- b.idle +. (compute_len -. t_c);
-            ring b c ~t0:o.compute_end ~t_end:o.exe_end o.core_ex_done o.core_ex_wait
-          end
-          else b.idle <- b.idle +. (o.exe_end -. start))
-        perf.Perfcore.per_core;
-      prev_ready := o.exe_end)
-    per_op;
+  for op = 0 to Array.length per_op - 1 do
+    let o = per_op.(op) in
+    let start = o.exe_start in
+    let gap = start -. !prev_ready in
+    let pre_len = o.pre_end -. o.pre_start in
+    let hbm_frac = if pre_len > 0. then (o.hbm_end -. o.pre_start) /. pre_len else 0. in
+    let dist_len = o.dist_end -. start in
+    let compute_len = o.compute_end -. o.dist_end in
+    let ex_len = o.exe_end -. o.compute_end in
+    let at = perf.Perfcore.per_op.(op) in
+    at.Perfcore.a_hbm <- gap *. hbm_frac;
+    at.Perfcore.a_interconnect <-
+      (gap *. (1. -. hbm_frac)) +. (dist_len -. o.dist_wait) +. (ex_len -. o.ex_wait);
+    at.Perfcore.a_compute <- compute_len;
+    at.Perfcore.a_port <- o.dist_wait +. o.ex_wait;
+    let ncores = Array.length o.core_tile in
+    for c = 0 to Array.length per_core - 1 do
+      let b = per_core.(c) in
+      b.preload_wait <- b.preload_wait +. gap;
+      if c < ncores then begin
+        ring_buckets b c ~t0:start ~t_end:o.dist_end o.core_dist_done o.core_dist_wait;
+        let t_c = o.core_tile.(c) in
+        b.compute <- b.compute +. t_c;
+        b.idle <- b.idle +. (compute_len -. t_c);
+        ring_buckets b c ~t0:o.compute_end ~t_end:o.exe_end o.core_ex_done o.core_ex_wait
+      end
+      else b.idle <- b.idle +. (o.exe_end -. start)
+    done;
+    prev_ready := o.exe_end
+  done;
   perf
 
 type series = {
@@ -366,21 +418,27 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
   | Ok () -> ()
   | Error m -> invalid_arg ("Sim.run: invalid schedule: " ^ m));
   let chip = P.ctx_chip ctx in
+  let cores = chip.Arch.cores in
   let noc = N.create chip in
   let pre_share = preload_share chip s in
-  let fg_fabric = fabric_of ~share:(1. -. pre_share) noc in
-  let pre_fabric = fabric_of ~share:pre_share noc in
+  let core_side = core_side_links noc in
+  let fg_fabric = fabric_of ~share:(1. -. pre_share) ~core_side noc in
+  let pre_fabric = fabric_of ~share:pre_share ~core_side noc in
   let hbm_dev = Elk_hbm.Hbm.create (Elk_hbm.Hbm.config_for_bandwidth chip.Arch.hbm_bandwidth) in
   let n = Elk.Schedule.num_ops s in
+  let entries = s.Elk.Schedule.entries in
   let graph = s.Elk.Schedule.graph in
   (* Sequential tensor placement in HBM (paper §5). *)
   let offsets = Array.make n 0. in
   let acc = ref 0. in
   for i = 0 to n - 1 do
     offsets.(i) <- !acc;
-    acc := !acc +. s.Elk.Schedule.entries.(i).Elk.Schedule.popt.P.hbm_device_bytes
+    acc := !acc +. entries.(i).Elk.Schedule.popt.P.hbm_device_bytes
   done;
   let program = Elk.Program.of_schedule s in
+  let skew_units =
+    skew_rows ~ops:n ~cores:(fun op -> entries.(op).Elk.Schedule.plan.P.cores_used)
+  in
   (* Each preload's times, until its execute builds the op's trace:
      where the HBM read ends (for splitting the execute's preload stall
      between the HBM floor and delivery) and the delivery stall.
@@ -399,207 +457,224 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
      model — recorded into the metrics registry only when enabled. *)
   let pending = ref 0 and max_pending = ref 0 in
   let hbm_busy = ref 0. and preload_wait = ref 0. in
-  (* The all-to-all preload fan-out books ports directly. *)
-  let port_in, ctrl_out =
+  (* The all-to-all preload fan-out books ports directly.  The other
+     fabrics route each core's preload from its controller, looked up
+     once per run. *)
+  let port_in, ctrl_out, ctrl_paths =
     match chip.Arch.topology with
     | Arch.All_to_all ->
-        ( Array.init chip.Arch.cores (fun c -> N.link_id noc (N.Port_in (N.Core c))),
-          Array.init chip.Arch.hbm_controllers (fun h ->
-              N.link_id noc (N.Port_out (N.Hbm h))) )
-    | Arch.Mesh2d _ | Arch.Clustered _ -> ([||], [||])
+        ( Array.init cores (fun c -> N.link_id noc (N.Port_in (N.Core c))),
+          Array.init chip.Arch.hbm_controllers (fun h -> N.link_id noc (N.Port_out (N.Hbm h))),
+          [||] )
+    | Arch.Mesh2d _ | Arch.Clustered _ ->
+        ( [||],
+          [||],
+          Array.init cores (fun c -> N.path noc ~src:(N.hbm_ctrl_for_core noc c) ~dst:(N.Core c))
+        )
   in
   let nrec = if record_noc then Some (Noctrace.create noc) else None in
+  (* The ring routes, looked up once per run for each ring size and
+     direction: core [c] of a ring of [ncores] receives from core [(c +
+     shift) mod ncores]. *)
+  let ring_routes = Hashtbl.create 8 in
+  let routes ~ncores ~shift =
+    match Hashtbl.find_opt ring_routes (ncores, shift) with
+    | Some paths -> paths
+    | None ->
+        let paths =
+          Array.init ncores (fun c ->
+              N.path noc ~src:(N.Core ((c + shift) mod ncores)) ~dst:(N.Core c))
+        in
+        Hashtbl.add ring_routes (ncores, shift) paths;
+        paths
+  in
   (* One ring phase of an execute: each of the op's [ncores] cores
-     receives [bytes] from core [peer c] on the execution class, not
+     receives [bytes] from its ring peer on the execution class, not
      before [not_before].  Returns each core's completion and port wait;
      both are empty when nothing moves. *)
-  let ring ~op ~ncores ~cls ~peer ~bytes ~not_before =
+  let ring ~op ~ncores ~cls ~shift ~bytes ~not_before =
     if bytes > 0. then begin
+      let paths = routes ~ncores ~shift in
       let fin = Array.make ncores not_before and wait = Array.make ncores 0. in
       for c = 0 to ncores - 1 do
-        let p = N.path noc ~src:(N.Core (peer c)) ~dst:(N.Core c) in
-        let f, w = transfer ?nt:nrec fg_fabric p ~cls ~op ~bytes ~not_before in
-        fin.(c) <- f;
-        wait.(c) <- w
+        transfer ?nt:nrec fg_fabric paths.(c) ~cls ~op ~bytes ~not_before fin wait c
       done;
       (fin, wait)
     end
     else ([||], [||])
   in
   (* A ring phase's ideal length at the execution class's share. *)
+  let ideal_path = N.path noc ~src:(N.Core 0) ~dst:(N.Core (min 1 (cores - 1))) in
   let ring_ideal bytes =
-    if bytes > 0. then
-      N.transfer_time noc ~src:(N.Core 0) ~dst:(N.Core (min 1 (chip.Arch.cores - 1))) ~bytes
-      /. (1. -. pre_share)
-    else 0.
+    if bytes > 0. then N.path_time ideal_path ~bytes /. (1. -. pre_share) else 0.
   in
-  Array.iter
-    (fun instr ->
-      match instr with
-      | Elk.Program.Preload_async op ->
-          let e = s.Elk.Schedule.entries.(op) in
-          let popt = e.Elk.Schedule.popt in
-          incr pending;
-          if !pending > !max_pending then max_pending := !pending;
-          (* Rule (1): every execute issued earlier blocks this preload;
-             rule (2): preloads are sequential. *)
-          let gate = Float.max !exec_ready !preload_free in
-          if popt.P.hbm_device_bytes <= 0. then begin
-            pre_start.(op) <- gate;
-            hbm_end.(op) <- gate;
-            pre_end.(op) <- gate;
-            preload_free := gate
-          end
-          else begin
-            let hbm_done =
-              Elk_hbm.Hbm.read hbm_dev ~now:gate ~offset:offsets.(op)
-                ~bytes:popt.P.hbm_device_bytes
-            in
-            hbm_busy := !hbm_busy +. (hbm_done -. gate);
-            hbm_end.(op) <- hbm_done;
-            (* Controllers stream to every core in parallel; each core
-               receives its preload-space bytes through its own port.  On
-               the all-to-all fabric the delivery is a fluid broadcast:
-               each controller pushes its cores' chunks simultaneously, so
-               the phase takes the max of the controller service time and
-               the per-core inbound time.  On the mesh each core's chunk
-               is routed hop by hop and aggregation on shared edges is
-               captured by per-transfer bookings. *)
-            let per_core = popt.P.noc_inject_bytes /. float_of_int chip.Arch.cores in
-            let finish = ref hbm_done in
-            let ideal = ref 0. in
-            (match chip.Arch.topology with
-            | Arch.All_to_all ->
-                let nctrl = chip.Arch.hbm_controllers in
-                (* Every core's inbound port runs at the same rate. *)
-                let inbound = per_core /. pre_fabric.eff.(port_in.(0)) in
-                for h = 0 to nctrl - 1 do
-                  let ctrl_cores = (chip.Arch.cores + nctrl - 1 - h) / nctrl in
-                  let ctrl_volume = per_core *. float_of_int ctrl_cores in
-                  let out = ctrl_out.(h) in
-                  let start = Float.max gate pre_fabric.free.(out) in
-                  let ctrl_service = ctrl_volume /. pre_fabric.eff.(out) in
-                  pre_fabric.free.(out) <- start +. ctrl_service;
+  (* A mesh or clustered preload's per-core completion, written by
+     [transfer]; its queueing is not read. *)
+  let pre_fin = [| 0. |] and pre_q = [| 0. |] in
+  let instrs = program.Elk.Program.instrs in
+  for i = 0 to Array.length instrs - 1 do
+    match instrs.(i) with
+    | Elk.Program.Preload_async op ->
+        let popt = entries.(op).Elk.Schedule.popt in
+        incr pending;
+        if !pending > !max_pending then max_pending := !pending;
+        (* Rule (1): every execute issued earlier blocks this preload;
+           rule (2): preloads are sequential. *)
+        let gate = Float.max !exec_ready !preload_free in
+        if popt.P.hbm_device_bytes <= 0. then begin
+          pre_start.(op) <- gate;
+          hbm_end.(op) <- gate;
+          pre_end.(op) <- gate;
+          preload_free := gate
+        end
+        else begin
+          let hbm_done =
+            Elk_hbm.Hbm.read hbm_dev ~now:gate ~offset:offsets.(op)
+              ~bytes:popt.P.hbm_device_bytes
+          in
+          hbm_busy := !hbm_busy +. (hbm_done -. gate);
+          hbm_end.(op) <- hbm_done;
+          (* Controllers stream to every core in parallel; each core
+             receives its preload-space bytes through its own port.  On
+             the all-to-all fabric the delivery is a fluid broadcast:
+             each controller pushes its cores' chunks simultaneously, so
+             the phase takes the max of the controller service time and
+             the per-core inbound time.  On the mesh each core's chunk
+             is routed hop by hop and aggregation on shared edges is
+             captured by per-transfer bookings. *)
+          let per_core = popt.P.noc_inject_bytes /. float_of_int cores in
+          let finish = ref hbm_done in
+          let ideal = ref 0. in
+          (match chip.Arch.topology with
+          | Arch.All_to_all ->
+              let nctrl = chip.Arch.hbm_controllers in
+              (* Every core's inbound port runs at the same rate. *)
+              let inbound = per_core /. pre_fabric.eff.(port_in.(0)) in
+              for h = 0 to nctrl - 1 do
+                (* Controller [h] serves cores h, h + nctrl, h + 2 nctrl, ... *)
+                let ctrl_cores = (cores + nctrl - 1 - h) / nctrl in
+                let ctrl_volume = per_core *. float_of_int ctrl_cores in
+                let out = ctrl_out.(h) in
+                let start = Float.max gate pre_fabric.free.(out) in
+                let ctrl_service = ctrl_volume /. pre_fabric.eff.(out) in
+                pre_fabric.free.(out) <- start +. ctrl_service;
+                (match nrec with
+                | Some nt when per_core > 0. ->
+                    Noctrace.record_booking nt ~cls:Noctrace.Preload ~op ~link:out
+                      ~bytes:ctrl_volume ~t_start:start ~t_end:(start +. ctrl_service)
+                | _ -> ());
+                for k = 0 to ctrl_cores - 1 do
+                  let c = h + (k * nctrl) in
+                  let inp = port_in.(c) in
+                  let s = Float.max start pre_fabric.free.(inp) in
+                  pre_fabric.free.(inp) <- s +. inbound;
+                  pre_fabric.link_volume.(0) <- pre_fabric.link_volume.(0) +. per_core;
+                  let delivered =
+                    s +. Float.max inbound ctrl_service +. chip.Arch.intercore_link.Arch.latency
+                  in
                   (match nrec with
                   | Some nt when per_core > 0. ->
-                      Noctrace.record_booking nt ~cls:Noctrace.Preload ~op ~link:out
-                        ~bytes:ctrl_volume ~t_start:start ~t_end:(start +. ctrl_service)
+                      Noctrace.record_booking nt ~cls:Noctrace.Preload ~op ~link:inp
+                        ~bytes:per_core ~t_start:s ~t_end:(s +. inbound);
+                      Noctrace.record_transfer nt ~cls:Noctrace.Preload ~op ~src:(N.Hbm h)
+                        ~dst:(N.Core c) ~bytes:per_core ~hops:2 ~wait:(s -. gate) ~t_start:s
+                        ~t_end:delivered
                   | _ -> ());
-                  for c = 0 to chip.Arch.cores - 1 do
-                    if c mod nctrl = h then begin
-                      let inp = port_in.(c) in
-                      let s = Float.max start pre_fabric.free.(inp) in
-                      pre_fabric.free.(inp) <- s +. inbound;
-                      pre_fabric.link_volume <- pre_fabric.link_volume +. per_core;
-                      let delivered =
-                        s +. Float.max inbound ctrl_service
-                        +. chip.Arch.intercore_link.Arch.latency
-                      in
-                      (match nrec with
-                      | Some nt when per_core > 0. ->
-                          Noctrace.record_booking nt ~cls:Noctrace.Preload ~op ~link:inp
-                            ~bytes:per_core ~t_start:s ~t_end:(s +. inbound);
-                          Noctrace.record_transfer nt ~cls:Noctrace.Preload ~op
-                            ~src:(N.Hbm h) ~dst:(N.Core c) ~bytes:per_core ~hops:2
-                            ~wait:(s -. gate) ~t_start:s ~t_end:delivered
-                      | _ -> ());
-                      finish := Float.max !finish delivered
-                    end
-                  done;
-                  ideal :=
-                    Float.max !ideal (gate +. Float.max ctrl_service inbound)
-                done
-            | Arch.Mesh2d _ | Arch.Clustered _ ->
-                for c = 0 to chip.Arch.cores - 1 do
-                  let p = N.path noc ~src:(N.hbm_ctrl_for_core noc c) ~dst:(N.Core c) in
-                  let done_c, _wait =
-                    transfer ?nt:nrec pre_fabric p ~cls:Noctrace.Preload ~op
-                      ~bytes:per_core ~not_before:gate
-                  in
-                  ideal :=
-                    Float.max !ideal
-                      (gate
-                      +. (N.path_time p ~bytes:per_core /. Float.max 1e-9 pre_share));
-                  finish := Float.max !finish done_c
-                done);
-            let d = Float.max 0. (!finish -. Float.max !ideal hbm_done) in
-            stall_pre := !stall_pre +. d;
-            stall_interconnect := !stall_interconnect +. d;
-            pre_start.(op) <- gate;
-            pre_end.(op) <- !finish;
-            pre_wait.(op) <- d;
-            preload_free := !finish
-          end
-      | Elk.Program.Execute op ->
-          let e = s.Elk.Schedule.entries.(op) in
-          let plan = e.Elk.Schedule.plan in
-          let node = Elk_model.Graph.get graph op in
-          let start = Float.max !exec_ready pre_end.(op) in
-          if !pending > 0 then decr pending;
-          preload_wait := !preload_wait +. Float.max 0. (pre_end.(op) -. !exec_ready);
-          let ncores = plan.P.cores_used in
-          (* Phase 1: data distribution (preload-state to execute-state),
-             ring transfers from sharing-group peers. *)
-          let dist_per_core = e.Elk.Schedule.popt.P.dist_bytes_per_core in
-          let dist_done, dist_wait =
-            ring ~op ~ncores ~cls:Noctrace.Distribute
-              ~peer:(fun c -> (c + 1) mod ncores)
-              ~bytes:dist_per_core ~not_before:start
-          in
-          let dist_end = Array.fold_left Float.max start dist_done in
-          let sd = Float.max 0. (dist_end -. start -. ring_ideal dist_per_core) in
-          stall_dist := !stall_dist +. sd;
-          stall_interconnect := !stall_interconnect +. sd;
-          (* Phase 2: per-core tile computation (slowest core binds). *)
-          let t_tile =
-            Elk_cost.Device.exec_time chip ~kind:node.Elk_model.Graph.op.Elk_tensor.Opspec.kind
-              ~iter:plan.P.tile
-          in
-          let tile = Array.init ncores (fun c -> t_tile *. core_skew ~skew c op) in
-          let compute_end =
-            Array.fold_left (fun m t_c -> Float.max m (dist_end +. t_c)) dist_end tile
-          in
-          (* Phase 3: exchange/reduction of shared activations and partial
-             results. *)
-          let ex_per_core = plan.P.exchange_bytes_per_core in
-          let ex_done, ex_wait =
-            ring ~op ~ncores ~cls:Noctrace.Exchange
-              ~peer:(fun c -> (c + ncores - 1) mod ncores)
-              ~bytes:ex_per_core ~not_before:compute_end
-          in
-          let ex_end = Array.fold_left Float.max compute_end ex_done in
-          let se = Float.max 0. (ex_end -. compute_end -. ring_ideal ex_per_core) in
-          stall_ex := !stall_ex +. se;
-          stall_interconnect := !stall_interconnect +. se;
-          (* A phase's port wait: the longest any core queued, capped at
-             the phase length. *)
-          let port_wait len w = Float.min len (Array.fold_left Float.max 0. w) in
-          let popt = e.Elk.Schedule.popt in
-          traces :=
-            {
-              pre_start = pre_start.(op);
-              hbm_end = hbm_end.(op);
-              pre_end = pre_end.(op);
-              pre_wait = pre_wait.(op);
-              exe_start = start;
-              dist_end;
-              dist_wait = port_wait (dist_end -. start) dist_wait;
-              compute_end;
-              exe_end = ex_end;
-              ex_wait = port_wait (ex_end -. compute_end) ex_wait;
-              device_bytes = popt.P.hbm_device_bytes;
-              inject_bytes = popt.P.noc_inject_bytes;
-              dist_bytes = dist_per_core *. float_of_int ncores;
-              exchange_bytes = ex_per_core *. float_of_int ncores;
-              core_tile = tile;
-              core_dist_done = dist_done;
-              core_dist_wait = dist_wait;
-              core_ex_done = ex_done;
-              core_ex_wait = ex_wait;
-            }
-            :: !traces;
-          exec_ready := ex_end)
-    program.Elk.Program.instrs;
+                  finish := Float.max !finish delivered
+                done;
+                ideal := Float.max !ideal (gate +. Float.max ctrl_service inbound)
+              done
+          | Arch.Mesh2d _ | Arch.Clustered _ ->
+              for c = 0 to cores - 1 do
+                let p = ctrl_paths.(c) in
+                transfer ?nt:nrec pre_fabric p ~cls:Noctrace.Preload ~op ~bytes:per_core
+                  ~not_before:gate pre_fin pre_q 0;
+                ideal :=
+                  Float.max !ideal
+                    (gate +. (N.path_time p ~bytes:per_core /. Float.max 1e-9 pre_share));
+                finish := Float.max !finish pre_fin.(0)
+              done);
+          let d = Float.max 0. (!finish -. Float.max !ideal hbm_done) in
+          stall_pre := !stall_pre +. d;
+          stall_interconnect := !stall_interconnect +. d;
+          pre_start.(op) <- gate;
+          pre_end.(op) <- !finish;
+          pre_wait.(op) <- d;
+          preload_free := !finish
+        end
+    | Elk.Program.Execute op ->
+        let e = entries.(op) in
+        let plan = e.Elk.Schedule.plan in
+        let node = Elk_model.Graph.get graph op in
+        let start = Float.max !exec_ready pre_end.(op) in
+        if !pending > 0 then decr pending;
+        preload_wait := !preload_wait +. Float.max 0. (pre_end.(op) -. !exec_ready);
+        let ncores = plan.P.cores_used in
+        (* Phase 1: data distribution (preload-state to execute-state),
+           ring transfers from sharing-group peers. *)
+        let dist_per_core = e.Elk.Schedule.popt.P.dist_bytes_per_core in
+        let dist_done, dist_wait =
+          ring ~op ~ncores ~cls:Noctrace.Distribute ~shift:1
+            ~bytes:dist_per_core ~not_before:start
+        in
+        let dist_end = max_fold start dist_done in
+        let sd = Float.max 0. (dist_end -. start -. ring_ideal dist_per_core) in
+        stall_dist := !stall_dist +. sd;
+        stall_interconnect := !stall_interconnect +. sd;
+        (* Phase 2: per-core tile computation (slowest core binds). *)
+        let t_tile =
+          Elk_cost.Device.exec_time chip ~kind:node.Elk_model.Graph.op.Elk_tensor.Opspec.kind
+            ~iter:plan.P.tile
+        in
+        let units = skew_units.(op) in
+        let tile = Array.make ncores 0. in
+        let compute_end = ref dist_end in
+        for c = 0 to ncores - 1 do
+          let t_c = t_tile *. (1. -. skew +. (2. *. skew *. units.(c))) in
+          tile.(c) <- t_c;
+          compute_end := Float.max !compute_end (dist_end +. t_c)
+        done;
+        let compute_end = !compute_end in
+        (* Phase 3: exchange/reduction of shared activations and partial
+           results. *)
+        let ex_per_core = plan.P.exchange_bytes_per_core in
+        let ex_done, ex_wait =
+          ring ~op ~ncores ~cls:Noctrace.Exchange ~shift:(ncores - 1)
+            ~bytes:ex_per_core ~not_before:compute_end
+        in
+        let ex_end = max_fold compute_end ex_done in
+        let se = Float.max 0. (ex_end -. compute_end -. ring_ideal ex_per_core) in
+        stall_ex := !stall_ex +. se;
+        stall_interconnect := !stall_interconnect +. se;
+        (* A phase's port wait: the longest any core queued, capped at
+           the phase length. *)
+        let port_wait len w = Float.min len (max_fold 0. w) in
+        let popt = e.Elk.Schedule.popt in
+        traces :=
+          {
+            pre_start = pre_start.(op);
+            hbm_end = hbm_end.(op);
+            pre_end = pre_end.(op);
+            pre_wait = pre_wait.(op);
+            exe_start = start;
+            dist_end;
+            dist_wait = port_wait (dist_end -. start) dist_wait;
+            compute_end;
+            exe_end = ex_end;
+            ex_wait = port_wait (ex_end -. compute_end) ex_wait;
+            device_bytes = popt.P.hbm_device_bytes;
+            inject_bytes = popt.P.noc_inject_bytes;
+            dist_bytes = dist_per_core *. float_of_int ncores;
+            exchange_bytes = ex_per_core *. float_of_int ncores;
+            core_tile = tile;
+            core_dist_done = dist_done;
+            core_dist_wait = dist_wait;
+            core_ex_done = ex_done;
+            core_ex_wait = ex_wait;
+          }
+          :: !traces;
+        exec_ready := ex_end
+  done;
   let per_op = Array.of_list (List.rev !traces) in
   let total = per_op.(n - 1).exe_end in
   (let module M = Elk_obs.Metrics in
@@ -636,13 +711,13 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
     hbm_util = a.hbm_util;
     noc_util =
       (if total > 0. then
-         (fg_fabric.link_volume +. pre_fabric.link_volume)
+         (fg_fabric.link_volume.(0) +. pre_fabric.link_volume.(0))
          /. (fabric_capacity chip *. total)
        else 0.);
     noc_util_split =
       (if total > 0. then
          let d = fabric_capacity chip *. total in
-         (fg_fabric.link_volume /. d, pre_fabric.link_volume /. d)
+         (fg_fabric.link_volume.(0) /. d, pre_fabric.link_volume.(0) /. d)
        else (0., 0.));
     intercore_volume = a.intercore_volume;
     inject_volume = a.inject_volume;

@@ -20,7 +20,15 @@
     Interconnect contention is emergent: preload deliveries reserve the
     same links that distribution and exchange transfers use, so overlap
     shows up as queuing delay, which the simulator accounts into the
-    [interconnect] breakdown bucket (Fig 18a, Fig 20). *)
+    [interconnect] breakdown bucket (Fig 18a, Fig 20).
+
+    A run costs O(ops x cores x hops) and allocates nothing per
+    transfer: every ring route is looked up once per run for each ring
+    size and direction, every controller-to-core preload route once per
+    run for each core, and each transfer books its links in per-link
+    float arrays and writes its completion and queueing into the
+    phase's arrays.  The per-core skew units come from a process-wide
+    table ({!skew_unit}). *)
 
 type op_trace = {
   pre_start : float;
@@ -110,6 +118,15 @@ val run :
     [perf], the DAG and the residency record are built after it, from
     [per_op] and the schedule.  Nothing recorded is read back, so the
     simulated timeline is identical either way.  Raises [Invalid_argument] if the schedule fails validation. *)
+
+val skew_unit : core:int -> op:int -> float
+(** The deterministic unit in [[0, 1]] behind core [core]'s compute skew
+    on operator [op]: [Hashtbl.hash (core, op, "skew") land 0xFFFF] over
+    65535.  {!run} scales that core's tile time by [1 - skew + 2 skew
+    unit].  Read from a process-wide table that fills on first use; all
+    domains share it, and it needs no reset, since the unit is a pure
+    function of its two ints.  Raises [Invalid_argument] on a negative
+    argument. *)
 
 type series = {
   hbm : Elk_util.Series.t;  (** HBM device bytes over each read. *)

@@ -192,6 +192,39 @@ let test_hbm_replay_matches_reads () =
   in
   Alcotest.(check bool) "bounded" true (t1 > 0. && t1 <= isolated *. 1.5)
 
+(* A 0-op graph parses, and a schedule of it has consistent lengths
+   ([windows = [|0|]]), but no entry point takes it: [Schedule.validate]
+   rejects it, so [Sim.run], [Timeline.evaluate] and
+   [Timeline.lower_bound] each raise their own named error (never a bare
+   index error) and the verifier reports [dep.schedule-structure]. *)
+let test_zero_op_schedule () =
+  let g =
+    match Gtext.import "graph empty" with Ok g -> g | Error m -> Alcotest.fail m
+  in
+  Alcotest.(check int) "no operators" 0 (Graph.length g);
+  let s =
+    { Elk.Schedule.graph = g; order = [||]; windows = [| 0 |]; entries = [||]; est_total = 0. }
+  in
+  let ctx = ctx () in
+  let names_itself entry prefix f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted a 0-op schedule" entry
+    | exception Invalid_argument m ->
+        if not (String.starts_with ~prefix m) then
+          Alcotest.failf "%s raised %S, not its own %S error" entry m prefix
+  in
+  names_itself "Sim.run" "Sim.run: invalid schedule: empty schedule" (fun () ->
+      ignore (Elk_sim.Sim.run ctx s));
+  names_itself "Timeline.evaluate" "Timeline.evaluate: empty schedule" (fun () ->
+      ignore (Elk.Timeline.evaluate ctx s));
+  names_itself "Timeline.lower_bound" "Timeline.lower_bound: empty schedule" (fun () ->
+      ignore (Elk.Timeline.lower_bound ctx s));
+  match Elk_verify.Verify.check ctx s (Elk.Program.of_schedule s) with
+  | Ok () -> Alcotest.fail "Verify.check passed a 0-op schedule"
+  | Error m ->
+      if not (contains m "dep.schedule-structure") then
+        Alcotest.failf "Verify.check: %S does not name dep.schedule-structure" m
+
 let suite =
   [
     ("edges: unit printers", `Quick, test_units_printers);
@@ -213,4 +246,5 @@ let suite =
     ("edges: energy printer", `Quick, test_energy_pp);
     ("edges: report sections", `Slow, test_report_markdown);
     ("edges: hbm replay bounds", `Quick, test_hbm_replay_matches_reads);
+    ("edges: a 0-op schedule is rejected by name", `Quick, test_zero_op_schedule);
   ]

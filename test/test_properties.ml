@@ -395,6 +395,83 @@ let qcheck_lower_bound_on_random_orders =
         QCheck2.Test.fail_reportf "stall-free total %h but bound %h" total bound;
       true)
 
+(* The interval measures behind [Timeline.account], against the
+   pairwise list implementations they replaced (kept here as the
+   reference): the union by a sort and merge of the whole list, the
+   intersection as the union of every pairwise overlap.  Both must agree
+   to the bit on lists of up to 200 intervals drawn on a small grid (so
+   that touching and duplicate ends are common) with nested, touching,
+   duplicate, zero-length and reversed intervals derived from them, and
+   some -0, infinite and NaN ends. *)
+module Pairwise = struct
+  let union_measure intervals =
+    let sorted = List.sort compare (List.filter (fun (a, b) -> b > a) intervals) in
+    let rec go acc cur = function
+      | [] -> ( match cur with None -> acc | Some (a, b) -> acc +. (b -. a))
+      | (a, b) :: rest -> (
+          match cur with
+          | None -> go acc (Some (a, b)) rest
+          | Some (ca, cb) ->
+              if a <= cb then go acc (Some (ca, Float.max cb b)) rest
+              else go (acc +. (cb -. ca)) (Some (a, b)) rest)
+    in
+    go 0. None sorted
+
+  let intersection_measure xs ys =
+    let pieces =
+      List.concat_map
+        (fun (a, b) ->
+          List.filter_map
+            (fun (c, d) ->
+              let lo = Float.max a c and hi = Float.min b d in
+              if hi > lo then Some (lo, hi) else None)
+            ys)
+        xs
+    in
+    union_measure pieces
+end
+
+let gen_intervals =
+  let open QCheck2.Gen in
+  let point =
+    frequency
+      [
+        (6, map float_of_int (int_range (-3) 30));
+        (3, float_range (-3.) 30.);
+        (1, oneofl [ -0.; infinity; neg_infinity; nan ]);
+      ]
+  in
+  let derive ((a, b), shape) =
+    match shape with
+    | 0 -> [ (a, b) ]
+    | 1 -> [ (a, b); (a, b) ]
+    | 2 -> [ (a, b); (((3. *. a) +. b) /. 4., (a +. (3. *. b)) /. 4.) ]
+    | 3 -> [ (a, b); (b, b +. 0.3) ]
+    | 4 -> [ (a, a) ]
+    | _ -> [ (b, a) ]
+  in
+  map (List.concat_map derive) (list_size (int_range 0 100) (pair (pair point point) (int_bound 5)))
+
+let qcheck_interval_measures =
+  let show l = String.concat "; " (List.map (fun (a, b) -> Printf.sprintf "(%h, %h)" a b) l) in
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"timeline: interval measures equal the pairwise reference"
+       ~print:(fun (xs, ys) -> Printf.sprintf "xs = [%s]\nys = [%s]" (show xs) (show ys))
+       QCheck2.Gen.(pair gen_intervals gen_intervals)
+       (fun (xs, ys) ->
+         let check name want got =
+           if not (same want got) then
+             QCheck2.Test.fail_reportf "%s: reference %h, got %h" name want got
+         in
+         check "union xs" (Pairwise.union_measure xs) (Elk.Timeline.union_measure xs);
+         check "union ys" (Pairwise.union_measure ys) (Elk.Timeline.union_measure ys);
+         check "intersection" (Pairwise.intersection_measure xs ys)
+           (Elk.Timeline.intersection_measure xs ys);
+         check "intersection, swapped" (Pairwise.intersection_measure ys xs)
+           (Elk.Timeline.intersection_measure ys xs);
+         true))
+
 let suite =
   [
     qcheck_alloc_fits_any_capacity;
@@ -409,4 +486,5 @@ let suite =
     qcheck_sharding_flops_split;
     qcheck_recorders_on_random_orders;
     qcheck_lower_bound_on_random_orders;
+    qcheck_interval_measures;
   ]

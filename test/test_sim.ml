@@ -125,6 +125,61 @@ let test_mesh_not_faster_than_a2a () =
   let rm = Sim.run mctx (Elk.Scheduler.run mctx g) in
   Alcotest.(check bool) "mesh >= a2a * 0.9" true (rm.Sim.total >= 0.9 *. ra.Sim.total)
 
+(* The skew table equals the hash it tabulates for every core below
+   1,472 (the full MK2) and every op below 512, with rows first asked for
+   in a shuffled order and at random lengths, so that some rows are
+   built short and grown later.  Then four pool domains fill the rows of
+   the next 64 ops at once, each in its own order and each row core by
+   core, and read the same values. *)
+let test_skew_table () =
+  let unit core op = float_of_int (Hashtbl.hash (core, op, "skew") land 0xFFFF) /. 65535. in
+  let check_rows ~ops ~cores read =
+    List.iter
+      (fun op ->
+        for core = 0 to cores - 1 do
+          let want = unit core op and got = read ~core ~op in
+          if not (Int64.equal (Int64.bits_of_float want) (Int64.bits_of_float got)) then
+            Alcotest.failf "core %d, op %d: table %h, hash %h" core op got want
+        done)
+      ops
+  in
+  let shuffled rng lo hi =
+    let a = Array.init (hi - lo) (fun i -> lo + i) in
+    for i = Array.length a - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done;
+    Array.to_list a
+  in
+  let rng = Random.State.make [| 29 |] in
+  List.iter
+    (fun op -> ignore (Sim.skew_unit ~core:(Random.State.int rng 1472) ~op))
+    (shuffled rng 0 512);
+  check_rows ~ops:(shuffled rng 0 512) ~cores:1472 Sim.skew_unit;
+  let lo = 512 in
+  let pool = Elk_util.Pool.create ~jobs:4 in
+  let reads =
+    Fun.protect
+      ~finally:(fun () -> Elk_util.Pool.shutdown pool)
+      (fun () ->
+        Elk_util.Pool.map pool
+          (fun seed ->
+            let rng = Random.State.make [| seed |] in
+            List.map
+              (fun op -> (op, Array.init 1472 (fun core -> Sim.skew_unit ~core ~op)))
+              (shuffled rng lo (lo + 64)))
+          [ 1; 2; 3; 4 ])
+  in
+  List.iter
+    (fun rows ->
+      let row_of = List.to_seq rows |> Hashtbl.of_seq in
+      check_rows ~ops:(List.map fst rows) ~cores:1472 (fun ~core ~op ->
+          (Hashtbl.find row_of op).(core)))
+    reads;
+  check_rows ~ops:(List.init 64 (fun i -> lo + i)) ~cores:1472 Sim.skew_unit
+
 let suite =
   [
     ("sim: positive total", `Quick, test_total_positive);
@@ -142,4 +197,5 @@ let suite =
     ("sim: attribution tiles makespan (mesh)", `Slow, test_attrib_tiles_makespan_mesh);
     ("sim: mesh runs", `Slow, test_mesh_runs);
     ("sim: mesh vs a2a", `Slow, test_mesh_not_faster_than_a2a);
+    ("sim: skew table equals its hash in any fill order", `Quick, test_skew_table);
   ]

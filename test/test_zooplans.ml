@@ -185,6 +185,85 @@ let test_zoo_records_pinned () =
            [ ("default", None); ("1e-6", Some 1e-6) ])
        (Lazy.force plans))
 
+(* Per plan: every number of a plain [Sim.run] result, each float at
+   full precision ([%h]) and compared by value — the totals, breakdown,
+   utilizations, volumes and FLOP/s, the HBM request count, every
+   [op_trace] field and array, and Perfcore's per-op attributions and
+   per-core buckets.  Beside the twelve plans, two models on the
+   clustered chip ([Presets.gpu_like_chip]) cover its L2 preload route. *)
+let render_result (r : Elk_sim.Sim.result) =
+  let module S = Elk_sim.Sim in
+  let module Pc = Elk_sim.Perfcore in
+  let module T = Elk.Timeline in
+  let b = Buffer.create 65536 in
+  let f x = Printf.bprintf b "%h " x in
+  let fa a =
+    Array.iter f a;
+    Buffer.add_char b '|'
+  in
+  List.iter f
+    [ r.S.total; r.S.bd.T.preload_only; r.S.bd.T.execute_only; r.S.bd.T.overlapped;
+      r.S.bd.T.interconnect; r.S.hbm_util; r.S.noc_util; fst r.S.noc_util_split;
+      snd r.S.noc_util_split; r.S.intercore_volume; r.S.inject_volume;
+      r.S.hbm_device_volume; r.S.achieved_flops ];
+  Printf.bprintf b "%d\n" r.S.hbm_requests;
+  Array.iter
+    (fun (o : S.op_trace) ->
+      List.iter f
+        [ o.S.pre_start; o.S.hbm_end; o.S.pre_end; o.S.pre_wait; o.S.exe_start; o.S.dist_end;
+          o.S.dist_wait; o.S.compute_end; o.S.exe_end; o.S.ex_wait; o.S.device_bytes;
+          o.S.inject_bytes; o.S.dist_bytes; o.S.exchange_bytes ];
+      List.iter fa
+        [ o.S.core_tile; o.S.core_dist_done; o.S.core_dist_wait; o.S.core_ex_done;
+          o.S.core_ex_wait ];
+      Buffer.add_char b '\n')
+    r.S.per_op;
+  Array.iter
+    (fun (a : Pc.op_attrib) ->
+      List.iter f [ a.Pc.a_hbm; a.Pc.a_interconnect; a.Pc.a_compute; a.Pc.a_port ])
+    r.S.perf.Pc.per_op;
+  Array.iter
+    (fun (c : Pc.buckets) ->
+      List.iter f [ c.Pc.compute; c.Pc.exchange; c.Pc.preload_wait; c.Pc.port; c.Pc.idle ])
+    r.S.perf.Pc.per_core;
+  Buffer.contents b
+
+let clustered_plans =
+  lazy
+    (let env = D.env ~topology:`Gpu () in
+     List.map
+       (fun cfg ->
+         let g = zoo_graph cfg in
+         let c = Elk.Compile.compile env.D.ctx ~pod:env.D.pod g in
+         (Graph.name g ^ "@gpu", env, c.Elk.Compile.schedule))
+       [ Zoo.llama2_13b; Zoo.dit_xl ])
+
+let pinned_results =
+  [
+    ("llama2-13b/8x10@a2a", "cbfe4f4bd6c5c857ab46766d9a11cc0e");
+    ("gemma2-27b/8x11@a2a", "b7401cdb1e43982f93c6808cd26ddd56");
+    ("opt-30b/8x12@a2a", "7c337882f07e821e0c5bed83e03d412b");
+    ("llama2-70b/8x20@a2a", "61a7c3d6329bf1fc5f24b253d0e45bb7");
+    ("dit-xl/8x7@a2a", "a8d3479656f92660857872f92dff4986");
+    ("mixtral-8x7b/8x10@a2a", "91afdeecd1cebd3443509ca0009619d9");
+    ("llama2-13b/8x10@mesh", "93ae5bab04a9da448270feb82440d175");
+    ("gemma2-27b/8x11@mesh", "22088f240f37481631f8e4577cb314a6");
+    ("opt-30b/8x12@mesh", "7ee038178b5b7ce9dc8db019fd544915");
+    ("llama2-70b/8x20@mesh", "200b96ce9fef12f77c4c3dc61c8edba6");
+    ("dit-xl/8x7@mesh", "24c2964b615ee8dbc358f65b2ccf192d");
+    ("mixtral-8x7b/8x10@mesh", "586f0ede636054057f9792824b8dde82");
+    ("llama2-13b/8x10@gpu", "e0a46cde79d30ad923e995047e42d36a");
+    ("dit-xl/8x7@gpu", "043e162944703209de9e976ff1f0e3b2");
+  ]
+
+let test_zoo_results_pinned () =
+  check_pinned "pinned_results"
+    (fun (label, d) -> Printf.sprintf "(%S, %S)" label d)
+    pinned_results
+    (List.map
+       (fun (label, env, s) -> (label, md5 (render_result (Elk_sim.Sim.run env.D.ctx s))))
+       (Lazy.force plans @ Lazy.force clustered_plans))
+
 (* Every survivor of each plan's order search, rescheduled on the
    plan's chip graph: its [Timeline.lower_bound] is never above its
    [Timeline.evaluate] total, compared as floats with no tolerance, and
@@ -215,4 +294,6 @@ let suite =
       `Quick test_zoo_records_pinned;
     Alcotest.test_case "12 zoo plans' survivors: lower bound never above the total" `Quick
       test_zoo_lower_bounds;
+    Alcotest.test_case "12 zoo and 2 clustered plans' Sim.run results match the pinned digests"
+      `Quick test_zoo_results_pinned;
   ]
