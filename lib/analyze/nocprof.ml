@@ -79,31 +79,41 @@ type report = {
    the simulator executes it: preload fan-out from each core's
    controller, the distribution ring from sharing-group successors,
    the exchange ring from predecessors.  Guards mirror the simulator's
-   (no transfer for zero bytes, none when src = dst), so the per-link
-   volumes must agree with the dynamic record to float noise. *)
+   (no transfer for zero bytes; a core receiving from itself books an
+   empty route), so the per-link volumes must agree with the dynamic
+   record to float noise.  As in [Sim.run], each controller route is
+   looked up once per report and each ring's routes once per (ring
+   size, shift), so a booking is a walk over a route's link ids. *)
 let static_load noc (s : Elk.Schedule.t) =
-  let chip = N.chip noc in
-  let cores = chip.A.cores in
+  let cores = N.cores noc in
   let load = N.Load.create noc in
+  let ctrl_paths =
+    Array.init cores (fun c -> N.path noc ~src:(N.hbm_ctrl_for_core noc c) ~dst:(N.Core c))
+  in
+  let rings = Hashtbl.create 8 in
+  let ring_paths ncores shift =
+    match Hashtbl.find_opt rings (ncores, shift) with
+    | Some paths -> paths
+    | None ->
+        let paths =
+          Array.init ncores (fun c ->
+              N.path noc ~src:(N.Core ((c + shift) mod ncores)) ~dst:(N.Core c))
+        in
+        Hashtbl.add rings (ncores, shift) paths;
+        paths
+  in
   Array.iter
     (fun e ->
       let popt = e.Elk.Schedule.popt and plan = e.Elk.Schedule.plan in
       if popt.P.hbm_device_bytes > 0. then begin
         let per_core = popt.P.noc_inject_bytes /. float_of_int cores in
         if per_core > 0. then
-          for c = 0 to cores - 1 do
-            N.Load.add load ~src:(N.hbm_ctrl_for_core noc c) ~dst:(N.Core c)
-              ~bytes:per_core
-          done
+          Array.iter (fun p -> N.Load.add_path load p ~bytes:per_core) ctrl_paths
       end;
       let ncores = plan.P.cores_used in
       let ring bytes shift =
         if bytes > 0. then
-          for c = 0 to ncores - 1 do
-            let src = (c + shift) mod ncores in
-            if src <> c then
-              N.Load.add load ~src:(N.Core src) ~dst:(N.Core c) ~bytes
-          done
+          Array.iter (fun p -> N.Load.add_path load p ~bytes) (ring_paths ncores shift)
       in
       ring popt.P.dist_bytes_per_core 1;
       ring plan.P.exchange_bytes_per_core (ncores - 1))

@@ -1,7 +1,8 @@
 (* Cross-compile incremental cache (see compilecache.mli). *)
 
-module P = Elk_partition.Partition
 module Metrics = Elk_obs.Metrics
+module G = Elk_model.Graph
+module O = Elk_tensor.Opspec
 
 (* ------------------------------------------------------------------ *)
 (* Enablement.                                                         *)
@@ -112,45 +113,87 @@ end
 
 (* ------------------------------------------------------------------ *)
 (* Canonical digests.  Every encoder is length-prefixed so distinct
-   inputs cannot collide by separator injection; floats render bit-exact
-   ("%h").                                                             *)
+   inputs cannot collide by separator injection; floats enter bit-exact. *)
 
-let add_str b s =
-  Buffer.add_string b (string_of_int (String.length s));
-  Buffer.add_char b ':';
-  Buffer.add_string b s
-
-let add_int b v =
-  Buffer.add_string b (string_of_int v);
-  Buffer.add_char b ';'
+(* One buffer and one MD5 for the whole graph.  Ints are 8 bytes, strings
+   and lists carry a length or count, so the encoding is prefix-free;
+   [flops_per_point] goes in by its bits, so [0.] and [-0.] differ.
+   Tensor names are left out: partitioning never reads them.  The bytes
+   are a per-domain scratch buffer, grown on demand and hashed in place:
+   a warm serving round digests a graph per cache hit, and a fresh buffer
+   and its copy per hit would be tens of kilobytes of major-heap
+   allocation each. *)
+let scratch = Domain.DLS.new_key (fun () -> ref (Bytes.create 32768))
 
 let graph_digest g =
-  (* 16-byte digest of one node: id, operator signature and name, layer,
-     role and dependency ids. *)
-  let node_digest (n : Elk_model.Graph.node) =
-    let b = Buffer.create 96 in
-    add_int b n.Elk_model.Graph.id;
-    add_str b (P.plan_signature n.Elk_model.Graph.op);
-    add_str b n.Elk_model.Graph.op.Elk_tensor.Opspec.name;
-    (match n.Elk_model.Graph.layer with
-    | None -> Buffer.add_char b 'n'
-    | Some l ->
-        Buffer.add_char b 'l';
-        add_int b l);
-    add_str b n.Elk_model.Graph.role;
-    List.iter (add_int b) n.Elk_model.Graph.deps;
-    Digest.string (Buffer.contents b)
+  let buf = Domain.DLS.get scratch and pos = ref 0 in
+  let reserve n =
+    if !pos + n > Bytes.length !buf then begin
+      let grown = Bytes.create (2 * (!pos + n)) in
+      Bytes.blit !buf 0 grown 0 !pos;
+      buf := grown
+    end
   in
-  let b = Buffer.create 1024 in
-  add_str b (Elk_model.Graph.name g);
-  let nodes = Elk_model.Graph.nodes g in
-  add_int b (Array.length nodes);
-  Array.iter (fun n -> Buffer.add_string b (node_digest n)) nodes;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  let[@inline] int64 v =
+    reserve 8;
+    Bytes.set_int64_le !buf !pos v;
+    pos := !pos + 8
+  in
+  let int v = int64 (Int64.of_int v) in
+  let char c =
+    reserve 1;
+    Bytes.set !buf !pos c;
+    incr pos
+  in
+  let str s =
+    let n = String.length s in
+    int n;
+    reserve n;
+    Bytes.blit_string s 0 !buf !pos n;
+    pos := !pos + n
+  in
+  let ints l =
+    int (List.length l);
+    List.iter int l
+  in
+  let tensor (t : O.tensor) =
+    ints t.O.dims;
+    char (match t.O.source with O.Weights -> 'w' | O.Kv_cache -> 'k' | O.Activation -> 'a')
+  in
+  let node (n : G.node) =
+    let op = n.G.op in
+    int n.G.id;
+    str op.O.kind;
+    int (Array.length op.O.iter);
+    Array.iter int op.O.iter;
+    int (List.length op.O.inputs);
+    List.iter tensor op.O.inputs;
+    tensor op.O.output;
+    int64 (Int64.bits_of_float op.O.flops_per_point);
+    str (Elk_tensor.Dtype.to_string op.O.dtype);
+    str op.O.name;
+    (match n.G.layer with
+    | None -> char 'n'
+    | Some l ->
+        char 'l';
+        int l);
+    str n.G.role;
+    ints n.G.deps
+  in
+  str (G.name g);
+  let nodes = G.nodes g in
+  int (Array.length nodes);
+  Array.iter node nodes;
+  Digest.to_hex (Digest.subbytes !buf 0 !pos)
 
 let digest_strings parts =
   let b = Buffer.create 256 in
-  List.iter (add_str b) parts;
+  List.iter
+    (fun s ->
+      Buffer.add_string b (string_of_int (String.length s));
+      Buffer.add_char b ':';
+      Buffer.add_string b s)
+    parts;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* ------------------------------------------------------------------ *)

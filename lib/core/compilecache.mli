@@ -67,10 +67,12 @@ end
 (** {1 Canonical digests} *)
 
 val graph_digest : Elk_model.Graph.t -> string
-(** Hex digest of a whole graph: its name plus, for every node, a digest
-    of the id, full operator signature
-    ({!Elk_partition.Partition.plan_signature}), operator name, layer,
-    role, and dependency ids. *)
+(** Hex MD5 (32 characters) of a whole graph, hashed once over one
+    buffer: its name and node count, and per node the id, operator kind,
+    extents, each input's and the output's dims and source, the bits of
+    [flops_per_point], the dtype, the operator name, the layer, the role
+    and the dependency ids.  Ints are 8 bytes; strings and lists carry a
+    length or count.  Tensor names are not digested. *)
 
 val digest_strings : string list -> string
 (** Hex digest of a length-prefixed concatenation — the generic key

@@ -297,13 +297,16 @@ module Load = struct
     let n = num_links noc in
     { noc; volume = Array.make n 0.; touched = Array.make n false }
 
-  let add l ~src ~dst ~bytes =
-    if bytes < 0. then invalid_arg "Noc.Load.add: negative size";
-    Array.iter
-      (fun id ->
-        l.volume.(id) <- l.volume.(id) +. bytes;
-        l.touched.(id) <- true)
-      (path l.noc ~src ~dst).ids
+  let add_path l p ~bytes =
+    if bytes < 0. then invalid_arg "Noc.Load.add_path: negative size";
+    let ids = p.ids in
+    for k = 0 to Array.length ids - 1 do
+      let id = ids.(k) in
+      l.volume.(id) <- l.volume.(id) +. bytes;
+      l.touched.(id) <- true
+    done
+
+  let add l ~src ~dst ~bytes = add_path l (path l.noc ~src ~dst) ~bytes
 
   let volume_on l link =
     let id = find_id l.noc link in

@@ -123,8 +123,15 @@ module Load : sig
   type loads
 
   val create : t -> loads
+
+  val add_path : loads -> path -> bytes:float -> unit
+  (** Attribute [bytes] to every link of a route already looked up with
+      {!path} on the same {!t}, so that a caller booking one route many
+      times looks it up once.  Raises [Invalid_argument] on a negative
+      size. *)
+
   val add : loads -> src:node -> dst:node -> bytes:float -> unit
-  (** Attribute [bytes] to every link on the route. *)
+  (** {!add_path} of the [src] to [dst] {!path}. *)
 
   val volume_on : loads -> link -> float
 

@@ -29,13 +29,12 @@ let preload_overhead o = o.dist_time +. Float.max 0. (o.preload_len -. o.hbm_flo
 
 (* Structural memo keys.  Partitioning reads an operator's kind,
    iteration extents, each tensor's indexing dims and source, its
-   per-point FLOPs and its dtype — the fields {!plan_signature} digests —
-   and never its name or its tensors' names.  The memo tables hash and
-   compare exactly those fields, so a lookup hashes a few words instead
-   of building a string and digesting it.  [flops_per_point] compares by
-   its bits: [0.] and [-0.] key apart, as their "%h" renderings do.
-   Preload options also key on the plan's factor vector; frontier keys
-   carry an empty one. *)
+   per-point FLOPs and its dtype, and never its name or its tensors'
+   names.  The memo tables hash and compare exactly those fields, so a
+   lookup hashes a few words instead of building a string and digesting
+   it.  [flops_per_point] compares by its bits: [0.] and [-0.] key
+   apart.  Preload options also key on the plan's factor vector;
+   frontier keys carry an empty one. *)
 module Key = struct
   type t = { op : Opspec.t; factors : int array }
 
@@ -160,46 +159,6 @@ let memo_find ctx tbl key compute =
 
 let ctx_chip ctx = ctx.chip
 let ctx_cost ctx = ctx.cost
-
-(* A digest over a length-prefixed canonical encoding of the fields the
-   memo keys compare ({!Key}): the operator component of
-   [Compilecache.graph_digest]'s per-node digest.  Length prefixes make
-   separator injection impossible, and [flops_per_point] is included
-   because it changes execution-time estimates even when the shape is
-   identical. *)
-let plan_signature (op : Opspec.t) =
-  let b = Buffer.create 128 in
-  let str s =
-    Buffer.add_string b (string_of_int (String.length s));
-    Buffer.add_char b ':';
-    Buffer.add_string b s
-  in
-  let ints l =
-    Buffer.add_string b (string_of_int (List.length l));
-    Buffer.add_char b '#';
-    List.iter
-      (fun v ->
-        Buffer.add_string b (string_of_int v);
-        Buffer.add_char b ',')
-      l
-  in
-  let tensor (t : Opspec.tensor) =
-    ints t.Opspec.dims;
-    Buffer.add_char b
-      (match t.Opspec.source with
-      | Opspec.Weights -> 'w'
-      | Opspec.Kv_cache -> 'k'
-      | Opspec.Activation -> 'a')
-  in
-  str op.Opspec.kind;
-  ints (Array.to_list op.Opspec.iter);
-  Buffer.add_string b (string_of_int (List.length op.Opspec.inputs));
-  Buffer.add_char b '!';
-  List.iter tensor op.Opspec.inputs;
-  tensor op.Opspec.output;
-  Buffer.add_string b (Printf.sprintf "%h" op.Opspec.flops_per_point);
-  str (Dtype.to_string op.Opspec.dtype);
-  Digest.to_hex (Digest.string (Buffer.contents b))
 
 let ceil_div a b = (a + b - 1) / b
 

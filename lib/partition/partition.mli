@@ -20,9 +20,9 @@
       bytes injected into the interconnect by controllers (scaled by
       broadcast replication).
 
-    Two memos, keyed per operator structure (every field of
-    {!plan_signature}, names excluded), so the identical layers of an LLM
-    cost one enumeration:
+    Two memos, keyed per operator structure (kind, extents, each
+    tensor's dims and source, per-point FLOPs and dtype; no name), so the
+    identical layers of an LLM cost one enumeration:
     - the frontier memo: an operator's Pareto frontier of plans
       ({!exec_frontier}).  It keeps the frontier alone, not the plan list
       it is folded from; {!enumerate} recomputes that list on each call.
@@ -155,15 +155,5 @@ val inject_rate : Elk_arch.Arch.chip -> float
     L2 fabric on clustered chips, the boundary entry strips on a mesh —
     the denominator of the injection component of {!preload_opt}'s
     [preload_len], exposed for bandwidth-feasibility lints. *)
-
-val plan_signature : Elk_tensor.Opspec.t -> string
-(** The operator component of [Compilecache.graph_digest]'s per-node
-    digest: a collision-safe hex digest of kind, iteration extents, input
-    sharing structure, per-point FLOPs and dtype — every field partitioning
-    depends on, length-prefixed so distinct operators cannot collide by
-    separator injection.  Operators from identical layers share a
-    signature.  The memo tables do not use it: they hash and compare the
-    same fields structurally, so two operators share a memo entry exactly
-    when their signatures are equal. *)
 
 val pp_plan : Format.formatter -> plan -> unit

@@ -22,10 +22,11 @@ type pct = { p50 : float; p90 : float; p99 : float; mean : float; max : float }
 let pct_of = function
   | [] -> { p50 = 0.; p90 = 0.; p99 = 0.; mean = 0.; max = 0. }
   | xs ->
+      let p = S.percentiles [| 50.; 90.; 99. |] xs in
       {
-        p50 = S.percentile 50. xs;
-        p90 = S.percentile 90. xs;
-        p99 = S.percentile 99. xs;
+        p50 = p.(0);
+        p90 = p.(1);
+        p99 = p.(2);
         mean = S.mean xs;
         max = List.fold_left Float.max neg_infinity xs;
       }

@@ -419,6 +419,14 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
   | Error m -> invalid_arg ("Sim.run: invalid schedule: " ^ m));
   let chip = P.ctx_chip ctx in
   let cores = chip.Arch.cores in
+  Array.iter
+    (fun (e : Elk.Schedule.op_entry) ->
+      let used = e.Elk.Schedule.plan.P.cores_used in
+      if used > cores then
+        invalid_arg
+          (Printf.sprintf "Sim.run: op %d uses %d cores but the chip has %d"
+             e.Elk.Schedule.node_id used cores))
+    s.Elk.Schedule.entries;
   let noc = N.create chip in
   let pre_share = preload_share chip s in
   let core_side = core_side_links noc in

@@ -117,7 +117,9 @@ val run :
     loop records timing ([per_op]) and, with [noc], the link bookings;
     [perf], the DAG and the residency record are built after it, from
     [per_op] and the schedule.  Nothing recorded is read back, so the
-    simulated timeline is identical either way.  Raises [Invalid_argument] if the schedule fails validation. *)
+    simulated timeline is identical either way.  Raises [Invalid_argument]
+    if the schedule fails validation, or if an operator uses more cores
+    than the context's chip has (before any route is looked up). *)
 
 val skew_unit : core:int -> op:int -> float
 (** The deterministic unit in [[0, 1]] behind core [core]'s compute skew

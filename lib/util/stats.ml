@@ -10,16 +10,26 @@ let stdev xs =
       let var = mean (List.map (fun x -> (x -. m) ** 2.) xs) in
       sqrt var
 
-let percentile p xs =
-  if xs = [] then invalid_arg "Stats.percentile: empty list";
-  if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of range";
+(* [Float.compare] orders floats as polymorphic [compare] does (NaN
+   first, -0. equal to 0.), so the sorted array and every rank are those
+   of a polymorphic sort, bit for bit. *)
+let ranks fn ps xs =
+  if xs = [] then invalid_arg ("Stats." ^ fn ^ ": empty list");
+  if not (Array.for_all (fun p -> p >= 0. && p <= 100.) ps) then
+    invalid_arg ("Stats." ^ fn ^ ": p out of range");
   let arr = Array.of_list xs in
-  Array.sort compare arr;
+  Array.sort Float.compare arr;
   let n = Array.length arr in
-  let rank = p /. 100. *. float_of_int (n - 1) in
-  let lo = int_of_float (floor rank) and hi = int_of_float (ceil rank) in
-  let frac = rank -. floor rank in
-  (arr.(lo) *. (1. -. frac)) +. (arr.(hi) *. frac)
+  Array.map
+    (fun p ->
+      let rank = p /. 100. *. float_of_int (n - 1) in
+      let lo = int_of_float (floor rank) and hi = int_of_float (ceil rank) in
+      let frac = rank -. floor rank in
+      (arr.(lo) *. (1. -. frac)) +. (arr.(hi) *. frac))
+    ps
+
+let percentiles ps xs = ranks "percentiles" ps xs
+let percentile p xs = (ranks "percentile" [| p |] xs).(0)
 
 let geomean = function
   | [] -> 0.

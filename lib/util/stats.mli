@@ -11,7 +11,12 @@ val stdev : float list -> float
 val percentile : float -> float list -> float
 (** [percentile p xs] is the [p]-th percentile (0..100) using linear
     interpolation between closest ranks.  Raises [Invalid_argument] on the
-    empty list or if [p] is outside [0,100]. *)
+    empty list or if [p] is outside [0,100] (or NaN). *)
+
+val percentiles : float array -> float list -> float array
+(** [percentiles ps xs] is [Array.map (fun p -> percentile p xs) ps],
+    bit for bit, from one sort of [xs].  Raises like {!percentile} if any
+    [p] is out of range. *)
 
 val geomean : float list -> float
 (** Geometric mean of strictly positive values; 0 on the empty list. *)

@@ -80,7 +80,9 @@ let all =
       family = Dependency;
       default_severity = Diag.Error;
       opt_in = false;
-      summary = "Schedule.validate rejects the schedule (structural invariant)";
+      summary =
+        "Schedule.validate rejects the schedule, or an operator uses more cores \
+         than the chip has (structural invariant)";
     };
     {
       id = "dep.program-stream";

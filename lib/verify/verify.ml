@@ -66,6 +66,17 @@ let run ?(rules = Rules.default_selection) ?(promote = Rules.no_promotion)
           emit "dep.schedule-structure" ("schedule rejected: " ^ msg);
         false
   in
+  (* The context's chip bounds every plan: the simulator routes each
+     core an operator uses, and [Schedule.validate] knows no chip. *)
+  if on "dep.schedule-structure" then
+    Array.iter
+      (fun (e : S.op_entry) ->
+        let used = e.S.plan.P.cores_used in
+        if used > chip.A.cores then
+          emit "dep.schedule-structure" ~loc:(Diag.at_op e.S.node_id)
+            ~payload:[ ("cores_used", Diag.Int used); ("chip_cores", Diag.Int chip.A.cores) ]
+            (Printf.sprintf "uses %d cores but the chip has %d" used chip.A.cores))
+      s.S.entries;
   (* [Schedule.validate] also rejects late preloads and bad numerics, which
      this verifier wants to replay and report precisely itself — so the
      window-replay analyses run under a weaker gate: consistent lengths,
@@ -273,37 +284,37 @@ let run ?(rules = Rules.default_selection) ?(promote = Rules.no_promotion)
        when some preload-option assignment would have fitted (the
        artifact is wrong), and a [Warning] when even minimal options
        overflow (the documented smallest-plan fallback, charged as
-       contention downstream). --- *)
+       contention downstream).  Only an overflowing step reads that
+       floor, so only such a step sums it, in issue order, from each
+       operator's least preload space, looked up once per operator. --- *)
     if on "mem.capacity" || on "mem.overcommit" then begin
       let issued = Elk.Residency.issued_counts s in
       let usage_at = Elk.Residency.step_usage s in
-      let min_space = Hashtbl.create 16 in
+      let min_space = Array.make n 0. and min_known = Array.make n false in
       let minimal_space id =
-        match Hashtbl.find_opt min_space id with
-        | Some v -> v
-        | None ->
-            let e = s.S.entries.(id) in
-            let v =
-              match P.preload_options ctx (G.get graph id).G.op e.S.plan with
-              | [] -> e.S.popt.P.preload_space
-              | o :: _ -> o.P.preload_space (* sorted by increasing space *)
-            in
-            Hashtbl.add min_space id v;
-            v
+        if not min_known.(id) then begin
+          let e = s.S.entries.(id) in
+          min_space.(id) <-
+            (match P.preload_options ctx (G.get graph id).G.op e.S.plan with
+            | [] -> e.S.popt.P.preload_space
+            | o :: _ -> o.P.preload_space (* sorted by increasing space *));
+          min_known.(id) <- true
+        end;
+        min_space.(id)
       in
       for i = 0 to n - 1 do
-        let usage = ref usage_at.(i) in
-        let floor = ref s.S.entries.(i).S.plan.P.exec_space in
-        for k = 0 to issued.(i) - 1 do
-          let w = s.S.order.(k) in
-          if w > i then floor := !floor +. minimal_space w
-        done;
-        if !usage > capacity +. capacity_eps then begin
+        let usage = usage_at.(i) in
+        if usage > capacity +. capacity_eps then begin
+          let floor = ref s.S.entries.(i).S.plan.P.exec_space in
+          for k = 0 to issued.(i) - 1 do
+            let w = s.S.order.(k) in
+            if w > i then floor := !floor +. minimal_space w
+          done;
           let payload =
             [
-              ("usage_bytes", Diag.Num !usage);
+              ("usage_bytes", Diag.Num usage);
               ("capacity_bytes", Diag.Num capacity);
-              ("overflow_bytes", Diag.Num (!usage -. capacity));
+              ("overflow_bytes", Diag.Num (usage -. capacity));
             ]
           in
           if !floor <= capacity +. capacity_eps then begin
@@ -312,14 +323,14 @@ let run ?(rules = Rules.default_selection) ?(promote = Rules.no_promotion)
                 (Printf.sprintf
                    "%.0f B/core live (%.0f B over per-core SRAM) although a \
                     fitting preload-option assignment exists"
-                   !usage (!usage -. capacity))
+                   usage (usage -. capacity))
           end
           else if on "mem.overcommit" then
             emit "mem.overcommit" ~loc:(Diag.at_op_step ~op:i ~step:i) ~payload
               (Printf.sprintf
                  "%.0f B/core live (%.0f B over per-core SRAM) even with minimal \
                   preload options; contention is charged downstream"
-                 !usage (!usage -. capacity))
+                 usage (usage -. capacity))
         end
       done
     end;

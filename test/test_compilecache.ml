@@ -201,6 +201,64 @@ let test_lru_eviction () =
   L.clear t;
   Alcotest.(check int) "cleared" 0 (L.length t)
 
+(* [graph_digest] reads every field a plan depends on: the graph name
+   and, per node, the id, kind, extents, tensor dims and sources, the
+   bits of [flops_per_point], the dtype, the operator name, the layer,
+   the role and the deps.  Changing any one changes the key, and a
+   tensor's [t_name] does not.  A node's id is its position, so the id
+   check swaps two independent nodes.  The pinned zoo key holds the
+   encoding itself: a new encoding turns every on-disk entry into a
+   miss, so it must be a deliberate change. *)
+let test_graph_digest_fields () =
+  let module O = Elk_tensor.Opspec in
+  let head = O.matmul ~name:"m" ~m:16 ~n:64 ~k:64 () in
+  let op = O.elementwise ~flops_per_point:1. ~name:"e" ~kind:"silu" ~shape:[ 256; 64 ] () in
+  let graph ?(name = "g") ?layer ?(role = "r") ?(deps = [ 0 ]) op =
+    let b = Graph.builder ~name in
+    ignore (Graph.add b ~deps:[] ~role:"head" head);
+    ignore (Graph.add b ?layer ~deps ~role op);
+    Graph.finish b
+  in
+  let key = Elk.Compilecache.graph_digest in
+  let base = key (graph op) in
+  let differs what g =
+    if key g = base then Alcotest.failf "%s does not change the digest" what
+  in
+  let map_inputs f op = { op with O.inputs = List.map f op.O.inputs } in
+  differs "graph name" (graph ~name:"h" op);
+  differs "kind" (graph { op with O.kind = "gelu" });
+  differs "extent" (graph { op with O.iter = [| 256; 32 |] });
+  differs "tensor dims" (graph (map_inputs (fun t -> { t with O.dims = [ 0 ] }) op));
+  differs "tensor source" (graph (map_inputs (fun t -> { t with O.source = O.Weights }) op));
+  differs "dtype" (graph { op with O.dtype = Elk_tensor.Dtype.Fp32 });
+  differs "flops_per_point 4" (graph { op with O.flops_per_point = 4. });
+  differs "operator name" (graph { op with O.name = "renamed" });
+  differs "layer Some 0" (graph ~layer:0 op);
+  differs "role" (graph ~role:"s" op);
+  differs "deps" (graph ~deps:[] op);
+  let zero = key (graph { op with O.flops_per_point = 0. }) in
+  if zero = key (graph { op with O.flops_per_point = -0. }) then
+    Alcotest.fail "0. and -0. flops_per_point share a digest";
+  let apart a b =
+    let g = Graph.builder ~name:"g" in
+    ignore (Graph.add g ~deps:[] ~role:"r" a);
+    ignore (Graph.add g ~deps:[] ~role:"r" b);
+    key (Graph.finish g)
+  in
+  if apart head op = apart op head then Alcotest.fail "node ids do not change the digest";
+  let output = { op.O.output with O.t_name = "y" } in
+  Alcotest.(check string) "tensor names ignored" base
+    (key (graph (map_inputs (fun t -> { t with O.t_name = "x" }) { op with O.output })));
+  Alcotest.(check int) "32 characters" 32 (String.length base);
+  String.iter
+    (fun c ->
+      if not ((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) then
+        Alcotest.failf "digest %s is not lowercase hex" base)
+    base;
+  Alcotest.(check string) "pinned llama2-13b/16x20 decode 16x256 key"
+    "aff9bd1ab49f843dfabaa869e57bdee0"
+    (key (decode 256))
+
 let suite =
   [
     Alcotest.test_case "cold/warm/evicted byte-identical" `Quick
@@ -213,4 +271,6 @@ let suite =
       test_disk_flipped_byte_is_miss;
     Alcotest.test_case "disabled cache is inert" `Quick test_disabled_is_inert;
     Alcotest.test_case "lru eviction order" `Quick test_lru_eviction;
+    Alcotest.test_case "graph digest reads every plan field" `Quick
+      test_graph_digest_fields;
   ]

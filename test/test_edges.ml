@@ -225,6 +225,46 @@ let test_zero_op_schedule () =
       if not (contains m "dep.schedule-structure") then
         Alcotest.failf "Verify.check: %S does not name dep.schedule-structure" m
 
+(* A plan compiled for the 64-core chip and checked against a 16-core
+   one names cores that chip does not have.  The verifier reports each
+   such operator under [dep.schedule-structure], naming it and both
+   counts, and [Sim.run] raises its own named error before it routes a
+   core.  [Timeline] prices what the entries say, so it takes the plan. *)
+let test_plan_wider_than_chip () =
+  let module Dg = Elk_verify.Diag in
+  let s = Lazy.force Tu.tiny_schedule and small = Lazy.force Tu.small_ctx in
+  let cores = (Elk_partition.Partition.ctx_chip small).Elk_arch.Arch.cores in
+  let used (e : Elk.Schedule.op_entry) = e.Elk.Schedule.plan.Elk_partition.Partition.cores_used in
+  let wide = List.filter (fun e -> used e > cores) (Array.to_list s.Elk.Schedule.entries) in
+  if wide = [] then Alcotest.failf "no operator uses more than %d cores" cores;
+  let r = Elk_verify.Verify.run small s in
+  List.iter
+    (fun (e : Elk.Schedule.op_entry) ->
+      let op = e.Elk.Schedule.node_id in
+      let message = Printf.sprintf "uses %d cores but the chip has %d" (used e) cores in
+      if
+        not
+          (List.exists
+             (fun (d : Dg.t) ->
+               d.Dg.rule = "dep.schedule-structure" && d.Dg.loc.Dg.op = Some op
+               && d.Dg.message = message)
+             r.Elk_verify.Verify.diags)
+      then Alcotest.failf "op %d: no dep.schedule-structure %S" op message)
+    wide;
+  (match Elk_verify.Verify.check small s (Elk.Program.of_schedule s) with
+  | Ok () -> Alcotest.fail "Verify.check passed a plan wider than its chip"
+  | Error m ->
+      if not (contains m "dep.schedule-structure") then
+        Alcotest.failf "Verify.check: %S does not name dep.schedule-structure" m);
+  let first = List.hd wide in
+  let expected =
+    Printf.sprintf "Sim.run: op %d uses %d cores but the chip has %d" first.Elk.Schedule.node_id
+      (used first) cores
+  in
+  match Elk_sim.Sim.run small s with
+  | _ -> Alcotest.fail "Sim.run took a plan wider than its chip"
+  | exception Invalid_argument m -> Alcotest.(check string) "Sim.run names the op" expected m
+
 let suite =
   [
     ("edges: unit printers", `Quick, test_units_printers);
@@ -247,4 +287,6 @@ let suite =
     ("edges: report sections", `Slow, test_report_markdown);
     ("edges: hbm replay bounds", `Quick, test_hbm_replay_matches_reads);
     ("edges: a 0-op schedule is rejected by name", `Quick, test_zero_op_schedule);
+    ("edges: a plan wider than its chip is rejected by name", `Quick,
+     test_plan_wider_than_chip);
   ]

@@ -5,14 +5,19 @@ open Elk_util
 let ctx () = Lazy.force Tu.default_ctx
 let mctx () = Lazy.force Tu.mesh_ctx
 
+(* An operator's signature, as partitioning sees it, is its structure
+   without names: identical layers share one memoized frontier, and a
+   different shape gets its own. *)
 let test_signature_stable_across_layers () =
+  let c = Partition.make_ctx (Partition.ctx_cost (ctx ())) in
+  let tiles fr = List.map (fun pt -> pt.Pareto.payload.Partition.tile) fr in
   let a = Opspec.matmul ~name:"l0.q" ~m:16 ~n:64 ~k:64 () in
   let b = Opspec.matmul ~name:"l7.q" ~m:16 ~n:64 ~k:64 () in
-  Alcotest.(check string) "same signature" (Partition.plan_signature a)
-    (Partition.plan_signature b);
-  let c = Opspec.matmul ~name:"x" ~m:16 ~n:64 ~k:32 () in
+  Alcotest.(check bool) "same signature" true
+    (Partition.exec_frontier c a == Partition.exec_frontier c b);
+  let d = Opspec.matmul ~name:"x" ~m:16 ~n:64 ~k:32 () in
   Alcotest.(check bool) "shape matters" true
-    (Partition.plan_signature a <> Partition.plan_signature c)
+    (tiles (Partition.exec_frontier c a) <> tiles (Partition.exec_frontier c d))
 
 let test_enumerate_nonempty_sorted () =
   let plans = Partition.enumerate (ctx ()) Tu.matmul_op in
@@ -207,37 +212,47 @@ let test_overhead_zero_somewhere () =
   in
   Alcotest.(check bool) "small best overhead" true (best < 1e-3)
 
+(* Regression: an early signature was a separator-joined concat of
+   kind/iter/dims/dtype that ignored [flops_per_point] entirely — two
+   pointwise ops of the same shape but different per-point cost collided
+   and shared enumeration results.  In a context warm with one operator,
+   each variant must get a frontier of its own, equal to the one a fresh
+   context computes for it; a renamed operator gets the warm operator's
+   own list. *)
 let test_signature_digests_full_spec () =
-  (* Regression: the pre-digest signature was a separator-joined concat
-     of kind/iter/dims/dtype that ignored [flops_per_point] entirely —
-     two pointwise ops of the same shape but different per-point cost
-     collided and shared enumeration results.  The digest form must
-     distinguish every field the cost model reads. *)
-  let ew ?(flops = 1.) ?(dtype = Elk_tensor.Dtype.Fp16) name =
+  let ew ?(flops = 1.) ?(dtype = Dtype.Fp16) name =
     Opspec.elementwise ~dtype ~flops_per_point:flops ~name ~kind:"silu"
       ~shape:[ 256; 64 ] ()
   in
+  let cost = Partition.ctx_cost (ctx ()) in
+  let warm = Partition.make_ctx cost in
+  let bits = Int64.bits_of_float in
+  let view fr =
+    List.map
+      (fun pt ->
+        let p = pt.Pareto.payload in
+        (p.Partition.factors, bits p.exec_time, bits p.compute_time, bits p.exec_space))
+      fr
+  in
   let a = ew "e1" in
-  Alcotest.(check bool) "flops_per_point distinguishes" true
-    (Partition.plan_signature a <> Partition.plan_signature (ew ~flops:4. "e2"));
-  Alcotest.(check bool) "dtype distinguishes" true
-    (Partition.plan_signature a
-    <> Partition.plan_signature (ew ~dtype:Elk_tensor.Dtype.Fp32 "e3"));
-  Alcotest.(check string) "name still ignored" (Partition.plan_signature a)
-    (Partition.plan_signature (ew "renamed"));
-  (* Fixed-length hex output: composite memo keys append suffixes to the
-     signature and rely on it never containing separators. *)
-  Alcotest.(check int) "fixed-length digest" 32
-    (String.length (Partition.plan_signature a));
-  String.iter
-    (fun c ->
-      Alcotest.(check bool) "hex digest" true
-        ((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')))
-    (Partition.plan_signature a)
+  let fa = Partition.exec_frontier warm a in
+  let distinguishes what op =
+    let f = Partition.exec_frontier warm op in
+    Alcotest.(check bool) (what ^ ": own frontier") true (f != fa);
+    Alcotest.(check bool) (what ^ ": own results") true
+      (view f = view (Partition.exec_frontier (Partition.make_ctx cost) op));
+    f
+  in
+  ignore (distinguishes "flops_per_point distinguishes" (ew ~flops:4. "e2"));
+  let f32 = distinguishes "dtype distinguishes" (ew ~dtype:Dtype.Fp32 "e3") in
+  Alcotest.(check bool) "dtype changes the frontier" true (view f32 <> view fa);
+  Alcotest.(check bool) "name still ignored" true
+    (Partition.exec_frontier warm (ew "renamed") == fa)
 
-(* The memo tables key on exactly the fields [plan_signature] digests:
-   renaming never adds an entry, every other field does, and a stored key
-   is immune to the caller mutating its arrays afterwards. *)
+(* The memo tables key on exactly the operator fields partitioning
+   reads: renaming the operator or its tensors never adds an entry, every
+   other field does, and a stored key is immune to the caller mutating
+   its arrays afterwards. *)
 let test_memo_keys_structural () =
   let c = Partition.make_ctx (Partition.ctx_cost (ctx ())) in
   let entries () = fst (Partition.memo_sizes c) in

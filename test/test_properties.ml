@@ -472,6 +472,51 @@ let qcheck_interval_measures =
            (Elk.Timeline.intersection_measure ys xs);
          true))
 
+(* [Stats.percentiles] reads every rank off one [Float.compare] sort.
+   The reference is [Stats.percentile] as it was before it became the
+   one-rank case: a polymorphic-compare sort per rank.  Every rank must
+   agree with it to the bit.  The lists hold 1-500 floats on a small
+   grid (so duplicates are common) with -0, infinities and NaN; the
+   ranks are random in [0, 100], plus the SLO report's three and both
+   ends. *)
+let reference_percentile p xs =
+  let arr = Array.of_list xs in
+  Array.sort compare arr;
+  let n = Array.length arr in
+  let rank = p /. 100. *. float_of_int (n - 1) in
+  let lo = int_of_float (floor rank) and hi = int_of_float (ceil rank) in
+  let frac = rank -. floor rank in
+  (arr.(lo) *. (1. -. frac)) +. (arr.(hi) *. frac)
+
+let qcheck_percentiles =
+  let open QCheck2.Gen in
+  let value =
+    frequency
+      [
+        (6, map float_of_int (int_range (-5) 20));
+        (3, float_range (-1e3) 1e3);
+        (1, oneofl [ 0.; -0.; infinity; neg_infinity; nan ]);
+      ]
+  in
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"stats: percentiles equal the per-rank reference"
+       ~print:(fun (xs, ps) ->
+         let show l = String.concat "; " (List.map (Printf.sprintf "%h") l) in
+         Printf.sprintf "xs = [%s]\nps = [%s]" (show xs) (show ps))
+       (pair (list_size (int_range 1 500) value) (list_size (int_range 1 6) (float_range 0. 100.)))
+       (fun (xs, ps) ->
+         let ps = Array.of_list (ps @ [ 0.; 50.; 90.; 99.; 100. ]) in
+         let got = Elk_util.Stats.percentiles ps xs in
+         Array.iteri
+           (fun i p ->
+             let want = reference_percentile p xs in
+             if not (same want got.(i) && same want (Elk_util.Stats.percentile p xs)) then
+               QCheck2.Test.fail_reportf "rank %h: reference %h, percentiles %h, percentile %h"
+                 p want got.(i) (Elk_util.Stats.percentile p xs))
+           ps;
+         true))
+
 let suite =
   [
     qcheck_alloc_fits_any_capacity;
@@ -487,4 +532,5 @@ let suite =
     qcheck_recorders_on_random_orders;
     qcheck_lower_bound_on_random_orders;
     qcheck_interval_measures;
+    qcheck_percentiles;
   ]

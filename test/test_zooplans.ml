@@ -8,9 +8,11 @@
    derives from each plan: a plain [Sim.run]'s [Analyze] report, its
    counter tracks and every core's Perfcore buckets.  A third pins the
    interconnect and memory views of a recorded run at two window
-   widths, on both topologies.  A change that means to alter a plan or
-   a simulated number states so and replaces the list with the one the
-   failure prints. *)
+   widths, on both topologies.  Another pins the verifier's report on
+   the twelve plans, four serve plans and one overflowing schedule.  A
+   change that means to alter a plan, a simulated number or a
+   diagnostic states so and replaces the list with the one the failure
+   prints. *)
 
 open Elk_model
 module D = Elk_dse.Dse
@@ -264,6 +266,72 @@ let test_zoo_results_pinned () =
        (fun (label, env, s) -> (label, md5 (render_result (Elk_sim.Sim.run env.D.ctx s))))
        (Lazy.force plans @ Lazy.force clustered_plans))
 
+(* The four plans perfbench's serve-warm rounds serve most:
+   llama2-13b/8x10 prefill at batch x prompt 8x192 and 4x128, and decode
+   at batch x context 8x192 and 8x256, on the all-to-all pod. *)
+let serve_plans =
+  lazy
+    (let env = D.env () in
+     let cfg = Zoo.scale Zoo.llama2_13b ~factor:8 ~layer_factor:10 in
+     List.map
+       (fun (label, phase) ->
+         let c = Elk.Compile.compile env.D.ctx ~pod:env.D.pod (Zoo.build cfg phase) in
+         ("llama2-13b/8x10 " ^ label ^ "@a2a", env, c.Elk.Compile.schedule))
+       [
+         ("prefill 8x192", Zoo.Prefill { batch = 8; seq = 192 });
+         ("prefill 4x128", Zoo.Prefill { batch = 4; seq = 128 });
+         ("decode 8x192", Zoo.Decode { batch = 8; ctx = 192 });
+         ("decode 8x256", Zoo.Decode { batch = 8; ctx = 256 });
+       ])
+
+(* Per plan: the verifier's JSON report ([Verify.run] with the plan's
+   program), for the twelve plans, the four serve plans and
+   [Test_verify.inflated]'s overflowing schedule.  The zoo and serve
+   plans carry [mem.overcommit] warnings and the inflated one
+   [mem.capacity] errors, so both branches that read the minimal-option
+   floor are pinned. *)
+let pinned_verify =
+  [
+    ("llama2-13b/8x10@a2a", "9ac66c550b6a43af53eb4f1f3dea6657");
+    ("gemma2-27b/8x11@a2a", "56b85500207b99a64e31e6bdc8c9fed0");
+    ("opt-30b/8x12@a2a", "53885d1c6761eae75e9591d854b36f4f");
+    ("llama2-70b/8x20@a2a", "dd87cec5ed40523270d091907ba08ab1");
+    ("dit-xl/8x7@a2a", "0c25714b384fa9ac0fda5fb20355c548");
+    ("mixtral-8x7b/8x10@a2a", "ef5a0c6a878d3c35c317cdafcc4f0ac9");
+    ("llama2-13b/8x10@mesh", "fbefaaba6fc6f2896b7233f7b74abba0");
+    ("gemma2-27b/8x11@mesh", "9e1d476ae058f89c7b9f75186612c314");
+    ("opt-30b/8x12@mesh", "53885d1c6761eae75e9591d854b36f4f");
+    ("llama2-70b/8x20@mesh", "dbb939878d0ceca66a7cb56f69758f96");
+    ("dit-xl/8x7@mesh", "0c25714b384fa9ac0fda5fb20355c548");
+    ("mixtral-8x7b/8x10@mesh", "429f0bfddb86edb1c4e2595a1b396fd8");
+    ("llama2-13b/8x10 prefill 8x192@a2a", "740c078ec7108a8a96ba13a34d6f9527");
+    ("llama2-13b/8x10 prefill 4x128@a2a", "8713cbe321d4cc6cad236b920c343752");
+    ("llama2-13b/8x10 decode 8x192@a2a", "66064b4b53db0490ef2b2e58a435a06b");
+    ("llama2-13b/8x10 decode 8x256@a2a", "0c6b993e97021daf5997cf7531cec5fc");
+    ("tiny llama inflated", "d83e1c8dde24fe1b4eb82186ff659ed6");
+  ]
+
+let test_zoo_verify_pinned () =
+  let module V = Elk_verify.Verify in
+  let run ctx s = V.run ~program:(Elk.Program.of_schedule s) ctx s in
+  let has rule (r : V.report) = List.exists (fun d -> d.Elk_verify.Diag.rule = rule) r.V.diags in
+  let reports =
+    List.map (fun (label, env, s) -> (label, run env.D.ctx s))
+      (Lazy.force plans @ Lazy.force serve_plans)
+    @
+    let ctx = Lazy.force Tu.default_ctx in
+    [ ("tiny llama inflated", run ctx (Test_verify.inflated ctx (Lazy.force Tu.tiny_schedule))) ]
+  in
+  List.iter
+    (fun rule ->
+      if not (List.exists (fun (_, r) -> has rule r) reports) then
+        Alcotest.failf "no pinned report carries %s" rule)
+    [ "mem.capacity"; "mem.overcommit" ];
+  check_pinned "pinned_verify"
+    (fun (label, d) -> Printf.sprintf "(%S, %S)" label d)
+    pinned_verify
+    (List.map (fun (label, r) -> (label, md5 (V.report_to_json r))) reports)
+
 (* Every survivor of each plan's order search, rescheduled on the
    plan's chip graph: its [Timeline.lower_bound] is never above its
    [Timeline.evaluate] total, compared as floats with no tolerance, and
@@ -296,4 +364,6 @@ let suite =
       test_zoo_lower_bounds;
     Alcotest.test_case "12 zoo and 2 clustered plans' Sim.run results match the pinned digests"
       `Quick test_zoo_results_pinned;
+    Alcotest.test_case "16 plans and an overflow: verifier reports match the pinned digests"
+      `Quick test_zoo_verify_pinned;
   ]
