@@ -42,14 +42,18 @@ let int_conv ~lo ~expected =
 
 let positive_conv = int_conv ~lo:1 ~expected:"a positive integer"
 
-(* A positive, finite float, under the same usage error. *)
-let positive_float_conv ~expected =
+let nonnegative_conv = int_conv ~lo:0 ~expected:"a nonnegative integer"
+
+(* A finite float that [ok] accepts, under the same usage error. *)
+let finite_float_conv ~ok ~expected =
   let parse s =
     match float_of_string_opt s with
-    | Some x when Float.is_finite x && x > 0. -> Ok x
+    | Some x when Float.is_finite x && ok x -> Ok x
     | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
   in
   Arg.conv (parse, Format.pp_print_float)
+
+let positive_float_conv = finite_float_conv ~ok:(fun x -> x > 0.)
 
 (* A time-series window width or an SLO target. *)
 let seconds_conv = positive_float_conv ~expected:"a positive finite number of seconds"
@@ -59,7 +63,7 @@ let batch_t = Arg.(value & opt positive_conv 32 & info [ "b"; "batch" ] ~doc:"Ba
 let ctx_t =
   Arg.(
     value
-    & opt (int_conv ~lo:0 ~expected:"a nonnegative integer") 0
+    & opt nonnegative_conv 0
     & info [ "ctx" ] ~doc:"KV context length (0 = 2048/scale).")
 
 let scale_t =
@@ -316,7 +320,7 @@ let program_cmd =
             (Array.length p.Elk.Program.instrs - limit)
   in
   let limit_t =
-    Arg.(value & opt int 40 & info [ "limit" ] ~doc:"Max instructions to print.")
+    Arg.(value & opt nonnegative_conv 40 & info [ "limit" ] ~doc:"Max instructions to print.")
   in
   Cmd.v
     (Cmd.info "program" ~doc:"Print the generated preload_async/execute device program.")
@@ -555,7 +559,7 @@ let view_cmd (View v) =
     write_trace ~sim:(s.Elk.Schedule.graph, r) ~extra:(v.counters rep) trace_out;
     write_metrics metrics_out
   in
-  let top_t = Arg.(value & opt int (fst v.top) & info [ "top" ] ~doc:(snd v.top)) in
+  let top_t = Arg.(value & opt nonnegative_conv (fst v.top) & info [ "top" ] ~doc:(snd v.top)) in
   let window_t =
     match v.window with
     | None -> Term.const None
@@ -565,7 +569,7 @@ let view_cmd (View v) =
   let top_segments_t =
     match v.top_segments with
     | None -> Term.const 0
-    | Some (n, doc) -> Arg.(value & opt int n & info [ "top-segments" ] ~doc)
+    | Some (n, doc) -> Arg.(value & opt nonnegative_conv n & info [ "top-segments" ] ~doc)
   in
   let knobs_t =
     Term.(
@@ -627,7 +631,11 @@ let trace_cmd =
            & info [] ~docv:"NEW" ~doc:"Fresh critpath JSON snapshot.")
     in
     let threshold_t =
-      Arg.(value & opt float 0.02
+      Arg.(value
+           & opt
+               (finite_float_conv ~ok:(fun x -> x >= 0.)
+                  ~expected:"a nonnegative finite fraction")
+               0.02
            & info [ "threshold" ]
                ~doc:
                  "Regression gate: exit 1 when the makespan or any \
@@ -635,7 +643,7 @@ let trace_cmd =
                   old makespan.")
     in
     let top_t =
-      Arg.(value & opt int 12 & info [ "top" ] ~doc:"Segment deltas to print.")
+      Arg.(value & opt nonnegative_conv 12 & info [ "top" ] ~doc:"Segment deltas to print.")
     in
     let json_out_t =
       Arg.(value & opt (some string) None

@@ -10,14 +10,15 @@
    busy unions and the overlap check are read off the index's flat
    arrays, and [check] reuses the index, so a report and its check are
    linear in the record apart from sorting, and allocate no object per
-   booking.  The static view is a Noc.Load
-   mirror of the schedule's communication: the same preload fan-out,
-   distribution ring and exchange ring the simulator executes, booked
-   with Load.add.  [check] gates the two against each other link by
-   link (and busiest against Load.busiest), and reconciles recorded
-   queueing waits with Perfcore's per-op port attribution and with the
-   simulator's per-op distribute/exchange port waits.  A violation
-   means one of the layers drifted.
+   booking.  The static view is a Noc.Load mirror of the schedule's
+   communication: the route arrays the simulator books, read from the
+   simulator's own Noc ([Noc.preload_routes], [Noc.distribution_ring],
+   [Noc.exchange_ring]) and booked with Load.add_path.  [check] gates
+   the two against each other link by link (and busiest against
+   Load.busiest), and reconciles recorded queueing waits with
+   Perfcore's per-op port attribution and with the simulator's per-op
+   distribute/exchange port waits.  A violation means one of the layers
+   drifted.
 
    The JSON snapshot carries a Tracediff-comparable core (total =
    makespan, hottest links as interconnect segments in busy-seconds),
@@ -76,47 +77,24 @@ type report = {
 (* ---- static mirror ---------------------------------------------------- *)
 
 (* Book the schedule's communication into a Noc.Load exactly the way
-   the simulator executes it: preload fan-out from each core's
-   controller, the distribution ring from sharing-group successors,
-   the exchange ring from predecessors.  Guards mirror the simulator's
-   (no transfer for zero bytes; a core receiving from itself books an
-   empty route), so the per-link volumes must agree with the dynamic
-   record to float noise.  As in [Sim.run], each controller route is
-   looked up once per report and each ring's routes once per (ring
-   size, shift), so a booking is a walk over a route's link ids. *)
+   the simulator executes it, along the same Noc routes: the preload
+   fan-out, the distribution ring and the exchange ring.  Guards mirror
+   the simulator's (no transfer for zero bytes; a core receiving from
+   itself books an empty route), so the per-link volumes must agree
+   with the dynamic record to float noise.  A booking is a walk over a
+   route's link ids. *)
 let static_load noc (s : Elk.Schedule.t) =
-  let cores = N.cores noc in
   let load = N.Load.create noc in
-  let ctrl_paths =
-    Array.init cores (fun c -> N.path noc ~src:(N.hbm_ctrl_for_core noc c) ~dst:(N.Core c))
-  in
-  let rings = Hashtbl.create 8 in
-  let ring_paths ncores shift =
-    match Hashtbl.find_opt rings (ncores, shift) with
-    | Some paths -> paths
-    | None ->
-        let paths =
-          Array.init ncores (fun c ->
-              N.path noc ~src:(N.Core ((c + shift) mod ncores)) ~dst:(N.Core c))
-        in
-        Hashtbl.add rings (ncores, shift) paths;
-        paths
-  in
+  let book bytes paths = Array.iter (fun p -> N.Load.add_path load p ~bytes) paths in
   Array.iter
     (fun e ->
       let popt = e.Elk.Schedule.popt and plan = e.Elk.Schedule.plan in
-      if popt.P.hbm_device_bytes > 0. then begin
-        let per_core = popt.P.noc_inject_bytes /. float_of_int cores in
-        if per_core > 0. then
-          Array.iter (fun p -> N.Load.add_path load p ~bytes:per_core) ctrl_paths
-      end;
+      let per_core = popt.P.noc_inject_bytes /. float_of_int (N.cores noc) in
+      if popt.P.hbm_device_bytes > 0. && per_core > 0. then book per_core (N.preload_routes noc);
       let ncores = plan.P.cores_used in
-      let ring bytes shift =
-        if bytes > 0. then
-          Array.iter (fun p -> N.Load.add_path load p ~bytes) (ring_paths ncores shift)
-      in
-      ring popt.P.dist_bytes_per_core 1;
-      ring plan.P.exchange_bytes_per_core (ncores - 1))
+      let dist = popt.P.dist_bytes_per_core and ex = plan.P.exchange_bytes_per_core in
+      if dist > 0. then book dist (N.distribution_ring noc ~ncores);
+      if ex > 0. then book ex (N.exchange_ring noc ~ncores))
     s.Elk.Schedule.entries;
   load
 

@@ -61,8 +61,9 @@ type report = {
 
 val static_load : Elk_noc.Noc.t -> Elk.Schedule.t -> Elk_noc.Noc.Load.loads
 (** The schedule's communication booked into a {!Elk_noc.Noc.Load}
-    exactly the way the simulator executes it: preload fan-out from
-    each core's controller, the distribution ring, the exchange ring. *)
+    exactly the way the simulator executes it, along the same routes:
+    {!Elk_noc.Noc.preload_routes}, {!Elk_noc.Noc.distribution_ring} and
+    {!Elk_noc.Noc.exchange_ring}. *)
 
 val analyze :
   ?window:float ->

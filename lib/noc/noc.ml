@@ -29,7 +29,9 @@ module Int_tbl = Hashtbl.Make (Int)
        (ctrl, entry)
    and [link_id] finds an id from the block offsets.  [paths] holds the
    routes this instance has been asked for, keyed by the (src, dst) node
-   pair: a sparse table filled on first use, never all node pairs. *)
+   pair: a sparse table filled on first use, never all node pairs.  The
+   device program's routes are arrays of its entries, each filled on
+   first use: the rings by ring size, the preload fan-out once. *)
 type t = {
   chip : Arch.chip;
   rows : int;
@@ -44,6 +46,9 @@ type t = {
          controller h's entry edges *)
   links : link array;  (* by id *)
   paths : path Int_tbl.t;
+  dist_rings : path array option array;  (* by ring size, 0 .. cores *)
+  ex_rings : path array option array;
+  mutable preload : path array option;
 }
 
 let chip t = t.chip
@@ -117,7 +122,8 @@ let create chip =
   in
   let t =
     { chip; rows = 1; cols = n; ports = -1; ctrl_out = 0; edge_base = [||];
-      entry_base = [||]; links = [||]; paths = Int_tbl.create 64 }
+      entry_base = [||]; links = [||]; paths = Int_tbl.create 64;
+      dist_rings = Array.make (n + 1) None; ex_rings = Array.make (n + 1) None; preload = None }
   in
   let t =
     match chip.Arch.topology with
@@ -283,6 +289,32 @@ let transfer_time t ~src ~dst ~bytes = path_time (path t ~src ~dst) ~bytes
 let hbm_ctrl_for_core t c =
   check_node t (Core c) "hbm_ctrl_for_core";
   Hbm (c mod t.chip.Arch.hbm_controllers)
+
+(* Core [c]'s route from core [(c + shift) mod ncores], by core, kept in
+   [rings] by ring size. *)
+let ring t rings fn ~ncores ~shift =
+  if ncores < 0 || ncores > cores t then invalid_arg ("Noc." ^ fn ^ ": ring size out of range");
+  match rings.(ncores) with
+  | Some paths -> paths
+  | None ->
+      let paths =
+        Array.init ncores (fun c -> path t ~src:(Core ((c + shift) mod ncores)) ~dst:(Core c))
+      in
+      rings.(ncores) <- Some paths;
+      paths
+
+let distribution_ring t ~ncores = ring t t.dist_rings "distribution_ring" ~ncores ~shift:1
+let exchange_ring t ~ncores = ring t t.ex_rings "exchange_ring" ~ncores ~shift:(ncores - 1)
+
+let preload_routes t =
+  match t.preload with
+  | Some paths -> paths
+  | None ->
+      let paths =
+        Array.init (cores t) (fun c -> path t ~src:(hbm_ctrl_for_core t c) ~dst:(Core c))
+      in
+      t.preload <- Some paths;
+      paths
 
 (* Structural compare is a total order on this variant (constructor
    declaration order, then field order) — deterministic, independent of

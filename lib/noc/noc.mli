@@ -16,7 +16,10 @@
     (src, dst) to a {!path} — link ids, latency and bottleneck
     bandwidth — filled the first time a pair is asked for, so a
     simulator reads one table entry per transfer and keeps per-link
-    state in arrays indexed by id. *)
+    state in arrays indexed by id.  It also owns the device program's
+    routes (the preload fan-out and the two rings), so the simulator,
+    the static interconnect profile and the deadlock lint read one
+    definition of who sends to whom. *)
 
 type node = Core of int | Hbm of int
 (** Interconnect endpoints: cores and HBM controllers of one chip. *)
@@ -107,6 +110,28 @@ val transfer_time : t -> src:node -> dst:node -> bytes:float -> float
 val hbm_ctrl_for_core : t -> int -> node
 (** The controller that serves a core's preload requests (cores are
     striped over controllers). *)
+
+(** {2 The device program's routes}
+
+    The three ways the device program moves data (§4.5), as arrays of
+    {!path} entries indexed by the receiving core.  Each array is built
+    on its first request and the same array is returned after that, so
+    callers must not mutate it. *)
+
+val preload_routes : t -> path array
+(** Core [c]'s preload route: from {!hbm_ctrl_for_core} [c] to core
+    [c], for every core of the chip. *)
+
+val distribution_ring : t -> ncores:int -> path array
+(** The distribution ring of an operator on cores [0 .. ncores - 1]:
+    core [c] receives from core [(c + 1) mod ncores].  [ncores = 1]
+    gives one empty route.  Raises [Invalid_argument] unless [0 <=
+    ncores <= cores t]. *)
+
+val exchange_ring : t -> ncores:int -> path array
+(** The exchange ring, the distribution ring reversed: core [c]
+    receives from core [(c + ncores - 1) mod ncores].  Raises like
+    {!distribution_ring}. *)
 
 val compare_link : link -> link -> int
 (** A total order on links — the canonical ordering used by

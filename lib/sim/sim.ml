@@ -466,43 +466,22 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
   let pending = ref 0 and max_pending = ref 0 in
   let hbm_busy = ref 0. and preload_wait = ref 0. in
   (* The all-to-all preload fan-out books ports directly.  The other
-     fabrics route each core's preload from its controller, looked up
-     once per run. *)
-  let port_in, ctrl_out, ctrl_paths =
+     fabrics book each core's preload route ([N.preload_routes]). *)
+  let port_in, ctrl_out =
     match chip.Arch.topology with
     | Arch.All_to_all ->
         ( Array.init cores (fun c -> N.link_id noc (N.Port_in (N.Core c))),
-          Array.init chip.Arch.hbm_controllers (fun h -> N.link_id noc (N.Port_out (N.Hbm h))),
-          [||] )
-    | Arch.Mesh2d _ | Arch.Clustered _ ->
-        ( [||],
-          [||],
-          Array.init cores (fun c -> N.path noc ~src:(N.hbm_ctrl_for_core noc c) ~dst:(N.Core c))
-        )
+          Array.init chip.Arch.hbm_controllers (fun h -> N.link_id noc (N.Port_out (N.Hbm h))) )
+    | Arch.Mesh2d _ | Arch.Clustered _ -> ([||], [||])
   in
   let nrec = if record_noc then Some (Noctrace.create noc) else None in
-  (* The ring routes, looked up once per run for each ring size and
-     direction: core [c] of a ring of [ncores] receives from core [(c +
-     shift) mod ncores]. *)
-  let ring_routes = Hashtbl.create 8 in
-  let routes ~ncores ~shift =
-    match Hashtbl.find_opt ring_routes (ncores, shift) with
-    | Some paths -> paths
-    | None ->
-        let paths =
-          Array.init ncores (fun c ->
-              N.path noc ~src:(N.Core ((c + shift) mod ncores)) ~dst:(N.Core c))
-        in
-        Hashtbl.add ring_routes (ncores, shift) paths;
-        paths
-  in
   (* One ring phase of an execute: each of the op's [ncores] cores
-     receives [bytes] from its ring peer on the execution class, not
-     before [not_before].  Returns each core's completion and port wait;
-     both are empty when nothing moves. *)
-  let ring ~op ~ncores ~cls ~shift ~bytes ~not_before =
+     receives [bytes] along its route of [ring] on the execution class,
+     not before [not_before].  Returns each core's completion and port
+     wait; both are empty when nothing moves. *)
+  let ring ring_routes ~op ~ncores ~cls ~bytes ~not_before =
     if bytes > 0. then begin
-      let paths = routes ~ncores ~shift in
+      let paths = ring_routes noc ~ncores in
       let fin = Array.make ncores not_before and wait = Array.make ncores 0. in
       for c = 0 to ncores - 1 do
         transfer ?nt:nrec fg_fabric paths.(c) ~cls ~op ~bytes ~not_before fin wait c
@@ -593,8 +572,9 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
                 ideal := Float.max !ideal (gate +. Float.max ctrl_service inbound)
               done
           | Arch.Mesh2d _ | Arch.Clustered _ ->
+              let paths = N.preload_routes noc in
               for c = 0 to cores - 1 do
-                let p = ctrl_paths.(c) in
+                let p = paths.(c) in
                 transfer ?nt:nrec pre_fabric p ~cls:Noctrace.Preload ~op ~bytes:per_core
                   ~not_before:gate pre_fin pre_q 0;
                 ideal :=
@@ -622,8 +602,8 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
            ring transfers from sharing-group peers. *)
         let dist_per_core = e.Elk.Schedule.popt.P.dist_bytes_per_core in
         let dist_done, dist_wait =
-          ring ~op ~ncores ~cls:Noctrace.Distribute ~shift:1
-            ~bytes:dist_per_core ~not_before:start
+          ring N.distribution_ring ~op ~ncores ~cls:Noctrace.Distribute ~bytes:dist_per_core
+            ~not_before:start
         in
         let dist_end = max_fold start dist_done in
         let sd = Float.max 0. (dist_end -. start -. ring_ideal dist_per_core) in
@@ -647,8 +627,8 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
            results. *)
         let ex_per_core = plan.P.exchange_bytes_per_core in
         let ex_done, ex_wait =
-          ring ~op ~ncores ~cls:Noctrace.Exchange ~shift:(ncores - 1)
-            ~bytes:ex_per_core ~not_before:compute_end
+          ring N.exchange_ring ~op ~ncores ~cls:Noctrace.Exchange ~bytes:ex_per_core
+            ~not_before:compute_end
         in
         let ex_end = max_fold compute_end ex_done in
         let se = Float.max 0. (ex_end -. compute_end -. ring_ideal ex_per_core) in

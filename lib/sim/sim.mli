@@ -22,13 +22,15 @@
     shows up as queuing delay, which the simulator accounts into the
     [interconnect] breakdown bucket (Fig 18a, Fig 20).
 
-    A run costs O(ops x cores x hops) and allocates nothing per
-    transfer: every ring route is looked up once per run for each ring
-    size and direction, every controller-to-core preload route once per
-    run for each core, and each transfer books its links in per-link
-    float arrays and writes its completion and queueing into the
-    phase's arrays.  The per-core skew units come from a process-wide
-    table ({!skew_unit}). *)
+    Who sends to whom is {!Elk_noc.Noc}'s: each preload reads the run's
+    {!Elk_noc.Noc.preload_routes} (the all-to-all fan-out books the
+    same controller and core ports directly), and the two ring phases
+    read {!Elk_noc.Noc.distribution_ring} and
+    {!Elk_noc.Noc.exchange_ring}, built once per run on the run's own
+    [Noc.t].  A run costs O(ops x cores x hops) and allocates nothing
+    per transfer: each transfer books its links in per-link float arrays
+    and writes its completion and queueing into the phase's arrays.  The
+    per-core skew units come from a process-wide table ({!skew_unit}). *)
 
 type op_trace = {
   pre_start : float;

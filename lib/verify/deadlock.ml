@@ -8,19 +8,15 @@
 
    The transfers are the plan's communication phases, re-expanded from
    the per-op contraction the Hb DAG uses to per-transfer granularity:
-
-     - distribution ring of op (preload-state -> execute-state):
-       Core((c+1) mod m) -> Core(c) for each of the m = cores_used
-       cores, when the op distributes bytes;
-     - exchange/reduction ring of op:
-       Core((c+m-1) mod m) -> Core(c), when the op exchanges bytes —
-
-   exactly the send/recv pairings the simulator replays.  Phases are
-   barrier-separated (an execute's distribution completes before its
-   compute, which completes before its exchange, and executes are
-   serialized), so only same-phase transfers can hold links
-   concurrently: the CDG is built per phase and an edge records the
-   (op, phase) that contributed it for the diagnostic.
+   each core's route on the op's distribution ring and on its exchange
+   ring, as Noc defines them ([Noc.distribution_ring],
+   [Noc.exchange_ring]), when the phase moves bytes — exactly the
+   routes the simulator books.  Phases are barrier-separated (an
+   execute's distribution completes before its compute, which
+   completes before its exchange, and executes are serialized), so only
+   same-phase transfers can hold links concurrently: the CDG is built
+   per phase and an edge records the (op, phase) that contributed it
+   for the diagnostic.
 
    On the deployed topologies the analysis proves the absence of
    deadlock: XY dimension-order routing on the mesh orders link
@@ -40,46 +36,25 @@ let phase_name = function Dist -> "distribute" | Exch -> "exchange"
 
 type transfer = { t_op : int; t_phase : phase; t_route : N.link list }
 
-let link_name (l : N.link) =
-  match l with
-  | N.Port_in (N.Core c) -> Printf.sprintf "port_in(core %d)" c
-  | N.Port_in (N.Hbm h) -> Printf.sprintf "port_in(hbm %d)" h
-  | N.Port_out (N.Core c) -> Printf.sprintf "port_out(core %d)" c
-  | N.Port_out (N.Hbm h) -> Printf.sprintf "port_out(hbm %d)" h
-  | N.Edge { from_core; to_core } -> Printf.sprintf "edge(%d->%d)" from_core to_core
-  | N.Hbm_edge { ctrl; entry } -> Printf.sprintf "hbm_edge(%d->%d)" ctrl entry
-  | N.L2_fabric -> "l2_fabric"
-
-(* The plan's communication transfers, mirroring the simulator's ring
-   construction core for core. *)
+(* The plan's communication transfers: every non-empty route of each
+   op's Noc distribution and exchange rings when the phase moves bytes,
+   op by op, distribution first, cores ascending. *)
 let transfers_of_schedule (noc : N.t) (s : S.t) =
-  let n = S.num_ops s in
-  let acc = ref [] in
-  for op = n - 1 downto 0 do
-    let e = s.S.entries.(op) in
-    let m = min e.S.plan.P.cores_used (N.cores noc) in
-    let ring t_phase =
-      let peer c =
-        match t_phase with
-        | Dist -> (c + 1) mod m
-        | Exch -> (c + m - 1) mod m
-      in
-      for c = m - 1 downto 0 do
-        let src = peer c in
-        if src <> c then
-          acc :=
-            {
-              t_op = op;
-              t_phase;
-              t_route = N.route noc ~src:(N.Core src) ~dst:(N.Core c);
-            }
-            :: !acc
-      done
-    in
-    if e.S.plan.P.exchange_bytes_per_core > 0. && m > 1 then ring Exch;
-    if e.S.popt.P.dist_bytes_per_core > 0. && m > 1 then ring Dist
-  done;
-  !acc
+  List.concat
+    (List.init (S.num_ops s) (fun op ->
+         let e = s.S.entries.(op) in
+         let ncores = min e.S.plan.P.cores_used (N.cores noc) in
+         let ring t_phase bytes routes =
+           if bytes > 0. then
+             List.filter_map
+               (fun (p : N.path) ->
+                 if Array.length p.N.ids = 0 then None
+                 else Some { t_op = op; t_phase; t_route = N.route noc ~src:p.N.src ~dst:p.N.dst })
+               (Array.to_list (routes noc ~ncores))
+           else []
+         in
+         ring Dist e.S.popt.P.dist_bytes_per_core N.distribution_ring
+         @ ring Exch e.S.plan.P.exchange_bytes_per_core N.exchange_ring))
 
 type cycle = {
   cy_links : N.link list;  (* the circular wait, in acquisition order *)
@@ -178,10 +153,10 @@ let check ~emit ~on (noc : N.t) (s : S.t) =
         | None -> ()
         | Some l ->
             emit "deadlock.self-loop" (Diag.at_op t.t_op)
-              [ ("link", Diag.Str (link_name l)) ]
+              [ ("link", Diag.Str (N.link_name l)) ]
               (Printf.sprintf
                  "%s transfer of op %d acquires %s twice along its route"
-                 (phase_name t.t_phase) t.t_op (link_name l)))
+                 (phase_name t.t_phase) t.t_op (N.link_name l)))
       transfers;
   if on "deadlock.cycle" then
     (* Only transfers of the same operator and phase ever hold links
@@ -213,6 +188,6 @@ let check ~emit ~on (noc : N.t) (s : S.t) =
                  "channel-dependency cycle in the %s phase: %s (ops %s can \
                   each hold a link the next waits for)"
                  (phase_name ph)
-                 (String.concat " -> " (List.map link_name cyc.cy_links))
+                 (String.concat " -> " (List.map N.link_name cyc.cy_links))
                  (String.concat ", " (List.map string_of_int ops))))
       groups

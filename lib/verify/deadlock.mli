@@ -6,12 +6,13 @@
     held by a transfer that waits for the next ([deadlock.cycle]); a
     route that acquires the same link twice deadlocks against itself
     ([deadlock.self-loop]).  Transfers are the plan's distribution and
-    exchange rings — the per-core send/recv pairings the {!Hb} DAG
-    contracts into each operator's tail node — grouped per (operator,
-    phase) since only those hold links concurrently.  XY mesh routing
-    and the bipartite all-to-all fabric are acyclic by construction, so
-    compiled plans prove clean; the rules guard hand-written plans and
-    future adaptive or fused communication phases. *)
+    exchange rings as {!Elk_noc.Noc} lays them out — the per-core
+    send/recv pairings the {!Hb} DAG contracts into each operator's tail
+    node — grouped per (operator, phase) since only those hold links
+    concurrently.  XY mesh routing and the bipartite all-to-all fabric
+    are acyclic by construction, so compiled plans prove clean; the
+    rules guard hand-written plans and future adaptive or fused
+    communication phases. *)
 
 type phase = Dist | Exch
 
@@ -19,11 +20,13 @@ val phase_name : phase -> string
 
 type transfer = { t_op : int; t_phase : phase; t_route : Elk_noc.Noc.link list }
 
-val link_name : Elk_noc.Noc.link -> string
-
 val transfers_of_schedule :
   Elk_noc.Noc.t -> Elk.Schedule.t -> transfer list
-(** The plan's ring transfers, mirroring the simulator core for core. *)
+(** The plan's ring transfers: for each op, in id order, and each phase
+    that moves bytes, distribution before exchange, every non-empty
+    route of {!Elk_noc.Noc.distribution_ring} or
+    {!Elk_noc.Noc.exchange_ring} over the op's cores, cores ascending.
+    These are the routes [Elk_sim.Sim.run] books, core for core. *)
 
 type cycle = {
   cy_links : Elk_noc.Noc.link list;  (** the circular wait, in order. *)

@@ -296,6 +296,55 @@ let test_link_id_rejects_foreign () =
   Alcotest.(check bool) "no L2 on a2a" true (raises (a2a ()) Noc.L2_fabric);
   Alcotest.(check bool) "no core 64" true (raises (a2a ()) (Noc.Port_out (Noc.Core 64)))
 
+(* ---- the device program's routes ---------------------------------- *)
+
+(* Each ring entry is the route from the stated peer, each preload entry
+   the route from the core's controller; a ring of one core is one empty
+   route; a second request returns the same array. *)
+let check_program_routes t =
+  let cores = Noc.cores t in
+  let same what ~src ~dst (p : Noc.path) =
+    if p <> Noc.path t ~src ~dst then Alcotest.failf "%s: not the route table's path" what
+  in
+  List.iter
+    (fun ncores ->
+      List.iter
+        (fun (name, routes, peer) ->
+          let paths = routes t ~ncores in
+          let what = Printf.sprintf "%s ring of %d" name ncores in
+          Alcotest.(check int) (what ^ ": length") ncores (Array.length paths);
+          Array.iteri
+            (fun c p ->
+              same (Printf.sprintf "%s, core %d" what c) ~src:(Noc.Core (peer ncores c))
+                ~dst:(Noc.Core c) p)
+            paths;
+          if ncores = 1 then
+            Alcotest.(check int) (what ^ ": empty") 0 (Array.length paths.(0).Noc.ids);
+          Alcotest.(check bool) (what ^ ": memoized") true (routes t ~ncores == paths))
+        [ ("distribution", Noc.distribution_ring, fun n c -> (c + 1) mod n);
+          ("exchange", Noc.exchange_ring, fun n c -> (c + n - 1) mod n) ])
+    [ 1; 2; 7; cores ];
+  let pre = Noc.preload_routes t in
+  Alcotest.(check int) "preload: one route per core" cores (Array.length pre);
+  Array.iteri
+    (fun c p ->
+      same (Printf.sprintf "preload to core %d" c) ~src:(Noc.hbm_ctrl_for_core t c)
+        ~dst:(Noc.Core c) p)
+    pre;
+  Alcotest.(check bool) "preload: memoized" true (Noc.preload_routes t == pre);
+  List.iter
+    (fun ncores ->
+      Alcotest.(check bool)
+        (Printf.sprintf "ring of %d rejected" ncores)
+        true
+        (try
+           ignore (Noc.distribution_ring t ~ncores);
+           false
+         with Invalid_argument _ -> true))
+    [ -1; cores + 1 ]
+
+let test_program_routes () = List.iter check_program_routes [ a2a (); mesh (); clustered () ]
+
 let suite =
   [
     ("noc: rejects invalid chip", `Quick, test_create_rejects_invalid);
@@ -323,6 +372,7 @@ let suite =
     ("noc: link ids dense and canonical (mesh)", `Quick, test_link_ids_mesh);
     ("noc: link ids dense and canonical (clustered)", `Quick, test_link_ids_clustered);
     ("noc: link id rejects foreign links", `Quick, test_link_id_rejects_foreign);
+    ("noc: device program routes (a2a, mesh, clustered)", `Quick, test_program_routes);
     qcheck_mesh_route_connects;
     qcheck_transfer_time_monotone;
     qcheck_transfer_time_monotone_mesh;

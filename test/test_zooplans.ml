@@ -353,6 +353,54 @@ let test_zoo_lower_bounds () =
         cands.Elk.Compile.survivors)
     (Lazy.force plans)
 
+(* The deadlock lint checks the routes the simulator books: on each of
+   the twelve plans, per (op, phase), the links on
+   [Deadlock.transfers_of_schedule]'s routes, over a Noc of its own as
+   the verifier builds one, are the links of the distribute and
+   exchange bookings a recorded [Sim.run] makes, as multisets. *)
+let test_zoo_deadlock_sees_sim_rings () =
+  let module Dl = Elk_verify.Deadlock in
+  let module Nt = Elk_sim.Noctrace in
+  let module N = Elk_noc.Noc in
+  (* The (op, phase) groups [add] fills, in order, each group's links
+     sorted. *)
+  let groups add =
+    let tbl = Hashtbl.create 64 in
+    add (fun key links ->
+        Hashtbl.replace tbl key (links @ Option.value ~default:[] (Hashtbl.find_opt tbl key)));
+    List.sort compare
+      (Hashtbl.fold (fun key links acc -> (key, List.sort N.compare_link links) :: acc) tbl [])
+  in
+  List.iter
+    (fun (label, env, s) ->
+      let lint =
+        groups (fun add ->
+            List.iter
+              (fun t -> add (t.Dl.t_op, Dl.phase_name t.Dl.t_phase) t.Dl.t_route)
+              (Dl.transfers_of_schedule
+                 (N.create (Elk_partition.Partition.ctx_chip env.D.ctx))
+                 s))
+      in
+      let sim =
+        groups (fun add ->
+            let r = Elk_sim.Sim.run ~noc:true env.D.ctx s in
+            Array.iter
+              (fun b ->
+                if b.Nt.b_cls <> Nt.Preload then
+                  add (b.Nt.b_op, Nt.cls_name b.Nt.b_cls) [ b.Nt.b_link ])
+              (Nt.bookings (Option.get r.Elk_sim.Sim.noc)))
+      in
+      if lint = [] then Alcotest.failf "%s: no ring transfer" label;
+      if List.map fst lint <> List.map fst sim then
+        Alcotest.failf "%s: the lint and the simulator move different (op, phase) groups" label;
+      List.iter2
+        (fun ((op, phase), l) (_, b) ->
+          if l <> b then
+            Alcotest.failf "%s op %d %s: the lint's %d links differ from the simulator's %d"
+              label op phase (List.length l) (List.length b))
+        lint sim)
+    (Lazy.force plans)
+
 let suite =
   [
     Alcotest.test_case "12 zoo plans match the pinned digests" `Quick test_zoo_plans_pinned;
@@ -366,4 +414,7 @@ let suite =
       `Quick test_zoo_results_pinned;
     Alcotest.test_case "16 plans and an overflow: verifier reports match the pinned digests"
       `Quick test_zoo_verify_pinned;
+    Alcotest.test_case
+      "12 zoo plans: the deadlock lint's transfers are the simulator's ring bookings" `Quick
+      test_zoo_deadlock_sees_sim_rings;
   ]
