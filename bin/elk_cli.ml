@@ -134,7 +134,7 @@ let plan_or_exit ?(code = 1) ~verb env g design =
 let jobs_t =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_conv) None
     & info [ "j"; "jobs" ]
         ~doc:
           "Worker domains for the parallel candidate-order search (default: \

@@ -45,7 +45,7 @@ let batch_t = Arg.(value & opt positive_conv 32 & info [ "b"; "batch" ] ~doc:"Ba
 let jobs_t =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_conv) None
     & info [ "j"; "jobs" ]
         ~doc:
           "Worker domains for design-point evaluation and order search \

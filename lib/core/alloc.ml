@@ -144,7 +144,8 @@ let layout_of_schedule (s : Schedule.t) =
 
 (* A window operator's preload-state frontier, resolved once for the
    operator's fixed plan: its options in ascending preload space, with
-   the (space, overhead) pairs the greedy descent steps along. *)
+   the (space, overhead) pairs the greedy descent steps along, and the
+   first option of least overhead. *)
 type frontier = {
   f_op : int;
   plan : P.plan;
@@ -152,6 +153,7 @@ type frontier = {
   spaces : float array;
   overheads : float array;
   f_nonnegative : bool;  (** no negative space. *)
+  least : int;  (** the first option of least overhead. *)
 }
 
 let nonnegative spaces = Array.for_all (fun x -> not (x < 0.)) spaces
@@ -160,6 +162,10 @@ let frontier ctx (node : Elk_model.Graph.node) plan =
   let options = Array.of_list (P.preload_options ctx node.Elk_model.Graph.op plan) in
   let spaces = Array.map (fun o -> o.P.preload_space) options in
   let overheads = Array.map P.preload_overhead options in
+  let least = ref 0 in
+  for k = 1 to Array.length overheads - 1 do
+    if overheads.(k) < overheads.(!least) then least := k
+  done;
   {
     f_op = node.Elk_model.Graph.id;
     plan;
@@ -167,23 +173,35 @@ let frontier ctx (node : Elk_model.Graph.node) plan =
     spaces;
     overheads;
     f_nonnegative = nonnegative spaces;
+    least = !least;
   }
 
 let plan f = f.plan
 let options f = f.options
+let least_overhead f = f.options.(f.least)
 
-(* The executing operator's frontier, resolved once per induction step
-   and read by every horizon's allocation: its Pareto plans in ascending
-   execution space with the (space, time) pairs the descent steps along,
-   and each plan's preload frontier, resolved on first use.  The cache is
-   plain mutable state, so a value belongs to one domain. *)
+let least_overhead_within f ~space =
+  let best = ref (-1) in
+  for k = 0 to Array.length f.options - 1 do
+    if f.spaces.(k) <= space && (!best < 0 || f.overheads.(k) < f.overheads.(!best)) then
+      best := k
+  done;
+  f.options.(max 0 !best)
+
+(* The executing operator's frontier, resolved once and read by every
+   horizon's allocation: its Pareto plans in ascending execution space
+   with the (space, time) pairs the descent steps along, and each plan's
+   preload frontier, resolved on first use.  Those are immutable rows
+   behind an [Atomic], published by compare-and-set, so domains may share
+   the value: one that loses a race drops its copy, which equals the
+   winner's. *)
 type exec_frontier = {
   node : Elk_model.Graph.node;
   ctx : P.ctx;
   plans : P.plan array;
   plan_spaces : float array;
   plan_times : float array;
-  plan_options : frontier option array;
+  plan_options : frontier option array Atomic.t;
   e_nonnegative : bool;
 }
 
@@ -197,17 +215,27 @@ let exec_frontier ctx (node : Elk_model.Graph.node) =
     plans = Array.map (fun p -> p.Pareto.payload) points;
     plan_spaces;
     plan_times;
-    plan_options = Array.make (Array.length points) None;
+    plan_options = Atomic.make (Array.make (Array.length points) None);
     e_nonnegative = nonnegative plan_spaces;
   }
 
+let plan_count ef = Array.length ef.plans
+
 let exec_options ef i =
-  match ef.plan_options.(i) with
+  match (Atomic.get ef.plan_options).(i) with
   | Some f -> f
   | None ->
       let f = frontier ef.ctx ef.node ef.plans.(i) in
-      ef.plan_options.(i) <- Some f;
-      f
+      let rec publish () =
+        let rows = Atomic.get ef.plan_options in
+        match rows.(i) with
+        | Some first -> first
+        | None ->
+            let grown = Array.copy rows in
+            grown.(i) <- Some f;
+            if Atomic.compare_and_set ef.plan_options rows grown then f else publish ()
+      in
+      publish ()
 
 (* One induction step's participants: participant 0 is the executing
    operator, participant [k + 1] the [k]-th resident.  Every search
@@ -215,8 +243,15 @@ let exec_options ef i =
    what the tops give is computed once per window: the footprint,
    injection and distribution summed left to right over the tops of every
    prefix.  A search of the first [len] residents keeps each
-   participant's current point in [idx]: it builds no record and no list
-   of its own. *)
+   participant's current point in [idx] and writes what it finds into
+   [found] and the [found_*] ints: it builds no record and no list. *)
+type found = {
+  mutable found_exec_time : float;
+  mutable found_objective : float;
+  mutable found_total_space : float;
+  mutable found_contention : float;
+}
+
 type window = {
   exec : exec_frontier;
   residents : frontier array;
@@ -229,6 +264,12 @@ type window = {
   nonnegative : int;  (** participants [0 .. nonnegative - 1] have no negative space. *)
   idx : int array;  (** scratch: each participant's current point. *)
   size : int -> float;  (** participant [k]'s current space. *)
+  found : found;
+      (** the last search's floats; its total space is the demand when it
+          overflowed. *)
+  mutable found_index : int;  (** the last search's execute-state plan. *)
+  mutable found_len : int;
+  mutable found_steps : int;
 }
 
 let window exec (residents : frontier array) =
@@ -267,6 +308,11 @@ let window exec (residents : frontier array) =
     nonnegative = !nonnegative;
     idx;
     size = (fun k -> spaces.(k).(idx.(k)));
+    found =
+      { found_exec_time = 0.; found_objective = 0.; found_total_space = 0.; found_contention = 0. };
+    found_index = 0;
+    found_len = 0;
+    found_steps = 0;
   }
 
 let reset w len = Array.blit w.top 0 w.idx 0 (len + 1)
@@ -292,21 +338,21 @@ let step w len =
   if !best >= 0 then idx.(!best) <- idx.(!best) - 1;
   !best
 
-let chosen w r =
-  reset w r.len;
-  for _ = 1 to r.steps do
-    ignore (step w r.len)
+let chosen_at w ~len ~steps =
+  reset w len;
+  for _ = 1 to steps do
+    ignore (step w len)
   done;
-  List.init r.len (fun k ->
+  List.init len (fun k ->
       let f = w.residents.(k) in
       (f.f_op, f.options.(w.idx.(k + 1))))
 
-(* Why a search failed, formatted only when someone reads it. *)
-type infeasible = No_plan | Overflow of { demand : float; preloads : int }
+let chosen w r = chosen_at w ~len:r.len ~steps:r.steps
 
-let search ~capacity ~len w =
+let find ~capacity ~len w =
   if len < 0 || len >= Array.length w.idx then invalid_arg "Alloc.allocate: len out of range";
-  if Array.length w.exec.plans = 0 then Error No_plan
+  w.found_len <- len;
+  if Array.length w.exec.plans = 0 then false
   else begin
     reset w len;
     (* The execute state first, then every overlapping preload: the
@@ -328,10 +374,11 @@ let search ~capacity ~len w =
         done
       end
     done;
-    if !stuck then
-      (* Every participant is at its smallest Pareto point, so [!total]
-         is the irreducible demand of this window combination. *)
-      Error (Overflow { demand = !total; preloads = len })
+    (* Overflowing, every participant is at its smallest Pareto point,
+       so [!total] is the irreducible demand of this window combination. *)
+    w.found.found_total_space <- !total;
+    w.found_steps <- !steps;
+    if !stuck then false
     else begin
       let exec_index = w.idx.(0) in
       let exec_plan = w.exec.plans.(exec_index) in
@@ -363,52 +410,67 @@ let search ~capacity ~len w =
       let exchange_pc = exec_plan.P.exchange_bytes_per_core in
       let port_service = (inject_overlap_pc +. exchange_pc) /. link_bw in
       let contention = Float.max 0. (port_service -. exec_plan.P.exec_time) in
-      Ok
-        {
-          exec_plan;
-          exec_index;
-          len;
-          steps = !steps;
-          exec_time = exec_plan.P.exec_time +. contention;
-          objective = exec_plan.P.exec_time +. contention +. !dist_total;
-          total_space = !total;
-          contention;
-        }
+      w.found_index <- exec_index;
+      w.found.found_exec_time <- exec_plan.P.exec_time +. contention;
+      w.found.found_objective <- exec_plan.P.exec_time +. contention +. !dist_total;
+      w.found.found_contention <- contention;
+      true
     end
   end
 
-let explain ~capacity w reason =
+let found w = w.found
+let found_exec_index w = w.found_index
+let found_steps w = w.found_steps
+
+let result w =
+  let f = w.found in
+  {
+    exec_plan = w.exec.plans.(w.found_index);
+    exec_index = w.found_index;
+    len = w.found_len;
+    steps = w.found_steps;
+    exec_time = f.found_exec_time;
+    objective = f.found_objective;
+    total_space = f.found_total_space;
+    contention = f.found_contention;
+  }
+
+(* Why the last search of [w] failed, formatted only when someone reads
+   it. *)
+let explain ~capacity w =
   let op_label =
     Printf.sprintf "op %d (%s)" w.exec.node.Elk_model.Graph.id
       w.exec.node.Elk_model.Graph.op.Elk_tensor.Opspec.name
   in
-  match reason with
-  | No_plan ->
-      Printf.sprintf
-        "allocation infeasible for %s: no execute-state plan fits %.0f \
-         B/core SRAM"
-        op_label capacity
-  | Overflow { demand; preloads } ->
-      Printf.sprintf
-        "allocation infeasible for %s: minimal demand %.0f B/core \
-         (execute state + %d overlapping preloads) exceeds %.0f B/core \
-         SRAM by %.0f B"
-        op_label demand preloads capacity (demand -. capacity)
+  if Array.length w.exec.plans = 0 then
+    Printf.sprintf
+      "allocation infeasible for %s: no execute-state plan fits %.0f \
+       B/core SRAM"
+      op_label capacity
+  else
+    let demand = w.found.found_total_space in
+    Printf.sprintf
+      "allocation infeasible for %s: minimal demand %.0f B/core \
+       (execute state + %d overlapping preloads) exceeds %.0f B/core \
+       SRAM by %.0f B"
+      op_label demand w.found_len capacity (demand -. capacity)
+
+let search ~capacity ~len w =
+  find ~capacity ~len w
+  || begin
+       (* Infeasibility is routine during the window search (the caller
+          retries with fewer preloads), so this is debug-level — but the
+          message names the capacity, the demanded bytes, and the
+          offending operator instead of a bare [false]. *)
+       if Elk_obs.Logger.enabled Elk_obs.Logger.Debug then
+         Elk_obs.Logger.debug ~src:"alloc" (explain ~capacity w);
+       false
+     end
+
+let allocate ~capacity ~len w = if search ~capacity ~len w then Some (result w) else None
 
 let allocate_or_error ~capacity ~len w =
-  Result.map_error (explain ~capacity w) (search ~capacity ~len w)
-
-let allocate ~capacity ~len w =
-  match search ~capacity ~len w with
-  | Ok r -> Some r
-  | Error reason ->
-      (* Infeasibility is routine during the window search (the caller
-         retries with fewer preloads), so this is debug-level — but the
-         message names the capacity, the demanded bytes, and the
-         offending operator instead of a bare [None]. *)
-      if Elk_obs.Logger.enabled Elk_obs.Logger.Debug then
-        Elk_obs.Logger.debug ~src:"alloc" (explain ~capacity w reason);
-      None
+  if find ~capacity ~len w then Ok (result w) else Error (explain ~capacity w)
 
 let min_preload_space ctx (node : Elk_model.Graph.node) =
   match P.exec_frontier ctx node.Elk_model.Graph.op with

@@ -16,10 +16,11 @@
 
     Both sides come resolved: a window operator's preload options once
     its plan is fixed ({!frontier}), the executing operator's frontier
-    once per scheduler induction step ({!exec_frontier}).  A step's
-    residents are gathered once, in preload-position order, into a
-    {!window}; each candidate horizon searches a prefix of it
-    ({!allocate}). *)
+    once per operator ({!exec_frontier}; one compile's scheduler runs may
+    share it, across domains too).  A step's residents are gathered
+    once, in preload-position order, into a {!window}; each candidate
+    horizon searches a prefix of it ({!search}), and the window holds the
+    last search's result, so a horizon allocates nothing. *)
 
 type result = {
   exec_plan : Elk_partition.Partition.plan;  (** chosen execute-state plan. *)
@@ -101,22 +102,39 @@ val options : frontier -> Elk_partition.Partition.preload_opt array
     space); never empty.  The array is the frontier's own: read it, do not
     write it. *)
 
+val least_overhead : frontier -> Elk_partition.Partition.preload_opt
+(** The first of {!options} with the least
+    {!Elk_partition.Partition.preload_overhead}, found once, when the
+    frontier is resolved. *)
+
+val least_overhead_within :
+  frontier -> space:float -> Elk_partition.Partition.preload_opt
+(** The first of {!options} with the least overhead among those whose
+    preload space is at most [space]; the first option when none is. *)
+
 type exec_frontier
 (** The executing operator's Pareto frontier of execute-state plans
     ({!Elk_partition.Partition.exec_frontier}), resolved once
-    ({!exec_frontier}) and reused by every allocation of one scheduler
-    induction step — one per candidate preload number.  Each plan's
-    preload frontier is resolved on first use ({!exec_options}) and kept;
-    the cache is unsynchronized, so a value must stay on one domain. *)
+    ({!exec_frontier}) and reused by every allocation that executes the
+    operator: every horizon of a scheduler induction step, and every
+    scheduler run handed it ({!Scheduler.run}'s [frontiers]).  Each
+    plan's preload frontier is resolved on first use ({!exec_options})
+    and published by compare-and-set, so a value may be shared across
+    domains: a domain that loses the race drops its copy, which equals
+    the one kept. *)
 
 val exec_frontier :
   Elk_partition.Partition.ctx -> Elk_model.Graph.node -> exec_frontier
 (** [exec_frontier ctx node] resolves [node]'s execute-state frontier. *)
 
+val plan_count : exec_frontier -> int
+(** The number of plans on the frontier: [0] when no plan of the operator
+    fits the chip. *)
+
 val exec_options : exec_frontier -> int -> frontier
 (** [exec_options ef i] is the preload {!frontier} of the frontier's
     [i]-th plan (a result's [exec_index]), resolved on the first call for
-    [i]. *)
+    [i]; every later call, from any domain, returns the same value. *)
 
 type window
 (** One scheduler induction step's search state: an {!exec_frontier} and
@@ -125,12 +143,38 @@ type window
     each search starts from — every participant at its largest point,
     and those points' footprint, injection and distribution summed over
     every prefix in the order a search adds them — is computed once, by
-    {!window}.  A search reads its prefix in place and allocates only its
-    result.  The value holds mutable scratch, so it must stay on one
+    {!window}.  A search reads its prefix in place and writes its result
+    into the window, which holds the last search's result until the next
+    one.  The value holds mutable scratch, so it must stay on one
     domain. *)
 
 val window : exec_frontier -> frontier array -> window
 (** [window exec residents] prepares the searches of one step. *)
+
+val search : capacity:float -> len:int -> window -> bool
+(** [search ~capacity ~len w] is {!allocate}'s search without its
+    result record: [true] when the combination fits, and then {!found},
+    {!found_exec_index} and {!found_steps} read the result {!allocate}
+    would return, until the next search of [w].  It allocates nothing
+    but the debug-level diagnostic {!allocate} logs when the combination
+    does not fit (built only when that level is on). *)
+
+type found = {
+  mutable found_exec_time : float;
+  mutable found_objective : float;
+  mutable found_total_space : float;
+      (** the minimal demand when the search overflowed. *)
+  mutable found_contention : float;
+}
+(** The floats of a window's last search, named as in {!result}: a flat
+    float record, so a field is read without boxing. *)
+
+val found : window -> found
+(** The window's own record, which each search overwrites: read it, do not
+    write it. *)
+
+val found_exec_index : window -> int
+val found_steps : window -> int
 
 val allocate : capacity:float -> len:int -> window -> result option
 (** [allocate ~capacity ~len w] searches the executing operator together
@@ -159,6 +203,11 @@ val chosen : window -> result -> (int * Elk_partition.Partition.preload_opt) lis
     id, in window order.  It is built when read, by replaying [r]'s
     descent steps, so a scheduler step builds it only for the horizon it
     keeps.  Like a search, it uses [w]'s scratch. *)
+
+val chosen_at :
+  window -> len:int -> steps:int -> (int * Elk_partition.Partition.preload_opt) list
+(** [chosen_at w ~len ~steps] is {!chosen} for a search of the first [len]
+    residents that took [steps] descent steps ({!found_steps}). *)
 
 val min_preload_space :
   Elk_partition.Partition.ctx -> Elk_model.Graph.node -> float

@@ -146,13 +146,16 @@ let note_pruned () =
   Metrics.incr "elk_compile_orders_pruned_total"
     ~help:"Candidate preload orders pruned by the branch-and-bound lower bound"
 
-(* The head candidate (the execution order) is scheduled sequentially:
-   it warms the partition memo caches before the fan-out, and its lower
-   bound fixes the cutoff.  The scheduler abandons an induction whose
-   running estimate exceeds the cutoff ({!Scheduler.Pruned}); a finished
-   schedule whose own lower bound exceeds it is dropped.  The cutoff
-   depends only on the head, so the survivors are the same whatever the
-   jobs count. *)
+(* Every run of the search shares one execute-state frontier per
+   chip-graph node ({!Scheduler.frontiers}), resolved before the first
+   run; each plan's preload frontier is resolved by the first run, on
+   whichever domain, that reads it.  The head candidate (the execution
+   order) is scheduled sequentially: it warms those and the partition
+   memo caches before the fan-out, and its lower bound fixes the cutoff.
+   The scheduler abandons an induction whose running estimate exceeds the
+   cutoff ({!Scheduler.Pruned}); a finished schedule whose own lower
+   bound exceeds it is dropped.  The cutoff depends only on the head, so
+   the survivors are the same whatever the jobs count. *)
 let candidates ?(options = default_options) ctx chip_graph =
   let orders =
     Span.with_span "order-gen" (fun () ->
@@ -162,13 +165,15 @@ let candidates ?(options = default_options) ctx chip_graph =
           Reorder.candidate_orders ~max_orders:options.max_orders
             ~max_edit_distance:options.max_edit_distance ctx chip_graph)
   in
+  let frontiers = Scheduler.frontiers ctx chip_graph in
   let schedule_order ?cutoff order =
     Metrics.incr "elk_compile_orders_tried_total"
       ~help:"Candidate preload orders attempted by the scheduler";
     try
       let s =
         Span.with_span "schedule" (fun () ->
-            Scheduler.run ~order ~max_preload:options.max_preload ?cutoff ctx chip_graph)
+            Scheduler.run ~order ~frontiers ~max_preload:options.max_preload ?cutoff ctx
+              chip_graph)
       in
       Some (s, Timeline.lower_bound ctx s)
     with
@@ -199,7 +204,7 @@ let candidates ?(options = default_options) ctx chip_graph =
   match survivors with
   | [] ->
       (* Re-run in execution order to surface the underlying error. *)
-      let s = Span.with_span "schedule" (fun () -> Scheduler.run ctx chip_graph) in
+      let s = Span.with_span "schedule" (fun () -> Scheduler.run ~frontiers ctx chip_graph) in
       { survivors = [ (s, Timeline.lower_bound ctx s) ]; tried = 1 }
   | _ -> { survivors; tried = List.length scheduled }
 

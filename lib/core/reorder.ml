@@ -1,19 +1,29 @@
 open Elk_model
 
-let kendall_tau a b =
-  if List.sort compare a <> List.sort compare b then
-    invalid_arg "Reorder.kendall_tau: not permutations of the same set";
-  let posb = Hashtbl.create 16 in
-  List.iteri (fun i x -> Hashtbl.replace posb x i) b;
-  let arr = Array.of_list (List.map (Hashtbl.find posb) a) in
-  let n = Array.length arr in
+(* Discordant pairs of [a] against [b]: pairs [i < j] of [a] whose
+   elements sit in [b] at positions [p i > p j], each element looked up
+   by int comparison at its last position in [b]. *)
+let discordant (a : int array) (b : int array) =
+  let n = Array.length a and m = Array.length b in
+  let pos =
+    Array.map
+      (fun x ->
+        let rec last k = if k < 0 || b.(k) = x then k else last (k - 1) in
+        last (m - 1))
+      a
+  in
   let count = ref 0 in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      if arr.(i) > arr.(j) then incr count
+      if pos.(i) > pos.(j) then incr count
     done
   done;
   !count
+
+let kendall_tau a b =
+  if not (List.equal Int.equal (List.sort Int.compare a) (List.sort Int.compare b)) then
+    invalid_arg "Reorder.kendall_tau: not permutations of the same set";
+  discordant (Array.of_list a) (Array.of_list b)
 
 let valid_suffix_orders ~capacity ~items ?(max_orders = 5000) () =
   let results = ref [] and count = ref 0 in
@@ -76,14 +86,17 @@ let candidate_orders ?(max_orders = 64) ?(max_edit_distance = 6) ctx graph =
     let items =
       List.map (fun id -> (id, Alloc.min_preload_space ctx (Graph.get graph id))) template
     in
+    (* Every order is a permutation of the template, so its distance is
+       [discordant] alone, without [kendall_tau]'s check. *)
+    let template_arr = Array.of_list template in
     let per_layer_orders =
       valid_suffix_orders ~capacity ~items ~max_orders:2000 ()
       |> List.filter (fun order ->
-             order <> template && kendall_tau order template <= max_edit_distance)
+             (not (List.equal Int.equal order template))
+             && discordant (Array.of_list order) template_arr <= max_edit_distance)
     in
     (* Permutations expressed as index mappings relative to the template so
        they can be replicated onto every layer with matching roles. *)
-    let template_arr = Array.of_list template in
     let template_roles =
       Array.map (fun id -> (Graph.get graph id).Graph.role) template_arr
     in

@@ -8,27 +8,6 @@ exception Pruned
    cannot finish with an estimate within [cutoff] (see the bound note
    below). *)
 
-(* Default preload option for an operator the allocator has not assigned
-   yet: the first one minimizing total preload overhead (distribution time
-   plus interconnect-imposed preload lengthening). *)
-let min_overhead_opt (opts : P.preload_opt array) =
-  Array.fold_left
-    (fun acc o -> if P.preload_overhead o < P.preload_overhead acc then o else acc)
-    opts.(0) opts
-
-(* Best (first least-overhead) of a plan's preload options whose preload
-   space fits a budget; falls back to the smallest option. *)
-let best_opt_within (opts : P.preload_opt array) ~space =
-  let best = ref (-1) in
-  for k = 0 to Array.length opts - 1 do
-    let o = opts.(k) in
-    if
-      o.P.preload_space <= space
-      && (!best < 0 || P.preload_overhead o < P.preload_overhead opts.(!best))
-    then best := k
-  done;
-  opts.(max 0 !best)
-
 (* The scheduler implements the backward induction of §4.2 with the
    preload sequence generalized to an arbitrary order (§4.4).  For each
    operator i (scheduled from the last to the first) it picks a preload
@@ -47,11 +26,28 @@ let best_opt_within (opts : P.preload_opt array) ~space =
    where span(i) comes from the cost-aware allocator run over the
    operators resident on chip at that horizon. *)
 
-let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
+let frontiers ctx graph = Array.map (Alloc.exec_frontier ctx) (Graph.nodes graph)
+
+(* What a step's horizon search keeps: the best start so far and the
+   kept horizon's start, and that horizon (-1 for none) with its search's
+   plan index, window prefix and descent steps.  Fields of a float-only
+   record and of an int record, not refs the span closure would box. *)
+type starts = { mutable best_start : float; mutable kept_start : float }
+type kept = {
+  mutable kept_h : int;
+  mutable kept_index : int;
+  mutable kept_len : int;
+  mutable kept_steps : int;
+}
+
+let run ?order ?frontiers ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
   Elk_obs.Metrics.incr "elk_scheduler_runs_total"
     ~help:"Scheduler invocations (one per candidate preload order)";
   let n = Graph.length graph in
   if n = 0 then raise (Infeasible "empty graph");
+  (match frontiers with
+  | Some fs when Array.length fs <> n -> invalid_arg "Scheduler.run: one frontier per node"
+  | _ -> ());
   let order =
     match order with Some o -> Array.copy o | None -> Array.init n (fun i -> i)
   in
@@ -93,28 +89,33 @@ let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
     | Some f -> f
     | None -> raise (Infeasible "window op scheduled out of order")
   in
-  (* As-late-as-possible preload length of a scheduled operator; used by
-     the preload-channel passes below.  Operators not yet given a preload
-     option by an allocation window fall back to their min-overhead one,
-     exactly as the final materialization will. *)
-  let len_of id =
-    match popts.(id) with
-    | Some o -> o.P.preload_len
-    | None -> (min_overhead_opt (Alloc.options (front_of id))).P.preload_len
+  (* As-late-as-possible preload length of each scheduled operator, read by
+     the preload-channel passes below: its window's option once an
+     allocation assigns one, its least-overhead option until then, exactly
+     as the final materialization will. *)
+  let pre_len = Array.make n 0. in
+  let fix_front id f =
+    fronts.(id) <- Some f;
+    pre_len.(id) <- (Alloc.least_overhead f).P.preload_len
   in
+  let starts = { best_start = neg_infinity; kept_start = neg_infinity } in
+  let best = { kept_h = -1; kept_index = -1; kept_len = -1; kept_steps = -1 } in
   for i = n - 1 downto 0 do
     let node = node_of i in
     let h_low = if i = n - 1 then n else h_floor.(min (n - 1) (i + 1)) in
     let h_high = if i = n - 1 then n else min n (h_low + max_preload) in
     let next_s_exe = if i = n - 1 then 0. else s_exe.(i + 1) in
-    let best_start = ref neg_infinity and best = ref None in
-    let tol (span : float) = 0.02 *. Float.max 1e-9 span in
+    starts.best_start <- neg_infinity;
+    best.kept_h <- -1;
     let h = ref h_low in
     let stop = ref false in
     let exec, window =
       Elk_obs.Span.with_span "allocate" (fun () ->
-          (* Op i's frontier, resolved once for every horizon of this step. *)
-          let exec = Alloc.exec_frontier ctx node in
+          (* Op i's frontier, resolved once for every horizon of this step
+             (or once for the whole search, when the caller shares them). *)
+          let exec =
+            match frontiers with Some fs -> fs.(i) | None -> Alloc.exec_frontier ctx node
+          in
           (* Residents at horizon h: operators at preload positions < h
              that execute after i, collected once for the largest horizon
              in position order.  Positions >= h_low (= h_floor.(i+1)) hold
@@ -132,72 +133,85 @@ let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
           let base = Array.length residents - (h_high - h_low) in
           let window = Alloc.window exec residents in
           while (not !stop) && !h <= h_high do
-            (match Alloc.allocate ~capacity ~len:(base + !h - h_low) window with
-            | None ->
-                (* The residency window overflowed SRAM: the horizon search
-                   backtracks to the horizons searched so far. *)
-                Elk_obs.Metrics.incr "elk_scheduler_backtracks_total"
-                  ~help:"Horizon searches stopped by an SRAM-overflowing window";
-                stop := true
-            | Some alloc ->
-                (* Estimate op i's own distribution time from the option that
-                   would fit in the spare capacity left by this combination. *)
-                let spare = Float.max 0. (capacity -. alloc.Alloc.total_space) in
-                let dist_est =
-                  (best_opt_within
-                     (Alloc.options (Alloc.exec_options exec alloc.Alloc.exec_index))
-                     ~space:spare)
-                    .P.dist_time
-                in
-                let span = alloc.Alloc.exec_time +. dist_est in
-                let start = Float.min next_s_exe (s_pre_pos !h) -. span in
-                (* Keep the best start time; among near-ties take the
-                   largest horizon — a larger horizon only relaxes the
-                   gates of earlier operators.  Horizons come in
-                   ascending order, and a horizon that raises the best
-                   start is within tolerance of it, so the last horizon
-                   within tolerance of the best start seen so far is the
-                   largest within tolerance of the final best. *)
-                best_start := Float.max !best_start start;
-                if start >= !best_start -. tol span then best := Some (start, !h, alloc));
+            let len = base + !h - h_low in
+            if Alloc.search ~capacity ~len window then begin
+              (* Estimate op i's own distribution time from the option that
+                 would fit in the spare capacity left by this combination. *)
+              let found = Alloc.found window in
+              let spare = Float.max 0. (capacity -. found.Alloc.found_total_space) in
+              let exec_index = Alloc.found_exec_index window in
+              let dist_est =
+                (Alloc.least_overhead_within (Alloc.exec_options exec exec_index) ~space:spare)
+                  .P.dist_time
+              in
+              let span = found.Alloc.found_exec_time +. dist_est in
+              (* [s_pre_pos !h], read in place: a call from this closure
+                 would box its result. *)
+              let gate = if !h >= n then infinity else spos.(!h) in
+              let start = Float.min next_s_exe gate -. span in
+              (* Keep the best start time; among near-ties take the
+                 largest horizon — a larger horizon only relaxes the
+                 gates of earlier operators.  Horizons come in
+                 ascending order, and a horizon that raises the best
+                 start is within tolerance of it, so the last horizon
+                 within tolerance of the best start seen so far is the
+                 largest within tolerance of the final best. *)
+              starts.best_start <- Float.max starts.best_start start;
+              if start >= starts.best_start -. (0.02 *. Float.max 1e-9 span) then begin
+                starts.kept_start <- start;
+                best.kept_h <- !h;
+                best.kept_index <- exec_index;
+                best.kept_len <- len;
+                best.kept_steps <- Alloc.found_steps window
+              end
+            end
+            else begin
+              (* The residency window overflowed SRAM: the horizon search
+                 backtracks to the horizons searched so far. *)
+              Elk_obs.Metrics.incr "elk_scheduler_backtracks_total"
+                ~help:"Horizon searches stopped by an SRAM-overflowing window";
+              stop := true
+            end;
             incr h
           done;
           (exec, window))
     in
     (* A NaN start leaves no best start, as it leaves no horizon within
        tolerance of one. *)
-    if Float.is_nan !best_start then best := None;
-    (match !best with
-    | None ->
-        (* Even the minimal residency overflows the SRAM: fall back to the
-           smallest plans, tolerating the capacity violation (the timeline
-           and simulator will charge the contention). *)
-        Elk_obs.Metrics.incr "elk_scheduler_retries_total"
-          ~help:"Operators retried with smallest-plan fallback after overflow";
-        Elk_obs.Logger.debug ~src:"scheduler"
-          ~kvs:[ ("op", node.Graph.op.Elk_tensor.Opspec.name) ]
-          "smallest-plan fallback";
-        let frontier = P.exec_frontier ctx node.Graph.op in
-        (match frontier with
-        | [] ->
-            raise
-              (Infeasible
-                 (Printf.sprintf "operator %s does not fit on the chip"
-                    node.Graph.op.Elk_tensor.Opspec.name))
-        | smallest :: _ ->
-            let front = Alloc.frontier ctx node smallest.Elk_util.Pareto.payload in
-            let plan = Alloc.plan front in
-            let dist_est = P.preload_overhead (min_overhead_opt (Alloc.options front)) in
-            let span = plan.P.exec_time +. dist_est in
-            let bound = Float.min next_s_exe (s_pre_pos h_low) in
-            fronts.(i) <- Some front;
-            horizon.(i) <- h_low;
-            s_exe.(i) <- bound -. span)
-    | Some (start, h_star, alloc) ->
-        fronts.(i) <- Some (Alloc.exec_options exec alloc.Alloc.exec_index);
-        horizon.(i) <- h_star;
-        s_exe.(i) <- start;
-        List.iter (fun (w, o) -> popts.(w) <- Some o) (Alloc.chosen window alloc));
+    if Float.is_nan starts.best_start then best.kept_h <- -1;
+    if best.kept_h < 0 then begin
+      (* Even the minimal residency overflows the SRAM: fall back to the
+         smallest plans, tolerating the capacity violation (the timeline
+         and simulator will charge the contention). *)
+      Elk_obs.Metrics.incr "elk_scheduler_retries_total"
+        ~help:"Operators retried with smallest-plan fallback after overflow";
+      Elk_obs.Logger.debug ~src:"scheduler"
+        ~kvs:[ ("op", node.Graph.op.Elk_tensor.Opspec.name) ]
+        "smallest-plan fallback";
+      if Alloc.plan_count exec = 0 then
+        raise
+          (Infeasible
+             (Printf.sprintf "operator %s does not fit on the chip"
+                node.Graph.op.Elk_tensor.Opspec.name));
+      let front = Alloc.exec_options exec 0 in
+      let plan = Alloc.plan front in
+      let dist_est = P.preload_overhead (Alloc.least_overhead front) in
+      let span = plan.P.exec_time +. dist_est in
+      let bound = Float.min next_s_exe (s_pre_pos h_low) in
+      fix_front i front;
+      horizon.(i) <- h_low;
+      s_exe.(i) <- bound -. span
+    end
+    else begin
+      fix_front i (Alloc.exec_options exec best.kept_index);
+      horizon.(i) <- best.kept_h;
+      s_exe.(i) <- starts.kept_start;
+      List.iter
+        (fun (w, o) ->
+          popts.(w) <- Some o;
+          pre_len.(w) <- o.P.preload_len)
+        (Alloc.chosen_at window ~len:best.kept_len ~steps:best.kept_steps)
+    end;
     (* Branch-and-bound early exit (§4.4 search): the backward induction
        pins op [n-1]'s window bound at 0, and every earlier start can only
        move left — [s_exe] is nondecreasing in [i] — while the final
@@ -221,7 +235,7 @@ let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
     let h_from = if i = 0 then 0 else h_floor.(i - 1) in
     for k = n - 1 downto h_from do
       let w = order.(k) in
-      if w >= i then spos.(k) <- Float.min s_exe.(w) (s_pre_pos (k + 1)) -. len_of w
+      if w >= i then spos.(k) <- Float.min s_exe.(w) (s_pre_pos (k + 1)) -. pre_len.(w)
     done
   done;
   (* Op 0 is never inside any window; give it the biggest option that fits
@@ -232,14 +246,14 @@ let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
       let f0 = front_of 0 in
       popts.(0) <-
         Some
-          (best_opt_within (Alloc.options f0)
+          (Alloc.least_overhead_within f0
              ~space:(Float.max 0. (capacity -. (Alloc.plan f0).P.exec_space))));
   (* Materialize every operator's preload option now so the repair pass
      below and the final entries agree on what is resident. *)
   for id = 0 to n - 1 do
     match popts.(id) with
     | Some _ -> ()
-    | None -> popts.(id) <- Some (min_overhead_opt (Alloc.options (front_of id)))
+    | None -> popts.(id) <- Some (Alloc.least_overhead (front_of id))
   done;
   (* Horizons need not be monotone across steps (a later operator may have
      chosen a smaller one); forward execution monotonizes them — a preload

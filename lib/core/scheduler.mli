@@ -13,7 +13,9 @@
 
     The preload order may differ from the execution order (§4.4); it is
     supplied as a permutation and the induction consumes its positions
-    from the back. *)
+    from the back.  A search over many orders of one graph resolves each
+    operator's execute-state frontier once ({!frontiers}) and hands the
+    table to every run, as {!Compile.candidates} does. *)
 
 exception Infeasible of string
 (** Raised when some operator cannot fit on the chip at all (no partition
@@ -34,8 +36,15 @@ exception Pruned
     without paying for the remaining allocator sweeps.  Never raised when
     [cutoff] is omitted. *)
 
+val frontiers : Elk_partition.Partition.ctx -> Elk_model.Graph.t -> Alloc.exec_frontier array
+(** [frontiers ctx graph] resolves every node's execute-state frontier
+    ({!Alloc.exec_frontier}), by node id: what {!run} takes as
+    [frontiers].  The plans' preload frontiers are left to their first
+    use. *)
+
 val run :
   ?order:int array ->
+  ?frontiers:Alloc.exec_frontier array ->
   ?max_preload:int ->
   ?cutoff:float ->
   Elk_partition.Partition.ctx ->
@@ -46,16 +55,25 @@ val run :
     [max_preload] caps the enumerated preload numbers (default 32);
     [cutoff] (default [infinity]) makes the induction raise {!Pruned} as
     soon as the estimate of the schedule under construction exceeds it.
+    [frontiers] (from {!frontiers} on the same [ctx] and [graph]; one per
+    node, else [Invalid_argument]) lets the runs of one search share what
+    they resolve, across domains too; without it the run resolves each
+    operator's frontier at its own step.  The schedule is the same
+    either way.
 
-    Each induction step resolves the executing operator's frontier once
+    Each induction step takes the executing operator's frontier
     ({!Alloc.exec_frontier}), collects the residents of its largest
     horizon once into an {!Alloc.window}, and runs the cost-aware
-    allocator over a prefix of them for every candidate horizon; the
-    chosen plan's preload options, read to estimate the operator's own
-    distribution time, come from the same resolved frontier.  Once an
-    operator's plan is fixed, every read of its preload options — window
-    searches, preload lengths, the final options and the repair pass —
-    goes through its {!Alloc.frontier}, resolved once.
+    allocator over a prefix of them for every candidate horizon
+    ({!Alloc.search}, which allocates nothing; the best horizon so far is
+    kept in mutable records); the chosen plan's preload options, read to estimate
+    the operator's own distribution time, come from the same resolved
+    frontier.  Once an operator's plan is fixed, every read of its
+    preload options — window searches, preload lengths, the final
+    options and the repair pass — goes through its {!Alloc.frontier},
+    resolved once, and its least-overhead preload length, which the
+    preload-channel pass reads until a window assigns it an option, is
+    found once.
 
     A final capacity-repair pass replays the {e effective} (monotonized)
     residency windows and demotes preload options wherever the combined

@@ -183,10 +183,12 @@ let clear_memo () =
 
 let trees t = (t.exec_trees, t.transfer_tree)
 
-let predict_exec t ~kind ~iter =
+let exec_predictor t ~kind =
   match List.assoc_opt kind t.exec_trees with
-  | Some tree -> Float.max 1e-9 (Linear_tree.predict tree (features ~kind ~iter))
-  | None -> Device.exec_time t.cm_chip ~kind ~iter
+  | Some tree -> fun iter -> Float.max 1e-9 (Linear_tree.predict tree (features ~kind ~iter))
+  | None -> fun iter -> Device.exec_time t.cm_chip ~kind ~iter
+
+let predict_exec t ~kind ~iter = exec_predictor t ~kind iter
 
 let predict_transfer t ~hops ~bytes =
   if bytes <= 0. then 0.

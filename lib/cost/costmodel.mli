@@ -6,9 +6,15 @@
     hops).  The compiler then only ever consults the trained predictors —
     prediction error (Fig 12) flows into every scheduling decision, as it
     would with a real profiled device.  HBM preload times come from a
-    roofline over the {!Elk_hbm.Hbm} channel model. *)
+    roofline over the {!Elk_hbm.Hbm} channel model.  A caller that prices
+    many tiles of one kind takes the kind's predictor once
+    ({!exec_predictor}), as partition enumeration does. *)
 
 type t
+
+val default_kinds : string list
+(** The operator kinds every fit trains a tree for: those the model zoo
+    emits. *)
 
 val train : ?seed:int -> ?samples_per_kind:int -> Elk_arch.Arch.chip -> t
 (** Profile-and-fit for one chip, for every kind the model zoo emits: a
@@ -56,6 +62,11 @@ val predict_exec : t -> kind:string -> iter:int array -> float
 (** Predicted per-core execution time of one tile.  Falls back to the
     analytic device model for kinds without a trained tree; never
     negative. *)
+
+val exec_predictor : t -> kind:string -> int array -> float
+(** [exec_predictor t ~kind] is [fun iter -> predict_exec t ~kind ~iter]
+    with the kind's tree looked up once: partition enumeration prices
+    every tile of an operator through one predictor. *)
 
 val predict_transfer : t -> hops:int -> bytes:float -> float
 (** Predicted uncontended transfer time for a route of [hops] links. *)

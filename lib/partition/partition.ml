@@ -185,8 +185,10 @@ let dim_candidates ~extent ~cores =
   List.sort compare !acc
 
 (* Enumerate factor vectors whose product stays within the core budget,
-   optionally restricted to [max_split_dims] partitioned dimensions. *)
-let factor_vectors ~iter ~cores ~max_split_dims ~cap =
+   optionally restricted to [max_split_dims] partitioned dimensions.
+   [cap] counts every vector reached; only those whose product is at
+   least [min_cores] are kept, last reached first. *)
+let factor_vectors ~iter ~cores ~max_split_dims ~cap ~min_cores =
   let ndims = Array.length iter in
   let results = ref [] and count = ref 0 in
   let current = Array.make ndims 1 in
@@ -194,7 +196,7 @@ let factor_vectors ~iter ~cores ~max_split_dims ~cap =
   let rec go dim prod split_dims =
     if !count >= cap then ()
     else if dim = ndims then begin
-      results := Array.copy current :: !results;
+      if prod >= min_cores then results := Array.copy current :: !results;
       incr count
     end
     else
@@ -211,14 +213,6 @@ let factor_vectors ~iter ~cores ~max_split_dims ~cap =
   !results
 
 let elem_size op = float_of_int (Dtype.size_bytes op.Opspec.dtype)
-
-let tensor_needed op tile (t : Opspec.tensor) =
-  List.fold_left (fun a d -> a *. float_of_int tile.(d)) 1. t.Opspec.dims *. elem_size op
-
-let share_group factors (t : Opspec.tensor) =
-  let g = ref 1 in
-  Array.iteri (fun d f -> if not (List.mem d t.Opspec.dims) then g := !g * f) factors;
-  !g
 
 let comm_hops chip =
   match chip.Arch.topology with
@@ -239,120 +233,190 @@ let inject_rate chip =
          roughly two useful mesh directions. *)
       Float.min chip.Arch.hbm_bandwidth (4. *. float_of_int cols *. link_bw)
 
-let plan_of_factors ctx (op : Opspec.t) factors =
-  let tile = Array.mapi (fun i f -> ceil_div op.Opspec.iter.(i) f) factors in
-  let tiles = Array.fold_left ( * ) 1 factors in
-  let cores = ctx.chip.Arch.cores in
+(* A tensor as pricing reads it: the dims that index it, the dims that do
+   not (partitioning one of those shares the tensor across its cores),
+   and where its bytes live. *)
+type operand = { dims : int array; outside : int array; source : Opspec.source }
+
+(* An operator resolved once for pricing every factor vector and
+   broadcast fraction: its operands, element size and the kind's tile
+   predictor, what it reads of the chip, and scratch for one input slice
+   each and for [price_fraction]'s parts.  The scratch makes a pricer
+   belong to one enumeration. *)
+type pricer = {
+  iter : int array;
+  elem : float;
+  output : operand;
+  inputs : operand array;
+  predict : int array -> float;
+  model : Elk_cost.Costmodel.t;
+  cores : int;
+  hops : int;
+  inject_rate : float;
+  link_bw : float;
+  needs : float array;
+  parts : float array;
+}
+
+let operand ndims (t : Opspec.tensor) =
+  {
+    dims = Array.of_list t.Opspec.dims;
+    outside =
+      Array.of_list
+        (List.filter (fun d -> not (List.mem d t.Opspec.dims)) (List.init ndims Fun.id));
+    source = t.Opspec.source;
+  }
+
+let pricer ctx (op : Opspec.t) =
+  let ndims = Array.length op.Opspec.iter in
+  {
+    iter = op.Opspec.iter;
+    elem = elem_size op;
+    output = operand ndims op.Opspec.output;
+    inputs = Array.of_list (List.map (operand ndims) op.Opspec.inputs);
+    predict = Elk_cost.Costmodel.exec_predictor ctx.cost ~kind:op.Opspec.kind;
+    model = ctx.cost;
+    cores = ctx.chip.Arch.cores;
+    hops = comm_hops ctx.chip;
+    inject_rate = inject_rate ctx.chip;
+    link_bw = ctx.chip.Arch.intercore_link.Arch.bandwidth;
+    needs = Array.make (List.length op.Opspec.inputs) 0.;
+    parts = Array.make 5 0.;
+  }
+
+(* A tensor's per-core slice of a tile, in bytes, and the number of cores
+   that share it (the product of the factors of the dims not indexing
+   it). *)
+let needed pr tile o =
+  let a = ref 1. in
+  for k = 0 to Array.length o.dims - 1 do
+    a := !a *. float_of_int tile.(o.dims.(k))
+  done;
+  !a *. pr.elem
+
+let group factors o =
+  let g = ref 1 in
+  for k = 0 to Array.length o.outside - 1 do
+    g := !g * factors.(o.outside.(k))
+  done;
+  !g
+
+let is_hbm = function Opspec.Weights | Opspec.Kv_cache -> true | Opspec.Activation -> false
+
+(* The plan [factors] denotes, or [None] when its execution space exceeds
+   [sram].  The space is priced first; the exchange and the compute time,
+   which asks the cost model, only for a plan that fits. *)
+let price pr ~sram factors =
+  let needs = pr.needs in
+  let ndims = Array.length factors in
+  let tile = Array.make ndims 0 in
+  let tiles = ref 1 in
+  for i = 0 to ndims - 1 do
+    tile.(i) <- ceil_div pr.iter.(i) factors.(i);
+    tiles := !tiles * factors.(i)
+  done;
+  let cores = pr.cores in
   (* Operators whose tiles outnumber the cores execute in [rounds]
      sequential rounds, one tile per core per round — how real compilers
      handle operators too large for one spatial pass.  Per-round working
      sets bound the execution space; HBM-resident inputs for all rounds
      must be preloaded, so they scale with [rounds]. *)
-  let rounds = ceil_div tiles cores in
-  let cores_used = min tiles cores in
+  let rounds = ceil_div !tiles cores in
   let froll = float_of_int rounds in
-  let out_slice = tensor_needed op tile op.Opspec.output in
-  let reduce_group = share_group factors op.Opspec.output in
-  let input_needs =
-    List.map (fun t -> (t, tensor_needed op tile t, share_group factors t)) op.Opspec.inputs
-  in
-  let act_slice =
-    List.fold_left
-      (fun a ((t : Opspec.tensor), need, _) ->
-        match t.Opspec.source with Opspec.Activation -> a +. need | _ -> a)
-      0. input_needs
-  in
-  let hbm_needed_round, max_g =
-    List.fold_left
-      (fun (acc, mg) ((t : Opspec.tensor), need, g) ->
-        match t.Opspec.source with
-        | Opspec.Weights | Opspec.Kv_cache -> (acc +. need, max mg g)
-        | Opspec.Activation -> (acc, mg))
-      (0., 1) input_needs
-  in
+  let out_slice = needed pr tile pr.output in
+  let reduce_group = group factors pr.output in
+  let act_slice = ref 0. and hbm_needed_round = ref 0. in
+  for k = 0 to Array.length pr.inputs - 1 do
+    let o = pr.inputs.(k) in
+    let need = needed pr tile o in
+    needs.(k) <- need;
+    if is_hbm o.source then hbm_needed_round := !hbm_needed_round +. need
+    else act_slice := !act_slice +. need
+  done;
   (* Execution space per core and round: the activation working set, the
      preloaded HBM slices of every round, and the output of the current
      round (plus a partial-result buffer when a reduction dimension is
      split; completed round outputs stream onward). *)
   let exec_space =
-    act_slice
-    +. (hbm_needed_round *. froll)
+    !act_slice
+    +. (!hbm_needed_round *. froll)
     +. (out_slice *. if reduce_group > 1 then 2. else 1.)
   in
-  let act_fetch =
-    List.fold_left
-      (fun a ((t : Opspec.tensor), need, g) ->
-        match t.Opspec.source with
-        | Opspec.Activation when g > 1 -> a +. (need *. float_of_int (g - 1) /. float_of_int g)
-        | _ -> a)
-      0. input_needs
-  in
-  let red_bytes =
-    if reduce_group > 1 then
-      out_slice *. float_of_int (reduce_group - 1) /. float_of_int reduce_group
-    else 0.
-  in
-  let exchange = (act_fetch +. red_bytes) *. froll in
-  let hops = comm_hops ctx.chip in
-  let t_comm =
-    if exchange > 0. then Elk_cost.Costmodel.predict_transfer ctx.cost ~hops ~bytes:exchange
-    else 0.
-  in
-  let t_compute =
-    froll
-    *. Elk_cost.Costmodel.predict_exec ctx.cost ~kind:op.Opspec.kind ~iter:tile
-  in
-  {
-    factors;
-    tile;
-    cores_used;
-    exec_space;
-    exec_time = t_compute +. t_comm;
-    compute_time = t_compute;
-    exchange_bytes_per_core = exchange;
-    hbm_needed_per_core = hbm_needed_round *. froll;
-    max_share_group = max_g;
-  }
+  if exec_space > sram then None
+  else begin
+    let act_fetch = ref 0. and max_g = ref 1 in
+    for k = 0 to Array.length pr.inputs - 1 do
+      let o = pr.inputs.(k) in
+      let g = group factors o in
+      if is_hbm o.source then max_g := max !max_g g
+      else if g > 1 then
+        act_fetch := !act_fetch +. (needs.(k) *. float_of_int (g - 1) /. float_of_int g)
+    done;
+    let red_bytes =
+      if reduce_group > 1 then
+        out_slice *. float_of_int (reduce_group - 1) /. float_of_int reduce_group
+      else 0.
+    in
+    let exchange = (!act_fetch +. red_bytes) *. froll in
+    let t_comm =
+      if exchange > 0. then
+        Elk_cost.Costmodel.predict_transfer pr.model ~hops:pr.hops ~bytes:exchange
+      else 0.
+    in
+    let t_compute = froll *. pr.predict tile in
+    Some
+      {
+        factors;
+        tile;
+        cores_used = min !tiles cores;
+        exec_space;
+        exec_time = t_compute +. t_comm;
+        compute_time = t_compute;
+        exchange_bytes_per_core = exchange;
+        hbm_needed_per_core = !hbm_needed_round *. froll;
+        max_share_group = !max_g;
+      }
+  end
 
-let compute_plans ctx (op : Opspec.t) =
+(* Tile shapes as the dedup keys them: equal lists, hashed as the generic
+   table hashes them, so buckets and fold order are the generic table's. *)
+module Tiles = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+  let hash = Hashtbl.hash
+end)
+
+let compute_plans ctx pr =
   let cores = ctx.chip.Arch.cores in
   let max_split_dims =
     match ctx.chip.Arch.topology with
-    | Arch.All_to_all | Arch.Clustered _ -> Array.length op.Opspec.iter
+    | Arch.All_to_all | Arch.Clustered _ -> Array.length pr.iter
     | Arch.Mesh2d _ -> 2
   in
+  let points = Array.fold_left (fun a e -> if a > cores then a else a * e) 1 pr.iter in
+  let min_cores = min (max 1 (cores / 4)) points in
   let vectors =
     (* Allow up to 16 sequential rounds so operators bigger than one
        spatial pass still get plans. *)
-    factor_vectors ~iter:op.Opspec.iter ~cores:(cores * 16) ~max_split_dims
-      ~cap:(max_plans_per_op * 64)
+    factor_vectors ~iter:pr.iter ~cores:(cores * 16) ~max_split_dims
+      ~cap:(max_plans_per_op * 64) ~min_cores
   in
-  let points =
-    Array.fold_left (fun a e -> if a > cores then a else a * e) 1 op.Opspec.iter
-  in
-  let min_cores = min (max 1 (cores / 4)) points in
   let sram = Arch.usable_sram_per_core ctx.chip in
-  let plans =
-    List.filter_map
-      (fun factors ->
-        let cores_used = Array.fold_left ( * ) 1 factors in
-        if cores_used < min_cores then None
-        else
-          let p = plan_of_factors ctx op factors in
-          if p.exec_space > sram then None else Some p)
-      vectors
-  in
   (* Deduplicate by tile shape (distinct factorizations can yield the same
      ceil-divided tile) and keep the fastest representative. *)
-  let table = Hashtbl.create 64 in
+  let table = Tiles.create 64 in
   List.iter
-    (fun p ->
-      let key = Array.to_list p.tile in
-      match Hashtbl.find_opt table key with
-      | Some q when q.exec_time <= p.exec_time -> ()
-      | _ -> Hashtbl.replace table key p)
-    plans;
-  let deduped = Hashtbl.fold (fun _ p acc -> p :: acc) table [] in
+    (fun factors ->
+      match price pr ~sram factors with
+      | None -> ()
+      | Some p -> (
+          let key = Array.to_list p.tile in
+          match Tiles.find_opt table key with
+          | Some q when q.exec_time <= p.exec_time -> ()
+          | _ -> Tiles.replace table key p))
+    vectors;
+  let deduped = Tiles.fold (fun _ p acc -> p :: acc) table [] in
   let sorted = List.sort (fun a b -> compare a.exec_time b.exec_time) deduped in
   let truncated = List.filteri (fun i _ -> i < max_plans_per_op) sorted in
   truncated
@@ -370,16 +434,13 @@ let zero_option =
   }
 
 (* What every plan's preload options share: the operator's HBM-resident
-   inputs, the bytes they occupy on the HBM devices and the HBM time of
+   operands, the bytes they occupy on the HBM devices and the HBM time of
    those bytes.  [None] for an operator with no HBM-resident input. *)
-type hbm_basis = { hbm_inputs : Opspec.tensor list; device_bytes : float; hbm_floor : float }
+type hbm_basis = { hbm : operand array; device_bytes : float; hbm_floor : float }
 
-let hbm_basis ctx (op : Opspec.t) =
+let hbm_basis ctx pr (op : Opspec.t) =
   let hbm_inputs =
-    List.filter
-      (fun (t : Opspec.tensor) ->
-        match t.Opspec.source with Opspec.Weights | Opspec.Kv_cache -> true | _ -> false)
-      op.Opspec.inputs
+    List.filter (fun (t : Opspec.tensor) -> is_hbm t.Opspec.source) op.Opspec.inputs
   in
   if hbm_inputs = [] then None
   else
@@ -388,68 +449,84 @@ let hbm_basis ctx (op : Opspec.t) =
     in
     Some
       {
-        hbm_inputs;
+        hbm = Array.of_list (List.filter (fun o -> is_hbm o.source) (Array.to_list pr.inputs));
         device_bytes;
         hbm_floor = Elk_cost.Costmodel.hbm_time ctx.cost ~bytes:device_bytes;
       }
 
-(* A plan's preload-state candidates: its broadcast fractions [1, 1/2,
-   ..., 1/g], ascending, and the one function that turns a fraction into
-   an option. *)
-let preload_candidates ctx (op : Opspec.t) b plan =
-  let rounds = ceil_div (Array.fold_left ( * ) 1 plan.factors) ctx.chip.Arch.cores in
-  (* All rounds' HBM-resident slices must be delivered to the core. *)
-  let needs =
-    Array.of_list
-      (List.map (fun t -> tensor_needed op plan.tile t *. float_of_int rounds) b.hbm_inputs)
-  in
-  let groups = Array.of_list (List.map (share_group plan.factors) b.hbm_inputs) in
-  let max_g = Array.fold_left max 1 groups in
-  (* Halving from 1 while above 1/g, then 1/g itself: already ascending
-     and distinct. *)
-  let rec fracs acc f =
-    if f *. float_of_int max_g <= 1.000001 then (1. /. float_of_int max_g) :: acc
-    else fracs (f :: acc) (f /. 2.)
-  in
-  let hops = comm_hops ctx.chip in
-  let link_bw = ctx.chip.Arch.intercore_link.Arch.bandwidth in
-  let option_at frac =
-    let preload_space = ref 0. and dist_bytes = ref 0. and inject = ref 0. in
-    for k = 0 to Array.length needs - 1 do
-      let need = needs.(k) in
-      let f = Float.max frac (1. /. float_of_int groups.(k)) in
-      preload_space := !preload_space +. (need *. f);
-      dist_bytes := !dist_bytes +. (need *. (1. -. f));
-      inject := !inject +. (need *. f *. float_of_int plan.cores_used)
-    done;
-    let dist_time =
-      if !dist_bytes > 0. then
-        Elk_cost.Costmodel.predict_transfer ctx.cost ~hops ~bytes:!dist_bytes
-      else 0.
-    in
-    let preload_len =
-      Float.max b.hbm_floor
-        (Float.max (!inject /. inject_rate ctx.chip) (!preload_space /. link_bw))
-    in
-    {
-      frac;
-      preload_space = !preload_space;
-      dist_bytes_per_core = !dist_bytes;
-      dist_time;
-      hbm_device_bytes = b.device_bytes;
-      noc_inject_bytes = !inject;
-      preload_len;
-      hbm_floor = b.hbm_floor;
-    }
-  in
-  (fracs [] 1., option_at)
+(* A plan's preload-state candidates.  All rounds' HBM-resident slices
+   must be delivered to the core: [fill_needs] writes them into the
+   pricer's [needs] and returns the largest sharing group [g].  The broadcast fractions
+   are [1/g], then the halvings of 1 above it ([1, 1/2, ...] while above
+   [1/g]) ascending: [halvings g + 1] distinct fractions, the [i]-th of
+   them [fraction]. *)
+let fill_needs pr b plan =
+  let needs = pr.needs in
+  let rounds = ceil_div (Array.fold_left ( * ) 1 plan.factors) pr.cores in
+  let max_g = ref 1 in
+  for k = 0 to Array.length b.hbm - 1 do
+    needs.(k) <- needed pr plan.tile b.hbm.(k) *. float_of_int rounds;
+    max_g := max !max_g (group plan.factors b.hbm.(k))
+  done;
+  !max_g
+
+let halvings max_g =
+  let n = ref 0 and f = ref 1. in
+  while not (!f *. float_of_int max_g <= 1.000001) do
+    incr n;
+    f := !f /. 2.
+  done;
+  !n
+
+let fraction max_g ~halvings i =
+  if i = 0 then 1. /. float_of_int max_g else ldexp 1. (i - halvings)
+
+(* Price one broadcast fraction of a plan: [parts] gets the option's
+   preload space, distribution bytes, injected bytes, distribution time
+   and preload length, in that order. *)
+let price_fraction pr b plan frac =
+  let needs = pr.needs and parts = pr.parts in
+  let preload_space = ref 0. and dist_bytes = ref 0. and inject = ref 0. in
+  for k = 0 to Array.length b.hbm - 1 do
+    let need = needs.(k) in
+    let f = Float.max frac (1. /. float_of_int (group plan.factors b.hbm.(k))) in
+    preload_space := !preload_space +. (need *. f);
+    dist_bytes := !dist_bytes +. (need *. (1. -. f));
+    inject := !inject +. (need *. f *. float_of_int plan.cores_used)
+  done;
+  parts.(0) <- !preload_space;
+  parts.(1) <- !dist_bytes;
+  parts.(2) <- !inject;
+  parts.(3) <-
+    (if !dist_bytes > 0. then
+       Elk_cost.Costmodel.predict_transfer pr.model ~hops:pr.hops ~bytes:!dist_bytes
+     else 0.);
+  parts.(4) <-
+    Float.max b.hbm_floor (Float.max (!inject /. pr.inject_rate) (!preload_space /. pr.link_bw))
 
 let compute_preload_options ctx op plan =
-  match hbm_basis ctx op with
+  let pr = pricer ctx op in
+  match hbm_basis ctx pr op with
   | None -> [ zero_option ]
   | Some b -> (
-      let fracs, option_at = preload_candidates ctx op b plan in
-      let opts = List.map option_at fracs in
+      let max_g = fill_needs pr b plan in
+      let halvings = halvings max_g in
+      let parts = pr.parts in
+      let opts =
+        List.init (halvings + 1) (fun i ->
+            let frac = fraction max_g ~halvings i in
+            price_fraction pr b plan frac;
+            {
+              frac;
+              preload_space = parts.(0);
+              dist_bytes_per_core = parts.(1);
+              dist_time = parts.(3);
+              hbm_device_bytes = b.device_bytes;
+              noc_inject_bytes = parts.(2);
+              preload_len = parts.(4);
+              hbm_floor = b.hbm_floor;
+            })
+      in
       let frontier =
         Pareto.frontier
           (List.map
@@ -468,36 +545,38 @@ let compute_preload_options ctx op plan =
    the first candidate is the frontier's point.  With no candidate below
    [infinity] the frontier is empty and the options are the first
    candidate alone. *)
-let best_preload_overhead ctx op basis plan =
-  match basis with
-  | None -> preload_overhead zero_option
-  | Some b ->
-      let fracs, option_at = preload_candidates ctx op b plan in
-      let best =
-        List.fold_left
-          (fun best frac ->
-            let y = preload_overhead (option_at frac) in
-            if y < best then y else best)
-          infinity fracs
-      in
-      if best < infinity then best
-      else Float.min infinity (preload_overhead (option_at (List.hd fracs)))
+let best_preload_overhead pr b plan =
+  let max_g = fill_needs pr b plan in
+  let halvings = halvings max_g in
+  let best = ref infinity and first = ref infinity in
+  for i = 0 to halvings do
+    price_fraction pr b plan (fraction max_g ~halvings i);
+    let y = pr.parts.(3) +. Float.max 0. (pr.parts.(4) -. b.hbm_floor) in
+    if i = 0 then first := y;
+    if y < !best then best := y
+  done;
+  if !best < infinity then !best else Float.min infinity !first
 
-let enumerate = compute_plans
+let enumerate ctx op = compute_plans ctx (pricer ctx op)
 
 (* Only the frontier is kept: the plan list it is folded from is garbage
    once the entry is made.  The frontier step reads only each plan's best
    overhead: the option lists are left to [preload_options]' callers. *)
 let exec_frontier ctx op =
   memo_find ctx ctx.memo { Key.op; factors = [||] } (fun () ->
-      let basis = hbm_basis ctx op in
+      let pr = pricer ctx op in
+      let basis = hbm_basis ctx pr op in
       Pareto.frontier
         (List.map
            (fun p ->
-             let overhead = best_preload_overhead ctx op basis p in
+             let overhead =
+               match basis with
+               | None -> preload_overhead zero_option
+               | Some b -> best_preload_overhead pr b p
+             in
              let overhead = if overhead = infinity then 0. else overhead in
              { Pareto.x = p.exec_space; y = p.exec_time +. overhead; payload = p })
-           (compute_plans ctx op)))
+           (compute_plans ctx pr)))
 
 let preload_options ctx op plan =
   memo_find ctx ctx.popt_memo { Key.op; factors = plan.factors } (fun () ->
@@ -525,7 +604,7 @@ let plan_with_factors ctx (op : Opspec.t) factors =
   else if
     Array.exists2 (fun f e -> f > e) factors op.Opspec.iter
   then Error (op.Opspec.name ^ ": factor exceeds extent")
-  else Ok (plan_of_factors ctx op factors)
+  else Ok (Option.get (price (pricer ctx op) ~sram:infinity factors))
 
 let preload_option_near ctx op plan ~frac =
   match preload_options ctx op plan with

@@ -20,6 +20,17 @@
       bytes injected into the interconnect by controllers (scaled by
       broadcast replication).
 
+    An enumeration resolves its operator once: each tensor's indexing
+    dims, the dims that share it and its source, and the kind's tile
+    predictor ({!Elk_cost.Costmodel.exec_predictor}).  It prices a factor
+    vector's execution space first and its exchange and compute time only
+    when that space fits SRAM, and prices each broadcast fraction with one
+    function that both the option lists and the frontier step read.
+    Every float is computed by the same operations in the same order as a
+    whole-plan pricing would, and tiles are deduplicated in the order the
+    generic [Hashtbl] of tile lists gave, so plans, frontiers and ties do
+    not depend on that split.
+
     Two memos, keyed per operator structure (kind, extents, each
     tensor's dims and source, per-point FLOPs and dtype; no name), so the
     identical layers of an LLM cost one enumeration:

@@ -121,6 +121,366 @@ let qcheck_exec_frontier_reference =
       in
       List.map key frontier = List.map key reference)
 
+(* The enumeration as it was before operators were resolved into a
+   pricer: a plan priced whole for every factor vector, the SRAM filter
+   after pricing, tiles deduplicated in a generic [Hashtbl] keyed by the
+   tile list, and preload options built as records per fraction.  The
+   property below holds [Partition] to it, floats by bits. *)
+module Ref_partition = struct
+  open Elk_tensor
+  open Elk_arch
+
+  let ceil_div a b = (a + b - 1) / b
+  let max_plans_per_op = 512
+
+  let dim_candidates ~extent ~cores =
+    let bound = min extent cores in
+    let acc = ref [] in
+    let add v = if v >= 1 && v <= bound && not (List.mem v !acc) then acc := v :: !acc in
+    add 1;
+    let d = ref 1 in
+    while !d * !d <= extent do
+      if extent mod !d = 0 then begin
+        add !d;
+        add (extent / !d)
+      end;
+      incr d
+    done;
+    let p = ref 1 in
+    while !p <= bound do
+      add !p;
+      p := !p * 2
+    done;
+    List.sort compare !acc
+
+  let factor_vectors ~iter ~cores ~max_split_dims ~cap =
+    let ndims = Array.length iter in
+    let results = ref [] and count = ref 0 in
+    let current = Array.make ndims 1 in
+    let candidates = Array.map (fun extent -> dim_candidates ~extent ~cores) iter in
+    let rec go dim prod split_dims =
+      if !count >= cap then ()
+      else if dim = ndims then begin
+        results := Array.copy current :: !results;
+        incr count
+      end
+      else
+        List.iter
+          (fun f ->
+            if prod * f <= cores && (f = 1 || split_dims < max_split_dims) then begin
+              current.(dim) <- f;
+              go (dim + 1) (prod * f) (if f = 1 then split_dims else split_dims + 1);
+              current.(dim) <- 1
+            end)
+          candidates.(dim)
+    in
+    go 0 1 0;
+    !results
+
+  let elem_size op = float_of_int (Dtype.size_bytes op.Opspec.dtype)
+
+  let tensor_needed op tile (t : Opspec.tensor) =
+    List.fold_left (fun a d -> a *. float_of_int tile.(d)) 1. t.Opspec.dims *. elem_size op
+
+  let share_group factors (t : Opspec.tensor) =
+    let g = ref 1 in
+    Array.iteri (fun d f -> if not (List.mem d t.Opspec.dims) then g := !g * f) factors;
+    !g
+
+  let comm_hops chip =
+    match chip.Arch.topology with
+    | Arch.All_to_all -> 2
+    | Arch.Clustered _ -> 3
+    | Arch.Mesh2d _ -> 1
+
+  let plan_of_factors ctx (op : Opspec.t) factors =
+    let chip = P.ctx_chip ctx and cost = P.ctx_cost ctx in
+    let tile = Array.mapi (fun i f -> ceil_div op.Opspec.iter.(i) f) factors in
+    let tiles = Array.fold_left ( * ) 1 factors in
+    let cores = chip.Arch.cores in
+    let rounds = ceil_div tiles cores in
+    let cores_used = min tiles cores in
+    let froll = float_of_int rounds in
+    let out_slice = tensor_needed op tile op.Opspec.output in
+    let reduce_group = share_group factors op.Opspec.output in
+    let input_needs =
+      List.map (fun t -> (t, tensor_needed op tile t, share_group factors t)) op.Opspec.inputs
+    in
+    let act_slice =
+      List.fold_left
+        (fun a ((t : Opspec.tensor), need, _) ->
+          match t.Opspec.source with Opspec.Activation -> a +. need | _ -> a)
+        0. input_needs
+    in
+    let hbm_needed_round, max_g =
+      List.fold_left
+        (fun (acc, mg) ((t : Opspec.tensor), need, g) ->
+          match t.Opspec.source with
+          | Opspec.Weights | Opspec.Kv_cache -> (acc +. need, max mg g)
+          | Opspec.Activation -> (acc, mg))
+        (0., 1) input_needs
+    in
+    let exec_space =
+      act_slice
+      +. (hbm_needed_round *. froll)
+      +. (out_slice *. if reduce_group > 1 then 2. else 1.)
+    in
+    let act_fetch =
+      List.fold_left
+        (fun a ((t : Opspec.tensor), need, g) ->
+          match t.Opspec.source with
+          | Opspec.Activation when g > 1 -> a +. (need *. float_of_int (g - 1) /. float_of_int g)
+          | _ -> a)
+        0. input_needs
+    in
+    let red_bytes =
+      if reduce_group > 1 then
+        out_slice *. float_of_int (reduce_group - 1) /. float_of_int reduce_group
+      else 0.
+    in
+    let exchange = (act_fetch +. red_bytes) *. froll in
+    let hops = comm_hops chip in
+    let t_comm =
+      if exchange > 0. then Elk_cost.Costmodel.predict_transfer cost ~hops ~bytes:exchange
+      else 0.
+    in
+    let t_compute =
+      froll *. Elk_cost.Costmodel.predict_exec cost ~kind:op.Opspec.kind ~iter:tile
+    in
+    {
+      P.factors;
+      tile;
+      cores_used;
+      exec_space;
+      exec_time = t_compute +. t_comm;
+      compute_time = t_compute;
+      exchange_bytes_per_core = exchange;
+      hbm_needed_per_core = hbm_needed_round *. froll;
+      max_share_group = max_g;
+    }
+
+  let compute_plans ctx (op : Opspec.t) =
+    let chip = P.ctx_chip ctx in
+    let cores = chip.Arch.cores in
+    let max_split_dims =
+      match chip.Arch.topology with
+      | Arch.All_to_all | Arch.Clustered _ -> Array.length op.Opspec.iter
+      | Arch.Mesh2d _ -> 2
+    in
+    let vectors =
+      factor_vectors ~iter:op.Opspec.iter ~cores:(cores * 16) ~max_split_dims
+        ~cap:(max_plans_per_op * 64)
+    in
+    let points =
+      Array.fold_left (fun a e -> if a > cores then a else a * e) 1 op.Opspec.iter
+    in
+    let min_cores = min (max 1 (cores / 4)) points in
+    let sram = Arch.usable_sram_per_core chip in
+    let plans =
+      List.filter_map
+        (fun factors ->
+          let cores_used = Array.fold_left ( * ) 1 factors in
+          if cores_used < min_cores then None
+          else
+            let p = plan_of_factors ctx op factors in
+            if p.P.exec_space > sram then None else Some p)
+        vectors
+    in
+    let table = Hashtbl.create 64 in
+    List.iter
+      (fun (p : P.plan) ->
+        let key = Array.to_list p.P.tile in
+        match Hashtbl.find_opt table key with
+        | Some (q : P.plan) when q.P.exec_time <= p.P.exec_time -> ()
+        | _ -> Hashtbl.replace table key p)
+      plans;
+    let deduped = Hashtbl.fold (fun _ p acc -> p :: acc) table [] in
+    let sorted = List.sort (fun a b -> compare a.P.exec_time b.P.exec_time) deduped in
+    List.filteri (fun i _ -> i < max_plans_per_op) sorted
+
+  let preload_options ctx (op : Opspec.t) (plan : P.plan) =
+    let chip = P.ctx_chip ctx and cost = P.ctx_cost ctx in
+    let hbm_inputs =
+      List.filter
+        (fun (t : Opspec.tensor) ->
+          match t.Opspec.source with Opspec.Weights | Opspec.Kv_cache -> true | _ -> false)
+        op.Opspec.inputs
+    in
+    if hbm_inputs = [] then
+      [
+        { P.frac = 1.; preload_space = 0.; dist_bytes_per_core = 0.; dist_time = 0.;
+          hbm_device_bytes = 0.; noc_inject_bytes = 0.; preload_len = 0.; hbm_floor = 0. };
+      ]
+    else begin
+      let device_bytes =
+        List.fold_left (fun a (t : Opspec.tensor) -> a +. Opspec.tensor_bytes op t) 0. hbm_inputs
+      in
+      let hbm_floor = Elk_cost.Costmodel.hbm_time cost ~bytes:device_bytes in
+      let rounds = ceil_div (Array.fold_left ( * ) 1 plan.P.factors) chip.Arch.cores in
+      let needs =
+        Array.of_list
+          (List.map (fun t -> tensor_needed op plan.P.tile t *. float_of_int rounds) hbm_inputs)
+      in
+      let groups = Array.of_list (List.map (share_group plan.P.factors) hbm_inputs) in
+      let max_g = Array.fold_left max 1 groups in
+      let rec fracs acc f =
+        if f *. float_of_int max_g <= 1.000001 then (1. /. float_of_int max_g) :: acc
+        else fracs (f :: acc) (f /. 2.)
+      in
+      let hops = comm_hops chip in
+      let link_bw = chip.Arch.intercore_link.Arch.bandwidth in
+      let option_at frac =
+        let preload_space = ref 0. and dist_bytes = ref 0. and inject = ref 0. in
+        for k = 0 to Array.length needs - 1 do
+          let need = needs.(k) in
+          let f = Float.max frac (1. /. float_of_int groups.(k)) in
+          preload_space := !preload_space +. (need *. f);
+          dist_bytes := !dist_bytes +. (need *. (1. -. f));
+          inject := !inject +. (need *. f *. float_of_int plan.P.cores_used)
+        done;
+        let dist_time =
+          if !dist_bytes > 0. then Elk_cost.Costmodel.predict_transfer cost ~hops ~bytes:!dist_bytes
+          else 0.
+        in
+        let preload_len =
+          Float.max hbm_floor
+            (Float.max (!inject /. P.inject_rate chip) (!preload_space /. link_bw))
+        in
+        { P.frac; preload_space = !preload_space; dist_bytes_per_core = !dist_bytes; dist_time;
+          hbm_device_bytes = device_bytes; noc_inject_bytes = !inject; preload_len; hbm_floor }
+      in
+      let opts = List.map option_at (fracs [] 1.) in
+      match
+        Elk_util.Pareto.frontier
+          (List.map
+             (fun o ->
+               { Elk_util.Pareto.x = o.P.preload_space; y = P.preload_overhead o; payload = o })
+             opts)
+      with
+      | [] -> [ List.hd opts ]
+      | pts -> List.map (fun p -> p.Elk_util.Pareto.payload) pts
+    end
+
+  let kendall_tau a b =
+    if List.sort compare a <> List.sort compare b then
+      invalid_arg "Reorder.kendall_tau: not permutations of the same set";
+    let posb = Hashtbl.create 16 in
+    List.iteri (fun i x -> Hashtbl.replace posb x i) b;
+    let arr = Array.of_list (List.map (Hashtbl.find posb) a) in
+    let n = Array.length arr in
+    let count = ref 0 in
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        if arr.(i) > arr.(j) then incr count
+      done
+    done;
+    !count
+end
+
+(* Seeded random operators: a kind of the cost model's, 2-4 iteration
+   dims with extents that include 1, primes and sizes that overflow a
+   core's SRAM, 1-3 inputs and an output each indexed by a random subset
+   of the dims, random sources and dtypes. *)
+let random_op =
+  let open QCheck2.Gen in
+  let open Elk_tensor in
+  let extent =
+    oneof
+      [
+        oneofl [ 1; 2; 3; 5; 7; 13; 31; 61; 127; 251; 509; 1021 ];
+        int_range 1 300;
+        oneofl [ 64; 96; 128; 512; 1024; 2048; 4096 ];
+      ]
+  in
+  let* kind = oneofl Elk_cost.Costmodel.default_kinds in
+  let* ndims = int_range 2 4 in
+  let* iter = array_size (pure ndims) extent in
+  let dims =
+    map
+      (fun bits -> List.filter (fun d -> bits land (1 lsl d) <> 0) (List.init ndims Fun.id))
+      (int_bound ((1 lsl ndims) - 1))
+  in
+  let tensor t_name =
+    map2
+      (fun dims source -> { Opspec.t_name; dims; source })
+      dims
+      (oneofl [ Opspec.Weights; Opspec.Kv_cache; Opspec.Activation ])
+  in
+  let* ninputs = int_range 1 3 in
+  let* inputs = flatten_l (List.init ninputs (fun k -> tensor (Printf.sprintf "in%d" k))) in
+  let* out_dims = dims in
+  let* dtype = oneofl [ Dtype.Fp16; Dtype.Fp32; Dtype.Int8 ] in
+  return
+    {
+      Opspec.name = "rand";
+      kind;
+      iter;
+      inputs;
+      output = { Opspec.t_name = "out"; dims = out_dims; source = Opspec.Activation };
+      flops_per_point = 2.;
+      dtype;
+    }
+
+let plan_bits (p : P.plan) =
+  ( (p.P.factors, p.P.tile, p.P.cores_used, p.P.max_share_group),
+    List.map bits
+      [ p.P.exec_space; p.P.exec_time; p.P.compute_time; p.P.exchange_bytes_per_core;
+        p.P.hbm_needed_per_core ] )
+
+let option_bits (o : P.preload_opt) =
+  List.map bits
+    [ o.P.frac; o.P.preload_space; o.P.dist_bytes_per_core; o.P.dist_time; o.P.hbm_device_bytes;
+      o.P.noc_inject_bytes; o.P.preload_len; o.P.hbm_floor ]
+
+(* [Partition.enumerate], [exec_frontier] and [preload_options] on a
+   fresh context against the enumeration kept above, every float by its
+   bits, on the all-to-all and the mesh chip. *)
+let qcheck_enumeration_reference =
+  Tu.qtest ~count:60 "partition: enumeration equals the whole-plan reference"
+    QCheck2.Gen.(pair bool random_op)
+    (fun (mesh, op) ->
+      let c = P.make_ctx (P.ctx_cost (Lazy.force (if mesh then Tu.mesh_ctx else Tu.default_ctx))) in
+      let reference = Ref_partition.compute_plans c op in
+      let ref_frontier =
+        Elk_util.Pareto.frontier
+          (List.map
+             (fun p ->
+               let o =
+                 List.fold_left
+                   (fun a o -> Float.min a (P.preload_overhead o))
+                   infinity (Ref_partition.preload_options c op p)
+               in
+               let o = if o = infinity then 0. else o in
+               { Elk_util.Pareto.x = p.P.exec_space; y = p.P.exec_time +. o; payload = p })
+             reference)
+      in
+      let point_bits (pt : P.plan Elk_util.Pareto.point) =
+        (bits pt.Elk_util.Pareto.x, bits pt.Elk_util.Pareto.y, plan_bits pt.Elk_util.Pareto.payload)
+      in
+      let frontier = P.exec_frontier c op in
+      List.map plan_bits (P.enumerate c op) = List.map plan_bits reference
+      && List.map point_bits frontier = List.map point_bits ref_frontier
+      && List.for_all
+           (fun (pt : P.plan Elk_util.Pareto.point) ->
+             let p = pt.Elk_util.Pareto.payload in
+             List.map option_bits (P.preload_options c op p)
+             = List.map option_bits (Ref_partition.preload_options c op p))
+           frontier)
+
+(* [Reorder.kendall_tau] against the list version kept above, on lists
+   with duplicates, on permutations of them and on lists that are not:
+   both count the same, or both raise [Invalid_argument]. *)
+let qcheck_kendall_tau_reference =
+  let small = QCheck2.Gen.(list_size (int_range 0 8) (int_range 0 5)) in
+  Tu.qtest ~count:500 "reorder: kendall tau equals the list reference"
+    QCheck2.Gen.(
+      let* a = small in
+      let* b = oneof [ shuffle_l a; small; map (fun l -> 0 :: l) (shuffle_l a) ] in
+      return (a, b))
+    (fun (a, b) ->
+      let run f = match f a b with n -> Ok n | exception Invalid_argument _ -> Error () in
+      run Elk.Reorder.kendall_tau = run Ref_partition.kendall_tau)
+
 (* Every (operator, frontier plan) pair of the test graph, and those
    whose plan has more than one preload option: residents a search can
    step down. *)
@@ -523,6 +883,8 @@ let suite =
     qcheck_alloc_monotone_in_capacity;
     qcheck_packing_verdict;
     qcheck_exec_frontier_reference;
+    qcheck_enumeration_reference;
+    qcheck_kendall_tau_reference;
     qcheck_step_searches_independent;
     qcheck_scheduler_respects_max_preload;
     qcheck_hbm_larger_reads_not_faster;

@@ -9,10 +9,11 @@
    counter tracks and every core's Perfcore buckets.  A third pins the
    interconnect and memory views of a recorded run at two window
    widths, on both topologies.  Another pins the verifier's report on
-   the twelve plans, four serve plans and one overflowing schedule.  A
-   change that means to alter a plan, a simulated number or a
-   diagnostic states so and replaces the list with the one the failure
-   prints. *)
+   the twelve plans, four serve plans and one overflowing schedule.  Two
+   more pin the search behind each plan: its chip graph's exec frontiers
+   and its order search's survivors.  A change that means to alter a
+   plan, a frontier, a simulated number or a diagnostic states so and
+   replaces the list with the one the failure prints. *)
 
 open Elk_model
 module D = Elk_dse.Dse
@@ -353,6 +354,92 @@ let test_zoo_lower_bounds () =
         cands.Elk.Compile.survivors)
     (Lazy.force plans)
 
+(* The search behind each plan, not only its winner.  Per plan, over
+   its chip graph's operators in a new partition context: every point
+   of [Partition.exec_frontier] (its x and y, the plan's factors, tile,
+   [cores_used], [max_share_group] and every float, floats by [%h]).
+   And every survivor of [Compile.candidates] on that chip graph, in
+   order: its [Planio.export] and lower bound, with the number of
+   orders tried. *)
+let pinned_frontiers =
+  [
+    ("llama2-13b/8x10@a2a", "a4d79ebd6a4e3ce9050bab902116564e");
+    ("gemma2-27b/8x11@a2a", "62655d318a692e64726123ae6598c48c");
+    ("opt-30b/8x12@a2a", "f4f11957f9799928c42abb956b392b1c");
+    ("llama2-70b/8x20@a2a", "2811b92685dbec1f5965ef29c5fb8ed5");
+    ("dit-xl/8x7@a2a", "e03e8e4d82da9390f55acd93b178b5c4");
+    ("mixtral-8x7b/8x10@a2a", "9b07603caf3cb7ddfce1873bad63d6cf");
+    ("llama2-13b/8x10@mesh", "5cd0ad70b3555e4ecc393923d848fa7a");
+    ("gemma2-27b/8x11@mesh", "862feb90443f55016473c8b60d51a965");
+    ("opt-30b/8x12@mesh", "4178e8061a8db2c6e33feda672de0735");
+    ("llama2-70b/8x20@mesh", "422b2c1d7c9c9b2ff7218c409df20003");
+    ("dit-xl/8x7@mesh", "012bdfd905afcb9bb62d71267e9254ad");
+    ("mixtral-8x7b/8x10@mesh", "6ff62c3f25712550eb342d3e83df60e3");
+  ]
+
+let render_frontier (pts : Elk_partition.Partition.plan Elk_util.Pareto.point list) =
+  let module P = Elk_partition.Partition in
+  let b = Buffer.create 4096 in
+  let ints a = String.concat "," (List.map string_of_int (Array.to_list a)) in
+  List.iter
+    (fun (pt : P.plan Elk_util.Pareto.point) ->
+      let p = pt.Elk_util.Pareto.payload in
+      Printf.bprintf b "%h %h <%s> %s %d %d %h %h %h %h %h\n" pt.Elk_util.Pareto.x
+        pt.Elk_util.Pareto.y (ints p.P.factors) (ints p.P.tile) p.P.cores_used
+        p.P.max_share_group p.P.exec_space p.P.exec_time p.P.compute_time
+        p.P.exchange_bytes_per_core p.P.hbm_needed_per_core)
+    pts;
+  Buffer.contents b
+
+let test_zoo_frontiers_pinned () =
+  check_pinned "pinned_frontiers"
+    (fun (label, d) -> Printf.sprintf "(%S, %S)" label d)
+    pinned_frontiers
+    (List.map
+       (fun (label, env, s) ->
+         let ctx = Elk_partition.Partition.make_ctx (Elk_partition.Partition.ctx_cost env.D.ctx) in
+         ( label,
+           md5
+             (String.concat "--\n"
+                (Array.to_list
+                   (Array.map
+                      (fun (node : Graph.node) ->
+                        render_frontier (Elk_partition.Partition.exec_frontier ctx node.Graph.op))
+                      (Graph.nodes s.Elk.Schedule.graph)))) ))
+       (Lazy.force plans))
+
+let pinned_survivors =
+  [
+    ("llama2-13b/8x10@a2a", 24, "f1bfa223e30ec71b04afd8bfa04f1b32");
+    ("gemma2-27b/8x11@a2a", 24, "0062963d2b636bd055a805a17e662692");
+    ("opt-30b/8x12@a2a", 6, "ad59f25b327098af76194df7911fa176");
+    ("llama2-70b/8x20@a2a", 23, "59ea1d93cea705190417e8c55791e71e");
+    ("dit-xl/8x7@a2a", 24, "a1cda11c20c85cf530bc8694006ab47e");
+    ("mixtral-8x7b/8x10@a2a", 1, "2e8663420bfde9eeb15f96dc28a8126c");
+    ("llama2-13b/8x10@mesh", 24, "495601ba01120d9758fbda2fe7f52a33");
+    ("gemma2-27b/8x11@mesh", 24, "3503bb04d7ee56f089ad79cbeb70e4f9");
+    ("opt-30b/8x12@mesh", 6, "ff669d435a9c7266493d67f3dd85615c");
+    ("llama2-70b/8x20@mesh", 23, "fe610048bfc62ae6fefdc7d96dfb29d0");
+    ("dit-xl/8x7@mesh", 24, "c98ad14948881b05c58d9eddb7b913ed");
+    ("mixtral-8x7b/8x10@mesh", 1, "46a4238b454f50dc656baf2b57920aa9");
+  ]
+
+let test_zoo_survivors_pinned () =
+  check_pinned "pinned_survivors"
+    (fun (label, tried, d) -> Printf.sprintf "(%S, %d, %S)" label tried d)
+    pinned_survivors
+    (List.map
+       (fun (label, env, s) ->
+         let c = Elk.Compile.candidates env.D.ctx s.Elk.Schedule.graph in
+         ( label,
+           c.Elk.Compile.tried,
+           md5
+             (String.concat ""
+                (List.map
+                   (fun (s, bound) -> Printf.sprintf "%s%h\n" (Elk.Planio.export s) bound)
+                   c.Elk.Compile.survivors)) ))
+       (Lazy.force plans))
+
 (* The deadlock lint checks the routes the simulator books: on each of
    the twelve plans, per (op, phase), the links on
    [Deadlock.transfers_of_schedule]'s routes, over a Noc of its own as
@@ -417,4 +504,8 @@ let suite =
     Alcotest.test_case
       "12 zoo plans: the deadlock lint's transfers are the simulator's ring bookings" `Quick
       test_zoo_deadlock_sees_sim_rings;
+    Alcotest.test_case "12 zoo plans' exec frontiers match the pinned digests" `Quick
+      test_zoo_frontiers_pinned;
+    Alcotest.test_case "12 zoo plans' order-search survivors match the pinned digests" `Quick
+      test_zoo_survivors_pinned;
   ]
